@@ -13,16 +13,27 @@ from ..graphstore import Graph, GraphSet
 from ..pretrain import PretrainConfig, run_pretrain
 
 
+def _frame(h, arr) -> None:
+    """Hash an array with its dtype, shape and byte length in front."""
+    arr = np.ascontiguousarray(arr)
+    h.update(f"{arr.dtype.str}{arr.shape}{arr.nbytes}:".encode())
+    h.update(arr.tobytes())
+
+
 def dataset_digest(data: Graph | GraphSet) -> str:
+    """Content hash of a dataset; every array is framed, so member
+    boundaries and label widths cannot alias."""
     h = hashlib.sha256()
     graphs = data.graphs if isinstance(data, GraphSet) else [data]
+    h.update(f"{type(data).__name__}[{len(graphs)}]".encode())
     for g in graphs:
-        h.update(g.edges.tobytes())
-        h.update(g.features.data.tobytes())
-        if g.labels is not None:
-            h.update(g.labels.tobytes())
-        if g.graph_label is not None:
-            h.update(bytes([g.graph_label]))
+        _frame(h, g.edges)
+        _frame(h, g.features.data)
+        for extra in (g.labels, g.graph_label):
+            if extra is None:
+                h.update(b"none;")
+            else:
+                _frame(h, np.asarray(extra, dtype=np.int64))
     return h.hexdigest()
 
 

@@ -117,7 +117,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        # an untracked parent (e.g. constant features) gets no product
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
 
     return _record(ad @ bd, (a, b), vjp)
 
@@ -195,12 +197,13 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         raise DimensionError(f"gather_rows: index must be 1-D, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
         raise DimensionError(f"gather_rows: index out of range for {a.rows} rows")
-    shape = a.shape
+    rows, cols = a.shape
 
     def vjp(g):
-        da = np.zeros(shape)
-        np.add.at(da, idx, g)
-        return (da,)
+        # bincount adds in index order from zero, exactly as np.add.at does
+        bins = (idx[:, None] * cols + np.arange(cols)).ravel()
+        da = np.bincount(bins, weights=np.ravel(g), minlength=rows * cols)
+        return (da.reshape(rows, cols),)
 
     return _record(a.data[idx], (a,), vjp)
 

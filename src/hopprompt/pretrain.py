@@ -48,6 +48,30 @@ class Triplet:
     b: int  # non-connected negative
 
 
+@dataclass(frozen=True)
+class Triplets:
+    """Triplets as three parallel int64 arrays; indexing selects rows."""
+
+    v: np.ndarray  # anchors
+    a: np.ndarray  # connected positives
+    b: np.ndarray  # non-connected negatives
+
+    @classmethod
+    def of(cls, triplets) -> "Triplets":
+        """Accepts a Triplets (returned as is) or a sequence of Triplet."""
+        if isinstance(triplets, Triplets):
+            return triplets
+        cols = np.array([(t.v, t.a, t.b) for t in triplets], dtype=np.int64)
+        cols = cols.reshape(-1, 3).T
+        return cls(v=cols[0], a=cols[1], b=cols[2])
+
+    def __len__(self) -> int:
+        return len(self.v)
+
+    def __getitem__(self, rows) -> "Triplets":
+        return Triplets(v=self.v[rows], a=self.a[rows], b=self.b[rows])
+
+
 @dataclass
 class PretrainConfig:
     tau: float = 0.5
@@ -67,52 +91,68 @@ class PretrainConfig:
             raise ParameterError("epochs and batch_size must be >= 1")
 
 
-def build_triplets(g: Graph, k_negatives: int, seed: int) -> list[Triplet]:
+def build_triplets(g: Graph, k_negatives: int, seed: int) -> Triplets:
     """One positive per node, k uniform negatives per positive.
 
     Nodes without a neighbor or without a non-neighbor are skipped with a
     warning; a graph yielding no triplets at all is infeasible.
+
+    Draw order: for each kept node v in node order, one uniform draw over
+    v's sorted neighbors, then k uniform draws (with replacement) over the
+    sorted nodes outside N(v) and v itself. All draws come from one
+    `integers` call with per-draw bounds, which consumes the generator
+    exactly as a per-node `choice(neighbors)`, `choice(pool, size=k)` loop.
     """
     if g.num_edges == 0:
         raise PretrainInfeasibleError("graph has no edges; cannot pre-train")
-    rng = np.random.default_rng(seed)
-    triplets: list[Triplet] = []
-    skipped = 0
-    for v in range(g.num_nodes):
-        nbrs = g.neighbor_list(v)
-        if nbrs.size == 0 or nbrs.size >= g.num_nodes - 1:
-            skipped += 1
-            continue
-        mask = np.ones(g.num_nodes, dtype=bool)
-        mask[nbrs] = False
-        mask[v] = False
-        pool = np.flatnonzero(mask)
-        a = int(rng.choice(nbrs))
-        for b in rng.choice(pool, size=k_negatives, replace=True):
-            triplets.append(Triplet(v=v, a=a, b=int(b)))
+    n = g.num_nodes
+    offsets, targets = g.neighbors()
+    deg = np.diff(offsets)
+    kept = np.flatnonzero((deg > 0) & (deg < n - 1))
+    skipped = n - kept.size
     if skipped:
         warnings.warn(f"{skipped} node(s) lack a neighbor or a non-neighbor; skipped")
-    if not triplets:
+    if not kept.size:
         raise PretrainInfeasibleError(
             "no node admits a (positive, negative) pair; cannot pre-train"
         )
-    return triplets
+    kept_deg = deg[kept]
+    highs = np.empty((kept.size, 1 + k_negatives), dtype=np.int64)
+    highs[:, 0] = kept_deg
+    highs[:, 1:] = (n - 1 - kept_deg)[:, None]
+    draws = np.random.default_rng(seed).integers(0, highs)
+
+    # positive: the drawn entry of v's CSR neighbor row
+    pos = targets[offsets[kept] + draws[:, 0]]
+
+    # negative j of v: the j-th node outside v's excluded set N(v) + {v}.
+    # With that set sorted as e_0 < e_1 < ..., c_i = e_i - i counts the free
+    # nodes below e_i, so the answer is j + #{i : c_i <= j}. Keys v*n + c_i
+    # are sorted across nodes, so one searchsorted serves every node.
+    nodes = np.arange(n)
+    src = np.repeat(nodes, deg)  # CSR row of every neighbor entry
+    keys = np.sort(np.concatenate([src * n + targets, nodes * n + nodes]))
+    first = offsets[:-1] + nodes  # index of each node's first key
+    keys -= np.arange(keys.size) - np.repeat(first, deg + 1)
+    j = draws[:, 1:]
+    neg = j + np.searchsorted(keys, kept[:, None] * n + j, side="right") - first[kept, None]
+
+    return Triplets(v=np.repeat(kept, k_negatives), a=np.repeat(pos, k_negatives),
+                    b=neg.ravel())
 
 
-def pretrain_loss(stack, adj, triplets: list[Triplet], tau: float):
+def pretrain_loss(stack, adj, triplets: Triplets | list[Triplet], tau: float):
     """Mean two-way contrastive loss over triplets.
 
     Embeddings get one extra aggregation step: s = adj @ H(L).
     """
     if tau <= 0:
         raise ParameterError(f"tau must be > 0, got {tau}")
+    triplets = Triplets.of(triplets)
     s = spmm(adj, stack[-1])
-    v_ids = [t.v for t in triplets]
-    a_ids = [t.a for t in triplets]
-    b_ids = [t.b for t in triplets]
-    sv = gather_rows(s, v_ids)
-    sim_pos = rowwise_cosine_sim(sv, gather_rows(s, a_ids))
-    sim_neg = rowwise_cosine_sim(sv, gather_rows(s, b_ids))
+    sv = gather_rows(s, triplets.v)
+    sim_pos = rowwise_cosine_sim(sv, gather_rows(s, triplets.a))
+    sim_neg = rowwise_cosine_sim(sv, gather_rows(s, triplets.b))
     scores = hstack([sim_pos, sim_neg])
     return softmax_nll(scores, np.zeros(len(triplets), dtype=np.int64), tau)
 
@@ -146,7 +186,7 @@ def run_pretrain(data: Graph | GraphSet, cfg: EncoderConfig, pcfg: PretrainConfi
         order = rng.permutation(len(triplets))
         total, count = 0.0, 0
         for start in range(0, len(triplets), pcfg.batch_size):
-            batch = [triplets[i] for i in order[start:start + pcfg.batch_size]]
+            batch = triplets[order[start:start + pcfg.batch_size]]
             try:
                 stack = encoder_forward(adj, g.features, cfg, params)
                 loss = pretrain_loss(stack, adj, batch, pcfg.tau)

@@ -2,10 +2,17 @@
 
 The finite-difference oracle re-evaluates a loss as a plain float under
 entry-wise perturbations; it never touches tape gradients, so it stays an
-independent check of them.
+independent check of them. The triplet oracle is the per-node sampling loop
+that the array sampler in `pretrain.build_triplets` must reproduce draw for
+draw.
 """
 
+import warnings
+
 import numpy as np
+
+from hopprompt.errors import PretrainInfeasibleError
+from hopprompt.pretrain import Triplet
 
 
 def finite_diff(loss_fn, params, h=1e-5):
@@ -59,3 +66,31 @@ def random_csr(rng, rows, cols, density=0.2):
         vals.extend(values[r, cs].tolist())
         offsets[r + 1] = offsets[r] + cs.size
     return offsets, np.array(col_idx, dtype=np.int64), np.array(vals), values
+
+
+def reference_triplets(g, k_negatives, seed):
+    """Per-node loop: one `choice` over the neighbors, then k over the rest."""
+    if g.num_edges == 0:
+        raise PretrainInfeasibleError("graph has no edges; cannot pre-train")
+    rng = np.random.default_rng(seed)
+    triplets: list[Triplet] = []
+    skipped = 0
+    for v in range(g.num_nodes):
+        nbrs = g.neighbor_list(v)
+        if nbrs.size == 0 or nbrs.size >= g.num_nodes - 1:
+            skipped += 1
+            continue
+        mask = np.ones(g.num_nodes, dtype=bool)
+        mask[nbrs] = False
+        mask[v] = False
+        pool = np.flatnonzero(mask)
+        a = int(rng.choice(nbrs))
+        for b in rng.choice(pool, size=k_negatives, replace=True):
+            triplets.append(Triplet(v=v, a=a, b=int(b)))
+    if skipped:
+        warnings.warn(f"{skipped} node(s) lack a neighbor or a non-neighbor; skipped")
+    if not triplets:
+        raise PretrainInfeasibleError(
+            "no node admits a (positive, negative) pair; cannot pre-train"
+        )
+    return triplets

@@ -7,6 +7,7 @@ import pytest
 import hopprompt.encoder as enc
 from hopprompt import graphstore as gs
 from hopprompt import harness as hn
+from hopprompt import numcore as nc
 from hopprompt.errors import ConfigError, TransferInfeasibleError
 
 
@@ -235,3 +236,38 @@ class TestEmitReport:
         lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + modes x seeds
         assert lines[0].startswith("schema_version,")
+
+
+def _member(feature_bytes: bytes, label: int, num_classes: int = 2) -> gs.Graph:
+    feats = np.frombuffer(feature_bytes, dtype=np.float64).reshape(-1, 1)
+    return gs.Graph(num_nodes=len(feats), edges=np.zeros((0, 2), dtype=np.int64),
+                    features=nc.Tensor(feats), labels=None, num_classes=num_classes,
+                    graph_label=label)
+
+
+class TestDatasetDigest:
+    def test_graph_label_above_255(self):
+        def one(label):
+            return gs.GraphSet([_member(bytes(8), label, num_classes=301)], 301)
+
+        assert hn.dataset_digest(one(300)) != hn.dataset_digest(one(44))
+
+    def test_member_boundaries_are_part_of_the_digest(self):
+        # 1-node + 2-node members versus 2-node + 1-node members whose
+        # unframed byte streams (features, then a one-byte label) coincide
+        a, b, c = bytes(range(10, 18)), bytes([1, 2, 3, 4, 5, 6, 7, 0]), bytes(range(30, 38))
+        first = gs.GraphSet([_member(a, 0), _member(b + c, 1)], 2)
+        second = gs.GraphSet([_member(a + bytes([0]) + b[:7], b[7]), _member(c, 1)], 2)
+
+        def unframed(gset):
+            return b"".join(g.features.data.tobytes() + bytes([g.graph_label])
+                            for g in gset.graphs)
+
+        assert unframed(first) == unframed(second)
+        assert hn.dataset_digest(first) != hn.dataset_digest(second)
+
+    def test_stable_and_content_sensitive(self):
+        g = gs.random_labeled_graph(10, 20, 2, 3, seed=0)
+        assert hn.dataset_digest(g) == hn.dataset_digest(replace(g))
+        moved = replace(g, labels=np.roll(g.labels, 1))
+        assert hn.dataset_digest(moved) != hn.dataset_digest(g)

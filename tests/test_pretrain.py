@@ -1,7 +1,11 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopprompt.encoder as enc
 import hopprompt.pretrain as pt
@@ -9,7 +13,9 @@ from hopprompt import graphstore as gs
 from hopprompt import numcore as nc
 from hopprompt.errors import ParameterError, PretrainInfeasibleError
 
-from tests._oracles import assert_grads_close, finite_diff
+from tests._oracles import assert_grads_close, finite_diff, reference_triplets
+
+DATASETS = Path(__file__).resolve().parents[1] / "datasets"
 
 
 def path_graph():
@@ -43,29 +49,111 @@ class TestBuildTriplets:
 
     def test_path_endpoint_forced_choice(self):
         trips = pt.build_triplets(path_graph(), 1, seed=5)
-        for t in trips:
-            if t.v == 0:
-                assert t.a == 1 and t.b == 2
-            if t.v == 2:
-                assert t.a == 1 and t.b == 0
+        for v, a, b in zip(trips.v, trips.a, trips.b):
+            if v == 0:
+                assert a == 1 and b == 2
+            if v == 2:
+                assert a == 1 and b == 0
 
     def test_middle_node_skipped_on_path(self):
         # node 1 neighbors everyone, so it has no negative
         with pytest.warns(UserWarning, match="skipped"):
             trips = pt.build_triplets(path_graph(), 1, seed=0)
-        assert {t.v for t in trips} == {0, 2}
+        assert set(trips.v.tolist()) == {0, 2}
 
     def test_deterministic(self):
         g = gs.random_labeled_graph(30, 60, 3, 4, seed=1)
-        assert pt.build_triplets(g, 2, seed=9) == pt.build_triplets(g, 2, seed=9)
+        first, second = pt.build_triplets(g, 2, seed=9), pt.build_triplets(g, 2, seed=9)
+        for col in "vab":
+            assert np.array_equal(getattr(first, col), getattr(second, col))
 
     def test_invariants(self):
         g = gs.random_labeled_graph(30, 60, 3, 4, seed=2)
         edge_set = {(int(u), int(v)) for u, v in g.edges}
-        for t in pt.build_triplets(g, 2, seed=3):
-            assert (min(t.v, t.a), max(t.v, t.a)) in edge_set
-            assert (min(t.v, t.b), max(t.v, t.b)) not in edge_set
-            assert t.v != t.b
+        trips = pt.build_triplets(g, 2, seed=3)
+        for v, a, b in zip(trips.v.tolist(), trips.a.tolist(), trips.b.tolist()):
+            assert (min(v, a), max(v, a)) in edge_set
+            assert (min(v, b), max(v, b)) not in edge_set
+            assert v != b
+
+
+def _sample(sampler, g, k, seed):
+    """(triplets as arrays, or None if infeasible; warning messages) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = pt.Triplets.of(sampler(g, k, seed))
+        except PretrainInfeasibleError:
+            result = None
+    return result, [str(w.message) for w in caught]
+
+
+def _assert_same_draws(g, k, seed):
+    ref, ref_warnings = _sample(reference_triplets, g, k, seed)
+    got, got_warnings = _sample(pt.build_triplets, g, k, seed)
+    assert got_warnings == ref_warnings
+    if ref is None:
+        assert got is None
+        return
+    for col in "vab":
+        assert getattr(got, col).dtype == np.int64
+        assert np.array_equal(getattr(got, col), getattr(ref, col)), col
+
+
+@st.composite
+def sampler_graphs(draw):
+    """Small graphs mixing isolated nodes, a hub adjacent to every other
+    node (skipped: no negative) and star graphs."""
+    n = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(["random", "hub", "star"]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "star":
+        centre = draw(st.integers(0, n - 1))
+        edges = [(min(centre, v), max(centre, v)) for v in range(n) if v != centre]
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [p for p, k in zip(pairs, keep) if k]
+        isolated = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+        edges = [(u, v) for u, v in edges if u not in isolated and v not in isolated]
+        if kind == "hub":
+            hub = draw(st.integers(0, n - 1))
+            edges += [(min(hub, v), max(hub, v)) for v in range(n) if v != hub]
+    return gs.Graph(num_nodes=n, edges=gs.canonical_edges(edges, n),
+                    features=nc.Tensor(np.ones((n, 1))), labels=None, num_classes=2)
+
+
+class TestSamplerMatchesReferenceLoop:
+    """The array sampler must consume the generator exactly as the per-node
+    loop does; every seeded loss curve and checkpoint depends on it."""
+
+    @pytest.mark.parametrize("name", ["syn-h10", "syn-h90", "web-tiny", "ego-tiny"])
+    def test_bundled_fixtures(self, name):
+        data = gs.load_dataset(DATASETS / name)
+        g = gs.disjoint_union(data.graphs) if isinstance(data, gs.GraphSet) else data
+        for k in (1, 2, 3):
+            for seed in (0, 1, 17, 2024):
+                _assert_same_draws(g, k, seed)
+
+    @given(g=sampler_graphs(), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_graphs(self, g, k, seed):
+        _assert_same_draws(g, k, seed)
+
+
+class TestTriplets:
+    def test_row_selection_and_list_input(self):
+        g = gs.random_labeled_graph(12, 24, 2, 4, seed=4)
+        trips = pt.build_triplets(g, 2, seed=1)
+        rows = np.array([3, 0, 3, 5])
+        picked = trips[rows]
+        assert len(picked) == 4
+        assert np.array_equal(picked.b, trips.b[rows])
+        as_list = [pt.Triplet(v=int(v), a=int(a), b=int(b))
+                   for v, a, b in zip(picked.v, picked.a, picked.b)]
+        adj = gs.normalize_adjacency(g)
+        h = enc.EmbeddingStack([nc.Tensor(np.random.default_rng(0).standard_normal((12, 5)))])
+        assert (pt.pretrain_loss(h, adj, as_list, 0.5).item()
+                == pt.pretrain_loss(h, adj, picked, 0.5).item())
 
 
 class TestPretrainLoss:
@@ -186,6 +274,23 @@ class TestRunPretrain:
             if u != v and (min(u, v), max(u, v)) not in edge_set:
                 rand_sims.append(s[u] @ s[v])
         assert connected > np.mean(rand_sims)
+
+    def test_reference_sampler_gives_identical_run(self, monkeypatch):
+        data = gs.load_dataset(DATASETS / "syn-h10")
+        cfg = enc.EncoderConfig(layers=2, dims=[data.num_features, 32, 32])
+        pcfg = pt.PretrainConfig(epochs=3, batch_size=1024, tau=0.5, lr=1e-3,
+                                 negatives=2, seed=11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            params, losses = pt.run_pretrain(data, cfg, pcfg)
+            monkeypatch.setattr(pt, "build_triplets", lambda g, k, seed: pt.Triplets.of(
+                reference_triplets(g, k, seed)))
+            ref_params, ref_losses = pt.run_pretrain(data, cfg, pcfg)
+        assert np.array_equal(np.array(losses), np.array(ref_losses))
+        pairs = [(params.w_in, ref_params.w_in)] + [
+            (lp.w0, ref.w0) for lp, ref in zip(params.layers, ref_params.layers)]
+        for mine, theirs in pairs:
+            assert np.array_equal(mine.data, theirs.data)
 
     def test_feature_width_mismatch(self):
         g = gs.random_labeled_graph(10, 20, 2, 4, seed=10)

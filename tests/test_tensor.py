@@ -58,6 +58,26 @@ class TestMatmul:
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
             nc.matmul(a, b)
 
+    @pytest.mark.parametrize("tracked", ["left", "right"])
+    def test_untracked_parent_gets_no_product(self, tracked):
+        rng = np.random.default_rng(3)
+        a = nc.Tensor(rng.standard_normal((5, 4)), requires_grad=tracked == "left")
+        b = nc.Tensor(rng.standard_normal((4, 3)), requires_grad=tracked == "right")
+        out = nc.matmul(a, b)
+        g = rng.standard_normal((5, 3))
+        da, db = out._vjp(g)
+        if tracked == "left":
+            assert db is None
+            assert np.array_equal(da, g @ b.data.T)
+        else:
+            assert da is None
+            assert np.array_equal(db, a.data.T @ g)
+        leaf = a if tracked == "left" else b
+        grads = nc.backward(nc.sum_all(nc.matmul(a, b)))
+        assert (a in grads, b in grads) == (tracked == "left", tracked == "right")
+        fd = finite_diff(lambda: nc.sum_all(nc.matmul(a, b)).item(), [leaf])[0]
+        assert_grads_close(grads.get(leaf), fd, rtol=1e-5, label=f"matmul {tracked}")
+
 
 class TestRelu:
     def test_all_negative_goes_to_zero(self):
@@ -215,6 +235,35 @@ class TestStackingOps:
         out = nc.gather_rows(x, [0, 0, 1])
         grads = nc.backward(nc.sum_all(out))
         np.testing.assert_array_equal(grads.get(x), [[2.0, 2.0], [1.0, 1.0]])
+
+    def test_gather_rows_vjp_matches_add_at_bitwise(self):
+        # many repeats of few rows with spread magnitudes: any change in the
+        # summation order would show in the low bits
+        rng = np.random.default_rng(5)
+        x = nc.Tensor(rng.standard_normal((7, 6)), requires_grad=True)
+        idx = rng.integers(0, 4, size=500)
+        out = nc.gather_rows(x, idx)
+        wide = rng.standard_normal((500, 12)) * 10.0 ** rng.integers(-8, 8, (500, 12))
+        g = wide[:, ::2]  # non-contiguous upstream gradient
+        assert not g.flags.c_contiguous
+        (got,) = out._vjp(g)
+        expected = np.zeros(x.shape)
+        np.add.at(expected, idx, g)
+        assert np.array_equal(got, expected)
+        assert not got[4:].any()
+
+    def test_gather_rows_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(6)
+        x = nc.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        w = nc.Tensor(rng.standard_normal((3, 2)))
+        idx = [4, 0, 4, 4, 2, 0]
+
+        def build():
+            return nc.sum_all(nc.relu(nc.matmul(nc.gather_rows(x, idx), w)))
+
+        grads = nc.backward(build())
+        fd = finite_diff(lambda: build().item(), [x])[0]
+        assert_grads_close(grads.get(x), fd, rtol=1e-5, label="gather_rows")
 
     def test_mean_rows(self):
         x = nc.Tensor([[1.0, 3.0], [3.0, 5.0]], requires_grad=True)
