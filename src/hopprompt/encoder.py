@@ -10,12 +10,21 @@ adapter reproduces the frozen encoder exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import uuid
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ContractError, DimensionError, ParameterError
+from .errors import (
+    CheckpointError,
+    ContractError,
+    DimensionError,
+    ParameterError,
+    StructuralError,
+)
 from .numcore import (
     SparseMatrix,
     Tensor,
@@ -23,7 +32,6 @@ from .numcore import (
     matmul,
     rank_one_update_spmm,
     relu,
-    scatter_rows,
     spmm,
     transpose,
     vstack,
@@ -153,14 +161,18 @@ def edge_subset_positions(adj: SparseMatrix, train_ids) -> np.ndarray:
     cols = adj.col_indices
     sel = (rows < cols) & (train[rows] | train[cols])
     upper = np.flatnonzero(sel)
-    # locate the mirrored (v,u) slot for each selected (u,v)
-    pos_of = {}
-    for k in range(adj.nnz):
-        pos_of[(int(rows[k]), int(cols[k]))] = k
-    pairs = np.array(
-        [[k, pos_of[(int(cols[k]), int(rows[k]))]] for k in upper], dtype=np.int64
-    ).reshape(-1, 2)
-    return pairs
+    # canonical CSR stores its entries sorted by row * N + col, so the
+    # mirrored (v,u) slot of each selected (u,v) is one binary search away
+    n = adj.shape[1]
+    keys = rows * n + cols
+    want = cols[upper] * n + rows[upper]
+    mirror = np.minimum(np.searchsorted(keys, want), adj.nnz - 1)
+    missing = np.flatnonzero(keys[mirror] != want)
+    if missing.size:
+        k = upper[missing[0]]
+        raise StructuralError(
+            f"adjacency is not symmetric: entry ({rows[k]}, {cols[k]}) has no mirror")
+    return np.stack([upper, mirror], axis=1)
 
 
 def attach_glora(params: EncoderParams, cfg: EncoderConfig,
@@ -220,7 +232,10 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
 
     h = matmul(x, params.w_in)
     stack = [h]
-    base_values = Tensor(adj.values[:, None])
+    if params.edge_positions is not None:
+        slots = np.concatenate([params.edge_positions[:, 0],
+                                params.edge_positions[:, 1]])
+        slot_values = Tensor(adj.values[slots][:, None])
     for l, lp in enumerate(params.layers):
         weight = lp.w0
         if lp.p is not None and lp.q is not None:
@@ -231,12 +246,9 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
             if params.edge_positions is None:
                 raise ContractError("edge weights present but no edge_positions")
             # one shared scalar per selected undirected edge, added to both
-            # of its CSR slots
-            doubled = vstack([lp.edge_weights, lp.edge_weights])
-            slots = np.concatenate([params.edge_positions[:, 0],
-                                    params.edge_positions[:, 1]])
-            values = add(base_values, scatter_rows(doubled, slots, adj.nnz))
-            agg = spmm(adj, h, values=values)
+            # of its CSR slots; the other entries stay constant
+            values = add(slot_values, vstack([lp.edge_weights, lp.edge_weights]))
+            agg = spmm(adj, h, values=values, slots=slots)
         else:
             agg = spmm(adj, h)
         h = matmul(agg, weight)
@@ -301,19 +313,29 @@ def _named_tensors(params: EncoderParams):
 
 
 def checkpoint_save(params: EncoderParams, cfg: EncoderConfig, path) -> None:
+    """Write a checkpoint atomically: readers of `path` see the old file or
+    the whole new one, never a torn write."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     blob = cfg.to_json().encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name, tensor in _named_tensors(params):
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", 2))
-            fh.write(struct.pack("<II", *tensor.shape))
-            fh.write(tensor.data.astype("<f4").tobytes())
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", _VERSION))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for name, tensor in _named_tensors(params):
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<I", 2))
+                fh.write(struct.pack("<II", *tensor.shape))
+                fh.write(tensor.data.astype("<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from ..encoder import EncoderConfig, checkpoint_load
+from ..errors import CheckpointError
 from ..graphstore import Graph, GraphSet
 from ..pretrain import PretrainConfig, run_pretrain
 
@@ -61,6 +62,7 @@ class CheckpointCache:
             self.root.mkdir(parents=True, exist_ok=True)
         self._mem: dict[str, tuple] = {}
         self.pretrain_runs = 0  # observability: how many cache misses trained
+        self.quarantined = 0  # unreadable entries renamed to <key>.dagp.bad
 
     def get_or_pretrain(self, data, cfg: EncoderConfig, pcfg: PretrainConfig,
                         digest: str | None = None):
@@ -73,8 +75,13 @@ class CheckpointCache:
         if self.root is not None:
             path = self.root / f"{key}.dagp"
             if path.exists():
-                params, loaded_cfg = checkpoint_load(path)
-                return params, loaded_cfg, None
+                try:
+                    params, loaded_cfg = checkpoint_load(path)
+                    return params, loaded_cfg, None
+                except CheckpointError:
+                    # torn or damaged: set it aside for inspection, retrain
+                    path.replace(path.with_name(f"{path.name}.bad"))
+                    self.quarantined += 1
             self.pretrain_runs += 1
             _params, losses = run_pretrain(data, cfg, pcfg, out_path=path)
             params, loaded_cfg = checkpoint_load(path)

@@ -9,14 +9,15 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as _scipy_sparse
 
-from ..errors import DimensionError, StructuralError
+from ..errors import ContractError, DimensionError, StructuralError
 from .tensor import Tensor, _record, matmul, transpose, add
 
 
 class SparseMatrix:
     """Immutable CSR matrix with strictly increasing column indices per row."""
 
-    __slots__ = ("shape", "row_offsets", "col_indices", "values")
+    __slots__ = ("shape", "row_offsets", "col_indices", "values", "_entry_rows",
+                 "_csr")
 
     def __init__(self, shape, row_offsets, col_indices, values):
         rows, cols = int(shape[0]), int(shape[1])
@@ -33,16 +34,24 @@ class SparseMatrix:
             raise StructuralError(f"{idx.size} column indices but {vals.size} values")
         if idx.size and (idx.min() < 0 or idx.max() >= cols):
             raise StructuralError(f"column index outside [0, {cols})")
-        for r in range(rows):
-            seg = idx[offs[r]:offs[r + 1]]
-            if seg.size > 1 and np.any(np.diff(seg) <= 0):
-                raise StructuralError(f"row {r}: column indices not strictly increasing")
+        entry_rows = np.repeat(np.arange(rows, dtype=np.int64), np.diff(offs))
+        # a column step within one row must be positive; rows are
+        # nondecreasing, so the first bad step lies in the first bad row
+        bad = np.flatnonzero((np.diff(idx) <= 0) & (entry_rows[1:] == entry_rows[:-1]))
+        if bad.size:
+            raise StructuralError(
+                f"row {entry_rows[bad[0]]}: column indices not strictly increasing")
         if not np.isfinite(vals).all():
             raise StructuralError("non-finite values in sparse matrix")
         self.shape = (rows, cols)
         self.row_offsets = offs
         self.col_indices = idx
         self.values = vals
+        # built once here, never lazily, so instances shared across threads
+        # hold no mutable state
+        entry_rows.setflags(write=False)
+        self._entry_rows = entry_rows
+        self._csr = self._scipy(vals)
 
     @classmethod
     def from_coo(cls, shape, rows, cols, values) -> "SparseMatrix":
@@ -62,9 +71,8 @@ class SparseMatrix:
         return self.col_indices.size
 
     def nnz_rows(self) -> np.ndarray:
-        """Row index of each stored entry."""
-        return np.repeat(np.arange(self.shape[0], dtype=np.int64),
-                         np.diff(self.row_offsets))
+        """Row index of each stored entry (read-only)."""
+        return self._entry_rows
 
     def densify(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -74,7 +82,7 @@ class SparseMatrix:
     def submatrix(self, ids) -> "SparseMatrix":
         """Induced square submatrix on the given node ids (kept in given order)."""
         ids = np.asarray(ids, dtype=np.int64)
-        m = self._scipy(self.values)[ids][:, ids].tocsr()
+        m = self._csr[ids][:, ids].tocsr()
         m.sort_indices()
         return SparseMatrix((ids.size, ids.size), m.indptr, m.indices, m.data)
 
@@ -87,22 +95,41 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
-def spmm(s: SparseMatrix, d: Tensor, values: Tensor | None = None) -> Tensor:
-    """Sparse @ dense. Pass `values` (nnz, 1) to make the entries trainable."""
+def spmm(s: SparseMatrix, d: Tensor, values: Tensor | None = None,
+         slots=None) -> Tensor:
+    """Sparse @ dense. Pass `values` to make entries trainable: (nnz, 1)
+    overrides every entry, or, with `slots` (k distinct CSR positions),
+    (k, 1) overrides only those entries, and only they get a value gradient.
+    """
     if s.shape[1] != d.rows:
         raise DimensionError(f"spmm: inner dims differ, {s.shape} x {d.shape}")
-    if values is not None and values.shape != (s.nnz, 1):
-        raise DimensionError(
-            f"spmm: values override must be ({s.nnz}, 1), got {values.shape}"
-        )
-    val_arr = s.values if values is None else values.data[:, 0]
-    mat = s._scipy(val_arr)
+    rows_of, cols_of = s._entry_rows, s.col_indices
+    if slots is None:
+        if values is not None and values.shape != (s.nnz, 1):
+            raise DimensionError(
+                f"spmm: values override must be ({s.nnz}, 1), got {values.shape}"
+            )
+        mat = s._csr if values is None else s._scipy(values.data[:, 0])
+    else:
+        slots = np.asarray(slots, dtype=np.int64)
+        if values is None or slots.ndim != 1 or values.shape != (slots.size, 1):
+            raise DimensionError(
+                f"spmm: slots {slots.shape} need a ({slots.size}, 1) values override, "
+                f"got {None if values is None else values.shape}"
+            )
+        if slots.size and (slots.min() < 0 or slots.max() >= s.nnz):
+            raise DimensionError(f"spmm: slot outside [0, {s.nnz})")
+        if np.unique(slots).size != slots.size:
+            raise ContractError("spmm: slots must be distinct")
+        val_arr = s.values.copy()
+        val_arr[slots] = values.data[:, 0]
+        mat = s._scipy(val_arr)
+        rows_of, cols_of = rows_of[slots], cols_of[slots]
     dd = d.data
-    rows_of = s.nnz_rows()
-    cols_of = s.col_indices
 
     def vjp(g):
-        dd_grad = mat.T @ g
+        # an untracked operand (e.g. constant features) gets no product
+        dd_grad = mat.T @ g if d.requires_grad else None
         if values is None:
             return (dd_grad,)
         dval = np.einsum("ij,ij->i", g[rows_of], dd[cols_of])

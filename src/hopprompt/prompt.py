@@ -12,6 +12,7 @@ structured initialization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -340,6 +341,13 @@ def _prompt_trainables(theta, gamma, tcfg, num_layers):
     return trainables
 
 
+def _once_if_frozen(epoch_forward, encoder_trainables):
+    """The per-epoch forward, computed once when no encoder weight trains
+    (glora_mode=off): its tensors are then constant and off the tape, and the
+    prompt offsets are read from `theta` afresh by every loss."""
+    return epoch_forward if encoder_trainables else functools.cache(epoch_forward)
+
+
 def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConfig):
     if g.labels is None:
         raise ParameterError("node tuning needs labels")
@@ -374,12 +382,13 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
         anchors = anchors_from_matrices(mats, y_train, c)
         return mats, ClassPromptSet(anchors=anchors, theta=theta)
 
+    forward = _once_if_frozen(epoch_forward, encoder_trainables)
     train_losses: list[float] = []
     best = (np.inf, -1, None)
     stale = 0
     for epoch in range(tcfg.epochs):
         try:
-            mats, prompts = epoch_forward()
+            mats, prompts = forward()
             loss = _matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
             grads = backward(loss)
             adam_step(trainables, grads, state)
@@ -479,12 +488,13 @@ def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
         anchors = anchors_from_matrices(mats, y_train, c)
         return mats, ClassPromptSet(anchors=anchors, theta=theta)
 
+    forward = _once_if_frozen(epoch_tokens, encoder_trainables)
     train_losses: list[float] = []
     best = (np.inf, -1, None)
     stale = 0
     for epoch in range(tcfg.epochs):
         try:
-            mats, prompts = epoch_tokens()
+            mats, prompts = forward()
             loss = _matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
             grads = backward(loss)
             adam_step(trainables, grads, state)

@@ -4,7 +4,8 @@ The finite-difference oracle re-evaluates a loss as a plain float under
 entry-wise perturbations; it never touches tape gradients, so it stays an
 independent check of them. The triplet oracle is the per-node sampling loop
 that the array sampler in `pretrain.build_triplets` must reproduce draw for
-draw.
+draw; the edge-subset and CSR-row oracles are the loops that
+`encoder.edge_subset_positions` and `SparseMatrix` must agree with exactly.
 """
 
 import warnings
@@ -94,3 +95,34 @@ def reference_triplets(g, k_negatives, seed):
             "no node admits a (positive, negative) pair; cannot pre-train"
         )
     return triplets
+
+
+def reference_edge_subset_positions(adj, train_ids):
+    """Dict loop: slot of every stored (row, col), then each selected upper
+    entry paired with the slot of its mirror."""
+    train = np.zeros(adj.shape[0], dtype=bool)
+    train[np.asarray(train_ids, dtype=np.int64)] = True
+    rows = adj.nnz_rows()
+    cols = adj.col_indices
+    sel = (rows < cols) & (train[rows] | train[cols])
+    upper = np.flatnonzero(sel)
+    # locate the mirrored (v,u) slot for each selected (u,v)
+    pos_of = {}
+    for k in range(adj.nnz):
+        pos_of[(int(rows[k]), int(cols[k]))] = k
+    pairs = np.array(
+        [[k, pos_of[(int(cols[k]), int(rows[k]))]] for k in upper], dtype=np.int64
+    ).reshape(-1, 2)
+    return pairs
+
+
+def reference_unsorted_row(row_offsets, col_indices):
+    """First row whose column indices do not strictly increase, else None
+    (the per-row check `SparseMatrix` ran before it was vectorized)."""
+    offs = np.asarray(row_offsets, dtype=np.int64)
+    idx = np.asarray(col_indices, dtype=np.int64)
+    for r in range(offs.size - 1):
+        seg = idx[offs[r]:offs[r + 1]]
+        if seg.size > 1 and np.any(np.diff(seg) <= 0):
+            return r
+    return None

@@ -1,10 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopprompt.encoder as enc
 from hopprompt import graphstore as gs
 from hopprompt import numcore as nc
-from hopprompt.errors import CheckpointError, ContractError, ParameterError
+from hopprompt.errors import (
+    CheckpointError,
+    ContractError,
+    ParameterError,
+    StructuralError,
+)
+
+from tests._oracles import reference_edge_subset_positions
+
+DATASETS = Path(__file__).resolve().parents[1] / "datasets"
 
 
 def small_setup(seed=0, n=6, f=5, d=8, layers=2, mode="off", rank=3):
@@ -32,6 +45,24 @@ def dense_reference(adj, x, params, relu_interior=True):
         h = a_eff @ h @ w
         if relu_interior and l < len(params.layers) - 1:
             h = np.maximum(h, 0.0)
+        out.append(h)
+    return out
+
+
+def scatter_edge_subset_forward(adj, x, params):
+    """edge_subset forward over all nnz: stored values plus both mirrored
+    halves of the edge weights scattered into place (oracle)."""
+    base = nc.Tensor(adj.values[:, None])
+    slots = np.concatenate([params.edge_positions[:, 0], params.edge_positions[:, 1]])
+    h = nc.matmul(x, params.w_in)
+    out = [h]
+    for l, lp in enumerate(params.layers):
+        weight = nc.add(lp.w0, nc.matmul(lp.p, nc.transpose(lp.q)))
+        doubled = nc.vstack([lp.edge_weights, lp.edge_weights])
+        values = nc.add(base, nc.scatter_rows(doubled, slots, adj.nnz))
+        h = nc.matmul(nc.spmm(adj, h, values=values), weight)
+        if l < len(params.layers) - 1:
+            h = nc.relu(h)
         out.append(h)
     return out
 
@@ -114,7 +145,9 @@ class TestForward:
         pos = enc.edge_subset_positions(adj, train_ids)
         adapted = enc.attach_glora(params, cfg_es, rng, edge_positions=pos)
         for lp in adapted.layers:
-            lp.edge_weights.data = lp.edge_weights.data + 0.37
+            lp.edge_weights.data = (lp.edge_weights.data + 0.37
+                                    + 0.1 * rng.standard_normal(lp.edge_weights.shape))
+            lp.q.data = rng.standard_normal(lp.q.shape)
         # effective adjacency values must differ from base exactly on the
         # selected slots
         base = nc.Tensor(adj.values[:, None])
@@ -129,6 +162,21 @@ class TestForward:
             u, v = int(rows[k]), int(adj.col_indices[k])
             assert u != v and (u in train or v in train)
 
+        # that all-nnz scatter construction is the oracle for the slot-
+        # restricted forward, its outputs and its gradients, bit for bit
+        def loss_of(stack):
+            return nc.softmax_nll(stack[-1], g.labels, tau=0.5)
+
+        ours = enc.encoder_forward(adj, g.features, cfg_es, adapted)
+        oracle = scatter_edge_subset_forward(adj, g.features, adapted)
+        for a, b in zip(ours.layers, oracle):
+            assert np.array_equal(a.data, b.data)
+        got, want = nc.backward(loss_of(ours)), nc.backward(loss_of(oracle))
+        trainables, _frozen = enc.partition_params(adapted, "prompt")
+        for t in trainables:
+            assert np.array_equal(got.get(t), want.get(t))
+        assert np.any(got.get(adapted.layers[0].edge_weights) != 0)
+
     def test_rank_bound_of_projection_adaptation(self):
         g, adj, cfg, params, rng = small_setup(seed=7, d=10, rank=3, mode="off")
         cfg_full = enc.EncoderConfig(layers=cfg.layers, dims=cfg.dims,
@@ -139,6 +187,62 @@ class TestForward:
         delta = lp.p.data @ lp.q.data.T
         sv = np.linalg.svd(delta, compute_uv=False)
         assert (sv[3:] < 1e-10).all()
+
+
+@st.composite
+def graphs_with_train_sets(draw):
+    """Small graphs with isolated nodes; the train set is any subset of the
+    nodes, often all of them."""
+    n = draw(st.integers(1, 20))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    isolated = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    edges = [(u, v) for (u, v), k in zip(pairs, keep)
+             if k and u not in isolated and v not in isolated]
+    g = gs.Graph(num_nodes=n, edges=gs.canonical_edges(edges, n),
+                 features=nc.Tensor(np.ones((n, 1))), labels=None, num_classes=2)
+    if draw(st.booleans()):
+        return g, list(range(n))
+    return g, sorted(draw(st.sets(st.integers(0, n - 1))))
+
+
+class TestEdgeSubsetPositions:
+    """The binary search over CSR keys must pair exactly the slots the dict
+    loop paired, in the same order."""
+
+    @staticmethod
+    def _assert_same(adj, train_ids):
+        ours = enc.edge_subset_positions(adj, train_ids)
+        ref = reference_edge_subset_positions(adj, train_ids)
+        assert ours.dtype == ref.dtype
+        assert np.array_equal(ours, ref)
+
+    @pytest.mark.parametrize("name", ["syn-h10", "syn-h90", "web-tiny", "ego-tiny"])
+    def test_bundled_fixtures(self, name):
+        data = gs.load_dataset(DATASETS / name)
+        g = gs.disjoint_union(data.graphs) if isinstance(data, gs.GraphSet) else data
+        adj = gs.normalize_adjacency(g)
+        n = g.num_nodes
+        rng = np.random.default_rng(0)
+        train_sets = [[], [0], [n - 1], np.arange(n),
+                      rng.choice(n, size=5, replace=False),
+                      rng.choice(n, size=n // 3, replace=False)]
+        if not isinstance(data, gs.GraphSet):
+            train_sets += [gs.kshot_split(g, 5, seed=s).train_ids for s in (0, 1)]
+        for ids in train_sets:
+            self._assert_same(adj, ids)
+
+    @given(case=graphs_with_train_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_graphs(self, case):
+        g, train_ids = case
+        self._assert_same(gs.normalize_adjacency(g), train_ids)
+
+    def test_entry_without_mirror_rejected(self):
+        # (0, 1) is stored but (1, 0) is not
+        adj = nc.SparseMatrix((2, 2), [0, 2, 3], [0, 1, 1], [1.0, 1.0, 1.0])
+        with pytest.raises(StructuralError, match=r"\(0, 1\) has no mirror"):
+            enc.edge_subset_positions(adj, [0])
 
 
 class TestPartitionAndCount:
@@ -241,6 +345,32 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="version"):
             enc.checkpoint_load(path)
+
+    def test_every_truncation_raises_checkpoint_error(self, tmp_path):
+        _, _, cfg, params, _ = small_setup(seed=18, f=3, d=2)
+        path = tmp_path / "m.dagp"
+        enc.checkpoint_save(params, cfg, path)
+        whole = path.read_bytes()
+        for cut in range(len(whole)):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(CheckpointError):
+                enc.checkpoint_load(path)
+
+    def test_failed_save_leaves_previous_file_whole(self, tmp_path, monkeypatch):
+        _, _, cfg, params, _ = small_setup(seed=17)
+        path = tmp_path / "m.dagp"
+        enc.checkpoint_save(params, cfg, path)
+        before = path.read_bytes()
+
+        def torn(p):
+            yield "w_in", p.w_in
+            raise OSError("disk full")
+
+        monkeypatch.setattr(enc, "_named_tensors", torn)
+        with pytest.raises(OSError, match="disk full"):
+            enc.checkpoint_save(params, cfg, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.dagp"]
 
     def test_truncated_payload(self, tmp_path):
         _, _, cfg, params, _ = small_setup(seed=16)

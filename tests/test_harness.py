@@ -9,6 +9,7 @@ from hopprompt import graphstore as gs
 from hopprompt import harness as hn
 from hopprompt import numcore as nc
 from hopprompt.errors import ConfigError, TransferInfeasibleError
+from hopprompt.pretrain import PretrainConfig
 
 
 def quick_cfg(dataset="datasets/web-tiny", **overrides):
@@ -147,6 +148,41 @@ class TestRunExperiment:
                                    data=items)
         assert report.task == "graph"
         assert len(report.accuracies) == 2
+
+
+class TestCacheRecovery:
+    """A torn cache entry is set aside as <key>.dagp.bad and retrained."""
+
+    @staticmethod
+    def _configs(data):
+        cfg = enc.EncoderConfig(layers=2, dims=[data.num_features, 8, 8])
+        return cfg, PretrainConfig(epochs=3, batch_size=64, seed=0)
+
+    def test_truncated_entry_is_quarantined_and_retrained(self, tiny_data, tmp_path):
+        cfg, pcfg = self._configs(tiny_data)
+        fresh, _cfg, _losses = hn.CheckpointCache(tmp_path / "fresh").get_or_pretrain(
+            tiny_data, cfg, pcfg)
+        root = tmp_path / "cache"
+        hn.CheckpointCache(root).get_or_pretrain(tiny_data, cfg, pcfg)
+        (entry,) = root.glob("*.dagp")
+        whole = entry.read_bytes()
+        header_end = 12 + int.from_bytes(whole[8:12], "little")
+        cuts = {0, 3, 4, 8, 11, header_end, header_end + 5, len(whole) // 2,
+                len(whole) - 1}
+        for cut in sorted(cuts):
+            entry.write_bytes(whole[:cut])
+            cache = hn.CheckpointCache(root)
+            params, _cfg, losses = cache.get_or_pretrain(tiny_data, cfg, pcfg)
+            assert losses is not None, cut
+            assert (cache.quarantined, cache.pretrain_runs) == (1, 1)
+            assert entry.with_name(entry.name + ".bad").read_bytes() == whole[:cut]
+            assert entry.read_bytes() == whole
+            for ours, theirs in zip([params.w_in] + [lp.w0 for lp in params.layers],
+                                    [fresh.w_in] + [lp.w0 for lp in fresh.layers]):
+                assert np.array_equal(ours.data, theirs.data)
+        warm = hn.CheckpointCache(root)
+        assert warm.get_or_pretrain(tiny_data, cfg, pcfg)[2] is None
+        assert (warm.quarantined, warm.pretrain_runs) == (0, 0)
 
 
 class TestFinetuneBaseline:

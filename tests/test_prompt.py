@@ -348,6 +348,78 @@ class TestRunPromptTune:
         assert result.trainable_encoder > 0
 
 
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(pr, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pr, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def tiny_graph_task(tmp_path_factory):
+    base = gs.random_labeled_graph(30, 90, 3, 6, seed=21, class_sep=1.5)
+    items = gs.build_graph_task(base, hops=1)
+    path = tmp_path_factory.mktemp("graph") / "g.dagp"
+    import hopprompt.pretrain as pt
+    pt.run_pretrain(items, enc.EncoderConfig(layers=2, dims=[6, 8, 8]),
+                    pt.PretrainConfig(epochs=5, lr=5e-3, seed=0), out_path=path)
+    return items, gs.kshot_split(items, 2, seed=0), path
+
+
+class TestFrozenForwardHoist:
+    """With glora_mode=off nothing in the encoder trains, so stage two runs
+    the encoder once for all epochs, and the run is bit for bit the run that
+    recomputes it every epoch."""
+
+    @pytest.mark.parametrize("mode", ["off", "full"])
+    @pytest.mark.parametrize("epochs", [1, 4, 9])
+    def test_node_loop_runs_the_frozen_encoder_once(self, monkeypatch, synth_h90,
+                                                    ckpt_h90, mode, epochs):
+        calls = _counting(monkeypatch, "encoder_forward")
+        split = gs.kshot_split(synth_h90, 3, seed=0)
+        tcfg = pr.PromptTuneConfig(epochs=epochs, patience=None, seed=0, lr=1e-3,
+                                   glora_mode=mode)
+        _params, result = pr.run_prompt_tune(ckpt_h90, synth_h90, split, tcfg)
+        assert len(result.train_losses) == epochs
+        # one per epoch the loop computes, plus one for the final evaluation
+        assert len(calls) == (1 if mode == "off" else epochs) + 1
+
+    @pytest.mark.parametrize("epochs", [2, 6])
+    def test_graph_loop_runs_the_frozen_encoder_once(self, monkeypatch,
+                                                     tiny_graph_task, epochs):
+        items, split, path = tiny_graph_task
+        calls = _counting(monkeypatch, "graph_tokens")
+        tcfg = pr.PromptTuneConfig(epochs=epochs, patience=None, seed=0, lr=1e-3,
+                                   glora_mode="off")
+        pr.run_prompt_tune(path, items, split, tcfg)
+        evaluation = len(split.train_ids) + len(split.test_ids)
+        assert len(calls) == len(split.train_ids) + evaluation
+
+    @pytest.mark.parametrize("ablation", ["plain", "last_layer_only", "fixed_gamma"])
+    def test_hoisted_run_equals_per_epoch_run(self, monkeypatch, synth_h10,
+                                              ckpt_h10, tiny_graph_task, ablation):
+        tcfg = pr.PromptTuneConfig(epochs=12, patience=3, seed=1, lr=1e-2,
+                                   glora_mode="off",
+                                   last_layer_only=ablation == "last_layer_only",
+                                   fixed_gamma=ablation == "fixed_gamma")
+        items, graph_split, graph_ckpt = tiny_graph_task
+        cases = [(ckpt_h10, synth_h10, gs.kshot_split(synth_h10, 5, seed=2)),
+                 (graph_ckpt, items, graph_split)]
+        for ckpt, data, split in cases:
+            _p, hoisted = pr.run_prompt_tune(ckpt, data, split, tcfg)
+            with monkeypatch.context() as m:
+                m.setattr(pr, "_once_if_frozen", lambda forward, _trainables: forward)
+                _p, per_epoch = pr.run_prompt_tune(ckpt, data, split, tcfg)
+            assert hoisted.train_losses == per_epoch.train_losses
+            assert hoisted.best_epoch == per_epoch.best_epoch
+            assert np.array_equal(hoisted.predictions, per_epoch.predictions)
+
+
 @pytest.mark.parametrize("name,shots", [("web-tiny", 2), ("syn-h10", 5),
                                         ("syn-h90", 5), ("ego-tiny", 2)])
 def test_loss_strictly_decreases_on_bundled_fixtures(name, shots, tmp_path):

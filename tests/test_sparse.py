@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse as scipy_sparse
 
 from hopprompt import numcore as nc
-from hopprompt.errors import DimensionError, StructuralError
+from hopprompt.errors import ContractError, DimensionError, StructuralError
 
-from tests._oracles import assert_grads_close, finite_diff, random_csr
+from tests._oracles import (
+    assert_grads_close,
+    finite_diff,
+    random_csr,
+    reference_unsorted_row,
+)
 
 
 def sparse_identity(n):
@@ -45,6 +53,50 @@ class TestSparseMatrix:
         s = path3_adjacency()
         sub = s.submatrix([0, 1])
         np.testing.assert_array_equal(sub.densify(), [[0, 1], [1, 0]])
+
+    def test_entry_rows_are_read_only(self):
+        s = path3_adjacency()
+        np.testing.assert_array_equal(s.nnz_rows(), [0, 1, 1, 2])
+        with pytest.raises(ValueError):
+            s.nnz_rows()[0] = 2
+
+
+@st.composite
+def csr_parts(draw, canonical=False):
+    """Valid row offsets and in-range columns; unless `canonical`, a row may
+    repeat or reorder its columns."""
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(1, 8))
+    offs, idx = [0], []
+    for _ in range(rows):
+        row = draw(st.lists(st.integers(0, cols - 1), max_size=5))
+        if canonical or draw(st.booleans()):
+            row = sorted(set(row))
+        idx += row
+        offs.append(len(idx))
+    return (rows, cols), np.array(offs), np.array(idx, dtype=np.int64)
+
+
+class TestConstructorProperties:
+    @given(parts=csr_parts())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_what_the_row_loop_accepted(self, parts):
+        shape, offs, idx = parts
+        bad_row = reference_unsorted_row(offs, idx)
+        if bad_row is None:
+            nc.SparseMatrix(shape, offs, idx, np.ones(idx.size))
+        else:
+            with pytest.raises(StructuralError, match=rf"^row {bad_row}: "):
+                nc.SparseMatrix(shape, offs, idx, np.ones(idx.size))
+
+    @given(parts=csr_parts(canonical=True), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_densify_matches_scipy(self, parts, seed):
+        shape, offs, idx = parts
+        vals = np.random.default_rng(seed).standard_normal(idx.size)
+        s = nc.SparseMatrix(shape, offs, idx, vals)
+        ref = scipy_sparse.csr_matrix((vals, idx, offs), shape=shape).toarray()
+        np.testing.assert_array_equal(s.densify(), ref)
 
 
 class TestSpmm:
@@ -97,6 +149,87 @@ class TestSpmm:
         fd_d, fd_v = finite_diff(loss, [d, v])
         assert_grads_close(grads.get(d), fd_d, label="spmm dD")
         assert_grads_close(grads.get(v), fd_v, label="spmm dV")
+
+
+class TestSpmmSlots:
+    """`slots` restricts the values override, and its gradient, to chosen
+    CSR positions; the other entries keep their stored values."""
+
+    @staticmethod
+    def _setup(seed):
+        rng = np.random.default_rng(seed)
+        offs, cidx, vals, _ = random_csr(rng, 9, 7, density=0.4)
+        s = nc.SparseMatrix((9, 7), offs, cidx, vals)
+        slots = rng.choice(s.nnz, size=s.nnz // 3, replace=False)  # unsorted
+        return rng, s, slots
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_full_override_bitwise(self, seed):
+        rng, s, slots = self._setup(seed)
+        d_data = rng.standard_normal((7, 4))
+        picked = rng.standard_normal((slots.size, 1))
+        full = s.values.copy()[:, None]
+        full[slots] = picked
+        targets = rng.integers(0, 4, size=9)
+
+        def run(values, **kw):
+            d = nc.Tensor(d_data, requires_grad=True)
+            v = nc.Tensor(values, requires_grad=True)
+            out = nc.spmm(s, d, values=v, **kw)
+            grads = nc.backward(nc.softmax_nll(out, targets, tau=0.7))
+            return out.data, grads.get(d), grads.get(v)
+
+        out_full, dd_full, dv_full = run(full)
+        out_slot, dd_slot, dv_slot = run(picked, slots=slots)
+        assert np.array_equal(out_slot, out_full)
+        assert np.array_equal(dd_slot, dd_full)
+        assert np.array_equal(dv_slot, dv_full[slots])
+
+    def test_gradients_match_finite_differences(self):
+        rng, s, slots = self._setup(11)
+        d = nc.Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        v = nc.Tensor(rng.standard_normal((slots.size, 1)), requires_grad=True)
+        targets = rng.integers(0, 3, size=9)
+
+        def loss():
+            return nc.softmax_nll(nc.spmm(s, d, values=v, slots=slots), targets, tau=1.0)
+
+        grads = nc.backward(loss())
+        fd_d, fd_v = finite_diff(lambda: loss().item(), [d, v])
+        assert_grads_close(grads.get(d), fd_d, label="spmm slots dD")
+        assert_grads_close(grads.get(v), fd_v, label="spmm slots dV")
+
+    def test_bad_slots_rejected(self):
+        s = path3_adjacency()  # nnz 4
+        d = nc.Tensor(np.zeros((3, 2)))
+        two = nc.Tensor(np.zeros((2, 1)))
+        with pytest.raises(ContractError):
+            nc.spmm(s, d, values=two, slots=[1, 1])
+        for bad in ([0, 4], [-1, 0], [[0, 1]]):
+            with pytest.raises(DimensionError):
+                nc.spmm(s, d, values=two, slots=bad)
+        with pytest.raises(DimensionError):
+            nc.spmm(s, d, values=nc.Tensor(np.zeros((3, 1))), slots=[0, 1])
+        with pytest.raises(DimensionError):
+            nc.spmm(s, d, slots=[0, 1])
+
+    @pytest.mark.parametrize("slotted", [False, True])
+    def test_untracked_operand_gets_no_product(self, slotted):
+        rng, s, slots = self._setup(3)
+        if not slotted:
+            slots = None
+        k = s.nnz if slots is None else slots.size
+        v = nc.Tensor(rng.standard_normal((k, 1)), requires_grad=True)
+        d_data = rng.standard_normal((7, 2))
+        g = rng.standard_normal((9, 2))
+        const = nc.spmm(s, nc.Tensor(d_data), values=v, slots=slots)
+        tracked = nc.spmm(s, nc.Tensor(d_data, requires_grad=True), values=v,
+                          slots=slots)
+        dd_const, dv_const = const._vjp(g)
+        dd_tracked, dv_tracked = tracked._vjp(g)
+        assert dd_const is None
+        assert dd_tracked is not None
+        assert np.array_equal(dv_const, dv_tracked)
 
 
 class TestRankOneUpdateSpmm:
