@@ -2,6 +2,7 @@
 
 from .graph import (
     Graph,
+    GraphBatch,
     GraphSet,
     SplitSpec,
     bfs_distances,
@@ -10,6 +11,7 @@ from .graph import (
     disjoint_union,
     ego_network,
     fraction_split,
+    graph_batch,
     homophily_ratio,
     kshot_split,
     local_hop_homophily,
@@ -20,6 +22,7 @@ from .synth import REWIRE_TOLERANCE, random_labeled_graph, synth_rewire
 
 __all__ = [
     "Graph",
+    "GraphBatch",
     "GraphSet",
     "REWIRE_TOLERANCE",
     "SplitSpec",
@@ -29,6 +32,7 @@ __all__ = [
     "disjoint_union",
     "ego_network",
     "fraction_split",
+    "graph_batch",
     "homophily_ratio",
     "kshot_split",
     "load_dataset",

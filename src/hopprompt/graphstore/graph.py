@@ -329,7 +329,7 @@ def build_graph_task(g: Graph, hops: int = 2) -> GraphSet:
 
 
 def disjoint_union(graphs: list[Graph]) -> Graph:
-    """Node-disjoint union (used to pre-train on a whole GraphSet)."""
+    """Node-disjoint union (pre-training on a whole GraphSet, graph batches)."""
     if not graphs:
         raise StructuralError("disjoint_union of nothing")
     offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
@@ -345,3 +345,27 @@ def disjoint_union(graphs: list[Graph]) -> Graph:
         labels=labels,
         num_classes=graphs[0].num_classes,
     )
+
+
+@dataclass(frozen=True)
+class GraphBatch:
+    """Graphs as one block-diagonal graph plus a (B, N) mean-pool matrix.
+
+    Degrees are local to each component, so `adj` holds bitwise the values
+    of each graph's own normalized adjacency; row b of `pool` is 1/n_b over
+    graph b's node range.
+    """
+
+    adj: SparseMatrix
+    features: Tensor
+    pool: SparseMatrix
+
+
+def graph_batch(graphs: list[Graph]) -> GraphBatch:
+    union = disjoint_union(graphs)
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    pool = SparseMatrix((sizes.size, union.num_nodes), offsets,
+                        np.arange(union.num_nodes), np.repeat(1.0 / sizes, sizes))
+    return GraphBatch(adj=normalize_adjacency(union), features=union.features,
+                      pool=pool)

@@ -136,7 +136,7 @@ def spmm(s: SparseMatrix, d: Tensor, values: Tensor | None = None,
         return dd_grad, dval[:, None]
 
     parents = (d,) if values is None else (d, values)
-    return _record(mat @ dd, parents, vjp)
+    return _record("spmm", mat @ dd, parents, vjp)
 
 
 def rank_one_update_spmm(s: SparseMatrix, p: Tensor, q: Tensor, d: Tensor,

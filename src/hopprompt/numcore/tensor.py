@@ -84,9 +84,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _record(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """Wrap an op output, attaching tape bookkeeping if any parent is tracked."""
-    out = Tensor(data)
+def _record(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
+            vjp) -> Tensor:
+    """Wrap an op output, attaching tape bookkeeping if any parent is tracked.
+
+    A non-finite output raises NumericError naming `op` and the output shape.
+    """
+    try:
+        out = Tensor(data)
+    except NumericError:
+        raise NumericError(
+            f"{op}: non-finite entries in its {data.shape} output") from None
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -121,14 +129,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ bd.T if a.requires_grad else None,
                 ad.T @ g if b.requires_grad else None)
 
-    return _record(ad @ bd, (a, b), vjp)
+    return _record("matmul", ad @ bd, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
     def vjp(g):
         return (g.T,)
 
-    return _record(a.data.T.copy(), (a,), vjp)
+    return _record("transpose", a.data.T.copy(), (a,), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -138,7 +146,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return g, g
 
-    return _record(a.data + b.data, (a, b), vjp)
+    return _record("add", a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -148,7 +156,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return g, -g
 
-    return _record(a.data - b.data, (a, b), vjp)
+    return _record("sub", a.data - b.data, (a, b), vjp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -157,7 +165,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def vjp(g):
         return (c * g,)
 
-    return _record(c * a.data, (a,), vjp)
+    return _record("scale", c * a.data, (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -166,7 +174,8 @@ def relu(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _record(np.where(mask, a.data, 0.0), (a,), vjp)
+    # + 0.0 turns the -0.0 that maximum keeps into +0.0, as a select would
+    return _record("relu", np.maximum(a.data, 0.0) + 0.0, (a,), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -175,7 +184,7 @@ def sum_all(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.full(shape, g[0, 0]),)
 
-    return _record(np.array([[a.data.sum()]]), (a,), vjp)
+    return _record("sum_all", np.array([[a.data.sum()]]), (a,), vjp)
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -187,7 +196,7 @@ def mean_rows(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.repeat(g, n, axis=0) / n,)
 
-    return _record(a.data.mean(axis=0, keepdims=True), (a,), vjp)
+    return _record("mean_rows", a.data.mean(axis=0, keepdims=True), (a,), vjp)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -205,7 +214,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         da = np.bincount(bins, weights=np.ravel(g), minlength=rows * cols)
         return (da.reshape(rows, cols),)
 
-    return _record(a.data[idx], (a,), vjp)
+    return _record("gather_rows", a.data[idx], (a,), vjp)
 
 
 def scatter_rows(src: Tensor, idx, out_rows: int) -> Tensor:
@@ -224,7 +233,7 @@ def scatter_rows(src: Tensor, idx, out_rows: int) -> Tensor:
     def vjp(g):
         return (g[idx],)
 
-    return _record(out, (src,), vjp)
+    return _record("scatter_rows", out, (src,), vjp)
 
 
 def vstack(parts: Sequence[Tensor]) -> Tensor:
@@ -240,7 +249,8 @@ def vstack(parts: Sequence[Tensor]) -> Tensor:
     def vjp(g):
         return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
 
-    return _record(np.concatenate([p.data for p in parts], axis=0), tuple(parts), vjp)
+    return _record("vstack", np.concatenate([p.data for p in parts], axis=0),
+                   tuple(parts), vjp)
 
 
 def hstack(parts: Sequence[Tensor]) -> Tensor:
@@ -256,7 +266,8 @@ def hstack(parts: Sequence[Tensor]) -> Tensor:
     def vjp(g):
         return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
 
-    return _record(np.concatenate([p.data for p in parts], axis=1), tuple(parts), vjp)
+    return _record("hstack", np.concatenate([p.data for p in parts], axis=1),
+                   tuple(parts), vjp)
 
 
 def _row_norms(arr: np.ndarray, who: str) -> np.ndarray:
@@ -285,7 +296,7 @@ def row_cosine_sim(h: Tensor, p: Tensor) -> Tensor:
         dp = (g.T @ u) / pn[:, None] - v * (gs.sum(axis=0) / pn)[:, None]
         return dh, dp
 
-    return _record(s, (h, p), vjp)
+    return _record("row_cosine_sim", s, (h, p), vjp)
 
 
 def rowwise_cosine_sim(a: Tensor, b: Tensor) -> Tensor:
@@ -304,7 +315,7 @@ def rowwise_cosine_sim(a: Tensor, b: Tensor) -> Tensor:
         db = (ad / (an * bn)[:, None] - bd * (s / bn**2)[:, None]) * gv[:, None]
         return da, db
 
-    return _record(s[:, None], (a, b), vjp)
+    return _record("rowwise_cosine_sim", s[:, None], (a, b), vjp)
 
 
 def softmax_nll(scores: Tensor, targets, tau: float) -> Tensor:
@@ -330,7 +341,7 @@ def softmax_nll(scores: Tensor, targets, tau: float) -> Tensor:
         ds[np.arange(n), y] -= 1.0
         return (ds * (g[0, 0] / (n * tau)),)
 
-    return _record(np.array([[loss]]), (scores,), vjp)
+    return _record("softmax_nll", np.array([[loss]]), (scores,), vjp)
 
 
 # ---------------------------------------------------------------------------

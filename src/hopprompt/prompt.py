@@ -36,7 +36,15 @@ from .errors import (
     ParameterError,
     SplitError,
 )
-from .graphstore import Graph, GraphSet, SplitSpec, bfs_distances, normalize_adjacency
+from .graphstore import (
+    Graph,
+    GraphBatch,
+    GraphSet,
+    SplitSpec,
+    bfs_distances,
+    graph_batch,
+    normalize_adjacency,
+)
 from .numcore import (
     AdamState,
     Tensor,
@@ -48,6 +56,7 @@ from .numcore import (
     row_cosine_sim,
     scale,
     softmax_nll,
+    spmm,
     vstack,
 )
 
@@ -83,7 +92,7 @@ class HopCoefficients:
 
 @dataclass
 class TaskTokens:
-    """One item's per-layer embedding rows (node: center row; graph: mean pool)."""
+    """One node's per-layer embedding rows (its center row of an ego forward)."""
 
     tokens: list[Tensor]  # L+1 tensors, each 1 x d
     label: int | None = None
@@ -144,14 +153,12 @@ def _restrict_adjacency_factors(params: EncoderParams, keep) -> EncoderParams:
     return EncoderParams(w_in=params.w_in, layers=layers)
 
 
-def graph_tokens(item: Graph, params: EncoderParams, cfg: EncoderConfig,
-                 adj=None) -> TaskTokens:
-    """Whole-graph forward with mean pooling per layer."""
-    if adj is None:
-        adj = normalize_adjacency(item)
-    stack = encoder_forward(adj, item.features, cfg, params)
-    tokens = [mean_rows(h) for h in stack.layers]
-    return TaskTokens(tokens=tokens, label=item.graph_label)
+def graph_tokens(batch: GraphBatch, params: EncoderParams,
+                 cfg: EncoderConfig) -> list[Tensor]:
+    """One forward over the batch's disjoint union, then each graph's mean
+    row per layer: one (B, d) tensor per layer."""
+    stack = encoder_forward(batch.adj, batch.features, cfg, params)
+    return [spmm(batch.pool, h) for h in stack.layers]
 
 
 def init_class_prompts(tokens: list[TaskTokens], labels, encoder_layers: int,
@@ -341,11 +348,11 @@ def _prompt_trainables(theta, gamma, tcfg, num_layers):
     return trainables
 
 
-def _once_if_frozen(epoch_forward, encoder_trainables):
-    """The per-epoch forward, computed once when no encoder weight trains
+def _once_if_frozen(forward, encoder_trainables):
+    """A stage-two forward, computed once when no encoder weight trains
     (glora_mode=off): its tensors are then constant and off the tape, and the
     prompt offsets are read from `theta` afresh by every loss."""
-    return epoch_forward if encoder_trainables else functools.cache(epoch_forward)
+    return forward if encoder_trainables else functools.cache(forward)
 
 
 def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConfig):
@@ -359,9 +366,40 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
         positions = edge_subset_positions(adj, split.train_ids)
     params, cfg = _make_stage_two(params, base_cfg, tcfg, rng,
                                   num_nodes=g.num_nodes, edge_positions=positions)
+
+    def forward():
+        return encoder_forward(adj, g.features, cfg, params).layers
+
+    return _fit_prompts(params, cfg, tcfg, split, g.labels, g.num_classes,
+                        forward, train_ids=split.train_ids)
+
+
+def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
+                     tcfg: PromptTuneConfig):
+    params, base_cfg = _load_encoder(checkpoint, items.graphs[0].num_features)
+    rng = np.random.default_rng(tcfg.seed)
+    # per-item graphs vary in size, so adjacency-side adaptation is disabled
+    params, cfg = _make_stage_two(params, base_cfg, tcfg, rng,
+                                  adjacency_adaptation=False)
+    train_batch = graph_batch([items.graphs[int(i)] for i in split.train_ids])
+    return _fit_prompts(
+        params, cfg, tcfg, split, items.labels, items.num_classes,
+        lambda: graph_tokens(train_batch, params, cfg),
+        evaluate=lambda: graph_tokens(graph_batch(items.graphs), params, cfg))
+
+
+def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
+                 train_ids=None, evaluate=None):
+    """The stage-two loop of both tasks.
+
+    `forward()` returns per-layer tensors whose rows `train_ids` (every row
+    when None) are the training items; `evaluate()` (by default `forward`)
+    returns per-layer tensors with one row per item, read at the split's
+    train and test ids.
+    """
     num_layers = cfg.layers + 1
     width = cfg.hidden_dim
-    c = g.num_classes
+    c = num_classes
     theta = [Tensor(np.zeros((c, width)), requires_grad=True)
              for _ in range(num_layers)]
     if tcfg.fixed_gamma:
@@ -373,22 +411,24 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
     trainables = encoder_trainables + _prompt_trainables(theta, gamma, tcfg, num_layers)
     state = AdamState.for_params(trainables, lr=tcfg.lr,
                                  weight_decay=tcfg.weight_decay)
-    y_train = g.labels[split.train_ids]
+    y_train = labels[split.train_ids]
     layer_ids = [num_layers - 1] if tcfg.last_layer_only else None
+    forward = _once_if_frozen(forward, encoder_trainables)
 
     def epoch_forward():
-        stack = encoder_forward(adj, g.features, cfg, params)
-        mats = [gather_rows(h, split.train_ids) for h in stack.layers]
+        layers = forward()
+        mats = (layers if train_ids is None
+                else [gather_rows(h, train_ids) for h in layers])
         anchors = anchors_from_matrices(mats, y_train, c)
         return mats, ClassPromptSet(anchors=anchors, theta=theta)
 
-    forward = _once_if_frozen(epoch_forward, encoder_trainables)
+    epoch_forward = _once_if_frozen(epoch_forward, encoder_trainables)
     train_losses: list[float] = []
     best = (np.inf, -1, None)
     stale = 0
     for epoch in range(tcfg.epochs):
         try:
-            mats, prompts = forward()
+            mats, prompts = epoch_forward()
             loss = _matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
             grads = backward(loss)
             adam_step(trainables, grads, state)
@@ -408,14 +448,14 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
         for t, saved in zip(trainables, best[2]):
             t.data = saved
 
-    # final evaluation with tuned parameters
-    stack = encoder_forward(adj, g.features, cfg, params)
-    layer_data = [h.data for h in stack.layers]
+    # final evaluation with tuned parameters (a frozen encoder's cached
+    # forward is reused as is)
+    layer_data = [h.data for h in (evaluate or forward)()]
     anchor_data = _anchor_arrays(layer_data, split.train_ids, y_train, c)
     weights = _effective_gamma(gamma, tcfg, num_layers)
     preds = _predict_rows(layer_data, anchor_data,
                           [t.data for t in theta], weights, split.test_ids)
-    accuracy = float((preds == g.labels[split.test_ids]).mean())
+    accuracy = float((preds == labels[split.test_ids]).mean())
     result = TuneResult(
         test_accuracy=accuracy,
         train_losses=train_losses,
@@ -453,97 +493,3 @@ def _predict_rows(layer_data, anchor_data, theta_data, weights, ids):
         scores = _guarded_scores(h[ids], anchor + off)
         combined = w * scores if combined is None else combined + w * scores
     return np.argmax(combined, axis=1)
-
-
-def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
-                     tcfg: PromptTuneConfig):
-    params, base_cfg = _load_encoder(checkpoint, items.graphs[0].num_features)
-    rng = np.random.default_rng(tcfg.seed)
-    # per-item graphs vary in size, so adjacency-side adaptation is disabled
-    params, cfg = _make_stage_two(params, base_cfg, tcfg, rng,
-                                  adjacency_adaptation=False)
-    num_layers = cfg.layers + 1
-    width = cfg.hidden_dim
-    c = items.num_classes
-    labels = items.labels
-    theta = [Tensor(np.zeros((c, width)), requires_grad=True)
-             for _ in range(num_layers)]
-    if tcfg.fixed_gamma:
-        gamma = HopCoefficients(gamma=Tensor(np.ones((1, num_layers))), alpha=tcfg.alpha)
-    else:
-        gamma = init_gamma(tcfg.alpha, cfg.layers)
-    encoder_trainables, _frozen = partition_params(params, "prompt")
-    trainables = encoder_trainables + _prompt_trainables(theta, gamma, tcfg, num_layers)
-    state = AdamState.for_params(trainables, lr=tcfg.lr,
-                                 weight_decay=tcfg.weight_decay)
-    train_adjs = {int(i): normalize_adjacency(items.graphs[int(i)])
-                  for i in split.train_ids}
-    y_train = labels[split.train_ids]
-    layer_ids = [num_layers - 1] if tcfg.last_layer_only else None
-
-    def epoch_tokens():
-        tokens = [graph_tokens(items.graphs[int(i)], params, cfg, adj=train_adjs[int(i)])
-                  for i in split.train_ids]
-        mats = [vstack([t.tokens[l] for t in tokens]) for l in range(num_layers)]
-        anchors = anchors_from_matrices(mats, y_train, c)
-        return mats, ClassPromptSet(anchors=anchors, theta=theta)
-
-    forward = _once_if_frozen(epoch_tokens, encoder_trainables)
-    train_losses: list[float] = []
-    best = (np.inf, -1, None)
-    stale = 0
-    for epoch in range(tcfg.epochs):
-        try:
-            mats, prompts = forward()
-            loss = _matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
-            grads = backward(loss)
-            adam_step(trainables, grads, state)
-        except NumericError as e:
-            raise DivergenceError(f"prompt tuning diverged: {e}",
-                                  epoch=epoch, lr=tcfg.lr) from e
-        value = loss.item()
-        train_losses.append(value)
-        if value < best[0] - 1e-12:
-            best = (value, epoch, [t.data.copy() for t in trainables])
-            stale = 0
-        else:
-            stale += 1
-            if tcfg.patience is not None and stale > tcfg.patience:
-                break
-    if best[2] is not None:
-        for t, saved in zip(trainables, best[2]):
-            t.data = saved
-
-    train_token_data = [
-        [t.data for t in graph_tokens(items.graphs[int(i)], params, cfg).tokens]
-        for i in split.train_ids
-    ]
-    anchor_data = []
-    for l in range(num_layers):
-        mat = np.concatenate([tok[l] for tok in train_token_data])
-        anchor_data.append(np.stack([
-            mat[y_train == cls].mean(axis=0) for cls in range(c)
-        ]))
-    weights = _effective_gamma(gamma, tcfg, num_layers)
-    preds = []
-    for i in split.test_ids:
-        tok = graph_tokens(items.graphs[int(i)], params, cfg)
-        mat_rows = [t.data for t in tok.tokens]
-        combined = None
-        for w, row, anchor, off in zip(weights, mat_rows, anchor_data,
-                                       [t.data for t in theta]):
-            scores = _guarded_scores(row, anchor + off)
-            combined = w * scores if combined is None else combined + w * scores
-        preds.append(int(np.argmax(combined[0])))
-    preds = np.array(preds, dtype=np.int64)
-    accuracy = float((preds == labels[split.test_ids]).mean())
-    result = TuneResult(
-        test_accuracy=accuracy,
-        train_losses=train_losses,
-        best_epoch=best[1],
-        trainable_encoder=count_trainable(params, "prompt"),
-        trainable_prompt=int(sum(t.data.size for t in
-                                 _prompt_trainables(theta, gamma, tcfg, num_layers))),
-        predictions=preds,
-    )
-    return params, result

@@ -6,13 +6,26 @@ independent check of them. The triplet oracle is the per-node sampling loop
 that the array sampler in `pretrain.build_triplets` must reproduce draw for
 draw; the edge-subset and CSR-row oracles are the loops that
 `encoder.edge_subset_positions` and `SparseMatrix` must agree with exactly.
+The graph-task oracles run one forward per item and `mean_rows` pooling,
+which the batched disjoint-union forward in `prompt.graph_tokens` replaces.
 """
 
 import warnings
 
 import numpy as np
 
+import hopprompt.prompt as pr
+from hopprompt.encoder import encoder_forward, partition_params
 from hopprompt.errors import PretrainInfeasibleError
+from hopprompt.graphstore import normalize_adjacency
+from hopprompt.numcore import (
+    AdamState,
+    Tensor,
+    adam_step,
+    backward,
+    mean_rows,
+    vstack,
+)
 from hopprompt.pretrain import Triplet
 
 
@@ -126,3 +139,63 @@ def reference_unsorted_row(row_offsets, col_indices):
         if seg.size > 1 and np.any(np.diff(seg) <= 0):
             return r
     return None
+
+
+def reference_graph_tokens(graph, params, cfg):
+    """One item's own forward, mean-pooled per layer: L+1 tensors, 1 x d."""
+    stack = encoder_forward(normalize_adjacency(graph), graph.features, cfg, params)
+    return [mean_rows(h) for h in stack.layers]
+
+
+def reference_graph_tune(checkpoint, items, split, tcfg):
+    """Graph-task stage two with one forward per training item per epoch
+    and one per item for the evaluation; returns (predictions, losses,
+    best epoch)."""
+    params, base_cfg = pr._load_encoder(checkpoint, items.graphs[0].num_features)
+    rng = np.random.default_rng(tcfg.seed)
+    params, cfg = pr._make_stage_two(params, base_cfg, tcfg, rng,
+                                     adjacency_adaptation=False)
+    layers = cfg.layers + 1
+    c = items.num_classes
+    theta = [Tensor(np.zeros((c, cfg.hidden_dim)), requires_grad=True)
+             for _ in range(layers)]
+    if tcfg.fixed_gamma:
+        gamma = pr.HopCoefficients(gamma=Tensor(np.ones((1, layers))), alpha=tcfg.alpha)
+    else:
+        gamma = pr.init_gamma(tcfg.alpha, cfg.layers)
+    encoder_trainables, _frozen = partition_params(params, "prompt")
+    trainables = encoder_trainables + pr._prompt_trainables(theta, gamma, tcfg, layers)
+    state = AdamState.for_params(trainables, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
+    y_train = items.labels[split.train_ids]
+    layer_ids = [layers - 1] if tcfg.last_layer_only else None
+    train = [items.graphs[int(i)] for i in split.train_ids]
+
+    losses = []
+    best = (np.inf, -1, None)
+    stale = 0
+    for epoch in range(tcfg.epochs):
+        tokens = [reference_graph_tokens(g, params, cfg) for g in train]
+        mats = [vstack([t[l] for t in tokens]) for l in range(layers)]
+        prompts = pr.ClassPromptSet(
+            anchors=pr.anchors_from_matrices(mats, y_train, c), theta=theta)
+        loss = pr._matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
+        adam_step(trainables, backward(loss), state)
+        losses.append(loss.item())
+        if losses[-1] < best[0] - 1e-12:
+            best = (losses[-1], epoch, [t.data.copy() for t in trainables])
+            stale = 0
+        else:
+            stale += 1
+            if tcfg.patience is not None and stale > tcfg.patience:
+                break
+    if best[2] is not None:
+        for t, saved in zip(trainables, best[2]):
+            t.data = saved
+
+    tokens = [reference_graph_tokens(g, params, cfg) for g in items.graphs]
+    layer_data = [np.concatenate([t[l].data for t in tokens]) for l in range(layers)]
+    anchor_data = pr._anchor_arrays(layer_data, split.train_ids, y_train, c)
+    weights = pr._effective_gamma(gamma, tcfg, layers)
+    preds = pr._predict_rows(layer_data, anchor_data, [t.data for t in theta],
+                             weights, split.test_ids)
+    return preds, losses, best[1]

@@ -2,14 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopprompt.encoder as enc
 import hopprompt.prompt as pr
 from hopprompt import graphstore as gs
 from hopprompt import numcore as nc
-from hopprompt.errors import CheckpointError, ParameterError, SplitError
+from hopprompt.errors import CheckpointError, ParameterError, SplitError, StructuralError
 
-from tests._oracles import assert_grads_close, finite_diff
+from tests._oracles import (
+    assert_grads_close,
+    finite_diff,
+    reference_graph_tokens,
+    reference_graph_tune,
+)
 from tests.conftest import encoder_config
 
 
@@ -77,8 +84,9 @@ class TestTokens:
         item, _ = gs.ego_network(g, 0, 2)
         adj = gs.normalize_adjacency(item)
         stack = enc.encoder_forward(adj, item.features, cfg, params)
-        tok = pr.graph_tokens(item, params, cfg)
-        for l, t in enumerate(tok.tokens):
+        tokens = pr.graph_tokens(gs.graph_batch([item]), params, cfg)
+        for l, t in enumerate(tokens):
+            assert t.shape == (1, stack[l].cols)
             np.testing.assert_allclose(t.data[0], stack[l].data.mean(axis=0), atol=1e-12)
 
     def test_graph_tokens_single_node(self):
@@ -87,12 +95,11 @@ class TestTokens:
                      num_classes=2, graph_label=1)
         cfg = enc.EncoderConfig(layers=1, dims=[2, 3])
         params = enc.init_encoder(cfg, np.random.default_rng(4))
-        tok = pr.graph_tokens(g, params, cfg)
+        tokens = pr.graph_tokens(gs.graph_batch([g]), params, cfg)
         adj = gs.normalize_adjacency(g)
         stack = enc.encoder_forward(adj, g.features, cfg, params)
-        for l, t in enumerate(tok.tokens):
+        for l, t in enumerate(tokens):
             np.testing.assert_allclose(t.data, stack[l].data, atol=1e-15)
-        assert tok.label == 1
 
     def test_isomorphic_graphs_same_tokens(self):
         feats = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
@@ -101,10 +108,120 @@ class TestTokens:
             features=nc.Tensor(feats), labels=None, num_classes=2, graph_label=0)
         cfg = enc.EncoderConfig(layers=1, dims=[2, 3])
         params = enc.init_encoder(cfg, np.random.default_rng(5))
-        a = pr.graph_tokens(mk(), params, cfg)
-        b = pr.graph_tokens(mk(), params, cfg)
-        for ta, tb in zip(a.tokens, b.tokens):
-            np.testing.assert_array_equal(ta.data, tb.data)
+        a = pr.graph_tokens(gs.graph_batch([mk()]), params, cfg)
+        b = pr.graph_tokens(gs.graph_batch([mk(), mk()]), params, cfg)
+        for ta, tb in zip(a, b):
+            np.testing.assert_array_equal(ta.data[0], tb.data[0])
+            np.testing.assert_array_equal(tb.data[0], tb.data[1])
+
+
+@st.composite
+def graph_lists(draw):
+    """1-5 small graphs; single-node and edgeless ones come up often."""
+    width = draw(st.integers(1, 3))
+    graphs = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 6))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [pair for pair, k in zip(pairs, keep) if k]
+        feats = draw(st.lists(st.floats(-2, 2), min_size=n * width,
+                              max_size=n * width))
+        graphs.append(gs.Graph(num_nodes=n, edges=gs.canonical_edges(edges, n),
+                               features=nc.Tensor(np.reshape(feats, (n, width))),
+                               labels=None, num_classes=2, graph_label=0))
+    return graphs
+
+
+def _fixture_items(name):
+    """A fixture's graph items; a node fixture's are its 1-hop ego networks."""
+    data = gs.load_dataset(f"datasets/{name}")
+    if isinstance(data, gs.GraphSet):
+        return data.graphs
+    return gs.build_graph_task(data, hops=1).graphs
+
+
+def _adapted_encoder(feature_dim, seed):
+    """A random encoder with nonzero projection adapters attached."""
+    rng = np.random.default_rng(seed)
+    cfg = enc.EncoderConfig(layers=2, dims=[feature_dim, 6, 6], rank=2,
+                            glora_mode="full")
+    params = enc.attach_glora(enc.init_encoder(cfg, rng), cfg, rng,
+                              adjacency_adaptation=False)
+    for lp in params.layers:
+        lp.q.data = 0.3 * rng.standard_normal(lp.q.shape)
+    return params, cfg
+
+
+class TestGraphBatch:
+    """One forward over the block-diagonal union, pooled through spmm, must
+    give each item's own forward and mean."""
+
+    @staticmethod
+    def _assert_union_is_per_item(graphs):
+        batch = gs.graph_batch(graphs)
+        own = [gs.normalize_adjacency(g) for g in graphs]
+        assert batch.adj.values.tobytes() == np.concatenate(
+            [a.values for a in own]).tobytes()
+        offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
+        np.testing.assert_array_equal(
+            batch.adj.col_indices,
+            np.concatenate([a.col_indices + o for a, o in zip(own, offsets)]))
+        np.testing.assert_array_equal(
+            batch.features.data, np.concatenate([g.features.data for g in graphs]))
+        pool = batch.pool.densify()
+        assert pool.shape == (len(graphs), offsets[-1])
+        for b, g in enumerate(graphs):
+            want = np.zeros(offsets[-1])
+            want[offsets[b]:offsets[b + 1]] = 1.0 / g.num_nodes
+            assert pool[b].tobytes() == want.tobytes()
+
+    @staticmethod
+    def _assert_tokens_match_oracle(graphs, params, cfg):
+        tokens = pr.graph_tokens(gs.graph_batch(graphs), params, cfg)
+        assert len(tokens) == cfg.layers + 1
+        for b, g in enumerate(graphs):
+            for l, ref in enumerate(reference_graph_tokens(g, params, cfg)):
+                np.testing.assert_allclose(tokens[l].data[b:b + 1], ref.data,
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["syn-h10", "syn-h90", "web-tiny", "ego-tiny"])
+    def test_bundled_fixtures(self, name):
+        graphs = _fixture_items(name)
+        self._assert_union_is_per_item(graphs)
+        params, cfg = _adapted_encoder(graphs[0].num_features, seed=0)
+        self._assert_tokens_match_oracle(graphs, params, cfg)
+
+    @given(graphs=graph_lists(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_generated_graph_lists(self, graphs, seed):
+        self._assert_union_is_per_item(graphs)
+        params, cfg = _adapted_encoder(graphs[0].num_features, seed)
+        self._assert_tokens_match_oracle(graphs, params, cfg)
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(StructuralError):
+            gs.graph_batch([])
+
+    def test_pooled_forward_gradients(self):
+        rng = np.random.default_rng(14)
+        graphs = _fixture_items("web-tiny")[:4]
+        params, cfg = _adapted_encoder(graphs[0].num_features, seed=1)
+        batch = gs.graph_batch(graphs)
+        prompts = [nc.Tensor(rng.standard_normal((3, cfg.hidden_dim)))
+                   for _ in range(cfg.layers + 1)]
+        wrt = [params.layers[0].w0, params.layers[1].w0]
+        wrt += [t for lp in params.layers for t in (lp.p, lp.q)]
+
+        def loss():
+            tokens = pr.graph_tokens(batch, params, cfg)
+            return pr._matrix_loss(tokens, pr.ClassPromptSet(
+                anchors=prompts, theta=[nc.Tensor(np.zeros(p.shape)) for p in prompts]),
+                np.array([0, 1, 2, 1]), tau=0.5)
+
+        grads = nc.backward(loss())
+        for t, fd in zip(wrt, finite_diff(lambda: loss().item(), wrt)):
+            assert_grads_close(grads.get(t), fd, label=str(t.shape))
 
 
 def make_tokens(rows_per_layer, label=None):
@@ -386,8 +503,9 @@ class TestFrozenForwardHoist:
                                    glora_mode=mode)
         _params, result = pr.run_prompt_tune(ckpt_h90, synth_h90, split, tcfg)
         assert len(result.train_losses) == epochs
-        # one per epoch the loop computes, plus one for the final evaluation
-        assert len(calls) == (1 if mode == "off" else epochs) + 1
+        # one per epoch the loop computes, plus one for the final evaluation,
+        # which reuses the frozen encoder's forward
+        assert len(calls) == (1 if mode == "off" else epochs + 1)
 
     @pytest.mark.parametrize("epochs", [2, 6])
     def test_graph_loop_runs_the_frozen_encoder_once(self, monkeypatch,
@@ -397,8 +515,9 @@ class TestFrozenForwardHoist:
         tcfg = pr.PromptTuneConfig(epochs=epochs, patience=None, seed=0, lr=1e-3,
                                    glora_mode="off")
         pr.run_prompt_tune(path, items, split, tcfg)
-        evaluation = len(split.train_ids) + len(split.test_ids)
-        assert len(calls) == len(split.train_ids) + evaluation
+        # one batched forward of the training items, one of every item to
+        # evaluate
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("ablation", ["plain", "last_layer_only", "fixed_gamma"])
     def test_hoisted_run_equals_per_epoch_run(self, monkeypatch, synth_h10,
@@ -418,6 +537,27 @@ class TestFrozenForwardHoist:
             assert hoisted.train_losses == per_epoch.train_losses
             assert hoisted.best_epoch == per_epoch.best_epoch
             assert np.array_equal(hoisted.predictions, per_epoch.predictions)
+
+
+class TestGraphTaskLoop:
+    """The batched graph task matches the per-item loop: pooling is a sum of
+    h/n rather than a mean and the weight gradient one product over all
+    nodes, so losses agree to rounding and every decision is the same."""
+
+    @pytest.mark.parametrize("mode", ["off", "full"])
+    @pytest.mark.parametrize("ablation", ["plain", "last_layer_only", "fixed_gamma"])
+    def test_equals_per_item_oracle(self, tiny_graph_task, mode, ablation):
+        items, split, path = tiny_graph_task
+        tcfg = pr.PromptTuneConfig(epochs=40, patience=3, seed=3, lr=0.2,
+                                   glora_mode=mode,
+                                   last_layer_only=ablation == "last_layer_only",
+                                   fixed_gamma=ablation == "fixed_gamma")
+        _params, result = pr.run_prompt_tune(path, items, split, tcfg)
+        preds, losses, best_epoch = reference_graph_tune(path, items, split, tcfg)
+        np.testing.assert_array_equal(result.predictions, preds)
+        assert result.best_epoch == best_epoch
+        assert len(result.train_losses) == len(losses)
+        np.testing.assert_allclose(result.train_losses, losses, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("name,shots", [("web-tiny", 2), ("syn-h10", 5),

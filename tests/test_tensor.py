@@ -26,6 +26,13 @@ def test_tensor_rejects_non_2d_and_non_finite():
         nc.Tensor([[np.nan]])
 
 
+def test_non_finite_op_output_names_the_op_and_shape():
+    big = nc.Tensor([[1e200, 1e200], [1.0, 2.0]])
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericError, match=r"matmul.*\(2, 2\)"):
+        nc.matmul(big, big)
+
+
 class TestMatmul:
     def test_identity_times_matrix(self):
         m = nc.Tensor([[2.0, -3.0], [0.5, 7.0]])
@@ -87,6 +94,17 @@ class TestRelu:
     def test_definition(self):
         out = nc.relu(nc.Tensor([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
+
+    def test_forward_equals_masked_select_bitwise(self):
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((60, 13))
+        data[rng.random(data.shape) < 0.2] = 0.0
+        data[rng.random(data.shape) < 0.2] = -0.0
+        data[0, :3] = [0.0, -0.0, 5e-324]
+        select = np.where(data > 0, data, 0.0)
+        out = nc.relu(nc.Tensor(data)).data
+        assert out.tobytes() == select.tobytes()
+        assert not np.signbit(out).any()
 
     def test_gradient_is_positive_mask(self):
         x = nc.Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
