@@ -29,12 +29,12 @@ from .numcore import (
     SparseMatrix,
     Tensor,
     add,
+    gather_rows,
     matmul,
     rank_one_update_spmm,
     relu,
     spmm,
     transpose,
-    vstack,
 )
 
 GLORA_MODES = ("off", "full", "edge_subset")
@@ -213,9 +213,86 @@ def attach_glora(params: EncoderParams, cfg: EncoderConfig,
                          edge_positions=edge_positions)
 
 
+@dataclass(frozen=True)
+class ForwardPlan:
+    """Which rows each layer computes so that every layer yields rows `ids`.
+
+    `rows[l]` are the sorted rows of H(l) computed (None: every row);
+    `adjs[l]` aggregates layer l+1, rows `rows[l+1]` by columns `rows[l]`;
+    `picks[l]` are the positions of `ids` in `rows[l]` (None: all of them,
+    in order); `edge_slots[l]` holds, for the trainable edge entries lying in
+    `adjs[l]`, their slots there and the edge each one belongs to (None
+    without selected edges).
+    """
+
+    rows: list
+    adjs: list[SparseMatrix]
+    picks: list
+    edge_slots: list | None
+
+
+def forward_plan(adj: SparseMatrix, ids, layers: int,
+                 edge_positions: np.ndarray | None = None,
+                 dense: bool = False) -> ForwardPlan:
+    """Plan a forward that computes rows `ids` of every layer and nothing the
+    last layer does not read: R_L is `ids` and R_{l-1} is R_l plus its
+    neighbours, the exact (sampling-free) receptive field. `dense` layers
+    carry full GLoRA's rank-one term, which reads every row of its input, so
+    only the last layer is restricted. `ids=None` plans the full forward.
+    """
+    n = adj.shape[0]
+    if ids is None:
+        rows = [None] * (layers + 1)
+    else:
+        ids = np.asarray(ids, dtype=np.int64)
+        top = np.unique(ids)
+        if top.size == 1 and n > 1:
+            # a one-row product runs as BLAS gemv, which orders its sums
+            # unlike gemm; a second row keeps the rows bitwise the full
+            # forward's
+            top = np.union1d(top, [int(top[0] == 0)])
+        # a row set holding every row is None: nothing to gather or slice
+        rows = [None if top.size == n else top]
+        for _ in range(layers):
+            below = None if dense or rows[0] is None else adj.neighbourhood(rows[0])
+            rows.insert(0, None if below is None or below.size == n else below)
+    adjs, sources = [], []
+    for l in range(1, layers + 1):
+        if rows[l] is None:
+            adjs.append(adj)
+            sources.append(np.arange(adj.nnz))
+        else:
+            cols = np.arange(n) if rows[l - 1] is None else rows[l - 1]
+            block, source = adj.slice(rows[l], cols)
+            adjs.append(block)
+            sources.append(source)
+    edge_slots = None
+    if edge_positions is not None:
+        # each selected undirected edge owns an upper and a mirrored slot;
+        # a layer keeps those lying in its block
+        slots = np.concatenate([edge_positions[:, 0], edge_positions[:, 1]])
+        edges = np.tile(np.arange(len(edge_positions)), 2)
+        edge_slots = []
+        for source in sources:
+            where = np.full(adj.nnz, -1)
+            where[source] = np.arange(source.size)
+            mapped = where[slots]
+            edge_slots.append((mapped[mapped >= 0], edges[mapped >= 0]))
+    if ids is None:
+        picks = rows
+    else:
+        picks = [ids if r is None else np.searchsorted(r, ids) for r in rows]
+    return ForwardPlan(rows=rows, adjs=adjs, picks=picks, edge_slots=edge_slots)
+
+
 def encoder_forward(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
-                    params: EncoderParams) -> EmbeddingStack:
-    """Run the (possibly adapted) encoder; ReLU on interior layers only."""
+                    params: EncoderParams,
+                    plan: ForwardPlan | None = None) -> EmbeddingStack:
+    """Run the (possibly adapted) encoder; ReLU on interior layers only.
+
+    With a `plan` from `forward_plan(adj, ids, ...)` each layer runs on its
+    planned rows only, and every returned layer holds rows `ids`.
+    """
     n = adj.shape[0]
     if adj.shape[1] != n:
         raise DimensionError(f"adjacency must be square, got {adj.shape}")
@@ -229,33 +306,41 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
         )
     if cfg.glora_mode == "off" and any(lp.has_glora() for lp in params.layers):
         raise ContractError("GLoRA factors present but glora_mode=off")
+    if plan is None:
+        plan = forward_plan(adj, None, cfg.layers, params.edge_positions)
+    elif len(plan.adjs) != cfg.layers:
+        raise DimensionError(f"plan has {len(plan.adjs)} layers, config says {cfg.layers}")
 
-    h = matmul(x, params.w_in)
-    stack = [h]
-    if params.edge_positions is not None:
-        slots = np.concatenate([params.edge_positions[:, 0],
-                                params.edge_positions[:, 1]])
-        slot_values = Tensor(adj.values[slots][:, None])
+    x_rows = x if plan.rows[0] is None else gather_rows(x, plan.rows[0])
+    stack = [matmul(x_rows, params.w_in)]
     for l, lp in enumerate(params.layers):
+        h, sub = stack[-1], plan.adjs[l]
         weight = lp.w0
         if lp.p is not None and lp.q is not None:
             weight = add(weight, matmul(lp.p, transpose(lp.q)))
         if lp.pa is not None and lp.qa is not None:
-            agg = rank_one_update_spmm(adj, lp.pa, lp.qa, h)
+            if plan.rows[l] is not None:
+                raise ContractError("full GLoRA reads every row of each layer's "
+                                    "input; plan it with dense=True")
+            pa = lp.pa if plan.rows[l + 1] is None else gather_rows(lp.pa, plan.rows[l + 1])
+            agg = rank_one_update_spmm(sub, pa, lp.qa, h)
         elif lp.edge_weights is not None:
-            if params.edge_positions is None:
+            if plan.edge_slots is None:
                 raise ContractError("edge weights present but no edge_positions")
-            # one shared scalar per selected undirected edge, added to both
-            # of its CSR slots; the other entries stay constant
-            values = add(slot_values, vstack([lp.edge_weights, lp.edge_weights]))
-            agg = spmm(adj, h, values=values, slots=slots)
+            # one shared scalar per selected undirected edge, added to each
+            # of its slots; the other entries stay constant
+            slots, edges = plan.edge_slots[l]
+            values = add(Tensor(sub.values[slots][:, None]),
+                         gather_rows(lp.edge_weights, edges))
+            agg = spmm(sub, h, values=values, slots=slots)
         else:
-            agg = spmm(adj, h)
+            agg = spmm(sub, h)
         h = matmul(agg, weight)
         if l < len(params.layers) - 1:
             h = relu(h)
         stack.append(h)
-    return EmbeddingStack(layers=stack)
+    return EmbeddingStack(layers=[h if pick is None else gather_rows(h, pick)
+                                  for h, pick in zip(stack, plan.picks)])
 
 
 def partition_params(params: EncoderParams, stage: str):

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoder import EncoderConfig, encoder_forward
-from ..errors import ConfigError, DivergenceError, NumericError
+from ..encoder import EncoderConfig, encoder_forward, forward_plan
+from ..errors import ConfigError, DegenerateRowError, DivergenceError, NumericError
 from ..graphstore import Graph, SplitSpec, normalize_adjacency
 from ..numcore import (
     AdamState,
@@ -30,8 +30,11 @@ class BaselineResult:
     trainable_count: int
 
 
-def _train_classifier(forward_logits, trainables, g, split, lr, weight_decay,
-                      epochs, patience):
+def _train_classifier(forward_logits, adj, layers, trainables, g, split, lr,
+                      weight_decay, epochs, patience):
+    """`forward_logits(plan)` returns the logits of the plan's rows: training
+    runs on the training rows' receptive field, evaluation on every row."""
+    train_plan = forward_plan(adj, split.train_ids, layers)
     state = AdamState.for_params(trainables, lr=lr, weight_decay=weight_decay)
     y_train = g.labels[split.train_ids]
     losses: list[float] = []
@@ -39,11 +42,10 @@ def _train_classifier(forward_logits, trainables, g, split, lr, weight_decay,
     stale = 0
     for epoch in range(epochs):
         try:
-            logits = forward_logits()
-            loss = softmax_nll(gather_rows(logits, split.train_ids), y_train, tau=1.0)
+            loss = softmax_nll(forward_logits(train_plan), y_train, tau=1.0)
             grads = backward(loss)
             adam_step(trainables, grads, state)
-        except NumericError as e:
+        except (NumericError, DegenerateRowError) as e:
             raise DivergenceError(f"baseline diverged: {e}", epoch=epoch, lr=lr) from e
         value = loss.item()
         losses.append(value)
@@ -57,7 +59,7 @@ def _train_classifier(forward_logits, trainables, g, split, lr, weight_decay,
     if best[1] is not None:
         for t, saved in zip(trainables, best[1]):
             t.data = saved
-    logits = forward_logits().data
+    logits = forward_logits(forward_plan(adj, None, layers)).data
     preds = np.argmax(logits[split.test_ids], axis=1)
     accuracy = float((preds == g.labels[split.test_ids]).mean())
     return accuracy, losses
@@ -81,12 +83,14 @@ def train_scratch_gcn(g: Graph, split: SplitSpec, hidden: int, lr: float,
     w1 = glorot(f, hidden)
     w2 = glorot(hidden, c)
 
-    def forward_logits():
-        h1 = relu(spmm(adj, matmul(g.features, w1)))
-        return spmm(adj, matmul(h1, w2))
+    def forward_logits(plan):
+        x = g.features if plan.rows[0] is None else gather_rows(g.features, plan.rows[0])
+        h1 = relu(spmm(plan.adjs[0], matmul(x, w1)))
+        logits = spmm(plan.adjs[1], matmul(h1, w2))
+        return logits if plan.picks[2] is None else gather_rows(logits, plan.picks[2])
 
-    accuracy, losses = _train_classifier(forward_logits, [w1, w2], g, split,
-                                         lr, weight_decay, epochs, patience)
+    accuracy, losses = _train_classifier(forward_logits, adj, 2, [w1, w2], g,
+                                         split, lr, weight_decay, epochs, patience)
     return BaselineResult(test_accuracy=accuracy, train_losses=losses,
                           trainable_count=w1.data.size + w2.data.size)
 
@@ -113,12 +117,13 @@ def train_finetune_lp(checkpoint_params, cfg: EncoderConfig, g: Graph,
                   requires_grad=True)
     trainables = [params.w_in] + [lp.w0 for lp in params.layers] + [head]
 
-    def forward_logits():
-        stack = encoder_forward(adj, g.features, cfg, params)
+    def forward_logits(plan):
+        stack = encoder_forward(adj, g.features, cfg, params, plan=plan)
         return matmul(stack[-1], head)
 
-    accuracy, losses = _train_classifier(forward_logits, trainables, g, split,
-                                         lr, weight_decay, epochs, patience)
+    accuracy, losses = _train_classifier(forward_logits, adj, cfg.layers,
+                                         trainables, g, split, lr, weight_decay,
+                                         epochs, patience)
     return BaselineResult(
         test_accuracy=accuracy,
         train_losses=losses,

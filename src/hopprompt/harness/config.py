@@ -168,9 +168,11 @@ class RunReport:
         )
 
     def numeric_payload(self) -> dict:
-        """Everything reproducible bit-for-bit (wall-clock excluded)."""
+        """Everything reproducible bit-for-bit: the results, not wall-clock
+        time or the tape's memory estimate."""
         payload = asdict(self)
         payload.pop("wall_clock_sec")
+        payload.pop("peak_tape_bytes")
         return payload
 
     def to_dict(self) -> dict:

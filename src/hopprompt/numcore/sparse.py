@@ -79,12 +79,47 @@ class SparseMatrix:
         out[self.nnz_rows(), self.col_indices] = self.values
         return out
 
-    def submatrix(self, ids) -> "SparseMatrix":
-        """Induced square submatrix on the given node ids (kept in given order)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        m = self._csr[ids][:, ids].tocsr()
-        m.sort_indices()
-        return SparseMatrix((ids.size, ids.size), m.indptr, m.indices, m.data)
+    def _entries_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR positions of every entry of `rows`, row by row, and the number
+        of entries of each row."""
+        starts = self.row_offsets[rows]
+        counts = self.row_offsets[rows + 1] - starts
+        shift = starts - (np.cumsum(counts) - counts)
+        return np.arange(counts.sum(), dtype=np.int64) + np.repeat(shift, counts), counts
+
+    def _check_rows(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or (rows.size and (rows.min() < 0
+                                             or rows.max() >= self.shape[0])):
+            raise DimensionError(f"rows must be 1-D and within [0, {self.shape[0]})")
+        return rows
+
+    def neighbourhood(self, rows) -> np.ndarray:
+        """Sorted union of `rows` and every column they store an entry in."""
+        rows = self._check_rows(rows)
+        return np.union1d(rows, self.col_indices[self._entries_of(rows)[0]])
+
+    def slice(self, rows, cols) -> tuple["SparseMatrix", np.ndarray]:
+        """The (len(rows), len(cols)) block at `rows` (any order) and `cols`
+        (strictly increasing), and the CSR position here of each of its
+        entries; entries in other columns are dropped."""
+        rows = self._check_rows(rows)
+        cols = np.asarray(cols, dtype=np.int64)
+        if cols.ndim != 1 or np.any(np.diff(cols) <= 0) or (
+                cols.size and (cols[0] < 0 or cols[-1] >= self.shape[1])):
+            raise DimensionError(
+                f"cols must be strictly increasing within [0, {self.shape[1]})")
+        source, counts = self._entries_of(rows)
+        keep = np.isin(self.col_indices[source], cols)
+        row_of = np.repeat(np.arange(rows.size), counts)
+        offs = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of[keep], minlength=rows.size), out=offs[1:])
+        source = source[keep]
+        # cols is sorted, so each row's columns stay strictly increasing
+        block = SparseMatrix((rows.size, cols.size), offs,
+                             np.searchsorted(cols, self.col_indices[source]),
+                             self.values[source])
+        return block, source
 
     def _scipy(self, values: np.ndarray):
         return _scipy_sparse.csr_matrix(
@@ -141,13 +176,13 @@ def spmm(s: SparseMatrix, d: Tensor, values: Tensor | None = None,
 
 def rank_one_update_spmm(s: SparseMatrix, p: Tensor, q: Tensor, d: Tensor,
                          values: Tensor | None = None) -> Tensor:
-    """(s + p q^T) @ d without materializing the dense rank-one term."""
-    n = s.shape[0]
-    if s.shape[1] != n:
-        raise DimensionError(f"rank_one_update_spmm: matrix must be square, got {s.shape}")
-    if p.shape != (n, 1) or q.shape != (n, 1):
+    """(s + p q^T) @ d without materializing the dense rank-one term; for an
+    (m, n) matrix s, p is (m, 1) and q is (n, 1)."""
+    m, n = s.shape
+    if p.shape != (m, 1) or q.shape != (n, 1):
         raise DimensionError(
-            f"rank_one_update_spmm: p, q must be ({n}, 1), got {p.shape}, {q.shape}"
+            f"rank_one_update_spmm: p, q must be ({m}, 1), ({n}, 1), "
+            f"got {p.shape}, {q.shape}"
         )
     if d.rows != n:
         raise DimensionError(f"rank_one_update_spmm: d has {d.rows} rows, expected {n}")

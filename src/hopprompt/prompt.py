@@ -26,11 +26,13 @@ from .encoder import (
     count_trainable,
     edge_subset_positions,
     encoder_forward,
+    forward_plan,
     partition_params,
 )
 from .errors import (
     CheckpointError,
     ContractError,
+    DegenerateRowError,
     DivergenceError,
     NumericError,
     ParameterError,
@@ -41,7 +43,6 @@ from .graphstore import (
     GraphBatch,
     GraphSet,
     SplitSpec,
-    bfs_distances,
     graph_batch,
     normalize_adjacency,
 )
@@ -92,7 +93,7 @@ class HopCoefficients:
 
 @dataclass
 class TaskTokens:
-    """One node's per-layer embedding rows (its center row of an ego forward)."""
+    """One item's per-layer embedding rows."""
 
     tokens: list[Tensor]  # L+1 tensors, each 1 x d
     label: int | None = None
@@ -108,49 +109,6 @@ def init_gamma(alpha: float, num_layers: int) -> HopCoefficients:
     values.append((1.0 - alpha) ** num_layers)
     gamma = Tensor(np.array([values]), requires_grad=True)
     return HopCoefficients(gamma=gamma, alpha=alpha)
-
-
-def node_tokens(g: Graph, params: EncoderParams, cfg: EncoderConfig, v: int,
-                adj=None) -> TaskTokens:
-    """Run the encoder on v's L-hop ego network; return the center's rows.
-
-    The ego adjacency reuses the full graph's normalization (global degrees),
-    so the center rows equal the corresponding full-graph forward rows.
-    """
-    if cfg.glora_mode == "edge_subset":
-        raise ContractError("ego-network path does not support edge_subset mode; "
-                            "use the full-graph forward")
-    if adj is None:
-        adj = normalize_adjacency(g)
-    dist = bfs_distances(g, v, max_depth=cfg.layers)
-    keep = np.flatnonzero(dist >= 0)
-    center = int(np.searchsorted(keep, v))
-    sub_adj = adj.submatrix(keep)
-    x_sub = gather_rows(g.features, keep)
-    sub_params = _restrict_adjacency_factors(params, keep)
-    stack = encoder_forward(sub_adj, x_sub, cfg, sub_params)
-    tokens = [gather_rows(h, [center]) for h in stack.layers]
-    label = None
-    if g.labels is not None and g.labels[v] >= 0:
-        label = int(g.labels[v])
-    return TaskTokens(tokens=tokens, label=label)
-
-
-def _restrict_adjacency_factors(params: EncoderParams, keep) -> EncoderParams:
-    """Gather PA/QA rows for a node subset (gradients still reach the full
-    factors through the gather)."""
-    if all(lp.pa is None for lp in params.layers):
-        return params
-    layers = []
-    for lp in params.layers:
-        if lp.pa is None:
-            layers.append(lp)
-        else:
-            sub = type(lp)(w0=lp.w0, p=lp.p, q=lp.q,
-                           pa=gather_rows(lp.pa, keep),
-                           qa=gather_rows(lp.qa, keep))
-            layers.append(sub)
-    return EncoderParams(w_in=params.w_in, layers=layers)
 
 
 def graph_tokens(batch: GraphBatch, params: EncoderParams,
@@ -367,11 +325,28 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
     params, cfg = _make_stage_two(params, base_cfg, tcfg, rng,
                                   num_nodes=g.num_nodes, edge_positions=positions)
 
-    def forward():
+    def evaluate():
         return encoder_forward(adj, g.features, cfg, params).layers
 
+    if tcfg.glora_mode == "off":
+        # nothing in the encoder trains: one full forward serves every epoch
+        # and the evaluation, where a restricted one would add a forward
+        evaluate = _once_if_frozen(evaluate, ())
+
+        def forward():
+            return [gather_rows(h, split.train_ids) for h in evaluate()]
+    else:
+        # the loss reads the training rows only, so training runs on their
+        # receptive field
+        plan = forward_plan(adj, split.train_ids, cfg.layers,
+                            edge_positions=params.edge_positions,
+                            dense=tcfg.glora_mode == "full")
+
+        def forward():
+            return encoder_forward(adj, g.features, cfg, params, plan=plan).layers
+
     return _fit_prompts(params, cfg, tcfg, split, g.labels, g.num_classes,
-                        forward, train_ids=split.train_ids)
+                        forward, evaluate)
 
 
 def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
@@ -385,17 +360,16 @@ def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
     return _fit_prompts(
         params, cfg, tcfg, split, items.labels, items.num_classes,
         lambda: graph_tokens(train_batch, params, cfg),
-        evaluate=lambda: graph_tokens(graph_batch(items.graphs), params, cfg))
+        lambda: graph_tokens(graph_batch(items.graphs), params, cfg))
 
 
 def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
-                 train_ids=None, evaluate=None):
+                 evaluate):
     """The stage-two loop of both tasks.
 
-    `forward()` returns per-layer tensors whose rows `train_ids` (every row
-    when None) are the training items; `evaluate()` (by default `forward`)
-    returns per-layer tensors with one row per item, read at the split's
-    train and test ids.
+    `forward()` returns per-layer tensors with one row per training item, in
+    `split.train_ids` order; `evaluate()` returns per-layer tensors with one
+    row per item, read at the split's train and test ids.
     """
     num_layers = cfg.layers + 1
     width = cfg.hidden_dim
@@ -416,9 +390,7 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
     forward = _once_if_frozen(forward, encoder_trainables)
 
     def epoch_forward():
-        layers = forward()
-        mats = (layers if train_ids is None
-                else [gather_rows(h, train_ids) for h in layers])
+        mats = forward()
         anchors = anchors_from_matrices(mats, y_train, c)
         return mats, ClassPromptSet(anchors=anchors, theta=theta)
 
@@ -432,7 +404,7 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
             loss = _matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
             grads = backward(loss)
             adam_step(trainables, grads, state)
-        except NumericError as e:
+        except (NumericError, DegenerateRowError) as e:
             raise DivergenceError(f"prompt tuning diverged: {e}",
                                   epoch=epoch, lr=tcfg.lr) from e
         value = loss.item()
@@ -448,9 +420,8 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
         for t, saved in zip(trainables, best[2]):
             t.data = saved
 
-    # final evaluation with tuned parameters (a frozen encoder's cached
-    # forward is reused as is)
-    layer_data = [h.data for h in (evaluate or forward)()]
+    # final evaluation with tuned parameters
+    layer_data = [h.data for h in evaluate()]
     anchor_data = _anchor_arrays(layer_data, split.train_ids, y_train, c)
     weights = _effective_gamma(gamma, tcfg, num_layers)
     preds = _predict_rows(layer_data, anchor_data,

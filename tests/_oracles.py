@@ -8,14 +8,18 @@ draw; the edge-subset and CSR-row oracles are the loops that
 `encoder.edge_subset_positions` and `SparseMatrix` must agree with exactly.
 The graph-task oracles run one forward per item and `mean_rows` pooling,
 which the batched disjoint-union forward in `prompt.graph_tokens` replaces.
+`full_rows_plan` is the full-forward training path that node-task training
+on the training rows' receptive field replaces: every layer runs on every
+row and the planned rows are gathered from the result.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 
 import hopprompt.prompt as pr
-from hopprompt.encoder import encoder_forward, partition_params
+from hopprompt.encoder import encoder_forward, forward_plan, partition_params
 from hopprompt.errors import PretrainInfeasibleError
 from hopprompt.graphstore import normalize_adjacency
 from hopprompt.numcore import (
@@ -199,3 +203,13 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
     preds = pr._predict_rows(layer_data, anchor_data, [t.data for t in theta],
                              weights, split.test_ids)
     return preds, losses, best[1]
+
+
+def full_rows_plan(adj, ids, layers, edge_positions=None, dense=False):
+    """A drop-in for `forward_plan` that restricts nothing: every layer runs
+    on all rows, and rows `ids` are gathered from each."""
+    plan = forward_plan(adj, None, layers, edge_positions)
+    if ids is None:
+        return plan
+    ids = np.asarray(ids, dtype=np.int64)
+    return dataclasses.replace(plan, picks=[ids] * (layers + 1))

@@ -11,6 +11,7 @@ from hopprompt import numcore as nc
 from hopprompt.errors import (
     CheckpointError,
     ContractError,
+    DimensionError,
     ParameterError,
     StructuralError,
 )
@@ -243,6 +244,160 @@ class TestEdgeSubsetPositions:
         adj = nc.SparseMatrix((2, 2), [0, 2, 3], [0, 1, 1], [1.0, 1.0, 1.0])
         with pytest.raises(StructuralError, match=r"\(0, 1\) has no mirror"):
             enc.edge_subset_positions(adj, [0])
+
+
+@st.composite
+def planned_graphs(draw):
+    """Small graphs with isolated nodes and a nonempty list of planned rows
+    in any order: one node, every node, or any subset."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    isolated = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    edges = [(u, v) for (u, v), k in zip(pairs, keep)
+             if k and u not in isolated and v not in isolated]
+    seed = draw(st.integers(0, 2**16))
+    g = gs.Graph(num_nodes=n, edges=gs.canonical_edges(edges, n),
+                 features=nc.Tensor(np.random.default_rng(seed).standard_normal((n, 3))),
+                 labels=None, num_classes=2)
+    kind = draw(st.sampled_from(["single", "all", "subset"]))
+    if kind == "single":
+        ids = [draw(st.integers(0, n - 1))]
+    elif kind == "all":
+        ids = list(range(n))
+    else:
+        ids = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return g, ids, seed
+
+
+class _SpmmValues:
+    """Records the (matrix, values, slots) of every spmm call with a values
+    override, so a test can read each CSR slot's gradient after backward."""
+
+    def __init__(self, m):
+        self.calls = []
+        real = enc.spmm
+
+        def spmm(s, d, values=None, slots=None):
+            if values is not None:
+                self.calls.append((s, values, slots))
+            return real(s, d, values=values, slots=slots)
+
+        m.setattr(enc, "spmm", spmm)
+
+
+class TestForwardPlan:
+    """A planned forward computes only the rows its last layer reads: the
+    rows it returns are the full forward's bit for bit, and its gradients
+    are the full forward's up to summation order."""
+
+    @staticmethod
+    def _adapted(g, adj, ids, mode, seed):
+        rng = np.random.default_rng(seed)
+        cfg = enc.EncoderConfig(layers=2, dims=[3, 6, 6], rank=2, glora_mode=mode)
+        params = enc.init_encoder(cfg, rng)
+        if mode != "off":
+            pos = enc.edge_subset_positions(adj, ids) if mode == "edge_subset" else None
+            params = enc.attach_glora(params, cfg, rng, num_nodes=g.num_nodes,
+                                      edge_positions=pos)
+        # every factor nonzero, as after some training; the base weights
+        # take gradients too, so that mode off has some to compare
+        for t in enc.partition_params(params, "prompt")[0]:
+            t.data = rng.standard_normal(t.shape)
+        for t in enc.partition_params(params, "prompt")[1]:
+            t.requires_grad = True
+        return cfg, params
+
+    @staticmethod
+    def _loss(layers, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 3, size=layers[0].rows)
+        total = None
+        for h in layers:
+            term = nc.softmax_nll(nc.matmul(h, nc.Tensor(rng.standard_normal((h.cols, 3)))),
+                                  y, tau=1.0)
+            total = term if total is None else nc.add(total, term)
+        return total
+
+    @staticmethod
+    def _slot_grads(calls, plan=None):
+        """{(row, col): gradient} of every overridden slot, per layer."""
+        per_layer = []
+        for l, (s, values, slots) in enumerate(calls):
+            rows, cols = s.nnz_rows()[slots], s.col_indices[slots]
+            if plan is not None:
+                rows = rows if plan.rows[l + 1] is None else plan.rows[l + 1][rows]
+                cols = cols if plan.rows[l] is None else plan.rows[l][cols]
+            per_layer.append({(int(r), int(c)): float(v)
+                              for r, c, v in zip(rows, cols, values.grad[:, 0])})
+        return per_layer
+
+    @given(case=planned_graphs(), mode=st.sampled_from(["off", "full", "edge_subset"]))
+    @settings(max_examples=120, deadline=None)
+    def test_planned_rows_and_gradients_match_full_forward(self, case, mode):
+        g, ids, seed = case
+        adj = gs.normalize_adjacency(g)
+        cfg, params = self._adapted(g, adj, ids, mode, seed)
+        trainables = [t for group in enc.partition_params(params, "prompt") for t in group]
+        plan = enc.forward_plan(adj, ids, cfg.layers, edge_positions=params.edge_positions,
+                                dense=mode == "full")
+        with pytest.MonkeyPatch.context() as m:
+            full_calls = _SpmmValues(m)
+            full = enc.encoder_forward(adj, g.features, cfg, params)
+            want = nc.backward(self._loss([nc.gather_rows(h, ids) for h in full.layers], seed))
+        with pytest.MonkeyPatch.context() as m:
+            planned_calls = _SpmmValues(m)
+            planned = enc.encoder_forward(adj, g.features, cfg, params, plan=plan)
+            got = nc.backward(self._loss(planned.layers, seed))
+
+        for l, h in enumerate(planned.layers):
+            assert np.array_equal(h.data, full[l].data[ids]), f"layer {l}"
+        # a layer that needs every row runs unsliced
+        assert all(r is None or r.size < g.num_nodes for r in plan.rows)
+        for t in trainables:
+            a, b = got.get(t), want.get(t)
+            scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+            assert np.abs(a - b).max(initial=0.0) <= 1e-12 * scale
+        # every trainable slot the loss depends on lies in the plan's slices,
+        # with the same gradient there
+        full_slots = self._slot_grads(full_calls.calls)
+        planned_slots = self._slot_grads(planned_calls.calls, plan)
+        for have, need in zip(planned_slots, full_slots):
+            for key, grad in need.items():
+                if grad != 0.0:
+                    assert key in have
+                    assert abs(have[key] - grad) <= 1e-12 * abs(grad)
+
+    def test_syn_h10_receptive_fields(self):
+        g = gs.load_dataset(DATASETS / "syn-h10")
+        adj = gs.normalize_adjacency(g)
+        for seed, sizes in [(3, [590, 239, 25]), (7, [594, 244, 25])]:
+            ids = gs.kshot_split(g, 5, seed=seed).train_ids
+            plan = enc.forward_plan(adj, ids, 2)
+            assert [r.size for r in plan.rows] == sizes
+            assert [a.shape for a in plan.adjs] == [(sizes[1], sizes[0]),
+                                                   (sizes[2], sizes[1])]
+            dense = enc.forward_plan(adj, ids, 2, dense=True)
+            assert dense.rows[:2] == [None, None]
+            assert dense.adjs[1].shape == (25, g.num_nodes)
+
+    def test_full_glora_needs_a_dense_plan(self):
+        rng = np.random.default_rng(9)
+        g = gs.Graph(num_nodes=8, edges=gs.canonical_edges([(i, i + 1) for i in range(7)], 8),
+                     features=nc.Tensor(rng.standard_normal((8, 5))), labels=None,
+                     num_classes=2)
+        adj = gs.normalize_adjacency(g)
+        cfg = enc.EncoderConfig(layers=2, dims=[5, 8, 8])
+        params = enc.init_encoder(cfg, rng)
+        cfg_full = enc.EncoderConfig(layers=cfg.layers, dims=cfg.dims, rank=2,
+                                     glora_mode="full")
+        adapted = enc.attach_glora(params, cfg_full, rng, num_nodes=g.num_nodes)
+        with pytest.raises(ContractError, match="dense=True"):
+            enc.encoder_forward(adj, g.features, cfg_full, adapted,
+                                plan=enc.forward_plan(adj, [0, 1], cfg.layers))
+        with pytest.raises(DimensionError, match="plan has 1 layers"):
+            enc.encoder_forward(adj, g.features, cfg_full, adapted,
+                                plan=enc.forward_plan(adj, [0, 1], 1, dense=True))
 
 
 class TestPartitionAndCount:

@@ -8,8 +8,16 @@ import hopprompt.encoder as enc
 from hopprompt import graphstore as gs
 from hopprompt import harness as hn
 from hopprompt import numcore as nc
-from hopprompt.errors import ConfigError, TransferInfeasibleError
+from hopprompt.errors import (
+    ConfigError,
+    DegenerateRowError,
+    DivergenceError,
+    TransferInfeasibleError,
+)
+from hopprompt.harness import baselines
 from hopprompt.pretrain import PretrainConfig
+
+from tests._oracles import full_rows_plan
 
 
 def quick_cfg(dataset="datasets/web-tiny", **overrides):
@@ -89,6 +97,9 @@ class TestRunExperiment:
         warm_b = hn.run_experiment(quick_cfg(), data=tiny_data, cache=disk_cache)
         assert cold.numeric_payload() == warm_a.numeric_payload()
         assert warm_a.numeric_payload() == warm_b.numeric_payload()
+        # a memory estimate, reported but not part of the payload
+        assert "peak_tape_bytes" not in cold.numeric_payload()
+        assert cold.peak_tape_bytes > 0
 
     def test_no_glora_param_delta_matches_glora_count(self, tiny_data):
         cache = hn.CheckpointCache()
@@ -197,6 +208,48 @@ class TestFinetuneBaseline:
                              weight_decay=0.0, epochs=10, seed=0)
         moved = [np.abs(a - lp.w0.data).max() for a, lp in zip(before, params.layers)]
         assert all(m > 0 for m in moved)
+
+
+class TestBaselinesOnReceptiveField:
+    """The baselines train on the training rows' receptive field and take
+    every decision the full-forward training path takes."""
+
+    @staticmethod
+    def _run(kind, g, ckpt, split):
+        if kind == "scratch_gcn":
+            return hn.train_scratch_gcn(g, split, hidden=32, lr=1e-2, weight_decay=0.0,
+                                        epochs=40, seed=1, patience=5)
+        params, cfg = enc.checkpoint_load(ckpt)
+        return hn.train_finetune_lp(params, cfg, g, split, lr=1e-2, weight_decay=0.0,
+                                    epochs=40, seed=1, patience=5)
+
+    @pytest.mark.parametrize("kind", ["finetune_lp", "scratch_gcn"])
+    def test_equals_full_forward_oracle(self, monkeypatch, synth_h10, ckpt_h10, kind):
+        split = gs.kshot_split(synth_h10, 5, seed=2)
+        ours = self._run(kind, synth_h10, ckpt_h10, split)
+        monkeypatch.setattr(baselines, "forward_plan", full_rows_plan)
+        oracle = self._run(kind, synth_h10, ckpt_h10, split)
+        assert ours.test_accuracy == oracle.test_accuracy
+        assert len(ours.train_losses) == len(oracle.train_losses)
+        np.testing.assert_allclose(ours.train_losses, oracle.train_losses,
+                                   rtol=1e-12, atol=0)
+
+    def test_degenerate_row_raises_divergence(self, monkeypatch, tiny_data):
+        real, calls = baselines.softmax_nll, []
+
+        def collapsing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise DegenerateRowError("row_cosine_sim: left row 0 has norm 0")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "softmax_nll", collapsing)
+        split = gs.kshot_split(tiny_data, 2, seed=0)
+        with pytest.raises(DivergenceError) as info:
+            hn.train_scratch_gcn(tiny_data, split, hidden=8, lr=1e-3,
+                                 weight_decay=0.0, epochs=5, seed=0)
+        assert (info.value.epoch, info.value.lr) == (2, 1e-3)
+        assert isinstance(info.value.__cause__, DegenerateRowError)
 
 
 class TestAblationAndTransfer:

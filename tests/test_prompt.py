@@ -9,11 +9,19 @@ import hopprompt.encoder as enc
 import hopprompt.prompt as pr
 from hopprompt import graphstore as gs
 from hopprompt import numcore as nc
-from hopprompt.errors import CheckpointError, ParameterError, SplitError, StructuralError
+from hopprompt.errors import (
+    CheckpointError,
+    DegenerateRowError,
+    DivergenceError,
+    ParameterError,
+    SplitError,
+    StructuralError,
+)
 
 from tests._oracles import (
     assert_grads_close,
     finite_diff,
+    full_rows_plan,
     reference_graph_tokens,
     reference_graph_tune,
 )
@@ -57,9 +65,10 @@ class TestTokens:
         adj = gs.normalize_adjacency(g)
         stack = enc.encoder_forward(adj, g.features, cfg, params)
         for v in [0, 3, 9]:
-            tok = pr.node_tokens(g, params, cfg, v, adj=adj)
-            assert len(tok.tokens) == cfg.layers + 1
-            for l, t in enumerate(tok.tokens):
+            plan = enc.forward_plan(adj, [v], cfg.layers)
+            tok = enc.encoder_forward(adj, g.features, cfg, params, plan=plan)
+            assert len(tok.layers) == cfg.layers + 1
+            for l, t in enumerate(tok.layers):
                 np.testing.assert_allclose(t.data[0], stack[l].data[v], atol=1e-10)
 
     def test_isolated_node_tokens_use_own_features_only(self):
@@ -72,11 +81,13 @@ class TestTokens:
         )
         cfg = enc.EncoderConfig(layers=1, dims=[2, 4])
         params = enc.init_encoder(cfg, np.random.default_rng(2))
-        tok = pr.node_tokens(g, params, cfg, 2)
-        # the isolated node's normalized ego adjacency is [[1.0]]
+        adj = gs.normalize_adjacency(g)
+        plan = enc.forward_plan(adj, [2], cfg.layers)
+        tok = enc.encoder_forward(adj, g.features, cfg, params, plan=plan)
+        # the isolated node's normalized adjacency row is its self-loop, 1.0
         h0 = g.features.data[2:3] @ params.w_in.data
-        np.testing.assert_allclose(tok.tokens[0].data, h0, atol=1e-12)
-        np.testing.assert_allclose(tok.tokens[1].data,
+        np.testing.assert_allclose(tok.layers[0].data, h0, atol=1e-12)
+        np.testing.assert_allclose(tok.layers[1].data,
                                    h0 @ params.layers[0].w0.data, atol=1e-12)
 
     def test_graph_tokens_mean_pool(self):
@@ -558,6 +569,56 @@ class TestGraphTaskLoop:
         assert result.best_epoch == best_epoch
         assert len(result.train_losses) == len(losses)
         np.testing.assert_allclose(result.train_losses, losses, rtol=1e-12, atol=0)
+
+
+class TestReceptiveFieldTraining:
+    """Node-task training on the training rows' receptive field takes every
+    decision the full-forward training path takes; the weight gradients are
+    summed over fewer rows, so losses agree to rounding."""
+
+    @pytest.mark.parametrize("mode", ["full", "edge_subset"])
+    @pytest.mark.parametrize("ablation", ["plain", "last_layer_only", "fixed_gamma"])
+    def test_equals_full_forward_oracle(self, monkeypatch, synth_h10, ckpt_h10,
+                                        mode, ablation):
+        split = gs.kshot_split(synth_h10, 5, seed=2)
+        tcfg = pr.PromptTuneConfig(epochs=40, patience=5, seed=1, lr=1e-2,
+                                   glora_mode=mode,
+                                   last_layer_only=ablation == "last_layer_only",
+                                   fixed_gamma=ablation == "fixed_gamma")
+        ours_params, ours = pr.run_prompt_tune(ckpt_h10, synth_h10, split, tcfg)
+        monkeypatch.setattr(pr, "forward_plan", full_rows_plan)
+        oracle_params, oracle = pr.run_prompt_tune(ckpt_h10, synth_h10, split, tcfg)
+        np.testing.assert_array_equal(ours.predictions, oracle.predictions)
+        assert ours.test_accuracy == oracle.test_accuracy
+        assert ours.best_epoch == oracle.best_epoch
+        assert len(ours.train_losses) == len(oracle.train_losses)
+        np.testing.assert_allclose(ours.train_losses, oracle.train_losses,
+                                   rtol=1e-12, atol=0)
+        adapters = [enc.partition_params(p, "prompt")[0]
+                    for p in (ours_params, oracle_params)]
+        for a, b in zip(*adapters):
+            np.testing.assert_allclose(a.data, b.data, rtol=1e-9, atol=1e-12)
+
+
+class TestDegenerateRowWrapped:
+    def test_collapsed_training_row_raises_divergence(self):
+        # node 0 is isolated with zero features, so every layer's row of it
+        # is zero and its cosine score is undefined
+        feats = np.random.default_rng(0).standard_normal((6, 3))
+        feats[0] = 0.0
+        g = gs.Graph(num_nodes=6, edges=gs.canonical_edges([(1, 2), (2, 3), (3, 4), (4, 5)], 6),
+                     features=nc.Tensor(feats), labels=np.array([0, 1, 0, 1, 0, 1]),
+                     num_classes=2)
+        split = gs.SplitSpec(train_ids=np.array([0, 1, 2, 3]), test_ids=np.array([4, 5]),
+                             shots=2, seed=0)
+        cfg = enc.EncoderConfig(layers=2, dims=[3, 4, 4])
+        params = enc.init_encoder(cfg, np.random.default_rng(1))
+        tcfg = pr.PromptTuneConfig(epochs=5, seed=0, lr=2e-3, glora_mode="full")
+        with pytest.raises(DivergenceError) as info:
+            pr.run_prompt_tune((params, cfg), g, split, tcfg)
+        assert info.value.epoch == 0
+        assert info.value.lr == 2e-3
+        assert isinstance(info.value.__cause__, DegenerateRowError)
 
 
 @pytest.mark.parametrize("name,shots", [("web-tiny", 2), ("syn-h10", 5),

@@ -51,8 +51,13 @@ class TestSparseMatrix:
 
     def test_submatrix(self):
         s = path3_adjacency()
-        sub = s.submatrix([0, 1])
+        sub, source = s.slice([0, 1], [0, 1])
         np.testing.assert_array_equal(sub.densify(), [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(source, [0, 1])
+        # rectangular, rows in any order: rows 2, 0 by columns 0, 1
+        block, source = s.slice([2, 0], [0, 1])
+        np.testing.assert_array_equal(block.densify(), [[0, 1], [0, 1]])
+        np.testing.assert_array_equal(source, [3, 0])
 
     def test_entry_rows_are_read_only(self):
         s = path3_adjacency()
@@ -230,6 +235,81 @@ class TestSpmmSlots:
         assert dd_const is None
         assert dd_tracked is not None
         assert np.array_equal(dv_const, dv_tracked)
+
+
+class TestSlice:
+    """`slice(rows, cols)` is the dense block at those rows and columns, and
+    the products over it differentiate like any other spmm."""
+
+    @staticmethod
+    def _block(seed):
+        rng = np.random.default_rng(seed)
+        offs, cidx, vals, dense = random_csr(rng, 12, 10, density=0.4)
+        s = nc.SparseMatrix((12, 10), offs, cidx, vals)
+        rows = rng.choice(12, size=7, replace=False)  # any order
+        cols = np.sort(rng.choice(10, size=6, replace=False))
+        return rng, s, dense, rows, cols
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dense_block(self, seed):
+        _rng, s, dense, rows, cols = self._block(seed)
+        block, source = s.slice(rows, cols)
+        assert block.shape == (7, 6)
+        np.testing.assert_array_equal(block.densify(), dense[rows][:, cols])
+        np.testing.assert_array_equal(block.values, s.values[source])
+        np.testing.assert_array_equal(rows[block.nnz_rows()], s.nnz_rows()[source])
+        np.testing.assert_array_equal(cols[block.col_indices], s.col_indices[source])
+
+    def test_neighbourhood(self):
+        s = path3_adjacency()
+        np.testing.assert_array_equal(s.neighbourhood([0]), [0, 1])
+        np.testing.assert_array_equal(s.neighbourhood([2, 1]), [0, 1, 2])
+        np.testing.assert_array_equal(s.neighbourhood([]), [])
+
+    def test_bad_rows_or_cols_rejected(self):
+        s = path3_adjacency()
+        for rows, cols in [([3], [0]), ([-1], [0]), ([[0]], [0]),
+                           ([0], [1, 0]), ([0], [0, 0]), ([0], [3])]:
+            with pytest.raises(DimensionError):
+                s.slice(rows, cols)
+
+    @pytest.mark.parametrize("slotted", [False, True])
+    def test_gradients_match_finite_differences(self, slotted):
+        rng, s, _dense, rows, cols = self._block(7)
+        block, _source = s.slice(rows, cols)
+        slots = rng.choice(block.nnz, size=block.nnz // 2, replace=False) if slotted else None
+        k = block.nnz if slots is None else slots.size
+        d = nc.Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        v = nc.Tensor(rng.standard_normal((k, 1)), requires_grad=True)
+        targets = rng.integers(0, 3, size=7)
+
+        def loss():
+            return nc.softmax_nll(nc.spmm(block, d, values=v, slots=slots), targets,
+                                  tau=1.0)
+
+        grads = nc.backward(loss())
+        fd_d, fd_v = finite_diff(lambda: loss().item(), [d, v])
+        assert_grads_close(grads.get(d), fd_d, label="block spmm dD")
+        assert_grads_close(grads.get(v), fd_v, label="block spmm dV")
+
+    def test_rank_one_update_on_a_block(self):
+        rng, s, dense, rows, cols = self._block(8)
+        block, _source = s.slice(rows, cols)
+        p = nc.Tensor(rng.standard_normal((7, 1)), requires_grad=True)
+        q = nc.Tensor(rng.standard_normal((6, 1)), requires_grad=True)
+        d = nc.Tensor(rng.standard_normal((6, 2)), requires_grad=True)
+        out = nc.rank_one_update_spmm(block, p, q, d)
+        expected = (dense[rows][:, cols] + p.data @ q.data.T) @ d.data
+        assert np.abs(out.data - expected).max() < 1e-12
+
+        def loss():
+            return nc.softmax_nll(nc.rank_one_update_spmm(block, p, q, d), [0, 1] * 3 + [0],
+                                  tau=1.0)
+
+        grads = nc.backward(loss())
+        fd = finite_diff(lambda: loss().item(), [p, q, d])
+        for t, want, name in zip((p, q, d), fd, "pqd"):
+            assert_grads_close(grads.get(t), want, label=f"block rank1 d{name}")
 
 
 class TestRankOneUpdateSpmm:
