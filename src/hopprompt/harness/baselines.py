@@ -8,13 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..encoder import EncoderConfig, encoder_forward, forward_plan
-from ..errors import ConfigError, DegenerateRowError, DivergenceError, NumericError
+from ..errors import ConfigError
 from ..graphstore import Graph, SplitSpec, normalize_adjacency
 from ..numcore import (
-    AdamState,
     Tensor,
-    adam_step,
-    backward,
+    fit,
     gather_rows,
     matmul,
     relu,
@@ -35,30 +33,11 @@ def _train_classifier(forward_logits, adj, layers, trainables, g, split, lr,
     """`forward_logits(plan)` returns the logits of the plan's rows: training
     runs on the training rows' receptive field, evaluation on every row."""
     train_plan = forward_plan(adj, split.train_ids, layers)
-    state = AdamState.for_params(trainables, lr=lr, weight_decay=weight_decay)
     y_train = g.labels[split.train_ids]
-    losses: list[float] = []
-    best = (np.inf, None)
-    stale = 0
-    for epoch in range(epochs):
-        try:
-            loss = softmax_nll(forward_logits(train_plan), y_train, tau=1.0)
-            grads = backward(loss)
-            adam_step(trainables, grads, state)
-        except (NumericError, DegenerateRowError) as e:
-            raise DivergenceError(f"baseline diverged: {e}", epoch=epoch, lr=lr) from e
-        value = loss.item()
-        losses.append(value)
-        if value < best[0] - 1e-12:
-            best = (value, [t.data.copy() for t in trainables])
-            stale = 0
-        else:
-            stale += 1
-            if patience is not None and stale > patience:
-                break
-    if best[1] is not None:
-        for t, saved in zip(trainables, best[1]):
-            t.data = saved
+    losses, _best_epoch = fit(
+        lambda: softmax_nll(forward_logits(train_plan), y_train, tau=1.0),
+        trainables, lr=lr, weight_decay=weight_decay, epochs=epochs,
+        patience=patience, what="baseline")
     logits = forward_logits(forward_plan(adj, None, layers)).data
     preds = np.argmax(logits[split.test_ids], axis=1)
     accuracy = float((preds == g.labels[split.test_ids]).mean())

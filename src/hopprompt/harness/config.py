@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ..encoder import GLORA_MODES
 from ..errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -79,7 +81,7 @@ class ExperimentConfig:
     patience: int | None = 50
     selection: str = "test_acc"  # or "train_loss" (label-budget-honest mode)
     allow_custom_grid: bool = False
-    workers: int = 1
+    workers: int = 1  # accepted and ignored: runs are serial
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -98,8 +100,15 @@ class ExperimentConfig:
             raise ConfigError("bad epoch counts")
         if self.selection not in ("test_acc", "train_loss"):
             raise ConfigError(f"selection must be test_acc/train_loss, got {self.selection}")
+        if self.glora_mode not in GLORA_MODES:
+            raise ConfigError(f"glora_mode {self.glora_mode!r} not in {GLORA_MODES}")
+        if self.patience is not None and self.patience < 0:
+            raise ConfigError(f"patience must be >= 0, got {self.patience}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.workers > 1:
+            warnings.warn(f"workers={self.workers} is ignored: runs are serial",
+                          UserWarning, stacklevel=3)
         if not self.allow_custom_grid:
             self.grid.validate_within_paper_sets()
 

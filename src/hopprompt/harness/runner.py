@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -147,21 +146,8 @@ def run_experiment(cfg: ExperimentConfig, cache: CheckpointCache | None = None,
     nc.peak_tape_bytes(reset=True)
 
     points = cfg.grid.points()
-    cells: dict[tuple[int, int], dict] = {}
-    jobs = [(pi, seed) for pi in range(len(points)) for seed in cfg.seeds]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {
-                (pi, seed): pool.submit(_single_run, cfg, data, digest, cache,
-                                        points[pi], seed)
-                for pi, seed in jobs
-            }
-            for key, fut in futures.items():
-                cells[key] = fut.result()
-    else:
-        for pi, seed in jobs:
-            cells[(pi, seed)] = _single_run(cfg, data, digest, cache,
-                                            points[pi], seed)
+    cells = {(pi, seed): _single_run(cfg, data, digest, cache, points[pi], seed)
+             for pi in range(len(points)) for seed in cfg.seeds}
 
     def point_accs(pi):
         return [cells[(pi, s)]["accuracy"] for s in cfg.seeds]

@@ -1,4 +1,5 @@
-"""Adam with bias correction and decoupled weight decay."""
+"""Adam with bias correction and decoupled weight decay, and the one
+full-batch training loop built on it."""
 
 from __future__ import annotations
 
@@ -6,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DimensionError, NumericError
-from .tensor import Gradients, Tensor
+from ..errors import DegenerateRowError, DimensionError, DivergenceError, NumericError
+from .tensor import Gradients, Tensor, backward
 
 
 @dataclass
@@ -63,3 +64,39 @@ def adam_step(params: list[Tensor], grads: Gradients, state: AdamState):
             raise NumericError(f"adam_step: param {i} became non-finite")
         p.data = new
     return params, state
+
+
+def fit(loss_fn, trainables: list[Tensor], *, lr: float, weight_decay: float,
+        epochs: int, patience: int | None, what: str) -> tuple[list[float], int]:
+    """Adam on `loss_fn()` for at most `epochs` epochs.
+
+    Stops once the training loss has failed to improve (by more than 1e-12)
+    for more than `patience` epochs in a row (never when None), then restores
+    the best epoch's weights. A non-finite value or a degenerate row raises
+    DivergenceError naming `what`, the epoch and the learning rate. Returns
+    the loss of every epoch run and the best epoch (-1 when none ran).
+    """
+    state = AdamState.for_params(trainables, lr=lr, weight_decay=weight_decay)
+    losses: list[float] = []
+    best, best_epoch, saved = np.inf, -1, None
+    stale = 0
+    for epoch in range(epochs):
+        try:
+            loss = loss_fn()
+            grads = backward(loss)
+            adam_step(trainables, grads, state)
+        except (NumericError, DegenerateRowError) as e:
+            raise DivergenceError(f"{what} diverged: {e}", epoch=epoch, lr=lr) from e
+        value = loss.item()
+        losses.append(value)
+        if value < best - 1e-12:
+            best, best_epoch, saved = value, epoch, [t.data.copy() for t in trainables]
+            stale = 0
+        else:
+            stale += 1
+            if patience is not None and stale > patience:
+                break
+    if saved is not None:
+        for t, data in zip(trainables, saved):
+            t.data = data
+    return losses, best_epoch

@@ -47,8 +47,7 @@ class SparseMatrix:
         self.row_offsets = offs
         self.col_indices = idx
         self.values = vals
-        # built once here, never lazily, so instances shared across threads
-        # hold no mutable state
+        # built once here, never lazily, so an instance holds no mutable state
         entry_rows.setflags(write=False)
         self._entry_rows = entry_rows
         self._csr = self._scipy(vals)

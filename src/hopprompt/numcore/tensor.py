@@ -110,11 +110,6 @@ def scalar(x: float) -> Tensor:
     return Tensor(np.array([[float(x)]]))
 
 
-def randn(rows: int, cols: int, rng: np.random.Generator, std: float = 1.0,
-          requires_grad: bool = False) -> Tensor:
-    return Tensor(std * rng.standard_normal((rows, cols)), requires_grad=requires_grad)
-
-
 # ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------

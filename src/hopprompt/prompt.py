@@ -29,15 +29,7 @@ from .encoder import (
     forward_plan,
     partition_params,
 )
-from .errors import (
-    CheckpointError,
-    ContractError,
-    DegenerateRowError,
-    DivergenceError,
-    NumericError,
-    ParameterError,
-    SplitError,
-)
+from .errors import CheckpointError, ContractError, ParameterError, SplitError
 from .graphstore import (
     Graph,
     GraphBatch,
@@ -47,11 +39,9 @@ from .graphstore import (
     normalize_adjacency,
 )
 from .numcore import (
-    AdamState,
     Tensor,
-    adam_step,
     add,
-    backward,
+    fit,
     gather_rows,
     mean_rows,
     row_cosine_sim,
@@ -91,14 +81,6 @@ class HopCoefficients:
     alpha: float
 
 
-@dataclass
-class TaskTokens:
-    """One item's per-layer embedding rows."""
-
-    tokens: list[Tensor]  # L+1 tensors, each 1 x d
-    label: int | None = None
-
-
 def init_gamma(alpha: float, num_layers: int) -> HopCoefficients:
     """gamma_l = alpha (1-alpha)^l for l < L, gamma_L = (1-alpha)^L; sums to 1."""
     if not 0.0 <= alpha <= 1.0:
@@ -119,27 +101,6 @@ def graph_tokens(batch: GraphBatch, params: EncoderParams,
     return [spmm(batch.pool, h) for h in stack.layers]
 
 
-def init_class_prompts(tokens: list[TaskTokens], labels, encoder_layers: int,
-                       num_classes: int) -> ClassPromptSet:
-    """Anchors are per-class means of training tokens; offsets start at zero.
-
-    Produces encoder_layers + 1 prompt layers (one per token layer, hop 0
-    included).
-    """
-    y = np.asarray(labels, dtype=np.int64)
-    if len(tokens) != y.size:
-        raise ContractError(f"{len(tokens)} token sets vs {y.size} labels")
-    count = encoder_layers + 1
-    if any(len(t.tokens) != count for t in tokens):
-        raise ContractError(f"token sets must carry {count} layers")
-    mats = [vstack([t.tokens[l] for t in tokens]) for l in range(count)]
-    anchors = anchors_from_matrices(mats, y, num_classes)
-    width = tokens[0].tokens[0].cols
-    theta = [Tensor(np.zeros((num_classes, width)), requires_grad=True)
-             for _ in range(count)]
-    return ClassPromptSet(anchors=anchors, theta=theta)
-
-
 def anchors_from_matrices(mats: list[Tensor], y: np.ndarray,
                           num_classes: int) -> list[Tensor]:
     """Per-class row means of each layer matrix (on the tape)."""
@@ -153,48 +114,10 @@ def anchors_from_matrices(mats: list[Tensor], y: np.ndarray,
     ]
 
 
-def hop_scores(tokens: TaskTokens, prompts: ClassPromptSet) -> list[Tensor]:
-    """Per-layer cosine similarity rows between one item and the class prompts."""
-    if len(tokens.tokens) != prompts.num_layers:
-        raise ContractError(
-            f"{len(tokens.tokens)} token layers vs {prompts.num_layers} prompt layers"
-        )
-    return [
-        row_cosine_sim(tokens.tokens[l], prompts.effective(l))
-        for l in range(prompts.num_layers)
-    ]
-
-
-def aggregate_and_predict(scores, gamma) -> tuple[np.ndarray, int]:
-    """Weighted score sum over layers and its argmax (lowest index wins ties)."""
-    if isinstance(gamma, HopCoefficients):
-        weights = gamma.gamma.data[0]
-    else:
-        weights = np.asarray(gamma, dtype=np.float64).reshape(-1)
-    rows = [s.data[0] if isinstance(s, Tensor) else np.asarray(s, dtype=np.float64).reshape(-1)
-            for s in scores]
-    if len(rows) != weights.size:
-        raise ContractError(f"{len(rows)} score rows vs {weights.size} coefficients")
-    combined = np.zeros_like(rows[0])
-    for w, row in zip(weights, rows):
-        combined = combined + w * row
-    return combined, int(np.argmax(combined))
-
-
-def downstream_loss(tokens: list[TaskTokens], prompts: ClassPromptSet,
-                    tau: float):
-    """Softmax NLL of cosine scores, summed over layers AND training items
-    (per-layer terms are unweighted; gamma never enters the loss)."""
-    labels = [t.label for t in tokens]
-    if any(lbl is None for lbl in labels):
-        raise ContractError("downstream_loss needs labeled tokens")
-    y = np.asarray(labels, dtype=np.int64)
-    mats = [vstack([t.tokens[l] for t in tokens]) for l in range(prompts.num_layers)]
-    return _matrix_loss(mats, prompts, y, tau)
-
-
 def _matrix_loss(mats: list[Tensor], prompts: ClassPromptSet, y: np.ndarray,
                  tau: float, layers=None):
+    """Softmax NLL of cosine scores, summed over layers AND items (per-layer
+    terms are unweighted; gamma never enters the loss)."""
     total = None
     layer_ids = range(prompts.num_layers) if layers is None else layers
     for l in layer_ids:
@@ -234,6 +157,8 @@ class PromptTuneConfig:
             raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
+        if self.patience is not None and self.patience < 0:
+            raise ParameterError(f"patience must be >= 0, got {self.patience}")
 
 
 @dataclass
@@ -382,9 +307,7 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
         gamma = init_gamma(tcfg.alpha, cfg.layers)
 
     encoder_trainables, _frozen = partition_params(params, "prompt")
-    trainables = encoder_trainables + _prompt_trainables(theta, gamma, tcfg, num_layers)
-    state = AdamState.for_params(trainables, lr=tcfg.lr,
-                                 weight_decay=tcfg.weight_decay)
+    prompt_trainables = _prompt_trainables(theta, gamma, tcfg, num_layers)
     y_train = labels[split.train_ids]
     layer_ids = [num_layers - 1] if tcfg.last_layer_only else None
     forward = _once_if_frozen(forward, encoder_trainables)
@@ -395,30 +318,15 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
         return mats, ClassPromptSet(anchors=anchors, theta=theta)
 
     epoch_forward = _once_if_frozen(epoch_forward, encoder_trainables)
-    train_losses: list[float] = []
-    best = (np.inf, -1, None)
-    stale = 0
-    for epoch in range(tcfg.epochs):
-        try:
-            mats, prompts = epoch_forward()
-            loss = _matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
-            grads = backward(loss)
-            adam_step(trainables, grads, state)
-        except (NumericError, DegenerateRowError) as e:
-            raise DivergenceError(f"prompt tuning diverged: {e}",
-                                  epoch=epoch, lr=tcfg.lr) from e
-        value = loss.item()
-        train_losses.append(value)
-        if value < best[0] - 1e-12:
-            best = (value, epoch, [t.data.copy() for t in trainables])
-            stale = 0
-        else:
-            stale += 1
-            if tcfg.patience is not None and stale > tcfg.patience:
-                break
-    if best[2] is not None:
-        for t, saved in zip(trainables, best[2]):
-            t.data = saved
+
+    def loss_fn():
+        mats, prompts = epoch_forward()
+        return _matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
+
+    train_losses, best_epoch = fit(
+        loss_fn, encoder_trainables + prompt_trainables, lr=tcfg.lr,
+        weight_decay=tcfg.weight_decay, epochs=tcfg.epochs,
+        patience=tcfg.patience, what="prompt tuning")
 
     # final evaluation with tuned parameters
     layer_data = [h.data for h in evaluate()]
@@ -430,10 +338,9 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
     result = TuneResult(
         test_accuracy=accuracy,
         train_losses=train_losses,
-        best_epoch=best[1],
+        best_epoch=best_epoch,
         trainable_encoder=count_trainable(params, "prompt"),
-        trainable_prompt=int(sum(t.data.size for t in
-                                 _prompt_trainables(theta, gamma, tcfg, num_layers))),
+        trainable_prompt=int(sum(t.data.size for t in prompt_trainables)),
         predictions=preds,
     )
     return params, result

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,21 @@ class TestExperimentConfig:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigError, match="unknown"):
             hn.ExperimentConfig.from_dict({"dataset": "x", "bogus": 1})
+
+    def test_unknown_glora_mode_rejected_before_pretraining(self):
+        # the CLI flag's spelling is not a config value
+        with pytest.raises(ConfigError, match="glora_mode"):
+            hn.ExperimentConfig.from_dict({"dataset": "datasets/web-tiny",
+                                           "glora_mode": "edges"})
+
+    def test_negative_patience_rejected(self):
+        with pytest.raises(ConfigError, match="patience"):
+            quick_cfg(patience=-3)
+        assert quick_cfg(patience=0).patience == 0
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="workers"):
+            quick_cfg(workers=0)
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -134,9 +150,22 @@ class TestRunExperiment:
 
     def test_workers_match_serial(self, tiny_data):
         serial = hn.run_experiment(quick_cfg(seeds=[0, 1, 2]), data=tiny_data)
-        threaded = hn.run_experiment(quick_cfg(seeds=[0, 1, 2], workers=3),
-                                     data=tiny_data)
-        assert serial.numeric_payload() == threaded.numeric_payload()
+        with pytest.warns(UserWarning, match="serial"):
+            cfg = quick_cfg(seeds=[0, 1, 2], workers=3)
+        ignored = hn.run_experiment(cfg, data=tiny_data)
+        assert serial.numeric_payload() == ignored.numeric_payload()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_grid_points_sharing_pretraining_train_once(self, tiny_data, workers):
+        # alpha is a stage-two knob: both grid points share each seed's
+        # pre-training setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = quick_cfg(grid=hn.GridSpec(alpha=[0.1, 0.9]), seeds=[0, 1],
+                            workers=workers)
+        cache = hn.CheckpointCache()
+        hn.run_experiment(cfg, data=tiny_data, cache=cache)
+        assert cache.pretrain_runs == 2
 
     def test_grid_selection_by_mean_accuracy(self, tiny_data):
         cfg = quick_cfg(grid=hn.GridSpec(alpha=[0.1, 0.9]))

@@ -59,6 +59,14 @@ class TestInitGamma:
             pr.init_gamma(0.5, 0)
 
 
+class TestPromptTuneConfig:
+    def test_negative_patience_rejected(self):
+        with pytest.raises(ParameterError, match="patience"):
+            pr.PromptTuneConfig(patience=-3)
+        assert pr.PromptTuneConfig(patience=0).patience == 0
+        assert pr.PromptTuneConfig(patience=None).patience is None
+
+
 class TestTokens:
     def test_node_tokens_match_full_graph_rows(self):
         g, cfg, params = small_node_setup(seed=1)
@@ -235,32 +243,36 @@ class TestGraphBatch:
             assert_grads_close(grads.get(t), fd, label=str(t.shape))
 
 
-def make_tokens(rows_per_layer, label=None):
-    return pr.TaskTokens(tokens=[nc.Tensor([r]) for r in rows_per_layer], label=label)
+def zero_offsets(anchors):
+    """The class prompts stage two starts from: the anchors, zero offsets."""
+    return pr.ClassPromptSet(anchors=anchors,
+                             theta=[nc.Tensor(np.zeros(a.shape)) for a in anchors])
+
+
+def layer_rows(*rows):
+    """One (items, d) matrix per layer from per-layer row lists."""
+    return [np.array(r, dtype=float) for r in rows]
 
 
 class TestClassPrompts:
     def test_single_item_anchor_equals_token(self):
-        t0 = make_tokens([[1.0, 2.0], [3.0, 4.0]], label=0)
-        t1 = make_tokens([[5.0, 6.0], [7.0, 8.0]], label=1)
-        prompts = pr.init_class_prompts([t0, t1], [0, 1], encoder_layers=1,
-                                        num_classes=2)
-        np.testing.assert_array_equal(prompts.anchors[0].data, [[1, 2], [5, 6]])
-        np.testing.assert_array_equal(prompts.anchors[1].data, [[3, 4], [7, 8]])
-        np.testing.assert_array_equal(prompts.theta[0].data, np.zeros((2, 2)))
+        mats = [nc.Tensor([[1.0, 2.0], [5.0, 6.0]]), nc.Tensor([[3.0, 4.0], [7.0, 8.0]])]
+        anchors = pr.anchors_from_matrices(mats, np.array([0, 1]), 2)
+        np.testing.assert_array_equal(anchors[0].data, [[1, 2], [5, 6]])
+        np.testing.assert_array_equal(anchors[1].data, [[3, 4], [7, 8]])
+        # zero offsets leave the effective prompts at the anchors
+        prompts = zero_offsets(anchors)
+        for l in range(2):
+            assert prompts.effective(l).data.tobytes() == anchors[l].data.tobytes()
 
     def test_opposite_tokens_cancel(self):
-        t0 = make_tokens([[1.0, -1.0]], label=0)
-        t1 = make_tokens([[-1.0, 1.0]], label=0)
-        t2 = make_tokens([[1.0, 1.0]], label=1)
-        prompts = pr.init_class_prompts([t0, t1, t2], [0, 0, 1],
-                                        encoder_layers=0, num_classes=2)
-        np.testing.assert_array_equal(prompts.anchors[0].data[0], [0.0, 0.0])
+        mats = [nc.Tensor([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])]
+        anchors = pr.anchors_from_matrices(mats, np.array([0, 0, 1]), 2)
+        np.testing.assert_array_equal(anchors[0].data[0], [0.0, 0.0])
 
     def test_empty_class_named(self):
-        t0 = make_tokens([[1.0, 0.0]], label=0)
         with pytest.raises(SplitError, match="class 1"):
-            pr.init_class_prompts([t0], [0], encoder_layers=0, num_classes=2)
+            pr.anchors_from_matrices([nc.Tensor([[1.0, 0.0]])], np.array([0]), 2)
 
     def test_anchors_track_embedding_changes(self):
         # after the encoder moves, recomputed anchors move with it
@@ -279,107 +291,109 @@ class TestClassPrompts:
 
 
 class TestHopScores:
+    """Per-layer scores: cosine of each item's row with the effective prompts."""
+
     def test_matching_prompt_scores_one(self):
-        tok = make_tokens([[1.0, 0.0, 0.0]])
-        prompts = pr.ClassPromptSet(
-            anchors=[nc.Tensor([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])],
-            theta=[nc.Tensor(np.zeros((2, 3)))],
-        )
-        scores = pr.hop_scores(tok, prompts)
-        np.testing.assert_allclose(scores[0].data, [[1.0, 0.0]], atol=1e-15)
+        prompts = zero_offsets([nc.Tensor([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])])
+        scores = nc.row_cosine_sim(nc.Tensor([[1.0, 0.0, 0.0]]), prompts.effective(0))
+        np.testing.assert_allclose(scores.data, [[1.0, 0.0]], atol=1e-15)
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(7)
-        tok = make_tokens([rng.standard_normal(4) for _ in range(3)])
-        prompts = pr.ClassPromptSet(
-            anchors=[nc.Tensor(rng.standard_normal((5, 4))) for _ in range(3)],
-            theta=[nc.Tensor(np.zeros((5, 4))) for _ in range(3)],
-        )
-        for s in pr.hop_scores(tok, prompts):
+        prompts = zero_offsets([nc.Tensor(rng.standard_normal((5, 4))) for _ in range(3)])
+        for l in range(3):
+            rows = nc.Tensor(rng.standard_normal((6, 4)))
+            s = nc.row_cosine_sim(rows, prompts.effective(l))
             assert (np.abs(s.data) <= 1.0 + 1e-12).all()
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(8)
-        token_rows = [rng.standard_normal(4) for _ in range(2)]
+        rows = [rng.standard_normal((3, 4)) for _ in range(2)]
         anchors = [rng.standard_normal((3, 4)) for _ in range(2)]
         offs = [rng.standard_normal((3, 4)) for _ in range(2)]
-        tok = make_tokens(token_rows)
         prompts = pr.ClassPromptSet(anchors=[nc.Tensor(a) for a in anchors],
                                     theta=[nc.Tensor(o) for o in offs])
-        scores = pr.hop_scores(tok, prompts)
         for l in range(2):
-            for cls in range(3):
-                u = token_rows[l]
-                v = anchors[l][cls] + offs[l][cls]
-                want = (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-                assert abs(scores[l].data[0, cls] - want) < 1e-12
+            scores = nc.row_cosine_sim(nc.Tensor(rows[l]), prompts.effective(l))
+            for i in range(3):
+                for cls in range(3):
+                    u = rows[l][i]
+                    v = anchors[l][cls] + offs[l][cls]
+                    want = (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+                    assert abs(scores.data[i, cls] - want) < 1e-12
+
+
+def predict(layer_data, weights, anchors=None, ids=None):
+    """`_predict_rows` with unit-vector class prompts and zero offsets."""
+    width = layer_data[0].shape[1]
+    anchors = anchors if anchors is not None else [np.eye(width)] * len(layer_data)
+    ids = np.arange(layer_data[0].shape[0]) if ids is None else ids
+    return pr._predict_rows(layer_data, anchors, [np.zeros(a.shape) for a in anchors],
+                            np.asarray(weights, dtype=float), ids)
 
 
 class TestAggregateAndPredict:
+    """Prediction: argmax over classes of the gamma-weighted layer scores."""
+
     def test_one_hot_gamma(self):
-        scores = [np.array([0.9, 0.1]), np.array([0.2, 0.8]), np.array([0.3, 0.4])]
-        combined, pred = pr.aggregate_and_predict(scores, [0.0, 1.0, 0.0])
-        np.testing.assert_allclose(combined, scores[1])
-        assert pred == 1
+        # per-layer argmax 0, 1, 1; a one-hot gamma reads one layer only
+        data = layer_rows([[0.9, 0.1]], [[0.2, 0.8]], [[0.3, 0.4]])
+        assert predict(data, [0.0, 1.0, 0.0]).tolist() == [1]
+        assert predict(data, [1.0, 0.0, 0.0]).tolist() == [0]
 
     def test_identical_layers_scale_invariant_argmax(self):
-        row = np.array([0.2, 0.7, 0.1])
+        row = [[0.2, 0.7, 0.1], [0.6, 0.3, 0.1]]
         for weights in ([1, 1, 1], [0.1, 0.09, 0.81]):
-            combined, pred = pr.aggregate_and_predict([row, row, row], weights)
-            np.testing.assert_allclose(combined, row * sum(weights))
-            assert pred == 1
+            assert predict(layer_rows(row, row, row), weights).tolist() == [1, 0]
 
     def test_hand_example(self):
-        s = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])]
-        combined, pred = pr.aggregate_and_predict(s, [0.1, 0.09, 0.81])
-        np.testing.assert_allclose(combined, [0.1 + 0.405, 0.09 + 0.405])
-        assert pred == 0
+        # layer scores [1, 0], [0, 1] and [1, 1]/sqrt(2): class 0 wins by
+        # 0.1 - 0.09
+        data = layer_rows([[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]])
+        assert predict(data, [0.1, 0.09, 0.81]).tolist() == [0]
+        assert predict(data, [0.09, 0.1, 0.81]).tolist() == [1]
 
     def test_tie_breaks_to_lowest_index(self):
-        combined, pred = pr.aggregate_and_predict([np.array([0.5, 0.5])], [1.0])
-        assert pred == 0
+        assert predict(layer_rows([[1.0, 1.0]]), [1.0]).tolist() == [0]
+        same = [np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])]
+        assert predict(layer_rows([[0.3, -0.4]]), [1.0], anchors=same).tolist() == [0]
 
 
 class TestDownstreamLoss:
+    """The training loss: softmax NLL of the scores, summed over items and
+    layers."""
+
     def test_equal_scores_give_ln2_per_item_per_layer(self):
-        prompts = pr.ClassPromptSet(
-            anchors=[nc.Tensor([[1.0, 1.0], [1.0, 1.0]])],
-            theta=[nc.Tensor(np.zeros((2, 2)))],
-        )
-        one = [make_tokens([[1.0, 0.0]], label=0)]
-        assert pr.downstream_loss(one, prompts, tau=1.0).item() == pytest.approx(
-            math.log(2), abs=1e-12)
+        prompts = zero_offsets([nc.Tensor([[1.0, 1.0], [1.0, 1.0]])])
+        one = pr._matrix_loss([nc.Tensor([[1.0, 0.0]])], prompts, np.array([0]), tau=1.0)
+        assert one.item() == pytest.approx(math.log(2), abs=1e-12)
         # the loss sums per-item terms
-        two = one + [make_tokens([[0.0, 1.0]], label=1)]
-        assert pr.downstream_loss(two, prompts, tau=1.0).item() == pytest.approx(
-            2 * math.log(2), abs=1e-12)
+        two = pr._matrix_loss([nc.Tensor([[1.0, 0.0], [0.0, 1.0]])], prompts,
+                              np.array([0, 1]), tau=1.0)
+        assert two.item() == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_layer_sum_scaling(self):
         rng = np.random.default_rng(9)
-        rows = rng.standard_normal(3)
-        anchor = rng.standard_normal((2, 3))
+        rows = nc.Tensor([rng.standard_normal(3)])
+        anchor = nc.Tensor(rng.standard_normal((2, 3)))
         for layers in (1, 3):
-            toks = [pr.TaskTokens(tokens=[nc.Tensor([rows])] * layers, label=0)]
-            prompts = pr.ClassPromptSet(
-                anchors=[nc.Tensor(anchor)] * layers,
-                theta=[nc.Tensor(np.zeros((2, 3)))] * layers,
-            )
-            loss = pr.downstream_loss(toks, prompts, tau=0.5)
+            prompts = zero_offsets([anchor] * layers)
+            loss = pr._matrix_loss([rows] * layers, prompts, np.array([0]), tau=0.5)
             if layers == 1:
                 single = loss.item()
         assert loss.item() == pytest.approx(3 * single, abs=1e-12)
 
     def test_gradient_wrt_theta(self):
         rng = np.random.default_rng(10)
-        toks = [make_tokens([rng.standard_normal(4) for _ in range(2)], label=i % 2)
-                for i in range(4)]
+        mats = [nc.Tensor(rng.standard_normal((4, 4))) for _ in range(2)]
+        y = np.array([0, 1, 0, 1])
         anchors = [nc.Tensor(rng.standard_normal((2, 4))) for _ in range(2)]
         theta = [nc.Tensor(rng.standard_normal((2, 4)) * 0.1, requires_grad=True)
                  for _ in range(2)]
 
         def forward():
             prompts = pr.ClassPromptSet(anchors=anchors, theta=theta)
-            return pr.downstream_loss(toks, prompts, tau=0.5)
+            return pr._matrix_loss(mats, prompts, y, tau=0.5)
 
         grads = nc.backward(forward())
         for l in range(2):
@@ -441,19 +455,13 @@ class TestRunPromptTune:
 
     def test_prediction_scale_invariance(self):
         rng = np.random.default_rng(12)
-        token_rows = [rng.standard_normal(5) for _ in range(3)]
-        prompts = pr.ClassPromptSet(
-            anchors=[nc.Tensor(rng.standard_normal((4, 5))) for _ in range(3)],
-            theta=[nc.Tensor(np.zeros((4, 5))) for _ in range(3)],
-        )
-        gamma = pr.init_gamma(0.3, 2)
-        base_scores = pr.hop_scores(make_tokens(token_rows), prompts)
-        _, base_pred = pr.aggregate_and_predict(base_scores, gamma)
+        data = [rng.standard_normal((6, 5)) for _ in range(3)]
+        anchors = [rng.standard_normal((4, 5)) for _ in range(3)]
+        gamma = pr.init_gamma(0.3, 2).gamma.data[0]
+        base = predict(data, gamma, anchors=anchors)
         for c in (0.5, 2.0, 10.0):
-            scaled = make_tokens([c * r for r in token_rows])
-            scores = pr.hop_scores(scaled, prompts)
-            _, pred = pr.aggregate_and_predict(scores, gamma)
-            assert pred == base_pred
+            scaled = [c * h for h in data]
+            np.testing.assert_array_equal(predict(scaled, gamma, anchors=anchors), base)
 
     def test_graph_task_tuning(self, tmp_path):
         base = gs.random_labeled_graph(60, 240, 3, 8, seed=13, class_sep=1.5)
