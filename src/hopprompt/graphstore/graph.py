@@ -262,6 +262,8 @@ def kshot_split(data, k: int, seed: int) -> SplitSpec:
     train_ids = np.sort(np.concatenate(train))
     labeled = np.flatnonzero(y >= 0)
     test_ids = np.setdiff1d(labeled, train_ids)
+    if test_ids.size == 0:
+        raise SplitError("k-shot split left no test items")
     return SplitSpec(train_ids=train_ids, test_ids=test_ids, shots=k, seed=seed)
 
 

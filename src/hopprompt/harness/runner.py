@@ -179,6 +179,12 @@ def run_experiment(cfg: ExperimentConfig, cache: CheckpointCache | None = None,
     )
 
 
+def _per_mode(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
+    """`cfg` with `changes`, rebuilt with workers=1: the field is ignored, and
+    the user's config has already warned about it once."""
+    return replace(cfg, workers=1, **changes)
+
+
 def run_ablation(cfg: ExperimentConfig, cache: CheckpointCache | None = None,
                  data=None) -> list[RunReport]:
     """Full model plus the three single-component ablations, same seeds."""
@@ -187,7 +193,7 @@ def run_ablation(cfg: ExperimentConfig, cache: CheckpointCache | None = None,
     cache = cache if cache is not None else CheckpointCache()
     reports = []
     for mode in ("dagprompt",) + ABLATION_MODES:
-        reports.append(run_experiment(replace(cfg, mode=mode), cache=cache,
+        reports.append(run_experiment(_per_mode(cfg, mode=mode), cache=cache,
                                       data=data))
     return reports
 
@@ -272,7 +278,7 @@ def run_heterophily_sweep(base_path, targets, cfg: ExperimentConfig,
         achieved = homophily_ratio(rewired)
         entry = {"target_h": float(target), "achieved_h": achieved, "modes": {}}
         for mode in modes:
-            sweep_cfg = replace(cfg, mode=mode, shots=None, train_fraction=0.5)
+            sweep_cfg = _per_mode(cfg, mode=mode, shots=None, train_fraction=0.5)
             report = run_experiment(sweep_cfg, cache=cache, data=rewired)
             entry["modes"][mode] = {
                 "mean_accuracy": report.mean_accuracy,

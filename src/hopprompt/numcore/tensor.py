@@ -22,6 +22,7 @@ from ..errors import (
     DimensionError,
     NumericError,
     ParameterError,
+    SplitError,
 )
 
 _ORDER = itertools.count()
@@ -30,7 +31,7 @@ _ORDER = itertools.count()
 # of working-set size, not OS RSS.
 _PEAK = {"bytes": 0}
 
-_NORM_EPS = 1e-12  # cosine guard; rows below this norm raise, never clamp
+NORM_EPS = 1e-12  # cosine guard; rows below this norm raise, never clamp
 
 
 def peak_tape_bytes(reset: bool = False) -> int:
@@ -265,12 +266,12 @@ def hstack(parts: Sequence[Tensor]) -> Tensor:
                    tuple(parts), vjp)
 
 
-def _row_norms(arr: np.ndarray, who: str) -> np.ndarray:
+def _row_norms(arr: np.ndarray, op: str, who: str) -> np.ndarray:
     norms = np.linalg.norm(arr, axis=1)
-    bad = np.flatnonzero(norms < _NORM_EPS)
+    bad = np.flatnonzero(norms < NORM_EPS)
     if bad.size:
         raise DegenerateRowError(
-            f"row_cosine_sim: {who} row {bad[0]} has norm {norms[bad[0]]:.3e} < {_NORM_EPS}"
+            f"{op}: {who} row {bad[0]} has norm {norms[bad[0]]:.3e} < {NORM_EPS}"
         )
     return norms
 
@@ -279,8 +280,8 @@ def row_cosine_sim(h: Tensor, p: Tensor) -> Tensor:
     """All-pairs cosine similarity between rows: (n, d) x (m, d) -> (n, m)."""
     if h.cols != p.cols:
         raise DimensionError(f"row_cosine_sim: widths differ, {h.shape} vs {p.shape}")
-    hn = _row_norms(h.data, "left")
-    pn = _row_norms(p.data, "right")
+    hn = _row_norms(h.data, "row_cosine_sim", "left")
+    pn = _row_norms(p.data, "row_cosine_sim", "right")
     u = h.data / hn[:, None]
     v = p.data / pn[:, None]
     s = u @ v.T
@@ -299,8 +300,8 @@ def rowwise_cosine_sim(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"rowwise_cosine_sim: shapes differ, {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
-    an = _row_norms(ad, "left")
-    bn = _row_norms(bd, "right")
+    an = _row_norms(ad, "rowwise_cosine_sim", "left")
+    bn = _row_norms(bd, "rowwise_cosine_sim", "right")
     dots = np.einsum("ij,ij->i", ad, bd)
     s = dots / (an * bn)
 
@@ -337,6 +338,97 @@ def softmax_nll(scores: Tensor, targets, tau: float) -> Tensor:
         return (ds * (g[0, 0] / (n * tau)),)
 
     return _record("softmax_nll", np.array([[loss]]), (scores,), vjp)
+
+
+def class_rows(targets, num_classes: int) -> list[np.ndarray]:
+    """Row ids of each class, in class order; an empty class raises
+    SplitError naming it."""
+    y = np.asarray(targets)
+    ids = [np.flatnonzero(y == c) for c in range(num_classes)]
+    for c, rows in enumerate(ids):
+        if rows.size == 0:
+            raise SplitError(f"class {c} has no training items")
+    return ids
+
+
+def class_means(arr: np.ndarray, ids: Sequence[np.ndarray]) -> np.ndarray:
+    """(C, d) class-mean anchors: row c is the mean of `arr`'s rows ids[c]."""
+    return np.concatenate([arr[rows].mean(axis=0, keepdims=True) for rows in ids])
+
+
+def prompt_nll(mats: Sequence[Tensor], targets, thetas: Sequence[Tensor],
+               tau: float) -> Tensor:
+    """Stage two's prompt loss as one tape node.
+
+    For each layer matrix (n, d) and its offsets (C, d): the prompts are the
+    class means of the matrix's rows plus the offsets, the scores the rows'
+    cosine against them, and the term the softmax NLL of scores/tau summed
+    over the n rows. The output is the sum of the terms over the layers.
+
+    The forward runs the numpy expressions of the unfused chain (class means,
+    `add`, `row_cosine_sim`, `softmax_nll`, `scale` by n, `add` over layers)
+    in its order, and the VJP accumulates as that chain's backward does, so
+    both agree bit for bit. A row or prompt of norm below NORM_EPS raises
+    DegenerateRowError; an untracked matrix gets no gradient product.
+    """
+    if tau <= 0:
+        raise ParameterError(f"prompt_nll: tau must be > 0, got {tau}")
+    if not mats or len(mats) != len(thetas):
+        raise DimensionError(
+            f"prompt_nll: need one offset matrix per layer, got {len(mats)} "
+            f"layers and {len(thetas)} offsets")
+    y = np.asarray(targets, dtype=np.int64)
+    n = y.size
+    c = thetas[0].rows
+    if y.ndim != 1 or (n and (y.min() < 0 or y.max() >= c)):
+        raise ParameterError(f"prompt_nll: targets must be 1-D in [0, {c})")
+    ids = class_rows(y, c)
+    items = np.arange(n)
+
+    total = None
+    saved = []
+    for l, (mat, theta) in enumerate(zip(mats, thetas)):
+        if mat.rows != n or theta.shape != (c, mat.cols):
+            raise DimensionError(
+                f"prompt_nll: layer {l} is {mat.shape} with {theta.shape} "
+                f"offsets for {n} targets and {c} classes")
+        h = mat.data
+        prompts = class_means(h, ids) + theta.data
+        hn = _row_norms(h, "prompt_nll", f"layer {l} item")
+        pn = _row_norms(prompts, "prompt_nll", f"layer {l} prompt")
+        u = h / hn[:, None]
+        v = prompts / pn[:, None]
+        s = u @ v.T
+        z = s / tau
+        z = z - z.max(axis=1, keepdims=True)
+        expz = np.exp(z)
+        denom = expz.sum(axis=1)
+        logp = z - np.log(denom)[:, None]
+        term = float(n) * -logp[items, y].mean()
+        total = term if total is None else total + term
+        saved.append((mat.requires_grad, u, v, hn, pn, s, expz, denom))
+
+    def vjp(g):
+        # upstream of each layer's mean NLL, through the unfused `scale` by n
+        g_mean = float(n) * g[0, 0]
+        dmats, dthetas = [], []
+        for tracked, u, v, hn, pn, s, expz, denom in saved:
+            ds = expz / denom[:, None]
+            ds[items, y] -= 1.0
+            ds = ds * (g_mean / (n * tau))
+            gs = ds * s
+            dp = (ds.T @ u) / pn[:, None] - v * (gs.sum(axis=0) / pn)[:, None]
+            dthetas.append(dp)
+            if not tracked:
+                dmats.append(None)
+                continue
+            dh = (ds @ v) / hn[:, None] - u * (gs.sum(axis=1) / hn)[:, None]
+            for k, rows in enumerate(ids):
+                dh[rows] += dp[k] / rows.size  # through the class mean
+            dmats.append(dh)
+        return (*dmats, *dthetas)
+
+    return _record("prompt_nll", np.array([[total]]), (*mats, *thetas), vjp)
 
 
 # ---------------------------------------------------------------------------

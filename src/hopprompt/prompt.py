@@ -3,11 +3,11 @@
 Classification is reformulated as similarity against per-class prompt
 vectors, one set per encoder layer. A prompt is the mean embedding of that
 class's training items (recomputed each epoch from the current adapted
-encoder, and kept on the tape so gradients reach the adapter through it)
-plus a persistent learnable offset. Per-layer cosine scores are combined
-with hop coefficients gamma for prediction; the training loss is the
-unweighted sum of per-layer softmax NLL terms, so gamma itself keeps its
-structured initialization.
+encoder, so gradients reach the adapter through it) plus a persistent
+learnable offset. Per-layer cosine scores are combined with hop
+coefficients gamma for prediction; the training loss is the unweighted sum
+of per-layer softmax NLL terms, so gamma itself keeps its structured
+initialization. That loss is one tape node per epoch, `numcore.prompt_nll`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .encoder import (
     forward_plan,
     partition_params,
 )
-from .errors import CheckpointError, ContractError, ParameterError, SplitError
+from .errors import CheckpointError, ParameterError
 from .graphstore import (
     Graph,
     GraphBatch,
@@ -39,38 +39,15 @@ from .graphstore import (
     normalize_adjacency,
 )
 from .numcore import (
+    NORM_EPS,
     Tensor,
-    add,
+    class_means,
+    class_rows,
     fit,
     gather_rows,
-    mean_rows,
-    row_cosine_sim,
-    scale,
-    softmax_nll,
+    prompt_nll,
     spmm,
-    vstack,
 )
-
-_NORM_EPS = 1e-12
-
-
-@dataclass
-class ClassPromptSet:
-    """Per-layer class prompts: mean anchors (recomputed) + learnable offsets."""
-
-    anchors: list[Tensor]  # L+1 tensors, C x d, live on the tape
-    theta: list[Tensor]    # L+1 tensors, C x d, zero-initialized trainables
-
-    def __post_init__(self):
-        if len(self.anchors) != len(self.theta):
-            raise ContractError("anchor/offset layer counts differ")
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.anchors)
-
-    def effective(self, layer: int) -> Tensor:
-        return add(self.anchors[layer], self.theta[layer])
 
 
 @dataclass
@@ -101,30 +78,12 @@ def graph_tokens(batch: GraphBatch, params: EncoderParams,
     return [spmm(batch.pool, h) for h in stack.layers]
 
 
-def anchors_from_matrices(mats: list[Tensor], y: np.ndarray,
-                          num_classes: int) -> list[Tensor]:
-    """Per-class row means of each layer matrix (on the tape)."""
-    class_ids = [np.flatnonzero(y == c) for c in range(num_classes)]
-    for c, ids in enumerate(class_ids):
-        if ids.size == 0:
-            raise SplitError(f"class {c} has no training items")
-    return [
-        vstack([mean_rows(gather_rows(mat, ids)) for ids in class_ids])
-        for mat in mats
-    ]
-
-
-def _matrix_loss(mats: list[Tensor], prompts: ClassPromptSet, y: np.ndarray,
-                 tau: float, layers=None):
-    """Softmax NLL of cosine scores, summed over layers AND items (per-layer
-    terms are unweighted; gamma never enters the loss)."""
-    total = None
-    layer_ids = range(prompts.num_layers) if layers is None else layers
-    for l in layer_ids:
-        mean_term = softmax_nll(row_cosine_sim(mats[l], prompts.effective(l)), y, tau)
-        term = scale(mean_term, float(y.size))  # sum over items, not mean
-        total = term if total is None else add(total, term)
-    return total
+def anchors_from_matrices(mats: list[np.ndarray], y: np.ndarray,
+                          num_classes: int) -> list[np.ndarray]:
+    """Per-class row means of each layer matrix: the anchors `prompt_nll`
+    builds every epoch, computed by the same code for evaluation."""
+    ids = class_rows(y, num_classes)
+    return [class_means(mat, ids) for mat in mats]
 
 
 def prompt_param_count(num_layers: int, num_classes: int, width: int) -> int:
@@ -190,11 +149,11 @@ def _guarded_scores(mat: np.ndarray, prompts: np.ndarray) -> np.ndarray:
     """Eval-time cosine with a zero-similarity fallback for degenerate rows."""
     mn = np.linalg.norm(mat, axis=1)
     pn = np.linalg.norm(prompts, axis=1)
-    mn_safe = np.where(mn < _NORM_EPS, 1.0, mn)
-    pn_safe = np.where(pn < _NORM_EPS, 1.0, pn)
+    mn_safe = np.where(mn < NORM_EPS, 1.0, mn)
+    pn_safe = np.where(pn < NORM_EPS, 1.0, pn)
     s = (mat / mn_safe[:, None]) @ (prompts / pn_safe[:, None]).T
-    s[mn < _NORM_EPS] = 0.0
-    s[:, pn < _NORM_EPS] = 0.0
+    s[mn < NORM_EPS] = 0.0
+    s[:, pn < NORM_EPS] = 0.0
     return s
 
 
@@ -309,19 +268,13 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
     encoder_trainables, _frozen = partition_params(params, "prompt")
     prompt_trainables = _prompt_trainables(theta, gamma, tcfg, num_layers)
     y_train = labels[split.train_ids]
-    layer_ids = [num_layers - 1] if tcfg.last_layer_only else None
+    scored = [num_layers - 1] if tcfg.last_layer_only else range(num_layers)
     forward = _once_if_frozen(forward, encoder_trainables)
 
-    def epoch_forward():
-        mats = forward()
-        anchors = anchors_from_matrices(mats, y_train, c)
-        return mats, ClassPromptSet(anchors=anchors, theta=theta)
-
-    epoch_forward = _once_if_frozen(epoch_forward, encoder_trainables)
-
     def loss_fn():
-        mats, prompts = epoch_forward()
-        return _matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
+        mats = forward()
+        return prompt_nll([mats[l] for l in scored], y_train,
+                          [theta[l] for l in scored], tcfg.tau)
 
     train_losses, best_epoch = fit(
         loss_fn, encoder_trainables + prompt_trainables, lr=tcfg.lr,
@@ -330,7 +283,8 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
 
     # final evaluation with tuned parameters
     layer_data = [h.data for h in evaluate()]
-    anchor_data = _anchor_arrays(layer_data, split.train_ids, y_train, c)
+    anchor_data = anchors_from_matrices(
+        [h[split.train_ids] for h in layer_data], y_train, c)
     weights = _effective_gamma(gamma, tcfg, num_layers)
     preds = _predict_rows(layer_data, anchor_data,
                           [t.data for t in theta], weights, split.test_ids)
@@ -353,16 +307,6 @@ def _effective_gamma(gamma: HopCoefficients, tcfg: PromptTuneConfig,
         weights[-1] = 1.0
         return weights
     return gamma.gamma.data[0]
-
-
-def _anchor_arrays(layer_data, train_ids, y_train, num_classes):
-    anchors = []
-    for h in layer_data:
-        rows = h[train_ids]
-        anchors.append(np.stack([
-            rows[y_train == cls].mean(axis=0) for cls in range(num_classes)
-        ]))
-    return anchors
 
 
 def _predict_rows(layer_data, anchor_data, theta_data, weights, ids):

@@ -10,7 +10,11 @@ The graph-task oracles run one forward per item and `mean_rows` pooling,
 which the batched disjoint-union forward in `prompt.graph_tokens` replaces.
 `full_rows_plan` is the full-forward training path that node-task training
 on the training rows' receptive field replaces: every layer runs on every
-row and the planned rows are gathered from the result.
+row and the planned rows are gathered from the result. `ClassPromptSet`,
+`tape_anchors` and `matrix_loss` are the unfused chain of tape ops that
+`numcore.prompt_nll` fuses into one node (`unfused_prompt_nll` runs it
+with that op's arguments); `anchor_arrays` is the per-class mask loop the
+evaluation's anchors must agree with.
 """
 
 import dataclasses
@@ -20,14 +24,19 @@ import numpy as np
 
 import hopprompt.prompt as pr
 from hopprompt.encoder import encoder_forward, forward_plan, partition_params
-from hopprompt.errors import PretrainInfeasibleError
+from hopprompt.errors import ContractError, PretrainInfeasibleError, SplitError
 from hopprompt.graphstore import normalize_adjacency
 from hopprompt.numcore import (
     AdamState,
     Tensor,
     adam_step,
+    add,
     backward,
+    gather_rows,
     mean_rows,
+    row_cosine_sim,
+    scale,
+    softmax_nll,
     vstack,
 )
 from hopprompt.pretrain import Triplet
@@ -145,6 +154,67 @@ def reference_unsorted_row(row_offsets, col_indices):
     return None
 
 
+@dataclasses.dataclass
+class ClassPromptSet:
+    """Per-layer class prompts: mean anchors (recomputed) + learnable offsets."""
+
+    anchors: list[Tensor]  # L+1 tensors, C x d, live on the tape
+    theta: list[Tensor]    # L+1 tensors, C x d, zero-initialized trainables
+
+    def __post_init__(self):
+        if len(self.anchors) != len(self.theta):
+            raise ContractError("anchor/offset layer counts differ")
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.anchors)
+
+    def effective(self, layer: int) -> Tensor:
+        return add(self.anchors[layer], self.theta[layer])
+
+
+def tape_anchors(mats, y, num_classes):
+    """Per-class row means of each layer matrix, on the tape."""
+    class_ids = [np.flatnonzero(y == c) for c in range(num_classes)]
+    for c, ids in enumerate(class_ids):
+        if ids.size == 0:
+            raise SplitError(f"class {c} has no training items")
+    return [
+        vstack([mean_rows(gather_rows(mat, ids)) for ids in class_ids])
+        for mat in mats
+    ]
+
+
+def matrix_loss(mats, prompts, y, tau, layers=None):
+    """Softmax NLL of cosine scores, summed over layers AND items (per-layer
+    terms are unweighted; gamma never enters the loss)."""
+    total = None
+    layer_ids = range(prompts.num_layers) if layers is None else layers
+    for l in layer_ids:
+        mean_term = softmax_nll(row_cosine_sim(mats[l], prompts.effective(l)), y, tau)
+        term = scale(mean_term, float(y.size))  # sum over items, not mean
+        total = term if total is None else add(total, term)
+    return total
+
+
+def unfused_prompt_nll(mats, y, thetas, tau):
+    """`numcore.prompt_nll(mats, y, thetas, tau)` as the chain of tape ops."""
+    anchors = tape_anchors(mats, y, thetas[0].rows)
+    return matrix_loss(mats, ClassPromptSet(anchors=anchors, theta=list(thetas)),
+                       y, tau)
+
+
+def anchor_arrays(layer_data, train_ids, y_train, num_classes):
+    """Each layer's class-mean anchors, one boolean class mask at a time."""
+    anchors = []
+    for h in layer_data:
+        rows = h[train_ids]
+        anchors.append(np.stack([
+            rows[y_train == cls].mean(axis=0) for cls in range(num_classes)
+        ]))
+    return anchors
+
+
 def reference_graph_tokens(graph, params, cfg):
     """One item's own forward, mean-pooled per layer: L+1 tensors, 1 x d."""
     stack = encoder_forward(normalize_adjacency(graph), graph.features, cfg, params)
@@ -180,9 +250,8 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
     for epoch in range(tcfg.epochs):
         tokens = [reference_graph_tokens(g, params, cfg) for g in train]
         mats = [vstack([t[l] for t in tokens]) for l in range(layers)]
-        prompts = pr.ClassPromptSet(
-            anchors=pr.anchors_from_matrices(mats, y_train, c), theta=theta)
-        loss = pr._matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
+        prompts = ClassPromptSet(anchors=tape_anchors(mats, y_train, c), theta=theta)
+        loss = matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
         adam_step(trainables, backward(loss), state)
         losses.append(loss.item())
         if losses[-1] < best[0] - 1e-12:
@@ -198,7 +267,7 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
 
     tokens = [reference_graph_tokens(g, params, cfg) for g in items.graphs]
     layer_data = [np.concatenate([t[l].data for t in tokens]) for l in range(layers)]
-    anchor_data = pr._anchor_arrays(layer_data, split.train_ids, y_train, c)
+    anchor_data = anchor_arrays(layer_data, split.train_ids, y_train, c)
     weights = pr._effective_gamma(gamma, tcfg, layers)
     preds = pr._predict_rows(layer_data, anchor_data, [t.data for t in theta],
                              weights, split.test_ids)

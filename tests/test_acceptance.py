@@ -21,7 +21,7 @@ from hopprompt import graphstore as gs
 from hopprompt import harness as hn
 from hopprompt import numcore as nc
 
-from tests._oracles import finite_diff, random_csr
+from tests._oracles import finite_diff, random_csr, unfused_prompt_nll
 
 BUNDLED = ["datasets/syn-h10", "datasets/syn-h90", "datasets/web-tiny",
            "datasets/ego-tiny"]
@@ -142,17 +142,19 @@ def test_criterion_01_gradient_correctness():
     theta = [nc.Tensor(0.1 * rng.standard_normal((2, 6)), requires_grad=True)
              for _ in range(3)]
 
-    def prompt_composite():
-        stack = enc.encoder_forward(adj8, g8.features, glora_cfg, adapted)
-        mats = [nc.gather_rows(hh, train_ids) for hh in stack.layers]
-        anchors = pr.anchors_from_matrices(mats, y_train, 2)
-        prompts = pr.ClassPromptSet(anchors=anchors, theta=theta)
-        return pr._matrix_loss(mats, prompts, y_train, 0.5)
+    def prompt_composite(loss_of):
+        def build():
+            stack = enc.encoder_forward(adj8, g8.features, glora_cfg, adapted)
+            mats = [nc.gather_rows(hh, train_ids) for hh in stack.layers]
+            return loss_of(mats, y_train, theta, 0.5)
+        return build
 
     prompt_params = theta + [adapted.layers[0].p, adapted.layers[0].q,
                           adapted.layers[0].pa, adapted.layers[0].qa,
                           adapted.layers[1].p, adapted.layers[1].q]
-    fd_check(prompt_composite, prompt_params)
+    # the chain of tape ops, and the one node stage two trains through
+    fd_check(prompt_composite(unfused_prompt_nll), prompt_params)
+    fd_check(prompt_composite(nc.prompt_nll), prompt_params)
 
     elapsed = time.perf_counter() - t0
     check(1, "gradient correctness",

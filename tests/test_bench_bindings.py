@@ -1,0 +1,60 @@
+"""The benchmark tracer wraps package functions by name from outside the
+package (`bench/tracing.py`, `TARGETS`). A renamed or moved function would
+leave its span silently empty, so every target must resolve and be wrapped
+at least at its own module when the tracer installs."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import hopprompt.harness  # noqa: F401  (every package module, as bench/run.py does)
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    written = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave bench/ as it is
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+    return module
+
+
+def _owner_and_name(module_name, attr):
+    owner = importlib.import_module(module_name)
+    if "." in attr:
+        cls_name, attr = attr.split(".")
+        owner = getattr(owner, cls_name)
+    return owner, attr
+
+
+def test_every_target_resolves(tracing):
+    assert any(attr == "CheckpointCache.get_or_pretrain"
+               for _n, _m, attr, _c in tracing.TARGETS)
+    for name, module_name, attr, _counter in tracing.TARGETS:
+        owner, fn_name = _owner_and_name(module_name, attr)
+        assert callable(getattr(owner, fn_name, None)), f"{name}: {module_name}.{attr}"
+
+
+def test_install_wraps_every_target_and_remove_restores(tracing):
+    originals = {}
+    for name, module_name, attr, _counter in tracing.TARGETS:
+        owner, fn_name = _owner_and_name(module_name, attr)
+        originals[name] = (owner, fn_name, getattr(owner, fn_name))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name, (owner, fn_name, original) in originals.items():
+            assert getattr(owner, fn_name) is not original, f"{name} not wrapped"
+    finally:
+        tracer.remove()
+    for name, (owner, fn_name, original) in originals.items():
+        assert getattr(owner, fn_name) is original, f"{name} not restored"

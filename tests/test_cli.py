@@ -82,6 +82,22 @@ def test_pretrain_then_tune(runner, tmp_path):
     assert saved["glora"] == "edges"
 
 
+def test_tune_split_without_test_items_exit_code(runner, tmp_path):
+    model = tmp_path / "model.dagp"
+    result = runner.invoke(main, [
+        "pretrain", "datasets/web-tiny", "--out", str(model),
+        "--hidden", "8", "--layers", "1", "--epochs", "2", "--seed", "0",
+    ])
+    assert result.exit_code == 0, result.output
+    # 20 shots of each of web-tiny's classes take all 40 nodes
+    result = runner.invoke(main, [
+        "tune", "--model", str(model), "--data", "datasets/web-tiny",
+        "--shots", "20", "--epochs", "2", "--seed", "0",
+    ])
+    assert result.exit_code == 3
+    assert "no test items" in result.output
+
+
 def test_experiment_command(runner, tmp_path):
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({

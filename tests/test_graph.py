@@ -148,6 +148,17 @@ class TestKshotSplit:
         split = gs.kshot_split(g, 1, seed=0)
         assert set(split.train_ids) | set(split.test_ids) == {0, 1, 4, 5}
 
+    def test_no_test_items_rejected(self):
+        # k items of each class are all its labeled items
+        g = make_graph(6, [(0, 1)], labels=[0, 1, -1, -1, 0, 1])
+        with pytest.raises(SplitError, match="no test items"):
+            gs.kshot_split(g, 2, seed=0)
+
+    def test_bundled_fixture_with_all_items_in_train_rejected(self):
+        web = gs.load_dataset("datasets/web-tiny")
+        with pytest.warns(UserWarning), pytest.raises(SplitError, match="no test items"):
+            gs.kshot_split(web, 20, seed=0)
+
 
 class TestFractionSplit:
     def test_half_split(self):

@@ -292,6 +292,15 @@ class TestAblationAndTransfer:
         direct = hn.run_experiment(quick_cfg(), data=tiny_data, cache=cache)
         assert reports[0].accuracies == direct.accuracies
 
+    def test_ignored_workers_warns_once(self, tiny_data):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = quick_cfg(seeds=[0], epochs=2, pretrain_epochs=2, workers=2)
+            hn.run_ablation(cfg, data=tiny_data, cache=hn.CheckpointCache())
+        serial = [w for w in caught
+                  if issubclass(w.category, UserWarning) and "serial" in str(w.message)]
+        assert len(serial) == 1
+
     def test_transfer_labels_and_self_transfer(self, tmp_path):
         cfg = quick_cfg(dataset="datasets/web-tiny")
         reports = hn.run_transfer("datasets/web-tiny", "datasets/web-tiny", cfg,
@@ -317,6 +326,17 @@ class TestHeterophilySweep:
         for entry in curve["series"]:
             assert abs(entry["achieved_h"] - entry["target_h"]) <= 0.02
             assert "prototype" in entry["modes"]
+
+    def test_ignored_workers_warns_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = quick_cfg(shots=None, train_fraction=0.5, seeds=[0],
+                            epochs=2, pretrain_epochs=2, workers=2)
+            hn.run_heterophily_sweep("datasets/web-tiny", [0.3], cfg,
+                                     modes=("prototype", "dagprompt"))
+        serial = [w for w in caught
+                  if issubclass(w.category, UserWarning) and "serial" in str(w.message)]
+        assert len(serial) == 1
 
     def test_infeasible_target_skipped(self):
         cfg = quick_cfg(shots=None, train_fraction=0.5, seeds=[0],

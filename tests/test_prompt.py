@@ -12,18 +12,24 @@ from hopprompt import numcore as nc
 from hopprompt.errors import (
     CheckpointError,
     DegenerateRowError,
+    DimensionError,
     DivergenceError,
+    NumericError,
     ParameterError,
     SplitError,
     StructuralError,
 )
 
 from tests._oracles import (
+    ClassPromptSet,
+    anchor_arrays,
     assert_grads_close,
     finite_diff,
     full_rows_plan,
+    matrix_loss,
     reference_graph_tokens,
     reference_graph_tune,
+    unfused_prompt_nll,
 )
 from tests.conftest import encoder_config
 
@@ -227,16 +233,14 @@ class TestGraphBatch:
         graphs = _fixture_items("web-tiny")[:4]
         params, cfg = _adapted_encoder(graphs[0].num_features, seed=1)
         batch = gs.graph_batch(graphs)
-        prompts = [nc.Tensor(rng.standard_normal((3, cfg.hidden_dim)))
+        offsets = [nc.Tensor(rng.standard_normal((3, cfg.hidden_dim)))
                    for _ in range(cfg.layers + 1)]
         wrt = [params.layers[0].w0, params.layers[1].w0]
         wrt += [t for lp in params.layers for t in (lp.p, lp.q)]
 
         def loss():
             tokens = pr.graph_tokens(batch, params, cfg)
-            return pr._matrix_loss(tokens, pr.ClassPromptSet(
-                anchors=prompts, theta=[nc.Tensor(np.zeros(p.shape)) for p in prompts]),
-                np.array([0, 1, 2, 1]), tau=0.5)
+            return nc.prompt_nll(tokens, np.array([0, 1, 2, 1]), offsets, tau=0.5)
 
         grads = nc.backward(loss())
         for t, fd in zip(wrt, finite_diff(lambda: loss().item(), wrt)):
@@ -245,8 +249,8 @@ class TestGraphBatch:
 
 def zero_offsets(anchors):
     """The class prompts stage two starts from: the anchors, zero offsets."""
-    return pr.ClassPromptSet(anchors=anchors,
-                             theta=[nc.Tensor(np.zeros(a.shape)) for a in anchors])
+    return ClassPromptSet(anchors=anchors,
+                          theta=[nc.Tensor(np.zeros(a.shape)) for a in anchors])
 
 
 def layer_rows(*rows):
@@ -256,23 +260,32 @@ def layer_rows(*rows):
 
 class TestClassPrompts:
     def test_single_item_anchor_equals_token(self):
-        mats = [nc.Tensor([[1.0, 2.0], [5.0, 6.0]]), nc.Tensor([[3.0, 4.0], [7.0, 8.0]])]
+        mats = [np.array([[1.0, 2.0], [5.0, 6.0]]), np.array([[3.0, 4.0], [7.0, 8.0]])]
         anchors = pr.anchors_from_matrices(mats, np.array([0, 1]), 2)
-        np.testing.assert_array_equal(anchors[0].data, [[1, 2], [5, 6]])
-        np.testing.assert_array_equal(anchors[1].data, [[3, 4], [7, 8]])
+        np.testing.assert_array_equal(anchors[0], [[1, 2], [5, 6]])
+        np.testing.assert_array_equal(anchors[1], [[3, 4], [7, 8]])
         # zero offsets leave the effective prompts at the anchors
-        prompts = zero_offsets(anchors)
+        prompts = zero_offsets([nc.Tensor(a) for a in anchors])
         for l in range(2):
-            assert prompts.effective(l).data.tobytes() == anchors[l].data.tobytes()
+            assert prompts.effective(l).data.tobytes() == anchors[l].tobytes()
 
     def test_opposite_tokens_cancel(self):
-        mats = [nc.Tensor([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])]
+        mats = [np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])]
         anchors = pr.anchors_from_matrices(mats, np.array([0, 0, 1]), 2)
-        np.testing.assert_array_equal(anchors[0].data[0], [0.0, 0.0])
+        np.testing.assert_array_equal(anchors[0][0], [0.0, 0.0])
 
     def test_empty_class_named(self):
         with pytest.raises(SplitError, match="class 1"):
-            pr.anchors_from_matrices([nc.Tensor([[1.0, 0.0]])], np.array([0]), 2)
+            pr.anchors_from_matrices([np.array([[1.0, 0.0]])], np.array([0]), 2)
+
+    def test_evaluation_anchors_equal_mask_loop(self):
+        rng = np.random.default_rng(16)
+        layer_data = [rng.standard_normal((12, 5)) for _ in range(3)]
+        train_ids = np.array([0, 2, 3, 5, 7, 8, 11])
+        y = np.array([2, 0, 1, 0, 2, 1, 0])
+        ours = pr.anchors_from_matrices([h[train_ids] for h in layer_data], y, 3)
+        for a, b in zip(ours, anchor_arrays(layer_data, train_ids, y, 3)):
+            assert a.tobytes() == b.tobytes()
 
     def test_anchors_track_embedding_changes(self):
         # after the encoder moves, recomputed anchors move with it
@@ -281,12 +294,12 @@ class TestClassPrompts:
         ids = np.array([0, 1, 2, 3])
         y = np.array([0, 0, 1, 1])
         stack = enc.encoder_forward(adj, g.features, cfg, params)
-        mats = [nc.gather_rows(h, ids) for h in stack.layers]
-        before = pr.anchors_from_matrices(mats, y, 2)[1].data.copy()
+        mats = [h.data[ids] for h in stack.layers]
+        before = pr.anchors_from_matrices(mats, y, 2)[1].copy()
         params.layers[0].w0.data = params.layers[0].w0.data * 1.5
         stack = enc.encoder_forward(adj, g.features, cfg, params)
-        mats = [nc.gather_rows(h, ids) for h in stack.layers]
-        after = pr.anchors_from_matrices(mats, y, 2)[1].data
+        mats = [h.data[ids] for h in stack.layers]
+        after = pr.anchors_from_matrices(mats, y, 2)[1]
         assert np.abs(before - after).max() > 1e-6
 
 
@@ -311,8 +324,8 @@ class TestHopScores:
         rows = [rng.standard_normal((3, 4)) for _ in range(2)]
         anchors = [rng.standard_normal((3, 4)) for _ in range(2)]
         offs = [rng.standard_normal((3, 4)) for _ in range(2)]
-        prompts = pr.ClassPromptSet(anchors=[nc.Tensor(a) for a in anchors],
-                                    theta=[nc.Tensor(o) for o in offs])
+        prompts = ClassPromptSet(anchors=[nc.Tensor(a) for a in anchors],
+                                 theta=[nc.Tensor(o) for o in offs])
         for l in range(2):
             scores = nc.row_cosine_sim(nc.Tensor(rows[l]), prompts.effective(l))
             for i in range(3):
@@ -360,16 +373,16 @@ class TestAggregateAndPredict:
 
 
 class TestDownstreamLoss:
-    """The training loss: softmax NLL of the scores, summed over items and
-    layers."""
+    """The training loss as the unfused chain `nc.prompt_nll` must equal:
+    softmax NLL of the scores, summed over items and layers."""
 
     def test_equal_scores_give_ln2_per_item_per_layer(self):
         prompts = zero_offsets([nc.Tensor([[1.0, 1.0], [1.0, 1.0]])])
-        one = pr._matrix_loss([nc.Tensor([[1.0, 0.0]])], prompts, np.array([0]), tau=1.0)
+        one = matrix_loss([nc.Tensor([[1.0, 0.0]])], prompts, np.array([0]), tau=1.0)
         assert one.item() == pytest.approx(math.log(2), abs=1e-12)
         # the loss sums per-item terms
-        two = pr._matrix_loss([nc.Tensor([[1.0, 0.0], [0.0, 1.0]])], prompts,
-                              np.array([0, 1]), tau=1.0)
+        two = matrix_loss([nc.Tensor([[1.0, 0.0], [0.0, 1.0]])], prompts,
+                          np.array([0, 1]), tau=1.0)
         assert two.item() == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_layer_sum_scaling(self):
@@ -378,7 +391,7 @@ class TestDownstreamLoss:
         anchor = nc.Tensor(rng.standard_normal((2, 3)))
         for layers in (1, 3):
             prompts = zero_offsets([anchor] * layers)
-            loss = pr._matrix_loss([rows] * layers, prompts, np.array([0]), tau=0.5)
+            loss = matrix_loss([rows] * layers, prompts, np.array([0]), tau=0.5)
             if layers == 1:
                 single = loss.item()
         assert loss.item() == pytest.approx(3 * single, abs=1e-12)
@@ -392,13 +405,146 @@ class TestDownstreamLoss:
                  for _ in range(2)]
 
         def forward():
-            prompts = pr.ClassPromptSet(anchors=anchors, theta=theta)
-            return pr._matrix_loss(mats, prompts, y, tau=0.5)
+            prompts = ClassPromptSet(anchors=anchors, theta=theta)
+            return matrix_loss(mats, prompts, y, tau=0.5)
 
         grads = nc.backward(forward())
         for l in range(2):
             fd = finite_diff(lambda: forward().item(), [theta[l]])[0]
             assert_grads_close(grads.get(theta[l]), fd, label=f"dTheta{l}")
+
+
+def _adapted_layers(seed, n=9):
+    """Every layer of a 3-class node encoder with moved adapter factors,
+    and those factors."""
+    g = gs.random_labeled_graph(n, 2 * n, 3, 4, seed=seed)
+    cfg = enc.EncoderConfig(layers=2, dims=[4, 5, 5], rank=2, glora_mode="full")
+    rng = np.random.default_rng(seed)
+    base = enc.init_encoder(cfg, rng)
+    base.w_in.requires_grad = False
+    for lp in base.layers:
+        lp.w0.requires_grad = False
+    params = enc.attach_glora(base, cfg, rng, num_nodes=n)
+    factors = []
+    for lp in params.layers:
+        lp.q.data = 0.3 * rng.standard_normal(lp.q.shape)
+        lp.qa.data = 0.3 * rng.standard_normal(lp.qa.shape)
+        factors += [lp.p, lp.q, lp.pa, lp.qa]
+    adj = gs.normalize_adjacency(g)
+    return (lambda: enc.encoder_forward(adj, g.features, cfg, params).layers), factors
+
+
+def _offsets(rng, layers, width=5, classes=3):
+    return [nc.Tensor(0.3 * rng.standard_normal((classes, width)), requires_grad=True)
+            for _ in range(layers)]
+
+
+class TestPromptNll:
+    """The stage-two loss as one tape node: its VJP against finite
+    differences, and loss and gradients bit for bit against the unfused chain
+    of tape ops."""
+
+    Y = np.array([0, 1, 2, 1, 0, 2, 2, 1, 0])
+    ONE_ITEM = np.array([1, 1, 2, 1, 0, 2, 2, 1, 2])  # class 0 has one item
+
+    @pytest.mark.parametrize("y", [Y, ONE_ITEM], ids=["layers", "one_item_class"])
+    def test_finite_differences_through_the_encoder(self, y):
+        layers, factors = _adapted_layers(seed=4)
+        thetas = _offsets(np.random.default_rng(5), 3)
+
+        def loss():
+            return nc.prompt_nll(layers(), y, thetas, tau=0.5)
+
+        grads = nc.backward(loss())
+        wrt = factors + thetas
+        for t, fd in zip(wrt, finite_diff(lambda: loss().item(), wrt)):
+            assert_grads_close(grads.get(t), fd, label=str(t.shape))
+
+    def test_finite_differences_last_layer_only(self):
+        layers, factors = _adapted_layers(seed=6)
+        thetas = _offsets(np.random.default_rng(7), 3)
+
+        def loss():
+            return nc.prompt_nll(layers()[-1:], self.Y, thetas[-1:], tau=0.5)
+
+        grads = nc.backward(loss())
+        wrt = factors + thetas[-1:]
+        for t, fd in zip(wrt, finite_diff(lambda: loss().item(), wrt)):
+            assert_grads_close(grads.get(t), fd, label=str(t.shape))
+        # offsets of unscored layers are not on the tape
+        assert all(t not in grads for t in thetas[:-1])
+
+    def test_untracked_matrix_gets_no_gradient(self):
+        rng = np.random.default_rng(8)
+        frozen = nc.Tensor(rng.standard_normal((9, 5)))
+        tracked = nc.Tensor(rng.standard_normal((9, 5)), requires_grad=True)
+        thetas = _offsets(rng, 2)
+        out = nc.prompt_nll([frozen, tracked], self.Y, thetas, tau=0.5)
+        products = out._vjp(np.ones((1, 1)))
+        assert products[0] is None
+        assert products[1].shape == tracked.shape
+        grads = nc.backward(out)
+        assert frozen not in grads and frozen.grad is None
+        wrt = [tracked] + thetas
+        fds = finite_diff(lambda: nc.prompt_nll([frozen, tracked], self.Y, thetas,
+                                                tau=0.5).item(), wrt)
+        for t, fd in zip(wrt, fds):
+            assert_grads_close(grads.get(t), fd, label=str(t.shape))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scored", ["all", "last"])
+    @pytest.mark.parametrize("y", [Y, ONE_ITEM], ids=["layers", "one_item_class"])
+    def test_equals_unfused_chain_bitwise(self, seed, scored, y):
+        layers, factors = _adapted_layers(seed=seed)
+        thetas = _offsets(np.random.default_rng(seed + 10), 3)
+        keep = slice(None) if scored == "all" else slice(-1, None)
+        results = []
+        for loss_of in (nc.prompt_nll, unfused_prompt_nll):
+            mats = layers()
+            loss = loss_of(mats[keep], y, thetas[keep], 0.5)
+            grads = nc.backward(loss)
+            results.append([loss.data] + [grads.get(t) for t in factors + thetas])
+        for ours, chain in zip(*results):
+            assert np.array_equal(ours, chain)
+            assert ours.tobytes() == chain.tobytes()
+
+    def test_empty_class_named(self):
+        thetas = _offsets(np.random.default_rng(9), 1, width=2)
+        with pytest.raises(SplitError, match="class 2"):
+            nc.prompt_nll([nc.Tensor(np.ones((2, 2)))], np.array([0, 1]), thetas, 0.5)
+
+    def test_zero_norm_row_raises(self):
+        mat = np.random.default_rng(10).standard_normal((9, 5))
+        mat[4] = 0.0
+        thetas = _offsets(np.random.default_rng(11), 1)
+        with pytest.raises(DegenerateRowError, match="prompt_nll: layer 0 item row 4"):
+            nc.prompt_nll([nc.Tensor(mat)], self.Y, thetas, 0.5)
+
+    def test_zero_norm_prompt_raises(self):
+        mat = np.random.default_rng(12).standard_normal((9, 5))
+        thetas = [nc.Tensor(-pr.anchors_from_matrices([mat], self.Y, 3)[0])]
+        with pytest.raises(DegenerateRowError, match="prompt_nll: layer 0 prompt row 0"):
+            nc.prompt_nll([nc.Tensor(mat)], self.Y, thetas, 0.5)
+
+    def test_non_finite_output_names_the_op(self):
+        mat = nc.Tensor(np.random.default_rng(13).standard_normal((9, 5)))
+        thetas = _offsets(np.random.default_rng(14), 1)
+        # scores / tau overflow, so the max-shifted logits are inf - inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"prompt_nll: non-finite .*\(1, 1\)"):
+            nc.prompt_nll([mat], self.Y, thetas, 1e-320)
+
+    def test_bad_arguments_rejected(self):
+        mat = nc.Tensor(np.ones((9, 5)))
+        thetas = _offsets(np.random.default_rng(15), 2)
+        with pytest.raises(ParameterError, match="tau"):
+            nc.prompt_nll([mat], self.Y, thetas[:1], 0.0)
+        with pytest.raises(ParameterError, match="targets"):
+            nc.prompt_nll([mat], self.Y + 1, thetas[:1], 0.5)
+        with pytest.raises(DimensionError, match="one offset matrix per layer"):
+            nc.prompt_nll([mat], self.Y, thetas, 0.5)
+        with pytest.raises(DimensionError, match="layer 0"):
+            nc.prompt_nll([nc.Tensor(np.ones((8, 5)))], self.Y, thetas[:1], 0.5)
 
 
 class TestRunPromptTune:
@@ -627,6 +773,35 @@ class TestDegenerateRowWrapped:
         assert info.value.epoch == 0
         assert info.value.lr == 2e-3
         assert isinstance(info.value.__cause__, DegenerateRowError)
+
+
+class TestZeroNormTestRow:
+    """Evaluation scores a zero-norm row 0 against every class, where
+    training raises (TestDegenerateRowWrapped): a collapsed test item still
+    gets a prediction."""
+
+    @pytest.mark.parametrize("mode", ["off", "edge_subset", "full"])
+    def test_isolated_zero_feature_test_item_is_predicted(self, mode):
+        # node 0 is isolated with zero features and is a test item
+        feats = np.random.default_rng(3).standard_normal((7, 3))
+        feats[0] = 0.0
+        g = gs.Graph(num_nodes=7,
+                     edges=gs.canonical_edges([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)], 7),
+                     features=nc.Tensor(feats), labels=np.array([1, 0, 1, 0, 1, 0, 1]),
+                     num_classes=2)
+        split = gs.SplitSpec(train_ids=np.array([1, 2, 3, 4]),
+                             test_ids=np.array([0, 5, 6]), shots=2, seed=0)
+        cfg = enc.EncoderConfig(layers=2, dims=[3, 4, 4])
+        params = enc.init_encoder(cfg, np.random.default_rng(1))
+        tcfg = pr.PromptTuneConfig(epochs=5, seed=0, lr=2e-3, glora_mode=mode)
+        _params, result = pr.run_prompt_tune((params, cfg), g, split, tcfg)
+        assert len(result.train_losses) == 5
+        assert result.predictions.shape == (3,)
+        assert set(result.predictions.tolist()) <= {0, 1}
+        if mode != "full":
+            # no adapter reaches the isolated row, so every layer's row is
+            # zero, every score 0 and the argmax the first class
+            assert result.predictions[0] == 0
 
 
 @pytest.mark.parametrize("name,shots", [("web-tiny", 2), ("syn-h10", 5),
