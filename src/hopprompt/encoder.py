@@ -62,6 +62,8 @@ class EncoderConfig:
         hidden = set(self.dims[1:])
         if len(hidden) != 1:
             raise ParameterError(f"hidden widths must all agree, got {sorted(hidden)}")
+        if min(self.dims) < 1:
+            raise ParameterError(f"every width in dims must be >= 1, got {self.dims}")
         if self.glora_mode not in GLORA_MODES:
             raise ParameterError(f"glora_mode must be one of {GLORA_MODES}")
         if self.glora_mode != "off" and self.rank < 1:
@@ -116,27 +118,6 @@ class EncoderParams:
     edge_positions: np.ndarray | None = field(default=None, repr=False)
 
 
-@dataclass
-class EmbeddingStack:
-    """Per-layer embeddings H(0..L); H(0) is the input linear map's output."""
-
-    layers: list[Tensor]
-
-    def __post_init__(self):
-        widths = {t.cols for t in self.layers}
-        if len(widths) != 1:
-            raise DimensionError(f"embedding widths must agree, got {sorted(widths)}")
-        rows = {t.rows for t in self.layers}
-        if len(rows) != 1:
-            raise DimensionError(f"embedding row counts must agree, got {sorted(rows)}")
-
-    def __len__(self):
-        return len(self.layers)
-
-    def __getitem__(self, i) -> Tensor:
-        return self.layers[i]
-
-
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     std = np.sqrt(2.0 / (fan_in + fan_out))
     return Tensor(std * rng.standard_normal((fan_in, fan_out)), requires_grad=True)
@@ -173,6 +154,18 @@ def edge_subset_positions(adj: SparseMatrix, train_ids) -> np.ndarray:
         raise StructuralError(
             f"adjacency is not symmetric: entry ({rows[k]}, {cols[k]}) has no mirror")
     return np.stack([upper, mirror], axis=1)
+
+
+def own_base(params: EncoderParams, trainable: bool) -> EncoderParams:
+    """`params` with the input map and every W0 in tensors of their own,
+    trainable or frozen, over the same arrays. Training rebinds a tensor's
+    array and never writes into one, so the caller's tensors, a cached
+    checkpoint's among them, keep their values and flags."""
+    def own(t):
+        return Tensor(t.data, requires_grad=trainable)
+
+    return replace(params, w_in=own(params.w_in),
+                   layers=[replace(lp, w0=own(lp.w0)) for lp in params.layers])
 
 
 def attach_glora(params: EncoderParams, cfg: EncoderConfig,
@@ -287,11 +280,12 @@ def forward_plan(adj: SparseMatrix, ids, layers: int,
 
 def encoder_forward(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
                     params: EncoderParams,
-                    plan: ForwardPlan | None = None) -> EmbeddingStack:
+                    plan: ForwardPlan | None = None) -> list[Tensor]:
     """Run the (possibly adapted) encoder; ReLU on interior layers only.
 
-    With a `plan` from `forward_plan(adj, ids, ...)` each layer runs on its
-    planned rows only, and every returned layer holds rows `ids`.
+    Returns the per-layer embeddings H(0..L), H(0) being the input linear
+    map's output. With a `plan` from `forward_plan(adj, ids, ...)` each layer
+    runs on its planned rows only, and every returned layer holds rows `ids`.
     """
     n = adj.shape[0]
     if adj.shape[1] != n:
@@ -339,8 +333,8 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
         if l < len(params.layers) - 1:
             h = relu(h)
         stack.append(h)
-    return EmbeddingStack(layers=[h if pick is None else gather_rows(h, pick)
-                                  for h, pick in zip(stack, plan.picks)])
+    return [h if pick is None else gather_rows(h, pick)
+            for h, pick in zip(stack, plan.picks)]
 
 
 def partition_params(params: EncoderParams, stage: str):
@@ -433,8 +427,8 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def checkpoint_load(path, expect_cfg: EncoderConfig | None = None):
     """Read a checkpoint; returns (EncoderParams, EncoderConfig).
 
-    Loaded tensors are trainable-flagged off; callers opt parameters into
-    training via partition_params and the optimizer param list.
+    Loaded tensors are not trainable; stage two and fine-tuning train
+    tensors of their own over the same arrays (`own_base`).
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != _MAGIC:
@@ -497,25 +491,3 @@ def checkpoint_load(path, expect_cfg: EncoderConfig | None = None):
         raise CheckpointError(f"unknown records: {sorted(unknown)}")
     return EncoderParams(w_in=tensors["w_in"], layers=layers), cfg
 
-
-def clone_params(params: EncoderParams) -> EncoderParams:
-    """Deep copy for read-only inference snapshots."""
-    def cp(t, trainable):
-        return None if t is None else Tensor(t.data.copy(), requires_grad=trainable)
-
-    layers = [
-        replace(
-            lp,
-            w0=cp(lp.w0, lp.w0.requires_grad),
-            p=cp(lp.p, True), q=cp(lp.q, True),
-            pa=cp(lp.pa, True), qa=cp(lp.qa, True),
-            edge_weights=cp(lp.edge_weights, True),
-        )
-        for lp in params.layers
-    ]
-    return EncoderParams(
-        w_in=cp(params.w_in, params.w_in.requires_grad),
-        layers=layers,
-        edge_positions=None if params.edge_positions is None
-        else params.edge_positions.copy(),
-    )

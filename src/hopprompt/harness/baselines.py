@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoder import EncoderConfig, encoder_forward, forward_plan
+from ..encoder import EncoderConfig, encoder_forward, forward_plan, own_base
 from ..errors import ConfigError
 from ..graphstore import Graph, SplitSpec, normalize_adjacency
 from ..numcore import (
@@ -78,7 +78,8 @@ def train_finetune_lp(checkpoint_params, cfg: EncoderConfig, g: Graph,
                       split: SplitSpec, lr: float, weight_decay: float,
                       epochs: int, seed: int,
                       patience: int | None = 50) -> BaselineResult:
-    """Full fine-tuning of the pre-trained encoder plus a linear head."""
+    """Full fine-tuning of the pre-trained encoder plus a linear head; the
+    checkpoint's tensors are never written."""
     if g.labels is None:
         raise ConfigError("fine-tuning needs labels")
     if g.num_features != cfg.feature_dim:
@@ -87,10 +88,7 @@ def train_finetune_lp(checkpoint_params, cfg: EncoderConfig, g: Graph,
         )
     rng = np.random.default_rng(seed)
     adj = normalize_adjacency(g)
-    params = checkpoint_params
-    params.w_in.requires_grad = True
-    for lp in params.layers:
-        lp.w0.requires_grad = True
+    params = own_base(checkpoint_params, trainable=True)
     std = np.sqrt(2.0 / (cfg.hidden_dim + g.num_classes))
     head = Tensor(std * rng.standard_normal((cfg.hidden_dim, g.num_classes)),
                   requires_grad=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,12 @@ class GridSpec:
     hidden: list[int] = field(default_factory=lambda: [128])
     rank: list[int] = field(default_factory=lambda: [8])
     alpha: list[float] = field(default_factory=lambda: [0.5])
+
+    def __post_init__(self):
+        for f in fields(self):
+            values = getattr(self, f.name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError(f"grid {f.name} must be a non-empty list, got {values!r}")
 
     def points(self) -> list[dict]:
         """Cartesian product in a fixed field order."""
@@ -92,6 +98,10 @@ class ExperimentConfig:
             raise ConfigError("exactly one of shots / train_fraction must be set")
         if self.shots is not None and self.shots < 1:
             raise ConfigError(f"shots must be >= 1, got {self.shots}")
+        if not isinstance(self.seeds, list) or not all(
+                isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                for s in self.seeds):
+            raise ConfigError(f"seeds must be a list of ints >= 0, got {self.seeds!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if self.epochs > 200 or self.pretrain_epochs > 200:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from .. import numcore as nc
-from ..encoder import EncoderConfig, clone_params, init_encoder
+from ..encoder import EncoderConfig, init_encoder
 from ..errors import (
     ConfigError,
     InfeasibleError,
@@ -107,7 +107,7 @@ def _single_run(cfg: ExperimentConfig, data, digest: str, cache: CheckpointCache
         if isinstance(data, GraphSet):
             raise ConfigError("finetune_lp baseline covers node tasks only")
         t0 = time.perf_counter()
-        res = train_finetune_lp(clone_params(params), loaded_cfg, data, split,
+        res = train_finetune_lp(params, loaded_cfg, data, split,
                                 lr=float(point["lr"]),
                                 weight_decay=float(point["weight_decay"]),
                                 epochs=cfg.epochs, seed=seed, patience=cfg.patience)
@@ -119,7 +119,7 @@ def _single_run(cfg: ExperimentConfig, data, digest: str, cache: CheckpointCache
 
     tcfg = _tune_cfg(cfg, point, seed)
     t0 = time.perf_counter()
-    _tuned, result = run_prompt_tune((clone_params(params), loaded_cfg), data,
+    _tuned, result = run_prompt_tune((params, loaded_cfg), data,
                                      split, tcfg)
     out.update(tune_sec=time.perf_counter() - t0,
                accuracy=result.test_accuracy,
@@ -236,8 +236,8 @@ def run_transfer(src_path, dst_path, cfg: ExperimentConfig,
                 loaded_cfg = enc_cfg
             tcfg = _tune_cfg(cfg, point, seed)
             t0 = time.perf_counter()
-            _tuned, result = run_prompt_tune((clone_params(params), loaded_cfg),
-                                             dst, split, tcfg)
+            _tuned, result = run_prompt_tune((params, loaded_cfg), dst, split,
+                                             tcfg)
             tune_sec += time.perf_counter() - t0
             accs.append(result.test_accuracy)
             downstream = result.trainable_encoder + result.trainable_prompt

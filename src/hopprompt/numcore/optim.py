@@ -11,24 +11,25 @@ from ..errors import DegenerateRowError, DimensionError, DivergenceError, Numeri
 from .tensor import Gradients, Tensor, backward
 
 
+# Adam's moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter moments plus shared hyperparameters."""
+    """Per-parameter moments plus the learning rate and decay."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: list[Tensor], lr: float, weight_decay: float = 0.0,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: list[Tensor], lr: float,
+                   weight_decay: float = 0.0) -> "AdamState":
         return cls(
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay,
+            lr=lr, weight_decay=weight_decay,
             m=[np.zeros(p.shape) for p in params],
             v=[np.zeros(p.shape) for p in params],
         )
@@ -44,8 +45,8 @@ def adam_step(params: list[Tensor], grads: Gradients, state: AdamState):
         raise DimensionError(f"adam_step: state tracks {len(state.m)} params, got {len(params)}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for i, p in enumerate(params):
         g = grads.get(p)
         if g.shape != p.shape or state.m[i].shape != p.shape:
@@ -55,11 +56,11 @@ def adam_step(params: list[Tensor], grads: Gradients, state: AdamState):
         new = p.data
         if state.weight_decay:
             new = new - state.lr * state.weight_decay * new
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        new = new - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        new = new - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
         if not np.isfinite(new).all():
             raise NumericError(f"adam_step: param {i} became non-finite")
         p.data = new

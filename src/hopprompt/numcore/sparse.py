@@ -173,8 +173,7 @@ def spmm(s: SparseMatrix, d: Tensor, values: Tensor | None = None,
     return _record("spmm", mat @ dd, parents, vjp)
 
 
-def rank_one_update_spmm(s: SparseMatrix, p: Tensor, q: Tensor, d: Tensor,
-                         values: Tensor | None = None) -> Tensor:
+def rank_one_update_spmm(s: SparseMatrix, p: Tensor, q: Tensor, d: Tensor) -> Tensor:
     """(s + p q^T) @ d without materializing the dense rank-one term; for an
     (m, n) matrix s, p is (m, 1) and q is (n, 1)."""
     m, n = s.shape
@@ -185,4 +184,4 @@ def rank_one_update_spmm(s: SparseMatrix, p: Tensor, q: Tensor, d: Tensor,
         )
     if d.rows != n:
         raise DimensionError(f"rank_one_update_spmm: d has {d.rows} rows, expected {n}")
-    return add(spmm(s, d, values=values), matmul(p, matmul(transpose(q), d)))
+    return add(spmm(s, d), matmul(p, matmul(transpose(q), d)))

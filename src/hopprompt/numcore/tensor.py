@@ -45,11 +45,11 @@ class Tensor:
     """A (rows, cols) float64 matrix, optionally recorded on the tape.
 
     `requires_grad` marks leaves whose gradients the caller wants; op results
-    are tracked automatically when any input is tracked. `grad` is populated
-    by `backward`.
+    are tracked automatically when any input is tracked. Gradients are read
+    from the map `backward` returns.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_order")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_order")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -59,7 +59,6 @@ class Tensor:
             raise NumericError("Tensor contains non-finite entries")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
         self._order = next(_ORDER)
@@ -101,10 +100,6 @@ def _record(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
         out._parents = parents
         out._vjp = vjp
     return out
-
-
-def zeros(rows: int, cols: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros((rows, cols)), requires_grad=requires_grad)
 
 
 def scalar(x: float) -> Tensor:
@@ -455,7 +450,6 @@ class Gradients:
 def backward(loss: Tensor) -> Gradients:
     """Reverse sweep from a scalar loss; returns the gradient map.
 
-    Also sets `.grad` on every tracked tensor reachable from the loss.
     Deterministic: accumulation follows tape insertion order, so repeated
     runs over identical inputs produce bitwise-identical gradients.
     """
@@ -490,9 +484,4 @@ def backward(loss: Tensor) -> Gradients:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
-
-    for node in nodes:
-        g = grads.get(id(node))
-        if g is not None:
-            node.grad = g
     return Gradients(grads)

@@ -42,28 +42,12 @@ from .numcore import (
 
 
 @dataclass(frozen=True)
-class Triplet:
-    v: int  # anchor
-    a: int  # connected positive
-    b: int  # non-connected negative
-
-
-@dataclass(frozen=True)
 class Triplets:
     """Triplets as three parallel int64 arrays; indexing selects rows."""
 
     v: np.ndarray  # anchors
     a: np.ndarray  # connected positives
     b: np.ndarray  # non-connected negatives
-
-    @classmethod
-    def of(cls, triplets) -> "Triplets":
-        """Accepts a Triplets (returned as is) or a sequence of Triplet."""
-        if isinstance(triplets, Triplets):
-            return triplets
-        cols = np.array([(t.v, t.a, t.b) for t in triplets], dtype=np.int64)
-        cols = cols.reshape(-1, 3).T
-        return cls(v=cols[0], a=cols[1], b=cols[2])
 
     def __len__(self) -> int:
         return len(self.v)
@@ -141,14 +125,13 @@ def build_triplets(g: Graph, k_negatives: int, seed: int) -> Triplets:
                     b=neg.ravel())
 
 
-def pretrain_loss(stack, adj, triplets: Triplets | list[Triplet], tau: float):
+def pretrain_loss(stack, adj, triplets: Triplets, tau: float):
     """Mean two-way contrastive loss over triplets.
 
     Embeddings get one extra aggregation step: s = adj @ H(L).
     """
     if tau <= 0:
         raise ParameterError(f"tau must be > 0, got {tau}")
-    triplets = Triplets.of(triplets)
     s = spmm(adj, stack[-1])
     sv = gather_rows(s, triplets.v)
     sim_pos = rowwise_cosine_sim(sv, gather_rows(s, triplets.a))

@@ -27,6 +27,7 @@ from .encoder import (
     edge_subset_positions,
     encoder_forward,
     forward_plan,
+    own_base,
     partition_params,
 )
 from .errors import CheckpointError, ParameterError
@@ -50,24 +51,16 @@ from .numcore import (
 )
 
 
-@dataclass
-class HopCoefficients:
-    """Learnable per-hop weights; initialized as alpha (1-alpha)^l."""
-
-    gamma: Tensor  # (1, L+1)
-    alpha: float
-
-
-def init_gamma(alpha: float, num_layers: int) -> HopCoefficients:
-    """gamma_l = alpha (1-alpha)^l for l < L, gamma_L = (1-alpha)^L; sums to 1."""
+def init_gamma(alpha: float, num_layers: int) -> Tensor:
+    """Learnable (1, L+1) hop weights gamma_l = alpha (1-alpha)^l for l < L,
+    gamma_L = (1-alpha)^L; they sum to 1."""
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
     if num_layers < 1:
         raise ParameterError(f"need >= 1 layer, got {num_layers}")
     values = [alpha * (1.0 - alpha) ** l for l in range(num_layers)]
     values.append((1.0 - alpha) ** num_layers)
-    gamma = Tensor(np.array([values]), requires_grad=True)
-    return HopCoefficients(gamma=gamma, alpha=alpha)
+    return Tensor(np.array([values]), requires_grad=True)
 
 
 def graph_tokens(batch: GraphBatch, params: EncoderParams,
@@ -75,7 +68,7 @@ def graph_tokens(batch: GraphBatch, params: EncoderParams,
     """One forward over the batch's disjoint union, then each graph's mean
     row per layer: one (B, d) tensor per layer."""
     stack = encoder_forward(batch.adj, batch.features, cfg, params)
-    return [spmm(batch.pool, h) for h in stack.layers]
+    return [spmm(batch.pool, h) for h in stack]
 
 
 def anchors_from_matrices(mats: list[np.ndarray], y: np.ndarray,
@@ -139,10 +132,7 @@ def _load_encoder(checkpoint, feature_dim: int):
         raise CheckpointError(
             f"checkpoint expects {cfg.feature_dim} features, dataset has {feature_dim}"
         )
-    params.w_in.requires_grad = False
-    for lp in params.layers:
-        lp.w0.requires_grad = False
-    return params, cfg
+    return own_base(params, trainable=False), cfg
 
 
 def _guarded_scores(mat: np.ndarray, prompts: np.ndarray) -> np.ndarray:
@@ -162,7 +152,8 @@ def run_prompt_tune(checkpoint, data: Graph | GraphSet, split: SplitSpec,
     """Jointly tune adapters, prompt offsets, and hop coefficients.
 
     `checkpoint` is a path or an in-memory (params, config) pair; base encoder
-    weights are frozen either way. Deterministic for a fixed (seed, split).
+    weights are frozen either way, and the pair's tensors are never written.
+    Deterministic for a fixed (seed, split).
     """
     if isinstance(data, GraphSet):
         return _tune_graph_task(checkpoint, data, split, tcfg)
@@ -186,7 +177,7 @@ def _prompt_trainables(theta, gamma, tcfg, num_layers):
     else:
         trainables = list(theta)
     if not tcfg.fixed_gamma:
-        trainables.append(gamma.gamma)
+        trainables.append(gamma)
     return trainables
 
 
@@ -210,7 +201,7 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
                                   num_nodes=g.num_nodes, edge_positions=positions)
 
     def evaluate():
-        return encoder_forward(adj, g.features, cfg, params).layers
+        return encoder_forward(adj, g.features, cfg, params)
 
     if tcfg.glora_mode == "off":
         # nothing in the encoder trains: one full forward serves every epoch
@@ -227,7 +218,7 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
                             dense=tcfg.glora_mode == "full")
 
         def forward():
-            return encoder_forward(adj, g.features, cfg, params, plan=plan).layers
+            return encoder_forward(adj, g.features, cfg, params, plan=plan)
 
     return _fit_prompts(params, cfg, tcfg, split, g.labels, g.num_classes,
                         forward, evaluate)
@@ -261,7 +252,7 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
     theta = [Tensor(np.zeros((c, width)), requires_grad=True)
              for _ in range(num_layers)]
     if tcfg.fixed_gamma:
-        gamma = HopCoefficients(gamma=Tensor(np.ones((1, num_layers))), alpha=tcfg.alpha)
+        gamma = Tensor(np.ones((1, num_layers)))
     else:
         gamma = init_gamma(tcfg.alpha, cfg.layers)
 
@@ -300,13 +291,13 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
     return params, result
 
 
-def _effective_gamma(gamma: HopCoefficients, tcfg: PromptTuneConfig,
+def _effective_gamma(gamma: Tensor, tcfg: PromptTuneConfig,
                      num_layers: int) -> np.ndarray:
     if tcfg.last_layer_only:
         weights = np.zeros(num_layers)
         weights[-1] = 1.0
         return weights
-    return gamma.gamma.data[0]
+    return gamma.data[0]
 
 
 def _predict_rows(layer_data, anchor_data, theta_data, weights, ids):

@@ -39,7 +39,7 @@ from hopprompt.numcore import (
     softmax_nll,
     vstack,
 )
-from hopprompt.pretrain import Triplet
+from hopprompt.pretrain import Triplets
 
 
 def finite_diff(loss_fn, params, h=1e-5):
@@ -100,7 +100,7 @@ def reference_triplets(g, k_negatives, seed):
     if g.num_edges == 0:
         raise PretrainInfeasibleError("graph has no edges; cannot pre-train")
     rng = np.random.default_rng(seed)
-    triplets: list[Triplet] = []
+    triplets: list[tuple[int, int, int]] = []
     skipped = 0
     for v in range(g.num_nodes):
         nbrs = g.neighbor_list(v)
@@ -113,14 +113,15 @@ def reference_triplets(g, k_negatives, seed):
         pool = np.flatnonzero(mask)
         a = int(rng.choice(nbrs))
         for b in rng.choice(pool, size=k_negatives, replace=True):
-            triplets.append(Triplet(v=v, a=a, b=int(b)))
+            triplets.append((v, a, int(b)))
     if skipped:
         warnings.warn(f"{skipped} node(s) lack a neighbor or a non-neighbor; skipped")
     if not triplets:
         raise PretrainInfeasibleError(
             "no node admits a (positive, negative) pair; cannot pre-train"
         )
-    return triplets
+    v, a, b = np.array(triplets, dtype=np.int64).T
+    return Triplets(v=v, a=a, b=b)
 
 
 def reference_edge_subset_positions(adj, train_ids):
@@ -218,7 +219,7 @@ def anchor_arrays(layer_data, train_ids, y_train, num_classes):
 def reference_graph_tokens(graph, params, cfg):
     """One item's own forward, mean-pooled per layer: L+1 tensors, 1 x d."""
     stack = encoder_forward(normalize_adjacency(graph), graph.features, cfg, params)
-    return [mean_rows(h) for h in stack.layers]
+    return [mean_rows(h) for h in stack]
 
 
 def reference_graph_tune(checkpoint, items, split, tcfg):
@@ -234,7 +235,7 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
     theta = [Tensor(np.zeros((c, cfg.hidden_dim)), requires_grad=True)
              for _ in range(layers)]
     if tcfg.fixed_gamma:
-        gamma = pr.HopCoefficients(gamma=Tensor(np.ones((1, layers))), alpha=tcfg.alpha)
+        gamma = Tensor(np.ones((1, layers)))
     else:
         gamma = pr.init_gamma(tcfg.alpha, cfg.layers)
     encoder_trainables, _frozen = partition_params(params, "prompt")

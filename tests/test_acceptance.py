@@ -145,7 +145,7 @@ def test_criterion_01_gradient_correctness():
     def prompt_composite(loss_of):
         def build():
             stack = enc.encoder_forward(adj8, g8.features, glora_cfg, adapted)
-            mats = [nc.gather_rows(hh, train_ids) for hh in stack.layers]
+            mats = [nc.gather_rows(hh, train_ids) for hh in stack]
             return loss_of(mats, y_train, theta, 0.5)
         return build
 
@@ -188,7 +188,7 @@ def test_criterion_02_zero_adaptation_identity():
             adapted = enc.attach_glora(params, cfg_on, rng, edge_positions=pos)
         fresh = enc.encoder_forward(adj, g.features, cfg_on, adapted)
         gap = max(np.abs(x.data - y.data).max()
-                  for x, y in zip(frozen.layers, fresh.layers))
+                  for x, y in zip(frozen, fresh))
         worst = max(worst, gap)
     check(2, "zero-adaptation identity", worst < 1e-12, f"max gap {worst:.2e}")
 
@@ -201,9 +201,9 @@ def test_criterion_03_gamma_initialization():
     worst = 0.0
     for alpha in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]:
         for layers in [1, 2, 3, 4]:
-            total = pr.init_gamma(alpha, layers).gamma.data.sum()
+            total = pr.init_gamma(alpha, layers).data.sum()
             worst = max(worst, abs(total - 1.0))
-    example = pr.init_gamma(0.1, 2).gamma.data[0]
+    example = pr.init_gamma(0.1, 2).data[0]
     example_gap = np.abs(example - np.array([0.1, 0.09, 0.81])).max()
     check(3, "gamma initialization",
           worst < 1e-12 and example_gap < 1e-12,
@@ -216,10 +216,10 @@ def test_criterion_03_gamma_initialization():
 
 def test_criterion_04_contrastive_anchors():
     adj = nc.SparseMatrix((3, 3), np.arange(4), np.arange(3), np.ones(3))
-    trip = [pt.Triplet(v=0, a=1, b=2)]
-    sym = enc.EmbeddingStack([nc.Tensor([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])])
+    trip = pt.Triplets(v=np.array([0]), a=np.array([1]), b=np.array([2]))
+    sym = [nc.Tensor([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])]
     loss_sym = pt.pretrain_loss(sym, adj, trip, tau=1.0).item()
-    ortho = enc.EmbeddingStack([nc.Tensor([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])])
+    ortho = [nc.Tensor([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
     loss_ortho = pt.pretrain_loss(ortho, adj, trip, tau=1.0).item()
     gap_sym = abs(loss_sym - math.log(2.0))
     gap_ortho = abs(loss_ortho - math.log(1.0 + math.exp(-1.0)))

@@ -127,6 +127,31 @@ def test_experiment_bad_config_exit_code(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("grid", {"lr": []}, "grid lr"),
+    ("seeds", "01", "seeds must be a list of ints"),
+    ("seeds", [-1], "seeds must be a list of ints"),
+])
+def test_experiment_bad_value_exit_code(runner, tmp_path, field, value, message):
+    # rejected while the config is built, before any data is read
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"dataset": "datasets/web-tiny", "mode": "prototype",
+                                  "shots": 2, field: value}))
+    result = runner.invoke(main, ["experiment", "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def test_pretrain_zero_width_exit_code(runner, tmp_path):
+    result = runner.invoke(main, [
+        "pretrain", "datasets/web-tiny", "--out", str(tmp_path / "m.dagp"),
+        "--hidden", "0", "--epochs", "1",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "dims must be >= 1" in result.output
+    assert not (tmp_path / "m.dagp").exists()
+
+
 def test_ablate_command(runner, tmp_path):
     out = tmp_path / "ablation.json"
     result = runner.invoke(main, [

@@ -91,7 +91,7 @@ class TestForward:
         stack = enc.encoder_forward(adj, g.features, cfg, params)
         ref = dense_reference(adj, g.features.data, params)
         assert len(stack) == cfg.layers + 1
-        for ours, theirs in zip(stack.layers, ref):
+        for ours, theirs in zip(stack, ref):
             assert np.abs(ours.data - theirs).max() < 1e-10
 
     def test_one_layer_identity_pieces(self):
@@ -116,7 +116,7 @@ class TestForward:
                                      rank=3, glora_mode="full")
         adapted_params = enc.attach_glora(params, cfg_full, rng, num_nodes=g.num_nodes)
         adapted = enc.encoder_forward(adj, g.features, cfg_full, adapted_params)
-        for a, b in zip(frozen.layers, adapted.layers):
+        for a, b in zip(frozen, adapted):
             assert np.abs(a.data - b.data).max() < 1e-12
 
     def test_edge_subset_zero_init_identity(self):
@@ -127,7 +127,7 @@ class TestForward:
         pos = enc.edge_subset_positions(adj, [0, 1])
         adapted_params = enc.attach_glora(params, cfg_es, rng, edge_positions=pos)
         adapted = enc.encoder_forward(adj, g.features, cfg_es, adapted_params)
-        for a, b in zip(frozen.layers, adapted.layers):
+        for a, b in zip(frozen, adapted):
             assert np.abs(a.data - b.data).max() < 1e-12
 
     def test_glora_factors_with_mode_off_rejected(self):
@@ -170,7 +170,7 @@ class TestForward:
 
         ours = enc.encoder_forward(adj, g.features, cfg_es, adapted)
         oracle = scatter_edge_subset_forward(adj, g.features, adapted)
-        for a, b in zip(ours.layers, oracle):
+        for a, b in zip(ours, oracle):
             assert np.array_equal(a.data, b.data)
         got, want = nc.backward(loss_of(ours)), nc.backward(loss_of(oracle))
         trainables, _frozen = enc.partition_params(adapted, "prompt")
@@ -320,7 +320,7 @@ class TestForwardPlan:
         return total
 
     @staticmethod
-    def _slot_grads(calls, plan=None):
+    def _slot_grads(calls, grads, plan=None):
         """{(row, col): gradient} of every overridden slot, per layer."""
         per_layer = []
         for l, (s, values, slots) in enumerate(calls):
@@ -329,7 +329,7 @@ class TestForwardPlan:
                 rows = rows if plan.rows[l + 1] is None else plan.rows[l + 1][rows]
                 cols = cols if plan.rows[l] is None else plan.rows[l][cols]
             per_layer.append({(int(r), int(c)): float(v)
-                              for r, c, v in zip(rows, cols, values.grad[:, 0])})
+                              for r, c, v in zip(rows, cols, grads.get(values)[:, 0])})
         return per_layer
 
     @given(case=planned_graphs(), mode=st.sampled_from(["off", "full", "edge_subset"]))
@@ -344,13 +344,13 @@ class TestForwardPlan:
         with pytest.MonkeyPatch.context() as m:
             full_calls = _SpmmValues(m)
             full = enc.encoder_forward(adj, g.features, cfg, params)
-            want = nc.backward(self._loss([nc.gather_rows(h, ids) for h in full.layers], seed))
+            want = nc.backward(self._loss([nc.gather_rows(h, ids) for h in full], seed))
         with pytest.MonkeyPatch.context() as m:
             planned_calls = _SpmmValues(m)
             planned = enc.encoder_forward(adj, g.features, cfg, params, plan=plan)
-            got = nc.backward(self._loss(planned.layers, seed))
+            got = nc.backward(self._loss(planned, seed))
 
-        for l, h in enumerate(planned.layers):
+        for l, h in enumerate(planned):
             assert np.array_equal(h.data, full[l].data[ids]), f"layer {l}"
         # a layer that needs every row runs unsliced
         assert all(r is None or r.size < g.num_nodes for r in plan.rows)
@@ -360,8 +360,8 @@ class TestForwardPlan:
             assert np.abs(a - b).max(initial=0.0) <= 1e-12 * scale
         # every trainable slot the loss depends on lies in the plan's slices,
         # with the same gradient there
-        full_slots = self._slot_grads(full_calls.calls)
-        planned_slots = self._slot_grads(planned_calls.calls, plan)
+        full_slots = self._slot_grads(full_calls.calls, want)
+        planned_slots = self._slot_grads(planned_calls.calls, got, plan)
         for have, need in zip(planned_slots, full_slots):
             for key, grad in need.items():
                 if grad != 0.0:
@@ -482,7 +482,7 @@ class TestCheckpoint:
         after = enc.encoder_forward(adj, g.features, cfg, loaded)
         # 32-bit storage keeps the forward within 1e-6
         gap = max(np.abs(a.data - b.data).max()
-                  for a, b in zip(before.layers, after.layers))
+                  for a, b in zip(before, after))
         assert gap < 1e-6
 
     def test_corrupt_header(self, tmp_path):

@@ -17,6 +17,7 @@ from hopprompt.errors import (
 )
 from hopprompt.harness import baselines
 from hopprompt.pretrain import PretrainConfig
+from hopprompt.prompt import PromptTuneConfig, run_prompt_tune
 
 from tests._oracles import full_rows_plan
 
@@ -226,17 +227,60 @@ class TestCacheRecovery:
 
 
 class TestFinetuneBaseline:
-    def test_w0_actually_moves(self, tiny_data):
+    def test_w0_actually_moves(self, tiny_data, monkeypatch):
         import hopprompt.pretrain as pt
         cfg = enc.EncoderConfig(layers=2, dims=[16, 32, 32])
         params, _ = pt.run_pretrain(tiny_data, cfg,
                                     pt.PretrainConfig(epochs=3, lr=1e-3, seed=0))
         before = [lp.w0.data.copy() for lp in params.layers]
+        real_fit, trained = baselines.fit, []
+
+        def fit(loss_fn, trainables, **kwargs):
+            trained.extend(trainables)
+            return real_fit(loss_fn, trainables, **kwargs)
+
+        monkeypatch.setattr(baselines, "fit", fit)
         split = gs.kshot_split(tiny_data, 2, seed=0)
         hn.train_finetune_lp(params, cfg, tiny_data, split, lr=1e-3,
                              weight_decay=0.0, epochs=10, seed=0)
-        moved = [np.abs(a - lp.w0.data).max() for a, lp in zip(before, params.layers)]
-        assert all(m > 0 for m in moved)
+        # trainables are [w_in, W0 per layer, head]
+        moved = [np.abs(a - t.data).max() for a, t in zip(before, trained[1:-1])]
+        assert len(moved) == cfg.layers and all(m > 0 for m in moved)
+
+
+class TestCheckpointNeverWritten:
+    """Tuning wraps the checkpoint's arrays in tensors of its own: the
+    caller's tensors, a cache's among them, keep their values and flags."""
+
+    @staticmethod
+    def _state(params):
+        return [(t.data.tobytes(), t.requires_grad)
+                for t in [params.w_in] + [lp.w0 for lp in params.layers]]
+
+    @pytest.mark.parametrize("dataset", ["web-tiny", "ego-tiny"])
+    def test_tuning_leaves_cached_params_alone(self, dataset):
+        data = gs.load_dataset(f"datasets/{dataset}")
+        is_graph = isinstance(data, gs.GraphSet)
+        f = (data.graphs[0] if is_graph else data).num_features
+        cfg = enc.EncoderConfig(layers=2, dims=[f, 8, 8])
+        pcfg = PretrainConfig(epochs=3, batch_size=64, seed=0)
+        split = gs.kshot_split(data, 2, seed=0)
+        cache = hn.CheckpointCache()
+        params, _cfg, losses = cache.get_or_pretrain(data, cfg, pcfg)
+        assert losses is not None
+        pretrained = self._state(params)
+
+        tunes = [] if is_graph else [lambda: hn.train_finetune_lp(
+            params, cfg, data, split, lr=1e-2, weight_decay=0.0, epochs=5, seed=0)]
+        for mode in ("off", "full", "edge_subset"):
+            tcfg = PromptTuneConfig(glora_mode=mode, lr=1e-2, epochs=5, seed=0)
+            tunes.append(lambda tcfg=tcfg: run_prompt_tune((params, cfg), data,
+                                                           split, tcfg))
+        for tune in tunes:
+            tune()
+            assert self._state(params) == pretrained
+            hit, _cfg, losses = cache.get_or_pretrain(data, cfg, pcfg)
+            assert losses is None and self._state(hit) == pretrained
 
 
 class TestBaselinesOnReceptiveField:

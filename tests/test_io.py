@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopprompt import graphstore as gs
 from hopprompt.errors import DatasetError
@@ -40,6 +44,86 @@ def test_graph_task_roundtrip(tmp_path):
         assert a.graph_label == b.graph_label
         np.testing.assert_array_equal(a.edges, b.edges)
         np.testing.assert_array_equal(a.features.data, b.features.data)
+
+
+_FEATURE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _draw_graph(draw, n, width, num_classes, labelled):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    feats = draw(st.lists(st.lists(_FEATURE, min_size=width, max_size=width),
+                          min_size=n, max_size=n))
+    labels = (np.array(draw(st.lists(st.integers(-1, num_classes - 1),
+                                     min_size=n, max_size=n)))
+              if labelled else None)
+    return gs.Graph(num_nodes=n, edges=gs.canonical_edges(edges, n),
+                    features=Tensor(feats), labels=labels, num_classes=num_classes,
+                    graph_label=None if labelled
+                    else draw(st.integers(0, num_classes - 1)))
+
+
+@st.composite
+def node_graphs(draw):
+    """Up to 8 nodes: any edge subset (none, or leaving nodes isolated) and
+    labels that may be -1."""
+    return _draw_graph(draw, draw(st.integers(1, 8)), draw(st.integers(1, 3)),
+                       draw(st.integers(1, 3)), labelled=True)
+
+
+@st.composite
+def graph_sets(draw):
+    """1-4 members of 1-4 nodes each, single-node and edgeless ones among
+    them."""
+    width, num_classes = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    members = [_draw_graph(draw, draw(st.integers(1, 4)), width, num_classes,
+                           labelled=False)
+               for _ in range(draw(st.integers(1, 4)))]
+    return gs.GraphSet(graphs=members, num_classes=num_classes)
+
+
+def _roundtrip(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        gs.save_dataset(data, Path(tmp) / "ds", name="prop")
+        return gs.load_dataset(Path(tmp) / "ds")
+
+
+def _assert_same_graph(a, b):
+    assert (a.num_nodes, a.num_classes, a.graph_label) == (b.num_nodes, b.num_classes,
+                                                           b.graph_label)
+    assert a.edges.shape == b.edges.shape and np.array_equal(a.edges, b.edges)
+    assert a.features.data.tobytes() == b.features.data.tobytes()
+    assert (a.labels is None) == (b.labels is None)
+    if a.labels is not None:
+        assert np.array_equal(a.labels, b.labels)
+
+
+@given(graph=node_graphs())
+@example(graph=gs.Graph(num_nodes=3, edges=np.zeros((0, 2), dtype=np.int64),
+                        features=Tensor([[0.0], [-0.0], [5e-324]]),
+                        labels=np.array([-1, -1, 0]), num_classes=1))
+@settings(max_examples=60, deadline=None)
+def test_node_roundtrip_property(graph):
+    loaded = _roundtrip(graph)
+    assert isinstance(loaded, gs.Graph)
+    _assert_same_graph(loaded, graph)
+
+
+@given(items=graph_sets())
+@example(items=gs.GraphSet(graphs=[
+    gs.Graph(num_nodes=1, edges=np.zeros((0, 2), dtype=np.int64),
+             features=Tensor([[1.5, -2.0]]), labels=None, num_classes=2, graph_label=1),
+    gs.Graph(num_nodes=3, edges=np.zeros((0, 2), dtype=np.int64),
+             features=Tensor(np.ones((3, 2))), labels=None, num_classes=2, graph_label=0),
+], num_classes=2))
+@settings(max_examples=60, deadline=None)
+def test_graph_task_roundtrip_property(items):
+    loaded = _roundtrip(items)
+    assert isinstance(loaded, gs.GraphSet)
+    assert loaded.num_classes == items.num_classes
+    assert len(loaded.graphs) == len(items.graphs)
+    for a, b in zip(loaded.graphs, items.graphs):
+        _assert_same_graph(a, b)
 
 
 def _write_valid(tmp_path):
