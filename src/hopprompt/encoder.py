@@ -4,7 +4,9 @@ Each layer computes (A_hat + PA QA^T) H W with W = W0 + P Q^T; the base
 weights W0 (and the input linear map) are learned during pre-training and
 frozen afterwards, while the low-rank factors are the stage-two trainables.
 Adaptation factors are zero-initialized on one side so a freshly attached
-adapter reproduces the frozen encoder exactly.
+adapter reproduces the frozen encoder exactly. A full-GLoRA layer runs as
+the frozen product (A_hat H) W0 plus a rank-(r+1) update, and a stage-two
+forward can take its epoch-invariant start from `frozen_input`.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ from .numcore import (
     Tensor,
     add,
     gather_rows,
+    hstack,
     matmul,
-    rank_one_update_spmm,
     relu,
     spmm,
     transpose,
+    vstack,
 )
 
 GLORA_MODES = ("off", "full", "edge_subset")
@@ -278,15 +281,19 @@ def forward_plan(adj: SparseMatrix, ids, layers: int,
     return ForwardPlan(rows=rows, adjs=adjs, picks=picks, edge_slots=edge_slots)
 
 
-def encoder_forward(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
-                    params: EncoderParams,
-                    plan: ForwardPlan | None = None) -> list[Tensor]:
-    """Run the (possibly adapted) encoder; ReLU on interior layers only.
+@dataclass(frozen=True)
+class FrozenInput:
+    """The epoch-invariant start of stage-two forwards over one plan, for a
+    frozen input map and frozen W0: H(0) = X W_in on the plan's input rows
+    and, when the first layer carries full GLoRA, its aggregation A H(0) and
+    frozen product A H(0) W0. All untracked."""
 
-    Returns the per-layer embeddings H(0..L), H(0) being the input linear
-    map's output. With a `plan` from `forward_plan(adj, ids, ...)` each layer
-    runs on its planned rows only, and every returned layer holds rows `ids`.
-    """
+    h0: Tensor
+    first: tuple[Tensor, Tensor] | None
+
+
+def _checked_plan(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
+                  params: EncoderParams, plan: ForwardPlan | None) -> ForwardPlan:
     n = adj.shape[0]
     if adj.shape[1] != n:
         raise DimensionError(f"adjacency must be square, got {adj.shape}")
@@ -301,35 +308,105 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
     if cfg.glora_mode == "off" and any(lp.has_glora() for lp in params.layers):
         raise ContractError("GLoRA factors present but glora_mode=off")
     if plan is None:
-        plan = forward_plan(adj, None, cfg.layers, params.edge_positions)
-    elif len(plan.adjs) != cfg.layers:
+        return forward_plan(adj, None, cfg.layers, params.edge_positions)
+    if len(plan.adjs) != cfg.layers:
         raise DimensionError(f"plan has {len(plan.adjs)} layers, config says {cfg.layers}")
+    return plan
 
+
+def _input_map(x: Tensor, params: EncoderParams, plan: ForwardPlan) -> Tensor:
     x_rows = x if plan.rows[0] is None else gather_rows(x, plan.rows[0])
-    stack = [matmul(x_rows, params.w_in)]
+    return matmul(x_rows, params.w_in)
+
+
+def _full_glora(lp: LayerParams) -> bool:
+    return lp.pa is not None and lp.qa is not None
+
+
+def frozen_input(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
+                 params: EncoderParams,
+                 plan: ForwardPlan | None = None) -> FrozenInput:
+    """The constants every stage-two forward over `plan` (None: the full
+    forward) starts from. Build them from the call's own inputs; they hold
+    only while the input map and every W0 stay frozen."""
+    plan = _checked_plan(adj, x, cfg, params, plan)
+    if params.w_in.requires_grad or any(lp.w0.requires_grad for lp in params.layers):
+        raise ContractError("frozen_input needs a frozen input map and frozen W0")
+    h0 = _input_map(x, params, plan)
+    first = None
+    if _full_glora(params.layers[0]):
+        agg = spmm(plan.adjs[0], h0)
+        first = (agg, matmul(agg, params.layers[0].w0))
+    return FrozenInput(h0=h0, first=first)
+
+
+def _full_glora_layer(sub: SparseMatrix, h: Tensor, lp: LayerParams, pa: Tensor,
+                      known: tuple[Tensor, Tensor] | None) -> Tensor:
+    """((A + pa qa^T) h)(W0 + P Q^T) as (A h) W0 + [(A h) P | pa] [Q^T ; (qa^T h) W]:
+    the frozen product plus a rank-(r+1) update, with (qa^T h) W as
+    (qa^T h) W0 + ((qa^T h) P) Q^T. An adapter meets W0 only through one
+    row, so no adapter enters an (n, d) x (d, d) product. `known` is
+    (A h, A h W0) when h is constant."""
+    if lp.p is None or lp.q is None:
+        raise ContractError("full GLoRA needs the projection factors P and Q")
+    if known is None:
+        agg = spmm(sub, h)
+        known = (agg, matmul(agg, lp.w0))
+    agg, base = known
+    q_t = transpose(lp.q)
+    qh = matmul(transpose(lp.qa), h)
+    row = add(matmul(qh, lp.w0), matmul(matmul(qh, lp.p), q_t))
+    update = matmul(hstack([matmul(agg, lp.p), pa]), vstack([q_t, row]))
+    return add(base, update)
+
+
+def encoder_forward(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
+                    params: EncoderParams,
+                    plan: ForwardPlan | None = None,
+                    frozen: FrozenInput | None = None) -> list[Tensor]:
+    """Run the (possibly adapted) encoder; ReLU on interior layers only.
+
+    Returns the per-layer embeddings H(0..L), H(0) being the input linear
+    map's output. With a `plan` from `forward_plan(adj, ids, ...)` each layer
+    runs on its planned rows only, and every returned layer holds rows `ids`.
+    `frozen` is `frozen_input` over the same plan; the forward then starts
+    from its constants instead of recomputing them.
+    """
+    plan = _checked_plan(adj, x, cfg, params, plan)
+    n = adj.shape[0]
+    if frozen is None:
+        stack = [_input_map(x, params, plan)]
+    else:
+        want = n if plan.rows[0] is None else plan.rows[0].size
+        if frozen.h0.rows != want:
+            raise DimensionError(
+                f"frozen input has {frozen.h0.rows} rows, the plan's first layer reads {want}")
+        stack = [frozen.h0]
     for l, lp in enumerate(params.layers):
         h, sub = stack[-1], plan.adjs[l]
-        weight = lp.w0
-        if lp.p is not None and lp.q is not None:
-            weight = add(weight, matmul(lp.p, transpose(lp.q)))
-        if lp.pa is not None and lp.qa is not None:
+        if _full_glora(lp):
             if plan.rows[l] is not None:
                 raise ContractError("full GLoRA reads every row of each layer's "
                                     "input; plan it with dense=True")
             pa = lp.pa if plan.rows[l + 1] is None else gather_rows(lp.pa, plan.rows[l + 1])
-            agg = rank_one_update_spmm(sub, pa, lp.qa, h)
-        elif lp.edge_weights is not None:
-            if plan.edge_slots is None:
-                raise ContractError("edge weights present but no edge_positions")
-            # one shared scalar per selected undirected edge, added to each
-            # of its slots; the other entries stay constant
-            slots, edges = plan.edge_slots[l]
-            values = add(Tensor(sub.values[slots][:, None]),
-                         gather_rows(lp.edge_weights, edges))
-            agg = spmm(sub, h, values=values, slots=slots)
+            known = frozen.first if l == 0 and frozen is not None else None
+            h = _full_glora_layer(sub, h, lp, pa, known)
         else:
-            agg = spmm(sub, h)
-        h = matmul(agg, weight)
+            weight = lp.w0
+            if lp.p is not None and lp.q is not None:
+                weight = add(weight, matmul(lp.p, transpose(lp.q)))
+            if lp.edge_weights is not None:
+                if plan.edge_slots is None:
+                    raise ContractError("edge weights present but no edge_positions")
+                # one shared scalar per selected undirected edge, added to
+                # each of its slots; the other entries stay constant
+                slots, edges = plan.edge_slots[l]
+                values = add(Tensor(sub.values[slots][:, None]),
+                             gather_rows(lp.edge_weights, edges))
+                agg = spmm(sub, h, values=values, slots=slots)
+            else:
+                agg = spmm(sub, h)
+            h = matmul(agg, weight)
         if l < len(params.layers) - 1:
             h = relu(h)
         stack.append(h)

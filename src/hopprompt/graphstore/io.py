@@ -80,7 +80,8 @@ def _read_features(path: Path, num_nodes: int, num_features: int) -> np.ndarray:
     try:
         feats = np.loadtxt(feat_path, delimiter=",", ndmin=2)
     except ValueError as e:
-        raise DatasetError(f"{feat_path}: parse failure ({e})") from e
+        where = _first_bad_feature_line(feat_path)
+        raise DatasetError(where or f"{feat_path}: parse failure ({e})") from e
     if feats.shape[0] != num_nodes:
         raise DatasetError(
             f"{feat_path}: {feats.shape[0]} rows but meta num_nodes={num_nodes}"
@@ -92,6 +93,30 @@ def _read_features(path: Path, num_nodes: int, num_features: int) -> np.ndarray:
     if not np.isfinite(feats).all():
         raise DatasetError(f"{feat_path}: non-finite feature value")
     return feats
+
+
+def _first_bad_feature_line(feat_path: Path) -> str | None:
+    """`{path}:{lineno}: ...` for the first line `np.loadtxt` cannot read:
+    a token that is no float, or a value count unlike the first row's.
+    Lines count from 1, blank and comment lines included."""
+    first = None
+    with feat_path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            tokens = text.split(",")
+            for token in tokens:
+                try:
+                    float(token)
+                except ValueError:
+                    return f"{feat_path}:{lineno}: non-numeric feature value {token.strip()!r}"
+            if first is None:
+                first = (lineno, len(tokens))
+            elif len(tokens) != first[1]:
+                return (f"{feat_path}:{lineno}: {len(tokens)} values, "
+                        f"line {first[0]} has {first[1]}")
+    return None
 
 
 def _read_labels(path: Path, num_nodes: int, num_classes: int) -> np.ndarray:

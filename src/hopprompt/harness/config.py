@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -38,6 +40,17 @@ QUICK_SEEDS = 5
 PAPER_SEEDS = 10
 
 
+def _is_grid_number(value, whole: bool) -> bool:
+    if isinstance(value, bool):
+        return False
+    if whole:
+        return isinstance(value, numbers.Integral)
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass
 class GridSpec:
     lr: list[float] = field(default_factory=lambda: [5e-4])
@@ -51,6 +64,12 @@ class GridSpec:
             values = getattr(self, f.name)
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"grid {f.name} must be a non-empty list, got {values!r}")
+            whole = f.name in ("hidden", "rank")
+            for value in values:
+                if not _is_grid_number(value, whole):
+                    raise ConfigError(
+                        f"grid {f.name} values must be {'ints' if whole else 'finite numbers'}, "
+                        f"got {value!r}")
 
     def points(self) -> list[dict]:
         """Cartesian product in a fixed field order."""

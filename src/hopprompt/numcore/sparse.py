@@ -10,7 +10,7 @@ import numpy as np
 from scipy import sparse as _scipy_sparse
 
 from ..errors import ContractError, DimensionError, StructuralError
-from .tensor import Tensor, _record, matmul, transpose, add
+from .tensor import Tensor, _record
 
 
 class SparseMatrix:
@@ -171,17 +171,3 @@ def spmm(s: SparseMatrix, d: Tensor, values: Tensor | None = None,
 
     parents = (d,) if values is None else (d, values)
     return _record("spmm", mat @ dd, parents, vjp)
-
-
-def rank_one_update_spmm(s: SparseMatrix, p: Tensor, q: Tensor, d: Tensor) -> Tensor:
-    """(s + p q^T) @ d without materializing the dense rank-one term; for an
-    (m, n) matrix s, p is (m, 1) and q is (n, 1)."""
-    m, n = s.shape
-    if p.shape != (m, 1) or q.shape != (n, 1):
-        raise DimensionError(
-            f"rank_one_update_spmm: p, q must be ({m}, 1), ({n}, 1), "
-            f"got {p.shape}, {q.shape}"
-        )
-    if d.rows != n:
-        raise DimensionError(f"rank_one_update_spmm: d has {d.rows} rows, expected {n}")
-    return add(spmm(s, d), matmul(p, matmul(transpose(q), d)))

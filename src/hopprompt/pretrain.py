@@ -23,6 +23,7 @@ from .encoder import (
     partition_params,
 )
 from .errors import (
+    DegenerateRowError,
     DivergenceError,
     NumericError,
     ParameterError,
@@ -175,7 +176,7 @@ def run_pretrain(data: Graph | GraphSet, cfg: EncoderConfig, pcfg: PretrainConfi
                 loss = pretrain_loss(stack, adj, batch, pcfg.tau)
                 grads = backward(loss)
                 adam_step(trainable, grads, state)
-            except NumericError as e:
+            except (NumericError, DegenerateRowError) as e:
                 raise DivergenceError(f"pre-training diverged: {e}",
                                       epoch=epoch, lr=pcfg.lr) from e
             total += loss.item() * len(batch)

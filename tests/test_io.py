@@ -145,6 +145,17 @@ def test_feature_row_count_mismatch(tmp_path):
         gs.load_dataset(d)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("1.0,2.0\n3.0,x\n5.0,6.0\n", r"features.csv:2: non-numeric feature value 'x'"),
+    ("1.0,2.0\n\n3.0,4.0\n5.0\n", r"features.csv:4: 1 values, line 1 has 2"),
+], ids=["bad-token", "short-row"])
+def test_feature_parse_failure_names_the_line(tmp_path, text, where):
+    d = _write_valid(tmp_path)
+    (d / "features.csv").write_text(text)
+    with pytest.raises(DatasetError, match=where):
+        gs.load_dataset(d)
+
+
 def test_missing_file(tmp_path):
     d = _write_valid(tmp_path)
     (d / "labels.csv").unlink()

@@ -11,7 +11,12 @@ import hopprompt.encoder as enc
 import hopprompt.pretrain as pt
 from hopprompt import graphstore as gs
 from hopprompt import numcore as nc
-from hopprompt.errors import ParameterError, PretrainInfeasibleError
+from hopprompt.errors import (
+    DegenerateRowError,
+    DivergenceError,
+    ParameterError,
+    PretrainInfeasibleError,
+)
 
 from tests._oracles import assert_grads_close, finite_diff, reference_triplets
 
@@ -290,3 +295,19 @@ class TestRunPretrain:
         cfg = enc.EncoderConfig(layers=1, dims=[7, 8])
         with pytest.raises(ParameterError):
             pt.run_pretrain(g, cfg, pt.PretrainConfig(epochs=1))
+
+    def test_zero_feature_component_is_a_divergence(self):
+        # two triangles, the second with all-zero features: its embeddings
+        # are zero rows, which no cosine can score
+        rng = np.random.default_rng(12)
+        features = np.vstack([rng.standard_normal((3, 4)), np.zeros((3, 4))])
+        g = gs.Graph(num_nodes=6,
+                     edges=gs.canonical_edges([(0, 1), (1, 2), (0, 2),
+                                               (3, 4), (4, 5), (3, 5)], 6),
+                     features=nc.Tensor(features), labels=None, num_classes=2)
+        cfg = enc.EncoderConfig(layers=2, dims=[4, 8, 8])
+        pcfg = pt.PretrainConfig(epochs=3, batch_size=4, lr=2e-3, seed=0)
+        with pytest.raises(DivergenceError, match="pre-training diverged") as info:
+            pt.run_pretrain(g, cfg, pcfg)
+        assert (info.value.epoch, info.value.lr) == (0, 2e-3)
+        assert isinstance(info.value.__cause__, DegenerateRowError)

@@ -754,6 +754,57 @@ class TestReceptiveFieldTraining:
             np.testing.assert_allclose(a.data, b.data, rtol=1e-9, atol=1e-12)
 
 
+class TestNodeStageTwoTrainsEveryAdapter:
+    """Node-task stage two trains every adapter factor: the zero-initialised
+    ones (Q, QA, edge weights) all move off zero, which also needs a
+    gradient to reach each of them through the encoder's layers."""
+
+    @pytest.mark.parametrize("mode", ["full", "edge_subset"])
+    def test_zero_initialised_factors_move(self, synth_h10, ckpt_h10, mode):
+        split = gs.kshot_split(synth_h10, 5, seed=2)
+        tcfg = pr.PromptTuneConfig(epochs=3, patience=None, seed=0, lr=1e-3,
+                                   glora_mode=mode)
+        params, _result = pr.run_prompt_tune(ckpt_h10, synth_h10, split, tcfg)
+        attrs = ("q", "qa") if mode == "full" else ("q", "edge_weights")
+        for l, lp in enumerate(params.layers):
+            for attr in attrs:
+                assert np.any(getattr(lp, attr).data != 0.0), f"layer {l} {attr}"
+
+
+class TestFullGloraEpochProducts:
+    """During a full-mode node tune's epochs no product multiplies an
+    (N, d) operand by a (d, d) one: the frozen first layer's is computed
+    once per call, and every adapter enters through a rank-(r+1) update."""
+
+    def test_no_node_by_weight_product_per_epoch(self, monkeypatch, synth_h10,
+                                                  ckpt_h10):
+        shapes, in_epochs = [], [False]
+        real_matmul, real_fit = enc.matmul, pr.fit
+
+        def matmul(a, b):
+            if in_epochs[0]:
+                shapes.append((a.shape, b.shape))
+            return real_matmul(a, b)
+
+        def fit(*args, **kwargs):
+            in_epochs[0] = True
+            try:
+                return real_fit(*args, **kwargs)
+            finally:
+                in_epochs[0] = False
+
+        monkeypatch.setattr(enc, "matmul", matmul)
+        monkeypatch.setattr(pr, "fit", fit)
+        split = gs.kshot_split(synth_h10, 5, seed=2)
+        tcfg = pr.PromptTuneConfig(epochs=4, patience=None, seed=0, lr=1e-3,
+                                   glora_mode="full")
+        pr.run_prompt_tune(ckpt_h10, synth_h10, split, tcfg)
+        n, d = synth_h10.num_nodes, encoder_config().hidden_dim
+        assert shapes, "no product recorded during the epochs"
+        dense = [s for s in shapes if s == ((n, d), (d, d))]
+        assert not dense, f"{len(dense)} (N, d) x (d, d) products in 4 epochs"
+
+
 class TestDegenerateRowWrapped:
     def test_collapsed_training_row_raises_divergence(self):
         # node 0 is isolated with zero features, so every layer's row of it

