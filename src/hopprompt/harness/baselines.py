@@ -34,9 +34,12 @@ def _train_classifier(forward_logits, adj, layers, trainables, g, split, lr,
     runs on the training rows' receptive field, evaluation on every row."""
     train_plan = forward_plan(adj, split.train_ids, layers)
     y_train = g.labels[split.train_ids]
+
+    def steps(_epoch):
+        yield softmax_nll(forward_logits(train_plan), y_train, tau=1.0), 1
+
     losses, _best_epoch = fit(
-        lambda: softmax_nll(forward_logits(train_plan), y_train, tau=1.0),
-        trainables, lr=lr, weight_decay=weight_decay, epochs=epochs,
+        steps, trainables, lr=lr, weight_decay=weight_decay, epochs=epochs,
         patience=patience, what="baseline")
     logits = forward_logits(forward_plan(adj, None, layers)).data
     preds = np.argmax(logits[split.test_ids], axis=1)

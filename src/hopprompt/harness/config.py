@@ -103,7 +103,7 @@ class ExperimentConfig:
     pretrain_epochs: int = 200
     negatives: int = 1
     batch_size: int = 512
-    patience: int | None = 50
+    patience: int | None = 50  # None: every epoch runs, last weights kept
     selection: str = "test_acc"  # or "train_loss" (label-budget-honest mode)
     allow_custom_grid: bool = False
     workers: int = 1  # accepted and ignored: runs are serial

@@ -1,5 +1,5 @@
 """Adam with bias correction and decoupled weight decay, and the one
-full-batch training loop built on it."""
+training loop built on it."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateRowError, DimensionError, DivergenceError, NumericError
+from ..errors import (DegenerateRowError, DimensionError, DivergenceError, NumericError,
+                      ParameterError)
 from .tensor import Gradients, Tensor, backward
 
 
@@ -64,35 +65,43 @@ def adam_step(params: list[Tensor], grads: Gradients, state: AdamState):
         if not np.isfinite(new).all():
             raise NumericError(f"adam_step: param {i} became non-finite")
         p.data = new
-    return params, state
 
 
-def fit(loss_fn, trainables: list[Tensor], *, lr: float, weight_decay: float,
+def fit(steps, trainables: list[Tensor], *, lr: float, weight_decay: float,
         epochs: int, patience: int | None, what: str) -> tuple[list[float], int]:
-    """Adam on `loss_fn()` for at most `epochs` epochs.
+    """Adam for at most `epochs` epochs: one step per (loss, weight) pair
+    that `steps(epoch)` yields, the epoch's loss being sum(loss * weight) /
+    sum(weight).
 
-    Stops once the training loss has failed to improve (by more than 1e-12)
-    for more than `patience` epochs in a row (never when None), then restores
-    the best epoch's weights. A non-finite value or a degenerate row raises
-    DivergenceError naming `what`, the epoch and the learning rate. Returns
-    the loss of every epoch run and the best epoch (-1 when none ran).
+    With `patience` set, stops once that loss has failed to improve (by more
+    than 1e-12) for more than `patience` epochs in a row, then restores the
+    best epoch's weights; with None every epoch runs and the last weights
+    stay. A negative or non-finite `lr` or `weight_decay` raises
+    ParameterError before any step; a non-finite value or a degenerate row
+    raises DivergenceError naming `what`, the epoch and the learning rate.
+    Returns the loss of every epoch run and the best epoch (-1 when none ran).
     """
+    for name, value in (("lr", lr), ("weight_decay", weight_decay)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ParameterError(f"{what}: {name} must be finite and >= 0, got {value}")
     state = AdamState.for_params(trainables, lr=lr, weight_decay=weight_decay)
     losses: list[float] = []
-    best, best_epoch, saved = np.inf, -1, None
-    stale = 0
+    best, best_epoch, saved, stale = np.inf, -1, None, 0
     for epoch in range(epochs):
+        total, count = 0.0, 0
         try:
-            loss = loss_fn()
-            grads = backward(loss)
-            adam_step(trainables, grads, state)
+            for loss, weight in steps(epoch):
+                adam_step(trainables, backward(loss), state)
+                total += loss.item() * weight
+                count += weight
         except (NumericError, DegenerateRowError) as e:
             raise DivergenceError(f"{what} diverged: {e}", epoch=epoch, lr=lr) from e
-        value = loss.item()
+        value = total / count
         losses.append(value)
         if value < best - 1e-12:
-            best, best_epoch, saved = value, epoch, [t.data.copy() for t in trainables]
-            stale = 0
+            best, best_epoch, stale = value, epoch, 0
+            if patience is not None:
+                saved = [t.data.copy() for t in trainables]
         else:
             stale += 1
             if patience is not None and stale > patience:

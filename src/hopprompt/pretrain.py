@@ -22,18 +22,10 @@ from .encoder import (
     init_encoder,
     partition_params,
 )
-from .errors import (
-    DegenerateRowError,
-    DivergenceError,
-    NumericError,
-    ParameterError,
-    PretrainInfeasibleError,
-)
+from .errors import ParameterError, PretrainInfeasibleError
 from .graphstore import Graph, GraphSet, disjoint_union, normalize_adjacency
 from .numcore import (
-    AdamState,
-    adam_step,
-    backward,
+    fit,
     gather_rows,
     hstack,
     rowwise_cosine_sim,
@@ -149,9 +141,10 @@ def run_pretrain(data: Graph | GraphSet, cfg: EncoderConfig, pcfg: PretrainConfi
                  out_path=None):
     """Train the base encoder by link prediction; returns (params, losses).
 
-    `losses` is a list of (epoch, mean_loss). GraphSet datasets are trained on
-    the disjoint union of their member graphs (label-free). When out_path is
-    set, a checkpoint plus `<out>.losses.csv` are written.
+    Each mini-batch is one step of `numcore.fit`, with no patience: the last
+    weights stay. `losses` is a list of (epoch, mean_loss). GraphSet datasets
+    train on the disjoint union of their member graphs (label-free). When
+    out_path is set, a checkpoint plus `<out>.losses.csv` are written.
     """
     g = disjoint_union(data.graphs) if isinstance(data, GraphSet) else data
     if g.num_features != cfg.feature_dim:
@@ -162,26 +155,20 @@ def run_pretrain(data: Graph | GraphSet, cfg: EncoderConfig, pcfg: PretrainConfi
     params = init_encoder(cfg, rng)
     adj = normalize_adjacency(g)
     trainable, _ = partition_params(params, "pretrain")
-    state = AdamState.for_params(trainable, lr=pcfg.lr, weight_decay=pcfg.weight_decay)
 
-    losses: list[tuple[int, float]] = []
-    for epoch in range(pcfg.epochs):
+    def steps(epoch):
+        # the epoch's triplets and batch order are drawn when it starts
         triplets = build_triplets(g, pcfg.negatives, _epoch_seed(pcfg.seed, epoch))
         order = rng.permutation(len(triplets))
-        total, count = 0.0, 0
         for start in range(0, len(triplets), pcfg.batch_size):
             batch = triplets[order[start:start + pcfg.batch_size]]
-            try:
-                stack = encoder_forward(adj, g.features, cfg, params)
-                loss = pretrain_loss(stack, adj, batch, pcfg.tau)
-                grads = backward(loss)
-                adam_step(trainable, grads, state)
-            except (NumericError, DegenerateRowError) as e:
-                raise DivergenceError(f"pre-training diverged: {e}",
-                                      epoch=epoch, lr=pcfg.lr) from e
-            total += loss.item() * len(batch)
-            count += len(batch)
-        losses.append((epoch, total / count))
+            stack = encoder_forward(adj, g.features, cfg, params)
+            yield pretrain_loss(stack, adj, batch, pcfg.tau), len(batch)
+
+    epoch_losses, _best_epoch = fit(
+        steps, trainable, lr=pcfg.lr, weight_decay=pcfg.weight_decay,
+        epochs=pcfg.epochs, patience=None, what="pre-training")
+    losses = list(enumerate(epoch_losses))
 
     if out_path is not None:
         out_path = Path(out_path)

@@ -99,7 +99,7 @@ class PromptTuneConfig:
     tau: float = 0.5
     epochs: int = 200
     seed: int = 0
-    patience: int | None = 50  # early stopping on training loss
+    patience: int | None = 50  # early stop, restore best; None: last weights
     last_layer_only: bool = False  # ablation: single prompt at the final layer
     fixed_gamma: bool = False      # ablation: gamma = 1 everywhere, frozen
 
@@ -272,13 +272,13 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
     scored = [num_layers - 1] if tcfg.last_layer_only else range(num_layers)
     forward = _once_if_frozen(forward, encoder_trainables)
 
-    def loss_fn():
+    def steps(_epoch):
         mats = forward()
-        return prompt_nll([mats[l] for l in scored], y_train,
-                          [theta[l] for l in scored], tcfg.tau)
+        yield prompt_nll([mats[l] for l in scored], y_train,
+                         [theta[l] for l in scored], tcfg.tau), 1
 
     train_losses, best_epoch = fit(
-        loss_fn, encoder_trainables + prompt_trainables, lr=tcfg.lr,
+        steps, encoder_trainables + prompt_trainables, lr=tcfg.lr,
         weight_decay=tcfg.weight_decay, epochs=tcfg.epochs,
         patience=tcfg.patience, what="prompt tuning")
 

@@ -8,6 +8,8 @@ draw; the edge-subset and CSR-row oracles are the loops that
 `encoder.edge_subset_positions` and `SparseMatrix` must agree with exactly.
 The graph-task oracles run one forward per item and `mean_rows` pooling,
 which the batched disjoint-union forward in `prompt.graph_tokens` replaces.
+`reference_pretrain` is stage one's own mini-batch Adam loop, which
+`run_pretrain` replaces with the shared `numcore.fit`.
 `full_rows_plan` is the full-forward training path that node-task training
 on the training rows' receptive field replaces: every layer runs on every
 row and the planned rows are gathered from the result. `unfactored_forward`
@@ -25,15 +27,21 @@ import warnings
 
 import numpy as np
 
+import hopprompt.pretrain as pt
 import hopprompt.prompt as pr
-from hopprompt.encoder import encoder_forward, forward_plan, partition_params
+from hopprompt.encoder import (
+    encoder_forward,
+    forward_plan,
+    init_encoder,
+    partition_params,
+)
 from hopprompt.errors import (
     ContractError,
     DimensionError,
     PretrainInfeasibleError,
     SplitError,
 )
-from hopprompt.graphstore import normalize_adjacency
+from hopprompt.graphstore import GraphSet, disjoint_union, normalize_adjacency
 from hopprompt.numcore import (
     AdamState,
     Tensor,
@@ -237,7 +245,8 @@ def reference_graph_tokens(graph, params, cfg):
 def reference_graph_tune(checkpoint, items, split, tcfg):
     """Graph-task stage two with one forward per training item per epoch
     and one per item for the evaluation; returns (predictions, losses,
-    best epoch)."""
+    best epoch). With a patience the best epoch's weights are evaluated,
+    without one the last epoch's."""
     params, base_cfg = pr._load_encoder(checkpoint, items.graphs[0].num_features)
     rng = np.random.default_rng(tcfg.seed)
     params, cfg = pr._make_stage_two(params, base_cfg, tcfg, rng,
@@ -268,7 +277,10 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
         adam_step(trainables, backward(loss), state)
         losses.append(loss.item())
         if losses[-1] < best[0] - 1e-12:
-            best = (losses[-1], epoch, [t.data.copy() for t in trainables])
+            # without a patience the last weights stay: nothing to snapshot
+            snapshot = (None if tcfg.patience is None
+                        else [t.data.copy() for t in trainables])
+            best = (losses[-1], epoch, snapshot)
             stale = 0
         else:
             stale += 1
@@ -285,6 +297,33 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
     preds = pr._predict_rows(layer_data, anchor_data, [t.data for t in theta],
                              weights, split.test_ids)
     return preds, losses, best[1]
+
+
+def reference_pretrain(data, cfg, pcfg):
+    """Stage one as its own mini-batch Adam loop: each epoch draws its
+    triplets and a batch permutation, takes one step per batch, and records
+    the batch-size-weighted mean loss; the last weights stay. Returns
+    (params, [(epoch, mean_loss), ...]) as `run_pretrain` does."""
+    g = disjoint_union(data.graphs) if isinstance(data, GraphSet) else data
+    rng = np.random.default_rng(pcfg.seed)
+    params = init_encoder(cfg, rng)
+    adj = normalize_adjacency(g)
+    trainable, _ = partition_params(params, "pretrain")
+    state = AdamState.for_params(trainable, lr=pcfg.lr, weight_decay=pcfg.weight_decay)
+    losses = []
+    for epoch in range(pcfg.epochs):
+        triplets = pt.build_triplets(g, pcfg.negatives, pt._epoch_seed(pcfg.seed, epoch))
+        order = rng.permutation(len(triplets))
+        total, count = 0.0, 0
+        for start in range(0, len(triplets), pcfg.batch_size):
+            batch = triplets[order[start:start + pcfg.batch_size]]
+            stack = encoder_forward(adj, g.features, cfg, params)
+            loss = pt.pretrain_loss(stack, adj, batch, pcfg.tau)
+            adam_step(trainable, backward(loss), state)
+            total += loss.item() * len(batch)
+            count += len(batch)
+        losses.append((epoch, total / count))
+    return params, losses
 
 
 def full_rows_plan(adj, ids, layers, edge_positions=None, dense=False):

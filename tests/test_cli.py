@@ -155,6 +155,28 @@ def test_pretrain_zero_width_exit_code(runner, tmp_path):
     assert not (tmp_path / "m.dagp").exists()
 
 
+def test_negative_lr_exit_code(runner, tmp_path):
+    model = tmp_path / "m.dagp"
+    result = runner.invoke(main, [
+        "pretrain", "datasets/web-tiny", "--out", str(model),
+        "--hidden", "8", "--layers", "1", "--epochs", "2", "--lr", "-1e-3",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "pre-training: lr must be finite and >= 0" in result.output
+    assert not model.exists()
+    result = runner.invoke(main, [
+        "pretrain", "datasets/web-tiny", "--out", str(model),
+        "--hidden", "8", "--layers", "1", "--epochs", "2",
+    ])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, [
+        "tune", "--model", str(model), "--data", "datasets/web-tiny",
+        "--shots", "2", "--epochs", "2", "--lr", "-1e-3",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "prompt tuning: lr must be finite and >= 0" in result.output
+
+
 def test_ablate_command(runner, tmp_path):
     out = tmp_path / "ablation.json"
     result = runner.invoke(main, [

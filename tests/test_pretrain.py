@@ -18,7 +18,12 @@ from hopprompt.errors import (
     PretrainInfeasibleError,
 )
 
-from tests._oracles import assert_grads_close, finite_diff, reference_triplets
+from tests._oracles import (
+    assert_grads_close,
+    finite_diff,
+    reference_pretrain,
+    reference_triplets,
+)
 
 DATASETS = Path(__file__).resolve().parents[1] / "datasets"
 
@@ -311,3 +316,55 @@ class TestRunPretrain:
             pt.run_pretrain(g, cfg, pcfg)
         assert (info.value.epoch, info.value.lr) == (0, 2e-3)
         assert isinstance(info.value.__cause__, DegenerateRowError)
+
+
+class TestSharedTrainingLoop:
+    """Stage one trains through the shared `numcore.fit`, bit for bit the
+    mini-batch loop it replaced."""
+
+    @pytest.mark.parametrize("name, batch_size, full_batches, last", [
+        ("syn-h10", 64, 9, 23),    # 599 triplets
+        ("ego-tiny", 64, 5, 40),   # the disjoint union of its graphs
+        ("web-tiny", 16, 2, 8),
+    ])
+    def test_equals_reference_loop(self, monkeypatch, name, batch_size,
+                                   full_batches, last):
+        data = gs.load_dataset(DATASETS / name)
+        width = (data.graphs[0] if isinstance(data, gs.GraphSet) else data).num_features
+        cfg = enc.EncoderConfig(layers=2, dims=[width, 16, 16])
+        pcfg = pt.PretrainConfig(epochs=3, batch_size=batch_size, lr=5e-3,
+                                 weight_decay=1e-4, seed=7)
+        real_loss, batch_sizes = pt.pretrain_loss, []
+
+        def pretrain_loss(stack, adj, triplets, tau):
+            batch_sizes.append(len(triplets))
+            return real_loss(stack, adj, triplets, tau)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref_params, ref_losses = reference_pretrain(data, cfg, pcfg)
+            monkeypatch.setattr(pt, "pretrain_loss", pretrain_loss)
+            params, losses = pt.run_pretrain(data, cfg, pcfg)
+        assert batch_sizes == ([batch_size] * full_batches + [last]) * 3
+        assert [e for e, _ in losses] == [e for e, _ in ref_losses] == [0, 1, 2]
+        assert (np.array([v for _, v in losses]).tobytes()
+                == np.array([v for _, v in ref_losses]).tobytes())
+        pairs = [(params.w_in, ref_params.w_in)] + [
+            (lp.w0, ref.w0) for lp, ref in zip(params.layers, ref_params.layers)]
+        for mine, theirs in pairs:
+            assert mine.data.tobytes() == theirs.data.tobytes()
+
+    def test_trains_through_fit_without_patience(self, monkeypatch):
+        calls, real_fit = [], pt.fit
+
+        def fit(steps, trainables, **kwargs):
+            calls.append(kwargs)
+            return real_fit(steps, trainables, **kwargs)
+
+        monkeypatch.setattr(pt, "fit", fit)
+        g = gs.random_labeled_graph(20, 50, 2, 5, seed=8)
+        cfg = enc.EncoderConfig(layers=1, dims=[5, 8])
+        pt.run_pretrain(g, cfg, pt.PretrainConfig(epochs=4, batch_size=8, seed=3))
+        assert len(calls) == 1
+        assert calls[0]["patience"] is None and calls[0]["epochs"] == 4
+        assert calls[0]["what"] == "pre-training"
