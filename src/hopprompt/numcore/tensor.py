@@ -190,13 +190,20 @@ def mean_rows(a: Tensor) -> Tensor:
     return _record("mean_rows", a.data.mean(axis=0, keepdims=True), (a,), vjp)
 
 
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows by index; duplicate indices accumulate in the gradient."""
+def _row_index(idx, rows: int, what: str) -> np.ndarray:
+    """idx as a 1-D int64 array of row ids in [0, rows); `what` starts the
+    DimensionError otherwise."""
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
-        raise DimensionError(f"gather_rows: index must be 1-D, got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
-        raise DimensionError(f"gather_rows: index out of range for {a.rows} rows")
+        raise DimensionError(f"{what} must be 1-D, got {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise DimensionError(f"{what} out of range for {rows} rows")
+    return idx
+
+
+def gather_rows(a: Tensor, idx) -> Tensor:
+    """Select rows by index; duplicate indices accumulate in the gradient."""
+    idx = _row_index(idx, a.rows, "gather_rows: index")
     rows, cols = a.shape
 
     def vjp(g):
@@ -261,13 +268,20 @@ def hstack(parts: Sequence[Tensor]) -> Tensor:
                    tuple(parts), vjp)
 
 
-def _row_norms(arr: np.ndarray, op: str, who: str) -> np.ndarray:
-    norms = np.linalg.norm(arr, axis=1)
+def _require_norms(norms: np.ndarray, op: str, who: str, nodes=None) -> None:
+    """A norm below NORM_EPS raises, naming its row, or the node the row was
+    gathered from when `nodes` gives each row's node id."""
     bad = np.flatnonzero(norms < NORM_EPS)
     if bad.size:
+        i = bad[0]
+        name = f"row {i}" if nodes is None else f"node {nodes[i]}"
         raise DegenerateRowError(
-            f"{op}: {who} row {bad[0]} has norm {norms[bad[0]]:.3e} < {NORM_EPS}"
-        )
+            f"{op}: {who} {name} has norm {norms[i]:.3e} < {NORM_EPS}")
+
+
+def _row_norms(arr: np.ndarray, op: str, who: str) -> np.ndarray:
+    norms = np.linalg.norm(arr, axis=1)
+    _require_norms(norms, op, who)
     return norms
 
 
@@ -333,6 +347,98 @@ def softmax_nll(scores: Tensor, targets, tau: float) -> Tensor:
         return (ds * (g[0, 0] / (n * tau)),)
 
     return _record("softmax_nll", np.array([[loss]]), (scores,), vjp)
+
+
+# `triplet_nll` works through its triplets in row blocks of about this many
+# bytes of float64: temporaries that small are reused from the heap, where
+# whole (n, d) ones are freshly mapped and page-faulted on every call (on
+# syn-h10 at width 128, gathering whole rows took 18 times the minor faults)
+_BLOCK_BYTES = 1 << 16
+
+
+def _add_rows(flat: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+    """Add g's rows into rows idx of `flat`, a raveled (rows, cols) array, in
+    index order: the order of `gather_rows`' bincount adjoint."""
+    cols = g.shape[1]
+    np.add.at(flat, (idx[:, None] * cols + np.arange(cols)).ravel(), g.ravel())
+
+
+def triplet_nll(s: Tensor, v, a, b, tau: float) -> Tensor:
+    """Stage one's contrastive loss as one tape node.
+
+    For triplets of row ids (v, a, b): the mean over triplets of
+    -ln softmax([cos(s_v, s_a), cos(s_v, s_b)] / tau)[0], the two-way NLL of
+    the anchor's positive against its negative.
+
+    The forward runs the numpy expressions of the unfused chain (three
+    `gather_rows`, two `rowwise_cosine_sim`, `hstack`, `softmax_nll`) in its
+    order, with the anchor norms computed once. The VJP builds d/ds as that
+    chain's backward does: the negatives' row sums, plus the positives', plus
+    the anchors', each summed in index order from zero as `gather_rows`'
+    adjoint does; so both agree bit for bit. Both passes gather the rows of
+    `s` one block of triplets at a time, and the VJP keeps only the array of
+    `s` (already on the tape), the indices and per-triplet vectors. A row of
+    norm below NORM_EPS raises DegenerateRowError naming its node and its
+    role (anchor, positive or negative).
+    """
+    if tau <= 0:
+        raise ParameterError(f"triplet_nll: tau must be > 0, got {tau}")
+    roles = ("anchor", "positive", "negative")
+    rows = s.rows
+    v, a, b = (_row_index(idx, rows, f"triplet_nll: {role} index")
+               for role, idx in zip(roles, (v, a, b)))
+    n = v.size
+    if not n or a.size != n or b.size != n:
+        raise DimensionError(
+            f"triplet_nll: need equally many anchors, positives and negatives, "
+            f"at least one, got {n}, {a.size}, {b.size}")
+
+    sd = s.data
+    cols = sd.shape[1]
+    step = max(1, _BLOCK_BYTES // (8 * cols))
+    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    norms = np.empty((3, n))  # of the anchor, positive and negative rows
+    dots = np.empty((2, n))   # anchor with positive, anchor with negative
+    for blk in blocks:
+        sv, sa, sb = sd[v[blk]], sd[a[blk]], sd[b[blk]]
+        for k, arr in enumerate((sv, sa, sb)):
+            norms[k, blk] = np.linalg.norm(arr, axis=1)
+        dots[0, blk] = np.einsum("ij,ij->i", sv, sa)
+        dots[1, blk] = np.einsum("ij,ij->i", sv, sb)
+    for role, k_norms, idx in zip(roles, norms, (v, a, b)):
+        _require_norms(k_norms, "triplet_nll", role, idx)
+    vn, an, bn = norms
+    pos = dots[0] / (vn * an)
+    neg = dots[1] / (vn * bn)
+    z = np.concatenate([pos[:, None], neg[:, None]], axis=1) / tau
+    z = z - z.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    denom = expz.sum(axis=1)
+    logp = z - np.log(denom)[:, None]
+    items = np.arange(n)
+    loss = -logp[items, 0].mean()
+
+    def vjp(g):
+        ds = expz / denom[:, None]
+        ds[items, 0] -= 1.0
+        ds = ds * (g[0, 0] / (n * tau))
+        gp, gn = ds[:, 0, None], ds[:, 1, None]
+        vbn, van = (vn * bn)[:, None], (vn * an)[:, None]
+        neg_v, neg_b = (neg / vn**2)[:, None], (neg / bn**2)[:, None]
+        pos_v, pos_a = (pos / vn**2)[:, None], (pos / an**2)[:, None]
+        sums = np.zeros((3, rows * cols))  # of the negative, positive, anchor rows
+        for blk in blocks:
+            sv, sa, sb = sd[v[blk]], sd[a[blk]], sd[b[blk]]
+            # the reverse sweep meets the negative's cosine before the positive's
+            dv = (sb / vbn[blk] - sv * neg_v[blk]) * gn[blk]
+            db = (sv / vbn[blk] - sb * neg_b[blk]) * gn[blk]
+            dv = dv + (sa / van[blk] - sv * pos_v[blk]) * gp[blk]
+            da = (sv / van[blk] - sa * pos_a[blk]) * gp[blk]
+            for k, idx, d_rows in ((0, b, db), (1, a, da), (2, v, dv)):
+                _add_rows(sums[k], idx[blk], d_rows)
+        return (((sums[0] + sums[1]) + sums[2]).reshape(rows, cols),)
+
+    return _record("triplet_nll", np.array([[loss]]), (s,), vjp)
 
 
 def class_rows(targets, num_classes: int) -> list[np.ndarray]:

@@ -3,7 +3,10 @@
 Each node v contributes triplets (v, a, b) with a drawn from its neighbors
 and b from its non-neighbors; the encoder (plus one extra aggregation over
 the normalized adjacency) is trained so cosine(s_v, s_a) beats
-cosine(s_v, s_b) under a temperature-scaled two-way softmax.
+cosine(s_v, s_b) under a temperature-scaled two-way softmax. A batch's loss
+is one `numcore.triplet_nll` tape node over s = adj @ H(L); a zero-norm row
+of s raises DegenerateRowError naming its node and role, which `fit` wraps
+in DivergenceError with the epoch and lr.
 """
 
 from __future__ import annotations
@@ -24,14 +27,7 @@ from .encoder import (
 )
 from .errors import ParameterError, PretrainInfeasibleError
 from .graphstore import Graph, GraphSet, disjoint_union, normalize_adjacency
-from .numcore import (
-    fit,
-    gather_rows,
-    hstack,
-    rowwise_cosine_sim,
-    softmax_nll,
-    spmm,
-)
+from .numcore import fit, spmm, triplet_nll
 
 
 @dataclass(frozen=True)
@@ -119,18 +115,11 @@ def build_triplets(g: Graph, k_negatives: int, seed: int) -> Triplets:
 
 
 def pretrain_loss(stack, adj, triplets: Triplets, tau: float):
-    """Mean two-way contrastive loss over triplets.
+    """Mean two-way contrastive loss over triplets, one `triplet_nll` node.
 
     Embeddings get one extra aggregation step: s = adj @ H(L).
     """
-    if tau <= 0:
-        raise ParameterError(f"tau must be > 0, got {tau}")
-    s = spmm(adj, stack[-1])
-    sv = gather_rows(s, triplets.v)
-    sim_pos = rowwise_cosine_sim(sv, gather_rows(s, triplets.a))
-    sim_neg = rowwise_cosine_sim(sv, gather_rows(s, triplets.b))
-    scores = hstack([sim_pos, sim_neg])
-    return softmax_nll(scores, np.zeros(len(triplets), dtype=np.int64), tau)
+    return triplet_nll(spmm(adj, stack[-1]), triplets.v, triplets.a, triplets.b, tau)
 
 
 def _epoch_seed(seed: int, epoch: int) -> int:

@@ -9,7 +9,11 @@ draw; the edge-subset and CSR-row oracles are the loops that
 The graph-task oracles run one forward per item and `mean_rows` pooling,
 which the batched disjoint-union forward in `prompt.graph_tokens` replaces.
 `reference_pretrain` is stage one's own mini-batch Adam loop, which
-`run_pretrain` replaces with the shared `numcore.fit`.
+`run_pretrain` replaces with the shared `numcore.fit`; it scores each batch
+with `unfused_pretrain_loss`, the chain of tape ops (`spmm`, three
+`gather_rows`, two `rowwise_cosine_sim`, `hstack`, `softmax_nll`) that
+`numcore.triplet_nll` fuses into one node (`unfused_triplet_nll` runs it
+with that op's arguments).
 `full_rows_plan` is the full-forward training path that node-task training
 on the training rows' receptive field replaces: every layer runs on every
 row and the planned rows are gathered from the result. `unfactored_forward`
@@ -49,10 +53,12 @@ from hopprompt.numcore import (
     add,
     backward,
     gather_rows,
+    hstack,
     matmul,
     mean_rows,
     relu,
     row_cosine_sim,
+    rowwise_cosine_sim,
     scale,
     softmax_nll,
     spmm,
@@ -299,11 +305,27 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
     return preds, losses, best[1]
 
 
+def unfused_triplet_nll(s, v, a, b, tau):
+    """`numcore.triplet_nll(s, v, a, b, tau)` as the chain of tape ops."""
+    sv = gather_rows(s, v)
+    sim_pos = rowwise_cosine_sim(sv, gather_rows(s, a))
+    sim_neg = rowwise_cosine_sim(sv, gather_rows(s, b))
+    scores = hstack([sim_pos, sim_neg])
+    return softmax_nll(scores, np.zeros(len(v), dtype=np.int64), tau)
+
+
+def unfused_pretrain_loss(stack, adj, triplets, tau):
+    """`pretrain.pretrain_loss` as the chain of tape ops it fuses."""
+    return unfused_triplet_nll(spmm(adj, stack[-1]), triplets.v, triplets.a,
+                               triplets.b, tau)
+
+
 def reference_pretrain(data, cfg, pcfg):
-    """Stage one as its own mini-batch Adam loop: each epoch draws its
-    triplets and a batch permutation, takes one step per batch, and records
-    the batch-size-weighted mean loss; the last weights stay. Returns
-    (params, [(epoch, mean_loss), ...]) as `run_pretrain` does."""
+    """Stage one as its own mini-batch Adam loop over the unfused loss: each
+    epoch draws its triplets and a batch permutation, takes one step per
+    batch, and records the batch-size-weighted mean loss; the last weights
+    stay. Returns (params, [(epoch, mean_loss), ...]) as `run_pretrain`
+    does."""
     g = disjoint_union(data.graphs) if isinstance(data, GraphSet) else data
     rng = np.random.default_rng(pcfg.seed)
     params = init_encoder(cfg, rng)
@@ -318,7 +340,7 @@ def reference_pretrain(data, cfg, pcfg):
         for start in range(0, len(triplets), pcfg.batch_size):
             batch = triplets[order[start:start + pcfg.batch_size]]
             stack = encoder_forward(adj, g.features, cfg, params)
-            loss = pt.pretrain_loss(stack, adj, batch, pcfg.tau)
+            loss = unfused_pretrain_loss(stack, adj, batch, pcfg.tau)
             adam_step(trainable, backward(loss), state)
             total += loss.item() * len(batch)
             count += len(batch)

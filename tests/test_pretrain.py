@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,9 @@ from hopprompt import graphstore as gs
 from hopprompt import numcore as nc
 from hopprompt.errors import (
     DegenerateRowError,
+    DimensionError,
     DivergenceError,
+    NumericError,
     ParameterError,
     PretrainInfeasibleError,
 )
@@ -23,6 +26,7 @@ from tests._oracles import (
     finite_diff,
     reference_pretrain,
     reference_triplets,
+    unfused_triplet_nll,
 )
 
 DATASETS = Path(__file__).resolve().parents[1] / "datasets"
@@ -242,6 +246,160 @@ class TestPretrainLoss:
             assert_grads_close(grads.get(w), fd, label=f"pretrain dW{i}")
 
 
+def _loss_and_grad(loss_of, s_data, v, a, b, tau, upstream=1.0):
+    """(loss bytes, d/ds bytes) of `loss_of` on a fresh leaf holding s_data;
+    `upstream` scales the loss before the sweep."""
+    s = nc.Tensor(s_data, requires_grad=True)
+    loss = loss_of(s, v, a, b, tau)
+    grads = nc.backward(nc.scale(loss, upstream))
+    return loss.data.tobytes(), grads.get(s).tobytes()
+
+
+def _embeddings(name):
+    """(graph, s) for a bundled dataset: s = adj @ H(L) of a fresh encoder."""
+    data = gs.load_dataset(DATASETS / name)
+    g = gs.disjoint_union(data.graphs) if isinstance(data, gs.GraphSet) else data
+    cfg = enc.EncoderConfig(layers=2, dims=[g.num_features, 16, 16])
+    params = enc.init_encoder(cfg, np.random.default_rng(3))
+    adj = gs.normalize_adjacency(g)
+    return g, nc.spmm(adj, enc.encoder_forward(adj, g.features, cfg, params)[-1]).data
+
+
+@st.composite
+def triplet_instances(draw):
+    """Random graphs, their sampled triplets cut to a batch, and random
+    embeddings s, narrow or wide enough that `triplet_nll` splits the batch
+    into several row blocks."""
+    n = draw(st.integers(3, 30))
+    m = draw(st.integers(1, n * (n - 1) // 2 - 1))
+    g = gs.random_labeled_graph(n, m, 2, 3, seed=draw(st.integers(0, 2**16)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trips = pt.build_triplets(g, draw(st.integers(1, 3)),
+                                  seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    batch = trips[rng.permutation(len(trips))[:draw(st.integers(1, 64))]]
+    width = draw(st.one_of(st.integers(1, 8), st.integers(150, 700)))
+    s = rng.standard_normal((n, width)) * draw(st.sampled_from([1e-3, 1.0, 40.0]))
+    return s, batch
+
+
+class TestTripletNll:
+    """`numcore.triplet_nll` is stage one's loss as one tape node; its loss
+    and d/ds must be bit for bit those of the unfused chain."""
+
+    @pytest.mark.parametrize("negatives", [1, 2, 3])
+    @pytest.mark.parametrize("batch_size", [16, 64, 1024])
+    @pytest.mark.parametrize("name", ["syn-h10", "ego-tiny", "web-tiny"])
+    def test_equals_unfused_chain_bitwise(self, name, batch_size, negatives):
+        g, s = _embeddings(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trips = pt.build_triplets(g, negatives, seed=5)
+        batch = trips[np.random.default_rng(6).permutation(len(trips))[:batch_size]]
+        if len(batch) > g.num_nodes:  # a batch wider than the graph repeats rows
+            for idx in (batch.a, batch.b):
+                assert np.unique(idx).size < idx.size
+        args = (s, batch.v, batch.a, batch.b, 0.5)
+        assert _loss_and_grad(nc.triplet_nll, *args) == _loss_and_grad(
+            unfused_triplet_nll, *args)
+
+    @given(instance=triplet_instances(), tau=st.sampled_from([0.05, 0.5, 2.0]),
+           upstream=st.sampled_from([1.0, -0.3, 7.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs_equal_unfused_chain(self, instance, tau, upstream):
+        s, batch = instance
+        args = (s, batch.v, batch.a, batch.b, tau)
+        assert _loss_and_grad(nc.triplet_nll, *args, upstream=upstream) == \
+            _loss_and_grad(unfused_triplet_nll, *args, upstream=upstream)
+
+    def test_finite_differences_with_repeated_indices(self):
+        s = nc.Tensor(np.random.default_rng(4).standard_normal((5, 3)),
+                      requires_grad=True)
+        v = np.array([0, 0, 1, 2, 2, 4, 0])
+        a = np.array([1, 1, 0, 3, 3, 3, 1])
+        b = np.array([4, 2, 4, 0, 1, 1, 4])
+        grad = nc.backward(nc.triplet_nll(s, v, a, b, 0.5)).get(s)
+        fd = finite_diff(lambda: nc.triplet_nll(s, v, a, b, 0.5).item(), [s])[0]
+        assert_grads_close(grad, fd, label="triplet_nll ds")
+
+    def test_one_tape_node_whose_only_parent_is_s(self):
+        g, s_data = _embeddings("web-tiny")
+        trips = pt.build_triplets(g, 2, seed=1)
+        s = nc.Tensor(s_data, requires_grad=True)
+        loss = nc.triplet_nll(s, trips.v, trips.a, trips.b, 0.5)
+        assert loss.shape == (1, 1)
+        assert len(loss._parents) == 1 and loss._parents[0] is s
+
+    def test_vjp_holds_no_gathered_rows(self):
+        g, s_data = _embeddings("syn-h10")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trips = pt.build_triplets(g, 3, seed=2)
+        n, d = len(trips), s_data.shape[1]
+        s = nc.Tensor(s_data, requires_grad=True)
+        loss = nc.triplet_nll(s, trips.v, trips.a, trips.b, 0.5)
+        held = [c.cell_contents for c in loss._vjp.__closure__]
+        arrays = [x for x in held if isinstance(x, np.ndarray) and x is not s.data]
+        assert arrays, "the VJP should keep its index and per-triplet arrays"
+        for arr in arrays:
+            # s's own rows are on the tape already; gathered (n, d) rows are not
+            assert not (arr.ndim == 2 and arr.shape[1] == d), arr.shape
+            assert arr.shape[0] == n
+
+    def test_pretrain_loss_is_the_fused_node(self):
+        g = gs.random_labeled_graph(12, 24, 2, 4, seed=4)
+        adj = gs.normalize_adjacency(g)
+        h = nc.Tensor(np.random.default_rng(0).standard_normal((12, 6)),
+                      requires_grad=True)
+        trips = pt.build_triplets(g, 2, seed=1)
+        loss = pt.pretrain_loss([h], adj, trips, 0.5)
+        (s,) = loss._parents
+        assert s._parents == (h,)
+        expected = nc.triplet_nll(nc.spmm(adj, h), trips.v, trips.a, trips.b, 0.5)
+        assert loss.data.tobytes() == expected.data.tobytes()
+
+    S = np.arange(1.0, 16.0).reshape(5, 3)
+    V, A, B = np.array([0, 1, 2]), np.array([1, 2, 1]), np.array([4, 4, 0])
+
+    @pytest.mark.parametrize("tau", [0.0, -0.5])
+    def test_bad_tau(self, tau):
+        with pytest.raises(ParameterError, match="triplet_nll: tau must be > 0"):
+            nc.triplet_nll(nc.Tensor(self.S), self.V, self.A, self.B, tau)
+
+    @pytest.mark.parametrize("v, a, b, match", [
+        (np.array([[0, 1, 2]]), A, B, "anchor index must be 1-D"),
+        (V, A, np.array(4), "negative index must be 1-D"),
+        (V, A[:2], B, "equally many .* got 3, 2, 3"),
+        (V, A, np.array([4, 4, 0, 1]), "equally many .* got 3, 3, 4"),
+        (V[:0], A[:0], B[:0], "at least one, got 0"),
+        (V, np.array([1, -1, 1]), B, "positive index out of range for 5 rows"),
+        (V, A, np.array([4, 5, 0]), "negative index out of range for 5 rows"),
+        (np.array([0, 9, 2]), A, B, "anchor index out of range"),
+    ])
+    def test_bad_indices(self, v, a, b, match):
+        with pytest.raises(DimensionError, match=match):
+            nc.triplet_nll(nc.Tensor(self.S), v, a, b, 0.5)
+
+    @pytest.mark.parametrize("role", ["anchor", "positive", "negative"])
+    def test_degenerate_row_names_node_and_role(self, role):
+        s = self.S.copy()
+        s[3] = 0.0
+        idx = {"anchor": (np.array([0, 1, 3]), self.A, self.B),
+               "positive": (self.V, np.array([1, 2, 3]), self.B),
+               "negative": (self.V, self.A, np.array([4, 4, 3]))}[role]
+        # node 3 sits in batch row 2, so the message must name the node
+        with pytest.raises(DegenerateRowError,
+                           match=f"triplet_nll: {role} node 3 has norm 0.000e"):
+            nc.triplet_nll(nc.Tensor(s), *idx, 0.5)
+
+    def test_non_finite_output_names_the_op(self):
+        # scores / tau overflow, so the max-shifted logits are inf - inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"triplet_nll: non-finite .*\(1, 1\)"):
+            nc.triplet_nll(nc.Tensor(self.S), self.V, self.A, self.B, 1e-320)
+
+
 class TestRunPretrain:
     def test_loss_decreases(self):
         g = gs.random_labeled_graph(40, 120, 3, 6, seed=7, class_sep=1.5)
@@ -315,7 +473,12 @@ class TestRunPretrain:
         with pytest.raises(DivergenceError, match="pre-training diverged") as info:
             pt.run_pretrain(g, cfg, pcfg)
         assert (info.value.epoch, info.value.lr) == (0, 2e-3)
-        assert isinstance(info.value.__cause__, DegenerateRowError)
+        cause = info.value.__cause__
+        assert isinstance(cause, DegenerateRowError)
+        # the message names the zero-featured node, not a row of the batch
+        named = re.search(r"(anchor|positive|negative) node (\d+)", str(cause))
+        assert named is not None, str(cause)
+        assert int(named.group(2)) in {3, 4, 5}
 
 
 class TestSharedTrainingLoop:
