@@ -15,6 +15,7 @@ import itertools
 from collections.abc import Sequence
 
 import numpy as np
+from scipy import sparse as _scipy_sparse
 
 from ..errors import (
     ContractError,
@@ -349,18 +350,11 @@ def softmax_nll(scores: Tensor, targets, tau: float) -> Tensor:
     return _record("softmax_nll", np.array([[loss]]), (scores,), vjp)
 
 
-# `triplet_nll` works through its triplets in row blocks of about this many
-# bytes of float64: temporaries that small are reused from the heap, where
-# whole (n, d) ones are freshly mapped and page-faulted on every call (on
+# `triplet_nll`'s forward works through its triplets in row blocks of about
+# this many bytes of float64: temporaries that small are reused from the heap,
+# where whole (n, d) ones are freshly mapped and page-faulted on every call (on
 # syn-h10 at width 128, gathering whole rows took 18 times the minor faults)
 _BLOCK_BYTES = 1 << 16
-
-
-def _add_rows(flat: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
-    """Add g's rows into rows idx of `flat`, a raveled (rows, cols) array, in
-    index order: the order of `gather_rows`' bincount adjoint."""
-    cols = g.shape[1]
-    np.add.at(flat, (idx[:, None] * cols + np.arange(cols)).ravel(), g.ravel())
 
 
 def triplet_nll(s: Tensor, v, a, b, tau: float) -> Tensor:
@@ -372,14 +366,16 @@ def triplet_nll(s: Tensor, v, a, b, tau: float) -> Tensor:
 
     The forward runs the numpy expressions of the unfused chain (three
     `gather_rows`, two `rowwise_cosine_sim`, `hstack`, `softmax_nll`) in its
-    order, with the anchor norms computed once. The VJP builds d/ds as that
-    chain's backward does: the negatives' row sums, plus the positives', plus
-    the anchors', each summed in index order from zero as `gather_rows`'
-    adjoint does; so both agree bit for bit. Both passes gather the rows of
-    `s` one block of triplets at a time, and the VJP keeps only the array of
-    `s` (already on the tape), the indices and per-triplet vectors. A row of
-    norm below NORM_EPS raises DegenerateRowError naming its node and its
-    role (anchor, positive or negative).
+    order, with the anchor norms computed once, so the loss agrees with that
+    chain bit for bit; it gathers the rows of `s` one block of triplets at a
+    time. d/ds is linear in s, so the VJP computes it as one sparse product
+    M @ s, where the (rows, rows) coordinate matrix M holds each triplet's
+    seven cosine coefficients, added in a fixed order; it agrees with the
+    chain's backward to rounding (within 1e-13 of its largest entry) and is
+    the same bytes on every run. The VJP keeps only the array of `s`
+    (already on the tape), the indices and per-triplet vectors. A row of norm
+    below NORM_EPS raises DegenerateRowError naming its node and its role
+    (anchor, positive or negative).
     """
     if tau <= 0:
         raise ParameterError(f"triplet_nll: tau must be > 0, got {tau}")
@@ -394,12 +390,11 @@ def triplet_nll(s: Tensor, v, a, b, tau: float) -> Tensor:
             f"at least one, got {n}, {a.size}, {b.size}")
 
     sd = s.data
-    cols = sd.shape[1]
-    step = max(1, _BLOCK_BYTES // (8 * cols))
-    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    step = max(1, _BLOCK_BYTES // (8 * sd.shape[1]))
     norms = np.empty((3, n))  # of the anchor, positive and negative rows
     dots = np.empty((2, n))   # anchor with positive, anchor with negative
-    for blk in blocks:
+    for lo in range(0, n, step):
+        blk = slice(lo, lo + step)
         sv, sa, sb = sd[v[blk]], sd[a[blk]], sd[b[blk]]
         for k, arr in enumerate((sv, sa, sb)):
             norms[k, blk] = np.linalg.norm(arr, axis=1)
@@ -422,21 +417,19 @@ def triplet_nll(s: Tensor, v, a, b, tau: float) -> Tensor:
         ds = expz / denom[:, None]
         ds[items, 0] -= 1.0
         ds = ds * (g[0, 0] / (n * tau))
-        gp, gn = ds[:, 0, None], ds[:, 1, None]
-        vbn, van = (vn * bn)[:, None], (vn * an)[:, None]
-        neg_v, neg_b = (neg / vn**2)[:, None], (neg / bn**2)[:, None]
-        pos_v, pos_a = (pos / vn**2)[:, None], (pos / an**2)[:, None]
-        sums = np.zeros((3, rows * cols))  # of the negative, positive, anchor rows
-        for blk in blocks:
-            sv, sa, sb = sd[v[blk]], sd[a[blk]], sd[b[blk]]
-            # the reverse sweep meets the negative's cosine before the positive's
-            dv = (sb / vbn[blk] - sv * neg_v[blk]) * gn[blk]
-            db = (sv / vbn[blk] - sb * neg_b[blk]) * gn[blk]
-            dv = dv + (sa / van[blk] - sv * pos_v[blk]) * gp[blk]
-            da = (sv / van[blk] - sa * pos_a[blk]) * gp[blk]
-            for k, idx, d_rows in ((0, b, db), (1, a, da), (2, v, dv)):
-                _add_rows(sums[k], idx[blk], d_rows)
-        return (((sums[0] + sums[1]) + sums[2]).reshape(rows, cols),)
+        gp, gn = ds[:, 0], ds[:, 1]
+        # row r of d/ds is sum_c M[r, c] s_c: d cos(s_v, s_a) / d s_v is
+        # s_a / (|s_v| |s_a|) - s_v cos / |s_v|^2, and alike for each role
+        cross_a, cross_b = gp / (vn * an), gn / (vn * bn)
+        coefs = np.concatenate([cross_a, cross_a, cross_b, cross_b,
+                                -(gp * pos + gn * neg) / vn**2,
+                                -gp * pos / an**2, -gn * neg / bn**2])
+        at = (np.concatenate([v, a, v, b, v, a, b]),
+              np.concatenate([a, v, b, v, v, a, b]))
+        # the product adds the entries in the order above, a repeated
+        # (row, col) included, so every run gives the same bytes
+        mat = _scipy_sparse.coo_matrix((coefs, at), shape=(rows, rows))
+        return (mat @ sd,)
 
     return _record("triplet_nll", np.array([[loss]]), (s,), vjp)
 

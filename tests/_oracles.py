@@ -13,7 +13,10 @@ which the batched disjoint-union forward in `prompt.graph_tokens` replaces.
 with `unfused_pretrain_loss`, the chain of tape ops (`spmm`, three
 `gather_rows`, two `rowwise_cosine_sim`, `hstack`, `softmax_nll`) that
 `numcore.triplet_nll` fuses into one node (`unfused_triplet_nll` runs it
-with that op's arguments).
+with that op's arguments). The fused op's loss equals that chain's bit for
+bit; its d/ds, one sparse product, and the chain's backward agree to
+rounding, and `dense_triplet_grad`, a per-triplet loop of cosine
+derivatives, is the third, independent reading of that gradient.
 `full_rows_plan` is the full-forward training path that node-task training
 on the training rows' receptive field replaces: every layer runs on every
 row and the planned rows are gathered from the result. `unfactored_forward`
@@ -312,6 +315,28 @@ def unfused_triplet_nll(s, v, a, b, tau):
     sim_neg = rowwise_cosine_sim(sv, gather_rows(s, b))
     scores = hstack([sim_pos, sim_neg])
     return softmax_nll(scores, np.zeros(len(v), dtype=np.int64), tau)
+
+
+def dense_triplet_grad(s, v, a, b, tau, upstream=1.0):
+    """d/ds of `upstream * numcore.triplet_nll(s, v, a, b, tau)` for a
+    (rows, d) array s: one triplet at a time, the derivatives of its two
+    cosines added into a dense (rows, d) array."""
+    s = np.asarray(s, dtype=np.float64)
+    grad = np.zeros(s.shape)
+    n = len(v)
+    for i, j, k in zip(v, a, b):
+        sv, sa, sb = s[i], s[j], s[k]
+        nv, na, nb = (float(np.sqrt(x @ x)) for x in (sv, sa, sb))
+        pos = (sv @ sa) / (nv * na)
+        neg = (sv @ sb) / (nv * nb)
+        # softmax weight of the negative; the NLL's slope in pos is -q / tau
+        q = 1.0 / (1.0 + np.exp((pos - neg) / tau))
+        gp, gn = -q * upstream / (n * tau), q * upstream / (n * tau)
+        grad[i] += gp * (sa / (nv * na) - sv * pos / nv**2)
+        grad[i] += gn * (sb / (nv * nb) - sv * neg / nv**2)
+        grad[j] += gp * (sv / (nv * na) - sa * pos / na**2)
+        grad[k] += gn * (sv / (nv * nb) - sb * neg / nb**2)
+    return grad
 
 
 def unfused_pretrain_loss(stack, adj, triplets, tau):

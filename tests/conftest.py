@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import hopprompt.encoder as enc
 import hopprompt.pretrain as pt
 from hopprompt import graphstore as gs
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run and
+# prints a failure's reproduction blob, so a CI failure can be replayed;
+# runs without the flag keep hypothesis's random draws
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 # shared desk-scale fixtures: a small heterophily/homophily pair plus a
 # pre-trained encoder for each, reused across prompt/harness/acceptance tests

@@ -219,6 +219,35 @@ class TestSpmmSlots:
         with pytest.raises(DimensionError):
             nc.spmm(s, d, slots=[0, 1])
 
+    @pytest.mark.parametrize("slots", [[0, 2, 0], [3, 1, 3], [0, 0], [3, 3]])
+    def test_repeat_at_first_or_last_slot_rejected(self, slots):
+        s = path3_adjacency()  # nnz 4: slots 0 and 3 are the first and last
+        values = nc.Tensor(np.zeros((len(slots), 1)))
+        with pytest.raises(ContractError, match="slots must be distinct"):
+            nc.spmm(s, nc.Tensor(np.ones((3, 2))), values=values, slots=slots)
+
+    def test_empty_slots_keep_the_stored_values(self):
+        s = path3_adjacency()
+        d = nc.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        v = nc.Tensor(np.zeros((0, 1)), requires_grad=True)
+        out = nc.spmm(s, d, values=v, slots=np.array([], dtype=np.int64))
+        assert np.array_equal(out.data, nc.spmm(s, d).data)
+        dd, dv = out._vjp(np.ones((3, 2)))
+        assert dv.shape == (0, 1)
+
+    @given(slots=st.lists(st.integers(0, 6), max_size=9))
+    @settings(max_examples=100, deadline=None)
+    def test_repeats_rejected_exactly_when_not_unique(self, slots):
+        s = nc.SparseMatrix.from_coo((3, 3), [0, 0, 1, 1, 2, 2, 2], [0, 1, 0, 2, 0, 1, 2],
+                                     np.arange(1.0, 8.0))
+        values = nc.Tensor(np.ones((len(slots), 1)))
+        d = nc.Tensor(np.ones((3, 2)))
+        if len(set(slots)) == len(slots):
+            nc.spmm(s, d, values=values, slots=slots)
+        else:
+            with pytest.raises(ContractError, match="slots must be distinct"):
+                nc.spmm(s, d, values=values, slots=slots)
+
     @pytest.mark.parametrize("slotted", [False, True])
     def test_untracked_operand_gets_no_product(self, slotted):
         rng, s, slots = self._setup(3)
