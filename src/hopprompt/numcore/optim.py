@@ -3,7 +3,7 @@ training loop built on it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,52 +16,71 @@ from .tensor import Gradients, Tensor, backward
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
+# entries per block of `adam_step`'s pass, 128 KiB temporaries that stay in L2
+# (at 4,096, pre-training's 41k entries stepped 10 % slower than per parameter)
+_ADAM_BLOCK = 1 << 14
+
+
 @dataclass
 class AdamState:
-    """Per-parameter moments plus the learning rate and decay."""
+    """Per-parameter moments `m` and `v`, views of the two rows of one
+    (2, entries) buffer `flat`, plus the learning rate and decay."""
 
     lr: float
-    weight_decay: float = 0.0
+    weight_decay: float
+    flat: np.ndarray
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params: list[Tensor], lr: float,
                    weight_decay: float = 0.0) -> "AdamState":
-        return cls(
-            lr=lr, weight_decay=weight_decay,
-            m=[np.zeros(p.shape) for p in params],
-            v=[np.zeros(p.shape) for p in params],
-        )
+        offsets = np.cumsum([0] + [p.data.size for p in params])
+        flat = np.zeros((2, offsets[-1]))
+        m, v = ([row[lo:hi].reshape(p.shape)
+                 for p, lo, hi in zip(params, offsets, offsets[1:])] for row in flat)
+        return cls(lr=lr, weight_decay=weight_decay, flat=flat, m=m, v=v)
 
 
 def adam_step(params: list[Tensor], grads: Gradients, state: AdamState):
     """One Adam update; rebinds each param's data array (old arrays stay valid).
 
     Decay is decoupled and applied before the moment update:
-    param <- param - lr * weight_decay * param.
+    param <- param - lr * weight_decay * param. Adam is elementwise, so the
+    moments and the step are one pass over every parameter's entries at once,
+    block by block, with the per-parameter update's expressions in its order.
     """
     if len(state.m) != len(params):
         raise DimensionError(f"adam_step: state tracks {len(state.m)} params, got {len(params)}")
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - BETA1**t
-    bc2 = 1.0 - BETA2**t
-    for i, p in enumerate(params):
-        g = grads.get(p)
+    gs = [grads.get(p) for p in params]
+    for i, (p, g) in enumerate(zip(params, gs)):
         if g.shape != p.shape or state.m[i].shape != p.shape:
             raise DimensionError(
                 f"adam_step: param {i} shape {p.shape} vs grad {g.shape} / moment {state.m[i].shape}"
             )
+    state.step_count += 1
+    if not params:
+        return
+    bc1, bc2 = 1.0 - BETA1**state.step_count, 1.0 - BETA2**state.step_count
+    step = np.concatenate([g.ravel() for g in gs])
+    for lo in range(0, step.size, _ADAM_BLOCK):
+        blk = slice(lo, lo + _ADAM_BLOCK)
+        g, (m, v) = step[blk], state.flat[:, blk]
+        # in place: m * BETA1 is BETA1 * m, and a + b is b + a, bit for bit
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        # the block's gradients are read, and its step takes their place
+        np.divide(state.lr * (m / bc1), np.sqrt(v / bc2) + EPS, out=g)
+    end = 0
+    for i, p in enumerate(params):
+        start, end = end, end + p.data.size
         new = p.data
         if state.weight_decay:
             new = new - state.lr * state.weight_decay * new
-        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
-        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        new = new - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        new = new - step[start:end].reshape(p.shape)
         if not np.isfinite(new).all():
             raise NumericError(f"adam_step: param {i} became non-finite")
         p.data = new

@@ -17,7 +17,7 @@ class SparseMatrix:
     """Immutable CSR matrix with strictly increasing column indices per row."""
 
     __slots__ = ("shape", "row_offsets", "col_indices", "values", "_entry_rows",
-                 "_csr")
+                 "_csr", "_csr_t")
 
     def __init__(self, shape, row_offsets, col_indices, values):
         rows, cols = int(shape[0]), int(shape[1])
@@ -51,6 +51,8 @@ class SparseMatrix:
         entry_rows.setflags(write=False)
         self._entry_rows = entry_rows
         self._csr = self._scipy(vals)
+        # its rows add their entries in column order from zero, as `_csr.T`'s do
+        self._csr_t = self._csr.T.tocsr()
 
     @classmethod
     def from_coo(cls, shape, rows, cols, values) -> "SparseMatrix":
@@ -164,7 +166,8 @@ def spmm(s: SparseMatrix, d: Tensor, values: Tensor | None = None,
 
     def vjp(g):
         # an untracked operand (e.g. constant features) gets no product
-        dd_grad = mat.T @ g if d.requires_grad else None
+        mat_t = s._csr_t if mat is s._csr else mat.T
+        dd_grad = mat_t @ g if d.requires_grad else None
         if values is None:
             return (dd_grad,)
         dval = np.einsum("ij,ij->i", g[rows_of], dd[cols_of])

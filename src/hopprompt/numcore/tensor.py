@@ -350,10 +350,11 @@ def softmax_nll(scores: Tensor, targets, tau: float) -> Tensor:
     return _record("softmax_nll", np.array([[loss]]), (scores,), vjp)
 
 
-# `triplet_nll`'s forward works through its triplets in row blocks of about
-# this many bytes of float64: temporaries that small are reused from the heap,
-# where whole (n, d) ones are freshly mapped and page-faulted on every call (on
-# syn-h10 at width 128, gathering whole rows took 18 times the minor faults)
+# `triplet_nll`'s forward gathers the rows of its two dot products in blocks
+# of about this many bytes of float64: temporaries that small are reused from
+# the heap, where whole (n, d) ones are freshly mapped and page-faulted on every
+# call (on syn-h10 at width 128, gathering whole rows took 18 times the minor
+# faults)
 _BLOCK_BYTES = 1 << 16
 
 
@@ -366,16 +367,17 @@ def triplet_nll(s: Tensor, v, a, b, tau: float) -> Tensor:
 
     The forward runs the numpy expressions of the unfused chain (three
     `gather_rows`, two `rowwise_cosine_sim`, `hstack`, `softmax_nll`) in its
-    order, with the anchor norms computed once, so the loss agrees with that
-    chain bit for bit; it gathers the rows of `s` one block of triplets at a
-    time. d/ds is linear in s, so the VJP computes it as one sparse product
-    M @ s, where the (rows, rows) coordinate matrix M holds each triplet's
-    seven cosine coefficients, added in a fixed order; it agrees with the
-    chain's backward to rounding (within 1e-13 of its largest entry) and is
-    the same bytes on every run. The VJP keeps only the array of `s`
-    (already on the tape), the indices and per-triplet vectors. A row of norm
-    below NORM_EPS raises DegenerateRowError naming its node and its role
-    (anchor, positive or negative).
+    order, with each row's norm computed once and read by index, so the loss
+    agrees with that chain bit for bit; it gathers the rows of the two dot
+    products one block of triplets at a time. d/ds is linear in s, so the
+    VJP computes it as one sparse product M @ s, where the (rows, rows)
+    coordinate matrix M holds each triplet's seven cosine coefficients,
+    added in a fixed order; it agrees with the chain's backward to rounding
+    (within 1e-13 of its largest entry) and is the same bytes on every run.
+    The VJP keeps only the array of `s` (already on the tape), the indices
+    and per-triplet vectors. A row a triplet reads of norm below NORM_EPS
+    raises DegenerateRowError naming its node and its role (anchor, positive
+    or negative).
     """
     if tau <= 0:
         raise ParameterError(f"triplet_nll: tau must be > 0, got {tau}")
@@ -390,19 +392,19 @@ def triplet_nll(s: Tensor, v, a, b, tau: float) -> Tensor:
             f"at least one, got {n}, {a.size}, {b.size}")
 
     sd = s.data
+    # every row's norm once, over C-ordered rows as a gathered block has them;
+    # only the rows a triplet reads are checked
+    norms = np.linalg.norm(np.ascontiguousarray(sd), axis=1)
+    vn, an, bn = norms[v], norms[a], norms[b]
+    for role, k_norms, idx in zip(roles, (vn, an, bn), (v, a, b)):
+        _require_norms(k_norms, "triplet_nll", role, idx)
     step = max(1, _BLOCK_BYTES // (8 * sd.shape[1]))
-    norms = np.empty((3, n))  # of the anchor, positive and negative rows
     dots = np.empty((2, n))   # anchor with positive, anchor with negative
     for lo in range(0, n, step):
         blk = slice(lo, lo + step)
-        sv, sa, sb = sd[v[blk]], sd[a[blk]], sd[b[blk]]
-        for k, arr in enumerate((sv, sa, sb)):
-            norms[k, blk] = np.linalg.norm(arr, axis=1)
-        dots[0, blk] = np.einsum("ij,ij->i", sv, sa)
-        dots[1, blk] = np.einsum("ij,ij->i", sv, sb)
-    for role, k_norms, idx in zip(roles, norms, (v, a, b)):
-        _require_norms(k_norms, "triplet_nll", role, idx)
-    vn, an, bn = norms
+        sv = sd[v[blk]]
+        dots[0, blk] = np.einsum("ij,ij->i", sv, sd[a[blk]])
+        dots[1, blk] = np.einsum("ij,ij->i", sv, sd[b[blk]])
     pos = dots[0] / (vn * an)
     neg = dots[1] / (vn * bn)
     z = np.concatenate([pos[:, None], neg[:, None]], axis=1) / tau
@@ -434,20 +436,24 @@ def triplet_nll(s: Tensor, v, a, b, tau: float) -> Tensor:
     return _record("triplet_nll", np.array([[loss]]), (s,), vjp)
 
 
-def class_rows(targets, num_classes: int) -> list[np.ndarray]:
-    """Row ids of each class, in class order; an empty class raises
-    SplitError naming it."""
-    y = np.asarray(targets)
-    ids = [np.flatnonzero(y == c) for c in range(num_classes)]
-    for c, rows in enumerate(ids):
-        if rows.size == 0:
-            raise SplitError(f"class {c} has no training items")
-    return ids
-
-
-def class_means(arr: np.ndarray, ids: Sequence[np.ndarray]) -> np.ndarray:
-    """(C, d) class-mean anchors: row c is the mean of `arr`'s rows ids[c]."""
-    return np.concatenate([arr[rows].mean(axis=0, keepdims=True) for rows in ids])
+def class_means(stack: np.ndarray, targets, num_classes: int) -> np.ndarray:
+    """(L, C, d) class-mean anchors of an (L, n, d) stack: entry [l, c] is the
+    mean of layer l's rows whose target is c. One bincount over (layer, class,
+    column) bins sums them, adding each bin's rows in row order from zero as
+    a per-class mean does at every width above 1 (numpy sums a single column
+    pairwise). An empty class raises SplitError naming it."""
+    y = np.asarray(targets, dtype=np.int64)
+    layers, n, d = stack.shape
+    if y.shape != (n,) or (n and (y.min() < 0 or y.max() >= num_classes)):
+        raise ParameterError(f"class_means: need {n} targets in [0, {num_classes})")
+    counts = np.bincount(y, minlength=num_classes)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise SplitError(f"class {empty[0]} has no training items")
+    bins = (np.arange(layers)[:, None] * num_classes + y)[:, :, None] * d + np.arange(d)
+    sums = np.bincount(bins.ravel(), weights=stack.ravel(),
+                       minlength=layers * num_classes * d)
+    return sums.reshape(layers, num_classes, d) / counts[:, None]
 
 
 def prompt_nll(mats: Sequence[Tensor], targets, thetas: Sequence[Tensor],
@@ -459,11 +465,13 @@ def prompt_nll(mats: Sequence[Tensor], targets, thetas: Sequence[Tensor],
     cosine against them, and the term the softmax NLL of scores/tau summed
     over the n rows. The output is the sum of the terms over the layers.
 
-    The forward runs the numpy expressions of the unfused chain (class means,
-    `add`, `row_cosine_sim`, `softmax_nll`, `scale` by n, `add` over layers)
-    in its order, and the VJP accumulates as that chain's backward does, so
-    both agree bit for bit. A row or prompt of norm below NORM_EPS raises
-    DegenerateRowError; an untracked matrix gets no gradient product.
+    The layers are stacked into one (L, n, d) array that both passes run over
+    at once, with the unfused chain's numpy expressions (class means, `add`,
+    `row_cosine_sim`, `softmax_nll`, `scale` by n, `add` over layers) and
+    sums in its order, so both agree bit for bit at every width above 1 (at
+    width 1, to rounding). Every layer has the same width. A row or prompt of
+    norm below NORM_EPS raises DegenerateRowError; an untracked matrix gets
+    no gradient.
     """
     if tau <= 0:
         raise ParameterError(f"prompt_nll: tau must be > 0, got {tau}")
@@ -476,51 +484,50 @@ def prompt_nll(mats: Sequence[Tensor], targets, thetas: Sequence[Tensor],
     c = thetas[0].rows
     if y.ndim != 1 or (n and (y.min() < 0 or y.max() >= c)):
         raise ParameterError(f"prompt_nll: targets must be 1-D in [0, {c})")
-    ids = class_rows(y, c)
-    items = np.arange(n)
-
-    total = None
-    saved = []
+    d = mats[0].cols
     for l, (mat, theta) in enumerate(zip(mats, thetas)):
-        if mat.rows != n or theta.shape != (c, mat.cols):
+        if mat.shape != (n, d) or theta.shape != (c, d):
             raise DimensionError(
-                f"prompt_nll: layer {l} is {mat.shape} with {theta.shape} "
-                f"offsets for {n} targets and {c} classes")
-        h = mat.data
-        prompts = class_means(h, ids) + theta.data
-        hn = _row_norms(h, "prompt_nll", f"layer {l} item")
-        pn = _row_norms(prompts, "prompt_nll", f"layer {l} prompt")
-        u = h / hn[:, None]
-        v = prompts / pn[:, None]
-        s = u @ v.T
-        z = s / tau
-        z = z - z.max(axis=1, keepdims=True)
-        expz = np.exp(z)
-        denom = expz.sum(axis=1)
-        logp = z - np.log(denom)[:, None]
-        term = float(n) * -logp[items, y].mean()
+                f"prompt_nll: layer {l} is {mat.shape} with {theta.shape} offsets "
+                f"for {n} targets, {c} classes and width {d}")
+
+    h = np.stack([mat.data for mat in mats])
+    prompts = class_means(h, y, c) + np.stack([theta.data for theta in thetas])
+    hn = np.linalg.norm(h, axis=2)
+    pn = np.linalg.norm(prompts, axis=2)
+    if min(hn.min(), pn.min()) < NORM_EPS:
+        for l in range(len(mats)):
+            _require_norms(hn[l], "prompt_nll", f"layer {l} item")
+            _require_norms(pn[l], "prompt_nll", f"layer {l} prompt")
+    u = h / hn[..., None]
+    v = prompts / pn[..., None]
+    s = u @ v.transpose(0, 2, 1)
+    z = s / tau
+    z = z - z.max(axis=2, keepdims=True)
+    expz = np.exp(z)
+    denom = expz.sum(axis=2)
+    logp = z - np.log(denom)[..., None]
+    items = np.arange(n)
+    total = None
+    # one 1-D mean per layer: a 2-D mean over axis 1 orders its sum otherwise
+    for picked in logp[:, items, y]:
+        term = float(n) * -picked.mean()
         total = term if total is None else total + term
-        saved.append((mat.requires_grad, u, v, hn, pn, s, expz, denom))
+    tracked = [mat.requires_grad for mat in mats]
 
     def vjp(g):
         # upstream of each layer's mean NLL, through the unfused `scale` by n
         g_mean = float(n) * g[0, 0]
-        dmats, dthetas = [], []
-        for tracked, u, v, hn, pn, s, expz, denom in saved:
-            ds = expz / denom[:, None]
-            ds[items, y] -= 1.0
-            ds = ds * (g_mean / (n * tau))
-            gs = ds * s
-            dp = (ds.T @ u) / pn[:, None] - v * (gs.sum(axis=0) / pn)[:, None]
-            dthetas.append(dp)
-            if not tracked:
-                dmats.append(None)
-                continue
-            dh = (ds @ v) / hn[:, None] - u * (gs.sum(axis=1) / hn)[:, None]
-            for k, rows in enumerate(ids):
-                dh[rows] += dp[k] / rows.size  # through the class mean
-            dmats.append(dh)
-        return (*dmats, *dthetas)
+        ds = expz / denom[..., None]
+        ds[:, items, y] -= 1.0
+        ds = ds * (g_mean / (n * tau))
+        gs = ds * s
+        dp = ((ds.transpose(0, 2, 1) @ u) / pn[..., None]
+              - v * (gs.sum(axis=1) / pn)[..., None])
+        dh = (ds @ v) / hn[..., None] - u * (gs.sum(axis=2) / hn)[..., None]
+        # through the class mean: row i gets its class's dp / count
+        dh += (dp / np.bincount(y, minlength=c)[:, None])[:, y]
+        return (*[dl if t else None for dl, t in zip(dh, tracked)], *dp)
 
     return _record("prompt_nll", np.array([[total]]), (*mats, *thetas), vjp)
 

@@ -7,7 +7,9 @@ encoder, so gradients reach the adapter through it) plus a persistent
 learnable offset. Per-layer cosine scores are combined with hop
 coefficients gamma for prediction; the training loss is the unweighted sum
 of per-layer softmax NLL terms, so gamma itself keeps its structured
-initialization. That loss is one tape node per epoch, `numcore.prompt_nll`.
+initialization. That loss is one tape node per epoch, `numcore.prompt_nll`,
+over all scored layers at once. Node and graph tasks map their training
+inputs through the frozen input map once per call (`encoder.frozen_input`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    FrozenInput,
     attach_glora,
     checkpoint_load,
     count_trainable,
@@ -44,7 +47,6 @@ from .numcore import (
     NORM_EPS,
     Tensor,
     class_means,
-    class_rows,
     fit,
     gather_rows,
     prompt_nll,
@@ -64,20 +66,19 @@ def init_gamma(alpha: float, num_layers: int) -> Tensor:
     return Tensor(np.array([values]), requires_grad=True)
 
 
-def graph_tokens(batch: GraphBatch, params: EncoderParams,
-                 cfg: EncoderConfig) -> list[Tensor]:
-    """One forward over the batch's disjoint union, then each graph's mean
-    row per layer: one (B, d) tensor per layer."""
-    stack = encoder_forward(batch.adj, batch.features, cfg, params)
+def graph_tokens(batch: GraphBatch, params: EncoderParams, cfg: EncoderConfig,
+                 frozen: FrozenInput | None = None) -> list[Tensor]:
+    """One forward over the batch's disjoint union, from `frozen` when given,
+    then each graph's mean row per layer: one (B, d) tensor per layer."""
+    stack = encoder_forward(batch.adj, batch.features, cfg, params, frozen=frozen)
     return [spmm(batch.pool, h) for h in stack]
 
 
 def anchors_from_matrices(mats: list[np.ndarray], y: np.ndarray,
-                          num_classes: int) -> list[np.ndarray]:
-    """Per-class row means of each layer matrix: the anchors `prompt_nll`
-    builds every epoch, computed by the same code for evaluation."""
-    ids = class_rows(y, num_classes)
-    return [class_means(mat, ids) for mat in mats]
+                          num_classes: int) -> np.ndarray:
+    """(L, C, d) per-class row means of the layer matrices, by the same
+    `class_means` that builds `prompt_nll`'s anchors every epoch."""
+    return class_means(np.stack(mats), y, num_classes)
 
 
 def prompt_param_count(num_layers: int, num_classes: int, width: int) -> int:
@@ -242,9 +243,11 @@ def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
     params, cfg = _make_stage_two(params, base_cfg, tcfg, rng,
                                   adjacency_adaptation=False)
     train_batch = graph_batch([items.graphs[int(i)] for i in split.train_ids])
+    # every epoch's forward starts from the training batch's X W_in
+    frozen = frozen_input(train_batch.adj, train_batch.features, cfg, params)
     return _fit_prompts(
         params, cfg, tcfg, split, items.labels, items.num_classes,
-        lambda: graph_tokens(train_batch, params, cfg),
+        lambda: graph_tokens(train_batch, params, cfg, frozen),
         lambda: graph_tokens(graph_batch(items.graphs), params, cfg))
 
 

@@ -17,12 +17,14 @@ with that op's arguments). The fused op's loss equals that chain's bit for
 bit; its d/ds, one sparse product, and the chain's backward agree to
 rounding, and `dense_triplet_grad`, a per-triplet loop of cosine
 derivatives, is the third, independent reading of that gradient.
-`full_rows_plan` is the full-forward training path that node-task training
-on the training rows' receptive field replaces: every layer runs on every
-row and the planned rows are gathered from the result. `unfactored_forward`
-runs each full-GLoRA layer as ((A + pa qa^T) h)(W0 + P Q^T), through
-`rank_one_update_spmm`, where the encoder runs it as the frozen product plus
-a rank-(r+1) update. `ClassPromptSet`,
+`reference_adam_step` is the per-parameter Adam loop that `numcore.adam_step`
+replaces with one pass over all entries; both training-loop oracles step
+through it. `full_rows_plan` is the full-forward training path that
+node-task training on the training rows' receptive field replaces: every
+layer runs on every row and the planned rows are gathered from the result.
+`unfactored_forward` runs each full-GLoRA layer as ((A + pa qa^T) h)(W0 +
+P Q^T), through `rank_one_update_spmm`, where the encoder runs it as the
+frozen product plus a rank-(r+1) update. `ClassPromptSet`,
 `tape_anchors` and `matrix_loss` are the unfused chain of tape ops that
 `numcore.prompt_nll` fuses into one node (`unfused_prompt_nll` runs it
 with that op's arguments); `anchor_arrays` is the per-class mask loop the
@@ -45,6 +47,7 @@ from hopprompt.encoder import (
 from hopprompt.errors import (
     ContractError,
     DimensionError,
+    NumericError,
     PretrainInfeasibleError,
     SplitError,
 )
@@ -52,7 +55,6 @@ from hopprompt.graphstore import GraphSet, disjoint_union, normalize_adjacency
 from hopprompt.numcore import (
     AdamState,
     Tensor,
-    adam_step,
     add,
     backward,
     gather_rows,
@@ -68,7 +70,37 @@ from hopprompt.numcore import (
     transpose,
     vstack,
 )
+from hopprompt.numcore.optim import BETA1, BETA2, EPS
 from hopprompt.pretrain import Triplets
+
+
+def reference_adam_step(params, grads, state):
+    """One Adam update as a loop over the parameters, rebinding `state.m[i]`
+    and `state.v[i]` to fresh arrays: the update `numcore.adam_step` makes in
+    one pass over every parameter's entries."""
+    if len(state.m) != len(params):
+        raise DimensionError(f"adam_step: state tracks {len(state.m)} params, got {len(params)}")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    for i, p in enumerate(params):
+        g = grads.get(p)
+        if g.shape != p.shape or state.m[i].shape != p.shape:
+            raise DimensionError(
+                f"adam_step: param {i} shape {p.shape} vs grad {g.shape} / moment {state.m[i].shape}"
+            )
+        new = p.data
+        if state.weight_decay:
+            new = new - state.lr * state.weight_decay * new
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
+        m_hat = state.m[i] / bc1
+        v_hat = state.v[i] / bc2
+        new = new - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        if not np.isfinite(new).all():
+            raise NumericError(f"adam_step: param {i} became non-finite")
+        p.data = new
 
 
 def finite_diff(loss_fn, params, h=1e-5):
@@ -283,7 +315,7 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
         mats = [vstack([t[l] for t in tokens]) for l in range(layers)]
         prompts = ClassPromptSet(anchors=tape_anchors(mats, y_train, c), theta=theta)
         loss = matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
-        adam_step(trainables, backward(loss), state)
+        reference_adam_step(trainables, backward(loss), state)
         losses.append(loss.item())
         if losses[-1] < best[0] - 1e-12:
             # without a patience the last weights stay: nothing to snapshot
@@ -366,7 +398,7 @@ def reference_pretrain(data, cfg, pcfg):
             batch = triplets[order[start:start + pcfg.batch_size]]
             stack = encoder_forward(adj, g.features, cfg, params)
             loss = unfused_pretrain_loss(stack, adj, batch, pcfg.tau)
-            adam_step(trainable, backward(loss), state)
+            reference_adam_step(trainable, backward(loss), state)
             total += loss.item() * len(batch)
             count += len(batch)
         losses.append((epoch, total / count))

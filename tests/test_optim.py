@@ -9,6 +9,7 @@ from hopprompt.errors import (
     NumericError,
     ParameterError,
 )
+from tests._oracles import reference_adam_step
 
 
 class _ZeroGrads:
@@ -76,6 +77,91 @@ def test_moments_mirror_param_shapes():
     state = nc.AdamState.for_params(ps, lr=0.01)
     assert [m.shape for m in state.m] == [(2, 3), (1, 4)]
     assert state.step_count == 0
+
+
+class TestFlatAdam:
+    """`adam_step` updates every parameter in one pass over their entries;
+    the per-parameter loop it replaced is the oracle, matched by `tobytes`."""
+
+    # gamma (1 x 3) gets no gradient, as in stage two; 26,203 entries in all,
+    # so the pass walks several blocks and a block ends inside a parameter
+    SHAPES = [(1, 3), (600, 1), (128, 8), (128, 128), (64, 128)]
+
+    @staticmethod
+    def _params(shapes, seed=0):
+        rng = np.random.default_rng(seed)
+        return [nc.Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-6])
+    def test_equals_per_parameter_loop_bitwise(self, weight_decay):
+        ours, oracle = self._params(self.SHAPES), self._params(self.SHAPES)
+        ours_state = nc.AdamState.for_params(ours, lr=1e-3, weight_decay=weight_decay)
+        oracle_state = nc.AdamState.for_params(oracle, lr=1e-3,
+                                               weight_decay=weight_decay)
+        rng = np.random.default_rng(1)
+        for _step in range(30):
+            draws = [rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 1)
+                     for p in ours[1:]]
+            nc.adam_step(ours, nc.Gradients(
+                {id(p): g for p, g in zip(ours[1:], draws)}), ours_state)
+            reference_adam_step(oracle, nc.Gradients(
+                {id(p): g for p, g in zip(oracle[1:], draws)}), oracle_state)
+            for a, b in zip(ours, oracle):
+                assert a.data.tobytes() == b.data.tobytes()
+        assert ours_state.step_count == oracle_state.step_count == 30
+        for mine, theirs in ((ours_state.m, oracle_state.m),
+                             (ours_state.v, oracle_state.v)):
+            for a, b in zip(mine, theirs):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_absent_gradient_reads_as_zero(self):
+        present, absent = self._params([(4, 3), (1, 3)])
+        before = absent.data
+        state = nc.AdamState.for_params([present, absent], lr=0.1)
+        nc.adam_step([present, absent], nc.Gradients({id(present): np.ones((4, 3))}),
+                     state)
+        # rebound to a new array of the same bytes; the old one is untouched
+        assert absent.data is not before
+        assert absent.data.tobytes() == before.tobytes()
+        assert not state.m[1].any() and not state.v[1].any()
+        assert state.m[0].all()
+
+    def test_moments_view_one_flat_buffer(self):
+        ps = self._params(self.SHAPES)
+        state = nc.AdamState.for_params(ps, lr=0.1)
+        assert state.flat.shape == (2, sum(p.data.size for p in ps))
+        for m, v, p in zip(state.m, state.v, ps):
+            assert m.shape == v.shape == p.shape
+            assert np.shares_memory(m, state.flat[0]) and np.shares_memory(v, state.flat[1])
+        nc.adam_step(ps, nc.Gradients({id(p): np.ones(p.shape) for p in ps}), state)
+        # the step updated the buffer in place, so the views read the moments
+        assert all(m.all() and v.all() for m, v in zip(state.m, state.v))
+
+    def test_old_arrays_stay_valid(self):
+        ps = self._params(self.SHAPES)
+        old = [p.data for p in ps]
+        copies = [a.copy() for a in old]
+        state = nc.AdamState.for_params(ps, lr=0.1, weight_decay=0.5)
+        nc.adam_step(ps, nc.Gradients({id(p): np.ones(p.shape) for p in ps}), state)
+        for p, a, c in zip(ps, old, copies):
+            assert p.data is not a and a.tobytes() == c.tobytes()
+
+    def test_empty_parameter_list(self):
+        state = nc.AdamState.for_params([], lr=0.1)
+        nc.adam_step([], nc.Gradients({}), state)
+        assert state.step_count == 1 and state.m == [] and state.v == []
+        with pytest.raises(DimensionError, match="state tracks 0 params, got 1"):
+            nc.adam_step(self._params([(1, 1)]), nc.Gradients({}), state)
+
+    def test_non_finite_update_names_its_index(self):
+        ok, huge = nc.Tensor([[0.5]], requires_grad=True), nc.Tensor(
+            [[-1.7e308, 0.0]], requires_grad=True)
+        state = nc.AdamState.for_params([ok, huge], lr=1e308)
+        grads = nc.Gradients({id(ok): np.ones((1, 1)), id(huge): np.ones((1, 2))})
+        # the first step moves each entry by lr: -1.7e308 - 1e308 overflows
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="^adam_step: param 1 became non-finite$"):
+            nc.adam_step([ok, huge], grads, state)
 
 
 def _scripted(w, values, fail_at=None, error=None):

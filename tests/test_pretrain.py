@@ -475,6 +475,23 @@ class TestTripletNll:
                 NumericError, match=r"triplet_nll: non-finite .*\(1, 1\)"):
             nc.triplet_nll(nc.Tensor(self.S), self.V, self.A, self.B, 1e-320)
 
+    def test_zero_row_in_no_triplet_is_not_checked(self):
+        # norms are taken of every row at once, but only the rows a triplet
+        # reads must be non-degenerate; node 3 is in none
+        s = self.S.copy()
+        s[3] = 0.0
+        args = (s, self.V, self.A, self.B, 0.5)
+        assert _loss_and_grad(nc.triplet_nll, *args)[0] == \
+            _loss_and_grad(unfused_triplet_nll, *args)[0]
+
+    def test_column_major_rows_give_the_same_loss(self):
+        rng = np.random.default_rng(3)
+        s = rng.standard_normal((5, 37))
+        args = (self.V, self.A, self.B, 0.5)
+        loss = nc.triplet_nll(nc.Tensor(s), *args).data
+        fortran = nc.triplet_nll(nc.Tensor(np.asfortranarray(s)), *args).data
+        assert loss.tobytes() == fortran.tobytes()
+
 
 class TestRunPretrain:
     def test_loss_decreases(self):

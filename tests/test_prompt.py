@@ -546,6 +546,14 @@ class TestPromptNll:
         with pytest.raises(DimensionError, match="layer 0"):
             nc.prompt_nll([nc.Tensor(np.ones((8, 5)))], self.Y, thetas[:1], 0.5)
 
+    def test_layers_of_unequal_width_rejected(self):
+        rng = np.random.default_rng(16)
+        mats = [nc.Tensor(rng.standard_normal((9, w))) for w in (5, 5, 4)]
+        thetas = [nc.Tensor(np.zeros((3, w))) for w in (5, 5, 4)]
+        with pytest.raises(DimensionError,
+                           match=r"prompt_nll: layer 2 is \(9, 4\) .* and width 5"):
+            nc.prompt_nll(mats, self.Y, thetas, 0.5)
+
 
 class TestRunPromptTune:
     def test_zero_lr_equals_prototype_classifier(self, synth_h90, ckpt_h90):
@@ -656,7 +664,8 @@ def tiny_graph_task(tmp_path_factory):
 class TestFrozenForwardHoist:
     """With glora_mode=off nothing in the encoder trains, so stage two runs
     the encoder once for all epochs, and the run is bit for bit the run that
-    recomputes it every epoch."""
+    recomputes it every epoch. In every mode the input map is frozen, so a
+    graph task maps its training batch's features once, bitwise too."""
 
     @pytest.mark.parametrize("mode", ["off", "full"])
     @pytest.mark.parametrize("epochs", [1, 4, 9])
@@ -683,6 +692,46 @@ class TestFrozenForwardHoist:
         # one batched forward of the training items, one of every item to
         # evaluate
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("epochs", [2, 6])
+    def test_graph_loop_maps_the_input_once(self, monkeypatch, tiny_graph_task,
+                                            epochs):
+        items, split, path = tiny_graph_task
+        rows = []
+        real = enc._input_map
+
+        def counted(x, params, plan):
+            rows.append(x.rows)
+            return real(x, params, plan)
+
+        monkeypatch.setattr(enc, "_input_map", counted)
+        tcfg = pr.PromptTuneConfig(epochs=epochs, patience=None, seed=0, lr=1e-3,
+                                   glora_mode="full")
+        pr.run_prompt_tune(path, items, split, tcfg)
+        # X W_in of the training batch once for every epoch, then of every
+        # item once to evaluate
+        train_nodes = sum(items.graphs[int(i)].num_nodes for i in split.train_ids)
+        assert rows == [train_nodes, sum(g.num_nodes for g in items.graphs)]
+
+    @pytest.mark.parametrize("ablation", ["plain", "last_layer_only"])
+    def test_graph_run_from_frozen_input_equals_per_epoch_map(
+            self, monkeypatch, tiny_graph_task, ablation):
+        items, split, path = tiny_graph_task
+        tcfg = pr.PromptTuneConfig(epochs=12, patience=3, seed=1, lr=1e-2,
+                                   glora_mode="full", weight_decay=5e-6,
+                                   last_layer_only=ablation == "last_layer_only")
+        ours_params, ours = pr.run_prompt_tune(path, items, split, tcfg)
+        real = pr.graph_tokens
+        monkeypatch.setattr(pr, "graph_tokens",
+                            lambda batch, params, cfg, frozen=None: real(batch, params, cfg))
+        per_epoch_params, per_epoch = pr.run_prompt_tune(path, items, split, tcfg)
+        assert ours.train_losses == per_epoch.train_losses
+        assert ours.best_epoch == per_epoch.best_epoch
+        assert ours.predictions.tobytes() == per_epoch.predictions.tobytes()
+        adapters = [enc.partition_params(p, "prompt")[0]
+                    for p in (ours_params, per_epoch_params)]
+        for a, b in zip(*adapters):
+            assert a.data.tobytes() == b.data.tobytes()
 
     @pytest.mark.parametrize("ablation", ["plain", "last_layer_only", "fixed_gamma"])
     def test_hoisted_run_equals_per_epoch_run(self, monkeypatch, synth_h10,

@@ -157,6 +157,65 @@ class TestSpmm:
         assert_grads_close(grads.get(v), fd_v, label="spmm dV")
 
 
+def _stored_transpose_cases():
+    """(name, matrix) pairs whose spmm VJP multiplies by the transpose
+    stored at construction."""
+    from hopprompt import graphstore as gs
+
+    g = gs.random_labeled_graph(40, 90, 3, 4, seed=5)
+    adj = gs.normalize_adjacency(g)
+    rows = np.array([7, 3, 3, 30, 12])  # any order, a repeat included
+    block, _source = adj.slice(rows, adj.neighbourhood([3, 7, 12, 30]))
+    batch = gs.graph_batch(gs.build_graph_task(g, hops=1).graphs[:6])
+    # rows 0 and 3 and columns 1 and 4 hold no entry
+    gappy = nc.SparseMatrix.from_coo((5, 6), [1, 1, 2, 4, 4], [0, 5, 3, 2, 5],
+                                     [0.5, -1.5, 2.0, 0.25, 3.0])
+    empty = nc.SparseMatrix((3, 4), np.zeros(4, dtype=np.int64), [], [])
+    return [("adjacency", adj), ("slice", block), ("pool", batch.pool),
+            ("empty_rows_and_cols", gappy), ("zero_nnz", empty)]
+
+
+class TestSpmmStoredTranspose:
+    """The VJP of an unweighted spmm multiplies by a CSR transpose built
+    once with the matrix; it equals scipy's `mat.T @ g` bit for bit."""
+
+    @pytest.mark.parametrize("name, s", _stored_transpose_cases(),
+                             ids=[n for n, _ in _stored_transpose_cases()])
+    def test_equals_scipy_transpose_product(self, name, s):
+        rng = np.random.default_rng(8)
+        for width in (1, 3, 64):
+            d = nc.Tensor(rng.standard_normal((s.shape[1], width)), requires_grad=True)
+            out = nc.spmm(s, d)
+            g = rng.standard_normal(out.shape)
+            (dd,) = out._vjp(g)
+            want = s._csr.T @ g
+            assert dd.shape == (s.shape[1], width)
+            assert dd.tobytes() == want.tobytes()
+            np.testing.assert_allclose(dd, s.densify().T @ g, rtol=1e-12, atol=1e-12)
+
+    def test_transpose_is_built_with_the_matrix(self):
+        s = path3_adjacency()
+        assert s._csr_t.shape == (3, 3)
+        assert np.array_equal(s._csr_t.toarray(), s.densify().T)
+
+    @pytest.mark.parametrize("slotted", [False, True])
+    def test_values_override_multiplies_by_its_own_transpose(self, slotted):
+        rng, s, slots = TestSpmmSlots._setup(4)
+        k = s.nnz if not slotted else slots.size
+        v = nc.Tensor(rng.standard_normal((k, 1)), requires_grad=True)
+        d = nc.Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        out = nc.spmm(s, d, values=v, slots=slots if slotted else None)
+        g = rng.standard_normal(out.shape)
+        dd, _dv = out._vjp(g)
+        values = s.values.copy()
+        if slotted:
+            values[slots] = v.data[:, 0]
+        else:
+            values = v.data[:, 0]
+        assert dd.tobytes() == (s._scipy(values).T @ g).tobytes()
+        assert not np.array_equal(dd, s._csr_t @ g)
+
+
 class TestSpmmSlots:
     """`slots` restricts the values override, and its gradient, to chosen
     CSR positions; the other entries keep their stored values."""
