@@ -80,6 +80,8 @@ def _parse_floats(text: str) -> list[float]:
 @handles_errors
 def homophily(dataset, max_hop, bins):
     """Print the global homophily ratio and per-hop local histograms as JSON."""
+    if bins < 1 or max_hop < 1:
+        raise err.ConfigError(f"--bins and --hop must be >= 1, got {bins} and {max_hop}")
     data = gs.load_dataset(dataset)
     if isinstance(data, gs.GraphSet):
         raise err.ConfigError("homophily is defined for node datasets")

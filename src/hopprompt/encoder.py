@@ -24,6 +24,7 @@ from .errors import (
     CheckpointError,
     ContractError,
     DimensionError,
+    NumericError,
     ParameterError,
     StructuralError,
 )
@@ -530,7 +531,10 @@ def checkpoint_load(path, expect_cfg: EncoderConfig | None = None):
             rows, cols = struct.unpack("<II", _read_exact(fh, 8, f"{name} dims"))
             payload = _read_exact(fh, 4 * rows * cols, f"{name} payload")
             data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-            tensors[name] = Tensor(data.reshape(rows, cols))
+            try:
+                tensors[name] = Tensor(data.reshape(rows, cols))
+            except NumericError:
+                raise CheckpointError(f"{name}: non-finite entries") from None
 
     if expect_cfg is not None and (
         expect_cfg.layers != cfg.layers or expect_cfg.dims != cfg.dims

@@ -100,14 +100,6 @@ class Graph:
             self._nbrs = (np.cumsum(offsets), both[:, 1].copy())
         return self._nbrs
 
-    def neighbor_list(self, v: int) -> np.ndarray:
-        offsets, targets = self.neighbors()
-        return targets[offsets[v]:offsets[v + 1]]
-
-    def degrees(self) -> np.ndarray:
-        offsets, _ = self.neighbors()
-        return np.diff(offsets)
-
 
 @dataclass
 class GraphSet:

@@ -12,7 +12,7 @@ from .config import (
     GridSpec,
     RunReport,
 )
-from .report import emit_report, load_report
+from .report import emit_report
 from .runner import (
     ABLATION_MODES,
     run_ablation,
@@ -35,7 +35,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "dataset_digest",
     "emit_report",
-    "load_report",
     "run_ablation",
     "run_experiment",
     "run_heterophily_sweep",

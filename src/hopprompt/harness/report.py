@@ -44,9 +44,3 @@ def emit_report(report: RunReport | list[RunReport], path, fmt: str = "json") ->
                     ])
         return
     raise ConfigError(f"format must be json or csv, got {fmt!r}")
-
-
-def load_report(path) -> list[dict]:
-    """Parse an emitted JSON report back into dicts (always a list)."""
-    raw = json.loads(Path(path).read_text())
-    return raw if isinstance(raw, list) else [raw]

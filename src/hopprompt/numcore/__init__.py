@@ -1,11 +1,9 @@
 """Dense/sparse linear algebra, a reverse-mode tape, Adam and the training
 loop."""
 
-from .optim import AdamState, adam_step, fit
+from .optim import adam_step, fit
 from .sparse import SparseMatrix, spmm
 from .tensor import (
-    NORM_EPS,
-    Gradients,
     Tensor,
     add,
     backward,
@@ -13,27 +11,20 @@ from .tensor import (
     gather_rows,
     hstack,
     matmul,
-    mean_rows,
     peak_tape_bytes,
+    prompt_cosines,
     prompt_nll,
     relu,
     row_cosine_sim,
     rowwise_cosine_sim,
-    scalar,
-    scale,
     scatter_rows,
     softmax_nll,
-    sub,
-    sum_all,
     transpose,
     triplet_nll,
     vstack,
 )
 
 __all__ = [
-    "NORM_EPS",
-    "AdamState",
-    "Gradients",
     "SparseMatrix",
     "Tensor",
     "adam_step",
@@ -44,19 +35,15 @@ __all__ = [
     "gather_rows",
     "hstack",
     "matmul",
-    "mean_rows",
     "peak_tape_bytes",
+    "prompt_cosines",
     "prompt_nll",
     "relu",
     "row_cosine_sim",
     "rowwise_cosine_sim",
-    "scalar",
-    "scale",
     "scatter_rows",
     "softmax_nll",
     "spmm",
-    "sub",
-    "sum_all",
     "transpose",
     "triplet_nll",
     "vstack",

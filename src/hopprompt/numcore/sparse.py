@@ -133,21 +133,16 @@ class SparseMatrix:
 
 def spmm(s: SparseMatrix, d: Tensor, values: Tensor | None = None,
          slots=None) -> Tensor:
-    """Sparse @ dense. Pass `values` to make entries trainable: (nnz, 1)
-    overrides every entry, or, with `slots` (k distinct CSR positions),
-    (k, 1) overrides only those entries, and only they get a value gradient.
+    """Sparse @ dense. Pass `values` to make entries trainable: (k, 1) values
+    override the entries at `slots` (k distinct CSR positions; every position
+    when `slots` is None), and only those entries get a value gradient.
     """
     if s.shape[1] != d.rows:
         raise DimensionError(f"spmm: inner dims differ, {s.shape} x {d.shape}")
     rows_of, cols_of = s._entry_rows, s.col_indices
-    if slots is None:
-        if values is not None and values.shape != (s.nnz, 1):
-            raise DimensionError(
-                f"spmm: values override must be ({s.nnz}, 1), got {values.shape}"
-            )
-        mat = s._csr if values is None else s._scipy(values.data[:, 0])
-    else:
-        slots = np.asarray(slots, dtype=np.int64)
+    mat = s._csr
+    if values is not None or slots is not None:
+        slots = np.arange(s.nnz) if slots is None else np.asarray(slots, dtype=np.int64)
         if values is None or slots.ndim != 1 or values.shape != (slots.size, 1):
             raise DimensionError(
                 f"spmm: slots {slots.shape} need a ({slots.size}, 1) values override, "

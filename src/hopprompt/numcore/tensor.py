@@ -32,7 +32,7 @@ _ORDER = itertools.count()
 # of working-set size, not OS RSS.
 _PEAK = {"bytes": 0}
 
-NORM_EPS = 1e-12  # cosine guard; rows below this norm raise, never clamp
+NORM_EPS = 1e-12  # cosine guard: a row below this norm raises or scores 0
 
 
 def peak_tape_bytes(reset: bool = False) -> int:
@@ -103,10 +103,6 @@ def _record(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
     return out
 
 
-def scalar(x: float) -> Tensor:
-    return Tensor(np.array([[float(x)]]))
-
-
 # ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------
@@ -141,25 +137,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", a.data + b.data, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"sub: shapes differ, {a.shape} vs {b.shape}")
-
-    def vjp(g):
-        return g, -g
-
-    return _record("sub", a.data - b.data, (a, b), vjp)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def vjp(g):
-        return (c * g,)
-
-    return _record("scale", c * a.data, (a,), vjp)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient at 0 is 0
 
@@ -168,27 +145,6 @@ def relu(a: Tensor) -> Tensor:
 
     # + 0.0 turns the -0.0 that maximum keeps into +0.0, as a select would
     return _record("relu", np.maximum(a.data, 0.0) + 0.0, (a,), vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.shape
-
-    def vjp(g):
-        return (np.full(shape, g[0, 0]),)
-
-    return _record("sum_all", np.array([[a.data.sum()]]), (a,), vjp)
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Column means: (n, d) -> (1, d)."""
-    n = a.rows
-    if n == 0:
-        raise DimensionError("mean_rows: empty tensor")
-
-    def vjp(g):
-        return (np.repeat(g, n, axis=0) / n,)
-
-    return _record("mean_rows", a.data.mean(axis=0, keepdims=True), (a,), vjp)
 
 
 def _row_index(idx, rows: int, what: str) -> np.ndarray:
@@ -456,6 +412,27 @@ def class_means(stack: np.ndarray, targets, num_classes: int) -> np.ndarray:
     return sums.reshape(layers, num_classes, d) / counts[:, None]
 
 
+def prompt_cosines(h: np.ndarray, prompts: np.ndarray):
+    """Stage two's one scoring path: the (L, n, C) cosines of an (L, n, d)
+    stack's rows against (L, C, d) prompts, layer by layer, with the unit
+    rows u, v and the norms hn, pn they came from, as (s, u, v, hn, pn).
+
+    A row or prompt of norm below NORM_EPS scores 0 against everything;
+    `prompt_nll` raises on one instead, and the evaluation predicts from the
+    rest. Rows above it are divided by their own norm, so their scores do not
+    depend on whether a degenerate row sits beside them.
+    """
+    hn = np.linalg.norm(h, axis=2)
+    pn = np.linalg.norm(prompts, axis=2)
+    low_h, low_p = hn < NORM_EPS, pn < NORM_EPS
+    u = h / np.where(low_h, 1.0, hn)[..., None]
+    v = prompts / np.where(low_p, 1.0, pn)[..., None]
+    s = u @ v.transpose(0, 2, 1)
+    s[low_h] = 0.0
+    s.transpose(0, 2, 1)[low_p] = 0.0
+    return s, u, v, hn, pn
+
+
 def prompt_nll(mats: Sequence[Tensor], targets, thetas: Sequence[Tensor],
                tau: float) -> Tensor:
     """Stage two's prompt loss as one tape node.
@@ -469,9 +446,10 @@ def prompt_nll(mats: Sequence[Tensor], targets, thetas: Sequence[Tensor],
     at once, with the unfused chain's numpy expressions (class means, `add`,
     `row_cosine_sim`, `softmax_nll`, `scale` by n, `add` over layers) and
     sums in its order, so both agree bit for bit at every width above 1 (at
-    width 1, to rounding). Every layer has the same width. A row or prompt of
-    norm below NORM_EPS raises DegenerateRowError; an untracked matrix gets
-    no gradient.
+    width 1, to rounding). The cosines are `prompt_cosines`', the evaluation's
+    scoring path. Every layer has the same width. A row or prompt of norm
+    below NORM_EPS raises DegenerateRowError; an untracked matrix gets no
+    gradient.
     """
     if tau <= 0:
         raise ParameterError(f"prompt_nll: tau must be > 0, got {tau}")
@@ -493,15 +471,11 @@ def prompt_nll(mats: Sequence[Tensor], targets, thetas: Sequence[Tensor],
 
     h = np.stack([mat.data for mat in mats])
     prompts = class_means(h, y, c) + np.stack([theta.data for theta in thetas])
-    hn = np.linalg.norm(h, axis=2)
-    pn = np.linalg.norm(prompts, axis=2)
+    s, u, v, hn, pn = prompt_cosines(h, prompts)
     if min(hn.min(), pn.min()) < NORM_EPS:
         for l in range(len(mats)):
             _require_norms(hn[l], "prompt_nll", f"layer {l} item")
             _require_norms(pn[l], "prompt_nll", f"layer {l} prompt")
-    u = h / hn[..., None]
-    v = prompts / pn[..., None]
-    s = u @ v.transpose(0, 2, 1)
     z = s / tau
     z = z - z.max(axis=2, keepdims=True)
     expz = np.exp(z)

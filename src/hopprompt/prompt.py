@@ -4,12 +4,15 @@ Classification is reformulated as similarity against per-class prompt
 vectors, one set per encoder layer. A prompt is the mean embedding of that
 class's training items (recomputed each epoch from the current adapted
 encoder, so gradients reach the adapter through it) plus a persistent
-learnable offset. Per-layer cosine scores are combined with hop
-coefficients gamma for prediction; the training loss is the unweighted sum
-of per-layer softmax NLL terms, so gamma itself keeps its structured
-initialization. That loss is one tape node per epoch, `numcore.prompt_nll`,
-over all scored layers at once. Node and graph tasks map their training
-inputs through the frozen input map once per call (`encoder.frozen_input`).
+learnable offset. Training and evaluation score through one function,
+`numcore.prompt_cosines`: the per-layer cosines of rows against prompts.
+The training loss is the unweighted sum of per-layer softmax NLL terms over
+them, so gamma itself keeps its structured initialization; that loss is one
+tape node per epoch, `numcore.prompt_nll`, over all scored layers at once.
+Prediction is the argmax of the cosines summed over layers with hop
+coefficients gamma; where training raises on a zero-norm row, evaluation
+scores it 0. Node and graph tasks map their training inputs through the
+frozen input map once per call (`encoder.frozen_input`).
 """
 
 from __future__ import annotations
@@ -44,11 +47,11 @@ from .graphstore import (
     normalize_adjacency,
 )
 from .numcore import (
-    NORM_EPS,
     Tensor,
     class_means,
     fit,
     gather_rows,
+    prompt_cosines,
     prompt_nll,
     spmm,
 )
@@ -135,18 +138,6 @@ def _load_encoder(checkpoint, feature_dim: int):
             f"checkpoint expects {cfg.feature_dim} features, dataset has {feature_dim}"
         )
     return own_base(params, trainable=False), cfg
-
-
-def _guarded_scores(mat: np.ndarray, prompts: np.ndarray) -> np.ndarray:
-    """Eval-time cosine with a zero-similarity fallback for degenerate rows."""
-    mn = np.linalg.norm(mat, axis=1)
-    pn = np.linalg.norm(prompts, axis=1)
-    mn_safe = np.where(mn < NORM_EPS, 1.0, mn)
-    pn_safe = np.where(pn < NORM_EPS, 1.0, pn)
-    s = (mat / mn_safe[:, None]) @ (prompts / pn_safe[:, None]).T
-    s[mn < NORM_EPS] = 0.0
-    s[:, pn < NORM_EPS] = 0.0
-    return s
 
 
 def run_prompt_tune(checkpoint, data: Graph | GraphSet, split: SplitSpec,
@@ -285,13 +276,14 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
         weight_decay=tcfg.weight_decay, epochs=tcfg.epochs,
         patience=tcfg.patience, what="prompt tuning")
 
-    # final evaluation with tuned parameters
+    # final evaluation with tuned parameters, through the loss's cosines
     layer_data = [h.data for h in evaluate()]
-    anchor_data = anchors_from_matrices(
+    anchors = anchors_from_matrices(
         [h[split.train_ids] for h in layer_data], y_train, c)
-    weights = _effective_gamma(gamma, tcfg, num_layers)
-    preds = _predict_rows(layer_data, anchor_data,
-                          [t.data for t in theta], weights, split.test_ids)
+    prompts = anchors + np.stack([t.data for t in theta])
+    weights = np.eye(num_layers)[-1] if tcfg.last_layer_only else gamma.data[0]
+    preds = _predict_rows(np.stack([h[split.test_ids] for h in layer_data]),
+                          prompts, weights)
     accuracy = float((preds == labels[split.test_ids]).mean())
     result = TuneResult(
         test_accuracy=accuracy,
@@ -304,18 +296,13 @@ def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
     return params, result
 
 
-def _effective_gamma(gamma: Tensor, tcfg: PromptTuneConfig,
-                     num_layers: int) -> np.ndarray:
-    if tcfg.last_layer_only:
-        weights = np.zeros(num_layers)
-        weights[-1] = 1.0
-        return weights
-    return gamma.data[0]
-
-
-def _predict_rows(layer_data, anchor_data, theta_data, weights, ids):
-    combined = None
-    for w, h, anchor, off in zip(weights, layer_data, anchor_data, theta_data):
-        scores = _guarded_scores(h[ids], anchor + off)
-        combined = w * scores if combined is None else combined + w * scores
+def _predict_rows(h: np.ndarray, prompts: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """Each row's class: the argmax of its (L, n, d) stack's `prompt_cosines`
+    against (L, C, d) prompts, summed over layers with hop weights in layer
+    order. A degenerate row or prompt scores 0."""
+    scores = prompt_cosines(h, prompts)[0]
+    combined = weights[0] * scores[0]
+    for w, layer in zip(weights[1:], scores[1:]):
+        combined = combined + w * layer
     return np.argmax(combined, axis=1)

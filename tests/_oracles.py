@@ -28,7 +28,12 @@ frozen product plus a rank-(r+1) update. `ClassPromptSet`,
 `tape_anchors` and `matrix_loss` are the unfused chain of tape ops that
 `numcore.prompt_nll` fuses into one node (`unfused_prompt_nll` runs it
 with that op's arguments); `anchor_arrays` is the per-class mask loop the
-evaluation's anchors must agree with.
+evaluation's anchors must agree with. `reference_predict` is the per-layer
+evaluation loop, one `guarded_scores` cosine per layer, that the evaluation
+replaces with one call to `numcore.prompt_cosines`, the loss's own cosines;
+`reference_graph_tune` predicts through it. `scalar`, `sub`, `scale`,
+`sum_all` and `mean_rows` are tape ops the package itself does not run; the
+tests build losses and poolings from them.
 """
 
 import dataclasses
@@ -53,25 +58,67 @@ from hopprompt.errors import (
 )
 from hopprompt.graphstore import GraphSet, disjoint_union, normalize_adjacency
 from hopprompt.numcore import (
-    AdamState,
     Tensor,
     add,
     backward,
     gather_rows,
     hstack,
     matmul,
-    mean_rows,
     relu,
     row_cosine_sim,
     rowwise_cosine_sim,
-    scale,
     softmax_nll,
     spmm,
     transpose,
     vstack,
 )
-from hopprompt.numcore.optim import BETA1, BETA2, EPS
+from hopprompt.numcore.optim import BETA1, BETA2, EPS, AdamState
+from hopprompt.numcore.tensor import NORM_EPS, _record
 from hopprompt.pretrain import Triplets
+
+
+def scalar(x: float) -> Tensor:
+    return Tensor(np.array([[float(x)]]))
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise DimensionError(f"sub: shapes differ, {a.shape} vs {b.shape}")
+
+    def vjp(g):
+        return g, -g
+
+    return _record("sub", a.data - b.data, (a, b), vjp)
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+
+    def vjp(g):
+        return (c * g,)
+
+    return _record("scale", c * a.data, (a,), vjp)
+
+
+def sum_all(a: Tensor) -> Tensor:
+    shape = a.shape
+
+    def vjp(g):
+        return (np.full(shape, g[0, 0]),)
+
+    return _record("sum_all", np.array([[a.data.sum()]]), (a,), vjp)
+
+
+def mean_rows(a: Tensor) -> Tensor:
+    """Column means: (n, d) -> (1, d)."""
+    n = a.rows
+    if n == 0:
+        raise DimensionError("mean_rows: empty tensor")
+
+    def vjp(g):
+        return (np.repeat(g, n, axis=0) / n,)
+
+    return _record("mean_rows", a.data.mean(axis=0, keepdims=True), (a,), vjp)
 
 
 def reference_adam_step(params, grads, state):
@@ -163,8 +210,9 @@ def reference_triplets(g, k_negatives, seed):
     rng = np.random.default_rng(seed)
     triplets: list[tuple[int, int, int]] = []
     skipped = 0
+    offsets, targets = g.neighbors()
     for v in range(g.num_nodes):
-        nbrs = g.neighbor_list(v)
+        nbrs = targets[offsets[v]:offsets[v + 1]]
         if nbrs.size == 0 or nbrs.size >= g.num_nodes - 1:
             skipped += 1
             continue
@@ -277,6 +325,30 @@ def anchor_arrays(layer_data, train_ids, y_train, num_classes):
     return anchors
 
 
+def guarded_scores(mat, prompts):
+    """One layer's (n, C) cosines of rows against prompts; a row or prompt
+    of norm below NORM_EPS scores 0 against everything."""
+    mn = np.linalg.norm(mat, axis=1)
+    pn = np.linalg.norm(prompts, axis=1)
+    mn_safe = np.where(mn < NORM_EPS, 1.0, mn)
+    pn_safe = np.where(pn < NORM_EPS, 1.0, pn)
+    s = (mat / mn_safe[:, None]) @ (prompts / pn_safe[:, None]).T
+    s[mn < NORM_EPS] = 0.0
+    s[:, pn < NORM_EPS] = 0.0
+    return s
+
+
+def reference_predict(layer_data, anchor_data, theta_data, weights, ids):
+    """Rows `ids`' classes, one layer at a time: each layer's guarded cosines
+    against its anchors plus offsets, weighted and added in layer order, then
+    the argmax."""
+    combined = None
+    for w, h, anchor, off in zip(weights, layer_data, anchor_data, theta_data):
+        scores = guarded_scores(h[ids], anchor + off)
+        combined = w * scores if combined is None else combined + w * scores
+    return np.argmax(combined, axis=1)
+
+
 def reference_graph_tokens(graph, params, cfg):
     """One item's own forward, mean-pooled per layer: L+1 tensors, 1 x d."""
     stack = encoder_forward(normalize_adjacency(graph), graph.features, cfg, params)
@@ -334,9 +406,13 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
     tokens = [reference_graph_tokens(g, params, cfg) for g in items.graphs]
     layer_data = [np.concatenate([t[l].data for t in tokens]) for l in range(layers)]
     anchor_data = anchor_arrays(layer_data, split.train_ids, y_train, c)
-    weights = pr._effective_gamma(gamma, tcfg, layers)
-    preds = pr._predict_rows(layer_data, anchor_data, [t.data for t in theta],
-                             weights, split.test_ids)
+    if tcfg.last_layer_only:
+        weights = np.zeros(layers)
+        weights[-1] = 1.0
+    else:
+        weights = gamma.data[0]
+    preds = reference_predict(layer_data, anchor_data, [t.data for t in theta],
+                              weights, split.test_ids)
     return preds, losses, best[1]
 
 

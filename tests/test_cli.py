@@ -22,6 +22,16 @@ def test_homophily_json(runner):
     assert sum(payload["hops"]["1"]["counts"]) == payload["hops"]["1"]["defined"]
 
 
+@pytest.mark.parametrize("flag,value", [("--bins", "0"), ("--bins", "-1"),
+                                        ("--hop", "0"), ("--hop", "-1")])
+def test_homophily_bad_count_exit_code(runner, monkeypatch, flag, value):
+    # rejected before the dataset loads
+    monkeypatch.setattr(gs, "load_dataset", None)
+    result = runner.invoke(main, ["homophily", "datasets/web-tiny", flag, value])
+    assert result.exit_code == 2, result.output
+    assert "must be >= 1" in result.output
+
+
 def test_synth_roundtrip(runner, tmp_path):
     out = tmp_path / "rewired"
     result = runner.invoke(main, [

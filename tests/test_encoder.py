@@ -612,6 +612,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             enc.checkpoint_load(path)
 
+    def test_non_finite_record_raises_checkpoint_error(self, tmp_path):
+        _, _, cfg, params, _ = small_setup(seed=19)
+        path = tmp_path / "m.dagp"
+        enc.checkpoint_save(params, cfg, path)
+        whole = path.read_bytes()
+        # the last record is the last layer's weight
+        path.write_bytes(whole[:-4] + np.float32(np.nan).tobytes())
+        last = rf"^layer{cfg.layers - 1}\.w0: non-finite"
+        with pytest.raises(CheckpointError, match=last):
+            enc.checkpoint_load(path)
+
     def test_version_mismatch(self, tmp_path):
         _, _, cfg, params, _ = small_setup(seed=15)
         path = tmp_path / "m.dagp"

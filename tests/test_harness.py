@@ -225,6 +225,31 @@ class TestCacheRecovery:
         assert warm.get_or_pretrain(tiny_data, cfg, pcfg)[2] is None
         assert (warm.quarantined, warm.pretrain_runs) == (0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_quarantined_and_retrained(self, tiny_data, tmp_path,
+                                                           bad):
+        cfg, pcfg = self._configs(tiny_data)
+        fresh, _cfg, _losses = hn.CheckpointCache(tmp_path / "fresh").get_or_pretrain(
+            tiny_data, cfg, pcfg)
+        root = tmp_path / "cache"
+        hn.CheckpointCache(root).get_or_pretrain(tiny_data, cfg, pcfg)
+        (entry,) = root.glob("*.dagp")
+        whole = entry.read_bytes()
+        poisoned = whole[:-4] + np.float32(bad).astype("<f4").tobytes()
+        entry.write_bytes(poisoned)
+        cache = hn.CheckpointCache(root)
+        params, _cfg, losses = cache.get_or_pretrain(tiny_data, cfg, pcfg)
+        assert losses is not None
+        assert (cache.quarantined, cache.pretrain_runs) == (1, 1)
+        assert entry.with_name(entry.name + ".bad").read_bytes() == poisoned
+        assert entry.read_bytes() == whole
+        for ours, theirs in zip([params.w_in] + [lp.w0 for lp in params.layers],
+                                [fresh.w_in] + [lp.w0 for lp in fresh.layers]):
+            assert ours.data.tobytes() == theirs.data.tobytes()
+        warm = hn.CheckpointCache(root)
+        assert warm.get_or_pretrain(tiny_data, cfg, pcfg)[2] is None
+        assert (warm.quarantined, warm.pretrain_runs) == (0, 0)
+
 
 class TestFinetuneBaseline:
     def test_w0_actually_moves(self, tiny_data, monkeypatch):
@@ -406,7 +431,7 @@ class TestEmitReport:
     def test_json_roundtrip_exact(self, tmp_path):
         report = self._report()
         hn.emit_report(report, tmp_path / "r.json", fmt="json")
-        loaded = hn.load_report(tmp_path / "r.json")[0]
+        loaded = json.loads((tmp_path / "r.json").read_text())
         assert loaded["accuracies"] == report.accuracies
         assert loaded["mean_accuracy"] == report.mean_accuracy
         assert loaded["schema_version"] == hn.SCHEMA_VERSION

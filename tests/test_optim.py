@@ -9,7 +9,9 @@ from hopprompt.errors import (
     NumericError,
     ParameterError,
 )
-from tests._oracles import reference_adam_step
+from hopprompt.numcore.optim import AdamState
+from hopprompt.numcore.tensor import Gradients
+from tests._oracles import reference_adam_step, scalar, sum_all
 
 
 class _ZeroGrads:
@@ -20,7 +22,7 @@ class _ZeroGrads:
 def test_zero_gradient_no_decay_leaves_params_unchanged():
     p = nc.Tensor([[1.0, -2.0]], requires_grad=True)
     before = p.data.copy()
-    state = nc.AdamState.for_params([p], lr=0.1, weight_decay=0.0)
+    state = AdamState.for_params([p], lr=0.1, weight_decay=0.0)
     nc.adam_step([p], _ZeroGrads(), state)
     np.testing.assert_array_equal(p.data, before)
 
@@ -28,7 +30,7 @@ def test_zero_gradient_no_decay_leaves_params_unchanged():
 def test_first_step_matches_hand_formula():
     # m_hat = g, v_hat = g^2 at step 1, so the update is -lr * g/(|g| + eps)
     p = nc.Tensor([[0.5]], requires_grad=True)
-    state = nc.AdamState.for_params([p], lr=0.001)
+    state = AdamState.for_params([p], lr=0.001)
     g = np.array([[1.0]])
 
     class G:
@@ -43,7 +45,7 @@ def test_first_step_matches_hand_formula():
 
 def test_quadratic_convergence():
     w = nc.Tensor([[1.0]], requires_grad=True)
-    state = nc.AdamState.for_params([w], lr=0.05)
+    state = AdamState.for_params([w], lr=0.05)
     for _ in range(200):
         loss = nc.matmul(w, w)  # w^2 for a 1x1 tensor
         grads = nc.backward(loss)
@@ -53,7 +55,7 @@ def test_quadratic_convergence():
 
 def test_decoupled_weight_decay_applied_before_moments():
     p = nc.Tensor([[2.0]], requires_grad=True)
-    state = nc.AdamState.for_params([p], lr=0.1, weight_decay=0.5)
+    state = AdamState.for_params([p], lr=0.1, weight_decay=0.5)
     nc.adam_step([p], _ZeroGrads(), state)
     # zero gradient: moments stay zero, only the decay term acts
     assert p.data[0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
@@ -61,7 +63,7 @@ def test_decoupled_weight_decay_applied_before_moments():
 
 def test_shape_mismatch_rejected():
     p = nc.Tensor(np.ones((2, 2)), requires_grad=True)
-    state = nc.AdamState.for_params([p], lr=0.1)
+    state = AdamState.for_params([p], lr=0.1)
 
     class BadGrads:
         def get(self, t):
@@ -74,7 +76,7 @@ def test_shape_mismatch_rejected():
 def test_moments_mirror_param_shapes():
     ps = [nc.Tensor(np.ones((2, 3)), requires_grad=True),
           nc.Tensor(np.ones((1, 4)), requires_grad=True)]
-    state = nc.AdamState.for_params(ps, lr=0.01)
+    state = AdamState.for_params(ps, lr=0.01)
     assert [m.shape for m in state.m] == [(2, 3), (1, 4)]
     assert state.step_count == 0
 
@@ -95,16 +97,16 @@ class TestFlatAdam:
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-6])
     def test_equals_per_parameter_loop_bitwise(self, weight_decay):
         ours, oracle = self._params(self.SHAPES), self._params(self.SHAPES)
-        ours_state = nc.AdamState.for_params(ours, lr=1e-3, weight_decay=weight_decay)
-        oracle_state = nc.AdamState.for_params(oracle, lr=1e-3,
+        ours_state = AdamState.for_params(ours, lr=1e-3, weight_decay=weight_decay)
+        oracle_state = AdamState.for_params(oracle, lr=1e-3,
                                                weight_decay=weight_decay)
         rng = np.random.default_rng(1)
         for _step in range(30):
             draws = [rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 1)
                      for p in ours[1:]]
-            nc.adam_step(ours, nc.Gradients(
+            nc.adam_step(ours, Gradients(
                 {id(p): g for p, g in zip(ours[1:], draws)}), ours_state)
-            reference_adam_step(oracle, nc.Gradients(
+            reference_adam_step(oracle, Gradients(
                 {id(p): g for p, g in zip(oracle[1:], draws)}), oracle_state)
             for a, b in zip(ours, oracle):
                 assert a.data.tobytes() == b.data.tobytes()
@@ -117,8 +119,8 @@ class TestFlatAdam:
     def test_absent_gradient_reads_as_zero(self):
         present, absent = self._params([(4, 3), (1, 3)])
         before = absent.data
-        state = nc.AdamState.for_params([present, absent], lr=0.1)
-        nc.adam_step([present, absent], nc.Gradients({id(present): np.ones((4, 3))}),
+        state = AdamState.for_params([present, absent], lr=0.1)
+        nc.adam_step([present, absent], Gradients({id(present): np.ones((4, 3))}),
                      state)
         # rebound to a new array of the same bytes; the old one is untouched
         assert absent.data is not before
@@ -128,12 +130,12 @@ class TestFlatAdam:
 
     def test_moments_view_one_flat_buffer(self):
         ps = self._params(self.SHAPES)
-        state = nc.AdamState.for_params(ps, lr=0.1)
+        state = AdamState.for_params(ps, lr=0.1)
         assert state.flat.shape == (2, sum(p.data.size for p in ps))
         for m, v, p in zip(state.m, state.v, ps):
             assert m.shape == v.shape == p.shape
             assert np.shares_memory(m, state.flat[0]) and np.shares_memory(v, state.flat[1])
-        nc.adam_step(ps, nc.Gradients({id(p): np.ones(p.shape) for p in ps}), state)
+        nc.adam_step(ps, Gradients({id(p): np.ones(p.shape) for p in ps}), state)
         # the step updated the buffer in place, so the views read the moments
         assert all(m.all() and v.all() for m, v in zip(state.m, state.v))
 
@@ -141,23 +143,23 @@ class TestFlatAdam:
         ps = self._params(self.SHAPES)
         old = [p.data for p in ps]
         copies = [a.copy() for a in old]
-        state = nc.AdamState.for_params(ps, lr=0.1, weight_decay=0.5)
-        nc.adam_step(ps, nc.Gradients({id(p): np.ones(p.shape) for p in ps}), state)
+        state = AdamState.for_params(ps, lr=0.1, weight_decay=0.5)
+        nc.adam_step(ps, Gradients({id(p): np.ones(p.shape) for p in ps}), state)
         for p, a, c in zip(ps, old, copies):
             assert p.data is not a and a.tobytes() == c.tobytes()
 
     def test_empty_parameter_list(self):
-        state = nc.AdamState.for_params([], lr=0.1)
-        nc.adam_step([], nc.Gradients({}), state)
+        state = AdamState.for_params([], lr=0.1)
+        nc.adam_step([], Gradients({}), state)
         assert state.step_count == 1 and state.m == [] and state.v == []
         with pytest.raises(DimensionError, match="state tracks 0 params, got 1"):
-            nc.adam_step(self._params([(1, 1)]), nc.Gradients({}), state)
+            nc.adam_step(self._params([(1, 1)]), Gradients({}), state)
 
     def test_non_finite_update_names_its_index(self):
         ok, huge = nc.Tensor([[0.5]], requires_grad=True), nc.Tensor(
             [[-1.7e308, 0.0]], requires_grad=True)
-        state = nc.AdamState.for_params([ok, huge], lr=1e308)
-        grads = nc.Gradients({id(ok): np.ones((1, 1)), id(huge): np.ones((1, 2))})
+        state = AdamState.for_params([ok, huge], lr=1e308)
+        grads = Gradients({id(ok): np.ones((1, 1)), id(huge): np.ones((1, 2))})
         # the first step moves each entry by lr: -1.7e308 - 1e308 overflows
         with np.errstate(over="ignore"), pytest.raises(
                 NumericError, match="^adam_step: param 1 became non-finite$"):
@@ -175,7 +177,7 @@ def _scripted(w, values, fail_at=None, error=None):
         starts.append(w.data.copy())
         if epoch == fail_at:
             raise error
-        yield nc.add(nc.sum_all(w), nc.scalar(values[epoch] - w.data.sum())), 1
+        yield nc.add(sum_all(w), scalar(values[epoch] - w.data.sum())), 1
 
     return steps, starts
 
@@ -255,7 +257,7 @@ def test_fit_steps_once_per_pair_and_weights_the_epoch_loss():
     def steps(epoch):
         for value, weight in ((1.0, 3), (2.0, 1), (4.0, 2)):
             seen.append(w.data.copy())
-            yield nc.add(nc.sum_all(w), nc.scalar(value + epoch - w.data.sum())), weight
+            yield nc.add(sum_all(w), scalar(value + epoch - w.data.sum())), weight
 
     losses, best_epoch = _fit(steps, w, epochs=2, patience=None)
     assert losses == [(1.0 * 3 + 2.0 * 1 + 4.0 * 2) / 6,

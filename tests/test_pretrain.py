@@ -27,6 +27,7 @@ from tests._oracles import (
     finite_diff,
     reference_pretrain,
     reference_triplets,
+    scale,
     unfused_triplet_nll,
 )
 
@@ -252,7 +253,7 @@ def _loss_and_grad(loss_of, s_data, v, a, b, tau, upstream=1.0):
     `upstream` scales the loss before the sweep."""
     s = nc.Tensor(s_data, requires_grad=True)
     loss = loss_of(s, v, a, b, tau)
-    grads = nc.backward(nc.scale(loss, upstream))
+    grads = nc.backward(scale(loss, upstream))
     return loss.data.tobytes(), grads.get(s)
 
 
@@ -366,7 +367,7 @@ class TestTripletNll:
         for tau in (0.05, 0.5, 2.0):
             for upstream in (1.0, -2.5):
                 def loss():
-                    return nc.scale(nc.triplet_nll(s, v, a, b, tau), upstream)
+                    return scale(nc.triplet_nll(s, v, a, b, tau), upstream)
 
                 grad = nc.backward(loss()).get(s)
                 fd = finite_diff(lambda: loss().item(), [s])[0]

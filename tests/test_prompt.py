@@ -19,6 +19,7 @@ from hopprompt.errors import (
     SplitError,
     StructuralError,
 )
+from hopprompt.numcore import tensor as tensor_ops
 
 from tests._oracles import (
     ClassPromptSet,
@@ -26,9 +27,11 @@ from tests._oracles import (
     assert_grads_close,
     finite_diff,
     full_rows_plan,
+    guarded_scores,
     matrix_loss,
     reference_graph_tokens,
     reference_graph_tune,
+    reference_predict,
     unfused_prompt_nll,
 )
 from tests.conftest import encoder_config
@@ -337,12 +340,18 @@ class TestHopScores:
 
 
 def predict(layer_data, weights, anchors=None, ids=None):
-    """`_predict_rows` with unit-vector class prompts and zero offsets."""
+    """`_predict_rows` with unit-vector class prompts and zero offsets, checked
+    against the per-layer loop."""
     width = layer_data[0].shape[1]
     anchors = anchors if anchors is not None else [np.eye(width)] * len(layer_data)
     ids = np.arange(layer_data[0].shape[0]) if ids is None else ids
-    return pr._predict_rows(layer_data, anchors, [np.zeros(a.shape) for a in anchors],
-                            np.asarray(weights, dtype=float), ids)
+    weights = np.asarray(weights, dtype=float)
+    preds = pr._predict_rows(np.stack([h[ids] for h in layer_data]),
+                             np.stack(anchors), weights)
+    want = reference_predict(layer_data, anchors, [np.zeros(a.shape) for a in anchors],
+                             weights, ids)
+    np.testing.assert_array_equal(preds, want)
+    return preds
 
 
 class TestAggregateAndPredict:
@@ -370,6 +379,62 @@ class TestAggregateAndPredict:
         assert predict(layer_rows([[1.0, 1.0]]), [1.0]).tolist() == [0]
         same = [np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])]
         assert predict(layer_rows([[0.3, -0.4]]), [1.0], anchors=same).tolist() == [0]
+
+
+def _random_stacks(rng):
+    """An (L, n, d) stack and (L, C, d) prompts with some rows and prompts
+    zeroed and some shrunk below NORM_EPS without reaching zero."""
+    layers, n, c = (int(k) for k in rng.integers(1, [5, 20, 6]))
+    d = int(rng.choice([1, 2, 3, 17, 64, 128]))
+    h = rng.standard_normal((layers, n, d))
+    prompts = rng.standard_normal((layers, c, d))
+    for arr in (h, prompts):
+        arr[rng.random(arr.shape[:2]) < 0.1] = 0.0
+        arr[rng.random(arr.shape[:2]) < 0.1] *= 1e-14
+    return h, prompts
+
+
+class TestOneScoringPath:
+    """Training and evaluation score through `numcore.prompt_cosines`, which
+    equals the per-layer guarded cosine bit for bit, degenerate rows and
+    prompts included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cosines_equal_per_layer_guarded_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            h, prompts = _random_stacks(rng)
+            s = nc.prompt_cosines(h, prompts)[0]
+            for l in range(h.shape[0]):
+                assert s[l].tobytes() == guarded_scores(h[l], prompts[l]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_predictions_equal_per_layer_loop(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(50):
+            h, prompts = _random_stacks(rng)
+            weights = rng.random(h.shape[0])
+            ids = np.arange(h.shape[1])
+            want = reference_predict(h, prompts, np.zeros(prompts.shape), weights, ids)
+            assert np.array_equal(pr._predict_rows(h, prompts, weights), want)
+
+    def test_training_and_evaluation_call_it(self, monkeypatch, synth_h90, ckpt_h90):
+        calls = []
+        real = nc.prompt_cosines
+
+        def counted(h, prompts):
+            calls.append(h.shape[1])
+            return real(h, prompts)
+
+        monkeypatch.setattr(tensor_ops, "prompt_cosines", counted)
+        monkeypatch.setattr(pr, "prompt_cosines", counted)
+        anchor_calls = _counting(monkeypatch, "anchors_from_matrices")
+        split = gs.kshot_split(synth_h90, 5, seed=0)
+        tcfg = pr.PromptTuneConfig(epochs=4, patience=None, seed=0, glora_mode="off")
+        pr.run_prompt_tune(ckpt_h90, synth_h90, split, tcfg)
+        # every epoch's loss on the training rows, then the test rows once
+        assert calls == [split.train_ids.size] * 4 + [split.test_ids.size]
+        assert len(anchor_calls) == 1
 
 
 class TestDownstreamLoss:

@@ -13,6 +13,7 @@ from tests._oracles import (
     random_csr,
     rank_one_update_spmm,
     reference_unsorted_row,
+    sum_all,
 )
 
 
@@ -432,9 +433,9 @@ class TestRankOneUpdateSpmm:
         d = nc.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
         def loss():
-            return nc.sum_all(rank_one_update_spmm(s, p, q, d)).item()
+            return sum_all(rank_one_update_spmm(s, p, q, d)).item()
 
-        grads = nc.backward(nc.sum_all(rank_one_update_spmm(s, p, q, d)))
+        grads = nc.backward(sum_all(rank_one_update_spmm(s, p, q, d)))
         fd = finite_diff(loss, [p, q, d])
         assert_grads_close(grads.get(p), fd[0], rtol=1e-5, label="rank1 dP")
         assert_grads_close(grads.get(q), fd[1], rtol=1e-5, label="rank1 dQ")

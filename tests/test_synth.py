@@ -42,7 +42,8 @@ class TestSynthRewire:
     def test_preserves_structure_statistics(self, base_graph):
         out = gs.synth_rewire(base_graph, 0.7, seed=1)
         assert out.num_edges == base_graph.num_edges
-        np.testing.assert_array_equal(out.degrees(), base_graph.degrees())
+        np.testing.assert_array_equal(np.diff(out.neighbors()[0]),
+                                      np.diff(base_graph.neighbors()[0]))
         np.testing.assert_array_equal(out.labels, base_graph.labels)
         assert out.features is base_graph.features
 

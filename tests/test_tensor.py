@@ -14,7 +14,7 @@ from hopprompt.errors import (
     ParameterError,
 )
 
-from tests._oracles import assert_grads_close, finite_diff
+from tests._oracles import assert_grads_close, finite_diff, mean_rows, sum_all
 
 
 def test_tensor_rejects_non_2d_and_non_finite():
@@ -52,9 +52,9 @@ class TestMatmul:
         b = nc.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
         def loss():
-            return nc.sum_all(nc.matmul(a, b)).item()
+            return sum_all(nc.matmul(a, b)).item()
 
-        grads = nc.backward(nc.sum_all(nc.matmul(a, b)))
+        grads = nc.backward(sum_all(nc.matmul(a, b)))
         fd_a, fd_b = finite_diff(loss, [a, b])
         assert_grads_close(grads.get(a), fd_a, rtol=1e-5, label="matmul dA")
         assert_grads_close(grads.get(b), fd_b, rtol=1e-5, label="matmul dB")
@@ -80,9 +80,9 @@ class TestMatmul:
             assert da is None
             assert np.array_equal(db, a.data.T @ g)
         leaf = a if tracked == "left" else b
-        grads = nc.backward(nc.sum_all(nc.matmul(a, b)))
+        grads = nc.backward(sum_all(nc.matmul(a, b)))
         assert (a in grads, b in grads) == (tracked == "left", tracked == "right")
-        fd = finite_diff(lambda: nc.sum_all(nc.matmul(a, b)).item(), [leaf])[0]
+        fd = finite_diff(lambda: sum_all(nc.matmul(a, b)).item(), [leaf])[0]
         assert_grads_close(grads.get(leaf), fd, rtol=1e-5, label=f"matmul {tracked}")
 
 
@@ -108,7 +108,7 @@ class TestRelu:
 
     def test_gradient_is_positive_mask(self):
         x = nc.Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
-        grads = nc.backward(nc.sum_all(nc.relu(x)))
+        grads = nc.backward(sum_all(nc.relu(x)))
         np.testing.assert_array_equal(grads.get(x), [[0.0, 0.0, 1.0]])
 
 
@@ -138,9 +138,9 @@ class TestRowCosineSim:
         p = nc.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
 
         def loss():
-            return nc.sum_all(nc.row_cosine_sim(h, p)).item()
+            return sum_all(nc.row_cosine_sim(h, p)).item()
 
-        grads = nc.backward(nc.sum_all(nc.row_cosine_sim(h, p)))
+        grads = nc.backward(sum_all(nc.row_cosine_sim(h, p)))
         fd_h, fd_p = finite_diff(loss, [h, p])
         assert_grads_close(grads.get(h), fd_h, label="cosine dH")
         assert_grads_close(grads.get(p), fd_p, label="cosine dP")
@@ -177,9 +177,9 @@ class TestRowwiseCosine:
         b = nc.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 
         def loss():
-            return nc.sum_all(nc.rowwise_cosine_sim(a, b)).item()
+            return sum_all(nc.rowwise_cosine_sim(a, b)).item()
 
-        grads = nc.backward(nc.sum_all(nc.rowwise_cosine_sim(a, b)))
+        grads = nc.backward(sum_all(nc.rowwise_cosine_sim(a, b)))
         fd_a, fd_b = finite_diff(loss, [a, b])
         assert_grads_close(grads.get(a), fd_a, label="rowwise dA")
         assert_grads_close(grads.get(b), fd_b, label="rowwise dB")
@@ -239,7 +239,7 @@ class TestStackingOps:
         b = nc.Tensor([[3.0, 4.0], [5.0, 6.0]], requires_grad=True)
         out = nc.vstack([a, b])
         np.testing.assert_array_equal(out.data, [[1, 2], [3, 4], [5, 6]])
-        grads = nc.backward(nc.sum_all(out))
+        grads = nc.backward(sum_all(out))
         np.testing.assert_array_equal(grads.get(a), np.ones((1, 2)))
         np.testing.assert_array_equal(grads.get(b), np.ones((2, 2)))
 
@@ -251,7 +251,7 @@ class TestStackingOps:
     def test_gather_rows_accumulates_duplicates(self):
         x = nc.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         out = nc.gather_rows(x, [0, 0, 1])
-        grads = nc.backward(nc.sum_all(out))
+        grads = nc.backward(sum_all(out))
         np.testing.assert_array_equal(grads.get(x), [[2.0, 2.0], [1.0, 1.0]])
 
     def test_gather_rows_vjp_matches_add_at_bitwise(self):
@@ -277,7 +277,7 @@ class TestStackingOps:
         idx = [4, 0, 4, 4, 2, 0]
 
         def build():
-            return nc.sum_all(nc.relu(nc.matmul(nc.gather_rows(x, idx), w)))
+            return sum_all(nc.relu(nc.matmul(nc.gather_rows(x, idx), w)))
 
         grads = nc.backward(build())
         fd = finite_diff(lambda: build().item(), [x])[0]
@@ -285,7 +285,7 @@ class TestStackingOps:
 
     def test_mean_rows(self):
         x = nc.Tensor([[1.0, 3.0], [3.0, 5.0]], requires_grad=True)
-        out = nc.mean_rows(x)
+        out = mean_rows(x)
         np.testing.assert_array_equal(out.data, [[2.0, 4.0]])
-        grads = nc.backward(nc.sum_all(out))
+        grads = nc.backward(sum_all(out))
         np.testing.assert_array_equal(grads.get(x), np.full((2, 2), 0.5))
