@@ -214,7 +214,6 @@ def tune(model, dataset, shots, alpha, rank, glora, lr, weight_decay, tau,
 
 def _experiment_options(fn):
     for option in reversed([
-        click.option("--shots", default=5, show_default=True),
         click.option("--seeds", default="0,1,2,3,4", show_default=True),
         click.option("--lr", default=5e-4, show_default=True),
         click.option("--weight-decay", default=0.0, show_default=True),
@@ -225,11 +224,15 @@ def _experiment_options(fn):
         click.option("--epochs", default=200, show_default=True),
         click.option("--pretrain-epochs", default=200, show_default=True),
         click.option("--cache-dir", default=None, type=click.Path(file_okay=False)),
-        click.option("--format", "fmt", default="json", show_default=True,
-                     type=click.Choice(["json", "csv"])),
     ]):
         fn = option(fn)
     return fn
+
+
+# k-shot runs that emit reports; the heterophily sweep is full-shot, JSON only
+_SHOTS = click.option("--shots", default=5, show_default=True)
+_FORMAT = click.option("--format", "fmt", default="json", show_default=True,
+                       type=click.Choice(["json", "csv"]))
 
 
 def _quick_config(dataset, mode, shots, seeds, lr, weight_decay, hidden, rank,
@@ -248,8 +251,7 @@ def _quick_config(dataset, mode, shots, seeds, lr, weight_decay, hidden, rank,
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", default="json", show_default=True,
-              type=click.Choice(["json", "csv"]))
+@_FORMAT
 @click.option("--cache-dir", default=None, type=click.Path(file_okay=False))
 @handles_errors
 def experiment(config_path, out_path, fmt, cache_dir):
@@ -266,7 +268,9 @@ def experiment(config_path, out_path, fmt, cache_dir):
 @click.option("--data", "dataset", required=True,
               type=click.Path(exists=True, file_okay=False))
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
+@_SHOTS
 @_experiment_options
+@_FORMAT
 @handles_errors
 def ablate(dataset, out_path, shots, seeds, lr, weight_decay, hidden, rank,
            alpha, layers, epochs, pretrain_epochs, cache_dir, fmt):
@@ -285,7 +289,9 @@ def ablate(dataset, out_path, shots, seeds, lr, weight_decay, hidden, rank,
 @click.option("--src", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--dst", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
+@_SHOTS
 @_experiment_options
+@_FORMAT
 @handles_errors
 def transfer(src, dst, out_path, shots, seeds, lr, weight_decay, hidden, rank,
              alpha, layers, epochs, pretrain_epochs, cache_dir, fmt):
@@ -308,10 +314,9 @@ def transfer(src, dst, out_path, shots, seeds, lr, weight_decay, hidden, rank,
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 @_experiment_options
 @handles_errors
-def sweep_h(dataset, targets, modes, out_path, shots, seeds, lr, weight_decay,
-            hidden, rank, alpha, layers, epochs, pretrain_epochs, cache_dir, fmt):
+def sweep_h(dataset, targets, modes, out_path, seeds, lr, weight_decay,
+            hidden, rank, alpha, layers, epochs, pretrain_epochs, cache_dir):
     """Accuracy vs homophily curves on rewired copies of DATA (50% split)."""
-    del shots, fmt  # the sweep is full-shot; JSON only
     cfg = _quick_config(dataset, "dagprompt", None, seeds, lr, weight_decay,
                         hidden, rank, alpha, layers, epochs, pretrain_epochs,
                         train_fraction=0.5)

@@ -2,11 +2,13 @@
 
 Each layer computes (A_hat + PA QA^T) H W with W = W0 + P Q^T; the base
 weights W0 (and the input linear map) are learned during pre-training and
-frozen afterwards, while the low-rank factors are the stage-two trainables.
+frozen afterwards, while the low-rank factors are the stage-two trainables:
+`EncoderConfig` describes the former, `attach_glora` adds the latter.
 Adaptation factors are zero-initialized on one side so a freshly attached
 adapter reproduces the frozen encoder exactly. A full-GLoRA layer runs as
 the frozen product (A_hat H) W0 plus a rank-(r+1) update, and a stage-two
-forward can take its epoch-invariant start from `frozen_input`.
+forward can take its epoch-invariant start from `frozen_input`. A checkpoint
+holds the float32 base weights only, as `as_stored` rounds them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
     CheckpointError,
     ContractError,
     DimensionError,
-    NumericError,
     ParameterError,
     StructuralError,
 )
@@ -53,8 +54,6 @@ _VERSION = 1
 class EncoderConfig:
     layers: int
     dims: list[int]  # [F, d, d, ..., d]; hidden widths must all agree
-    rank: int = 8
-    glora_mode: str = "off"
 
     def __post_init__(self):
         if self.layers < 1:
@@ -68,10 +67,6 @@ class EncoderConfig:
             raise ParameterError(f"hidden widths must all agree, got {sorted(hidden)}")
         if min(self.dims) < 1:
             raise ParameterError(f"every width in dims must be >= 1, got {self.dims}")
-        if self.glora_mode not in GLORA_MODES:
-            raise ParameterError(f"glora_mode must be one of {GLORA_MODES}")
-        if self.glora_mode != "off" and self.rank < 1:
-            raise ParameterError(f"rank must be >= 1 with GLoRA on, got {self.rank}")
         self.dims = [int(d) for d in self.dims]
 
     @property
@@ -83,19 +78,15 @@ class EncoderConfig:
         return self.dims[1]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"layers": self.layers, "dims": self.dims, "rank": self.rank,
-             "glora_mode": self.glora_mode},
-            sort_keys=True,
-        )
+        return json.dumps({"layers": self.layers, "dims": self.dims}, sort_keys=True)
 
     @classmethod
-    def from_json(cls, blob: str) -> "EncoderConfig":
+    def from_json(cls, blob: str | bytes) -> "EncoderConfig":
+        # older checkpoints' blobs also carry a stage-two mode and rank
         try:
             raw = json.loads(blob)
-            return cls(layers=int(raw["layers"]), dims=list(raw["dims"]),
-                       rank=int(raw["rank"]), glora_mode=str(raw["glora_mode"]))
-        except (KeyError, TypeError, ValueError) as e:
+            return cls(layers=int(raw["layers"]), dims=list(raw["dims"]))
+        except (KeyError, TypeError, ValueError, ParameterError) as e:
             raise CheckpointError(f"bad config blob: {e}") from e
 
 
@@ -107,10 +98,6 @@ class LayerParams:
     pa: Tensor | None = None
     qa: Tensor | None = None
     edge_weights: Tensor | None = None
-
-    def has_glora(self) -> bool:
-        return any(t is not None for t in (self.p, self.q, self.pa, self.qa,
-                                           self.edge_weights))
 
 
 @dataclass
@@ -172,35 +159,35 @@ def own_base(params: EncoderParams, trainable: bool) -> EncoderParams:
                    layers=[replace(lp, w0=own(lp.w0)) for lp in params.layers])
 
 
-def attach_glora(params: EncoderParams, cfg: EncoderConfig,
+def attach_glora(params: EncoderParams, mode: str, rank: int,
                  rng: np.random.Generator, num_nodes: int | None = None,
                  edge_positions: np.ndarray | None = None,
                  adjacency_adaptation: bool = True) -> EncoderParams:
-    """Add trainable low-rank factors for stage two.
+    """Add trainable rank-`rank` factors for stage two in GLoRA `mode`.
 
     P (and PA) start Gaussian, Q (and QA, and edge weights) start at zero, so
     the adapted forward initially equals the frozen one exactly. Set
     `adjacency_adaptation=False` to attach only the projection factors
     (graph-level tasks, where per-item adjacency sizes vary).
     """
-    if cfg.glora_mode == "off":
+    if mode == "off":
         raise ContractError("attach_glora called with glora_mode=off")
     layers = []
     for l, lp in enumerate(params.layers):
         d_in, d_out = lp.w0.shape
         new = LayerParams(
             w0=lp.w0,
-            p=Tensor(GLORA_INIT_STD * rng.standard_normal((d_in, cfg.rank)),
+            p=Tensor(GLORA_INIT_STD * rng.standard_normal((d_in, rank)),
                      requires_grad=True),
-            q=Tensor(np.zeros((d_out, cfg.rank)), requires_grad=True),
+            q=Tensor(np.zeros((d_out, rank)), requires_grad=True),
         )
-        if adjacency_adaptation and cfg.glora_mode == "full":
+        if adjacency_adaptation and mode == "full":
             if num_nodes is None:
                 raise ContractError("full GLoRA needs num_nodes")
             new.pa = Tensor(GLORA_INIT_STD * rng.standard_normal((num_nodes, 1)),
                             requires_grad=True)
             new.qa = Tensor(np.zeros((num_nodes, 1)), requires_grad=True)
-        elif adjacency_adaptation and cfg.glora_mode == "edge_subset":
+        elif adjacency_adaptation and mode == "edge_subset":
             if edge_positions is None:
                 raise ContractError("edge_subset GLoRA needs edge_positions")
             new.edge_weights = Tensor(np.zeros((len(edge_positions), 1)),
@@ -293,25 +280,20 @@ class FrozenInput:
     first: tuple[Tensor, Tensor] | None
 
 
-def _checked_plan(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
-                  params: EncoderParams, plan: ForwardPlan | None) -> ForwardPlan:
+def _checked_plan(adj: SparseMatrix, x: Tensor, params: EncoderParams,
+                  plan: ForwardPlan | None) -> ForwardPlan:
     n = adj.shape[0]
     if adj.shape[1] != n:
         raise DimensionError(f"adjacency must be square, got {adj.shape}")
-    if x.rows != n or x.cols != cfg.feature_dim:
+    if x.rows != n or x.cols != params.w_in.rows:
         raise DimensionError(
-            f"features must be ({n}, {cfg.feature_dim}), got {x.shape}"
+            f"features must be ({n}, {params.w_in.rows}), got {x.shape}"
         )
-    if len(params.layers) != cfg.layers:
-        raise DimensionError(
-            f"params carry {len(params.layers)} layers, config says {cfg.layers}"
-        )
-    if cfg.glora_mode == "off" and any(lp.has_glora() for lp in params.layers):
-        raise ContractError("GLoRA factors present but glora_mode=off")
+    layers = len(params.layers)
     if plan is None:
-        return forward_plan(adj, None, cfg.layers, params.edge_positions)
-    if len(plan.adjs) != cfg.layers:
-        raise DimensionError(f"plan has {len(plan.adjs)} layers, config says {cfg.layers}")
+        return forward_plan(adj, None, layers, params.edge_positions)
+    if len(plan.adjs) != layers:
+        raise DimensionError(f"plan has {len(plan.adjs)} layers, params carry {layers}")
     return plan
 
 
@@ -324,13 +306,12 @@ def _full_glora(lp: LayerParams) -> bool:
     return lp.pa is not None and lp.qa is not None
 
 
-def frozen_input(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
-                 params: EncoderParams,
+def frozen_input(adj: SparseMatrix, x: Tensor, params: EncoderParams,
                  plan: ForwardPlan | None = None) -> FrozenInput:
     """The constants every stage-two forward over `plan` (None: the full
     forward) starts from. Build them from the call's own inputs; they hold
     only while the input map and every W0 stay frozen."""
-    plan = _checked_plan(adj, x, cfg, params, plan)
+    plan = _checked_plan(adj, x, params, plan)
     if params.w_in.requires_grad or any(lp.w0.requires_grad for lp in params.layers):
         raise ContractError("frozen_input needs a frozen input map and frozen W0")
     h0 = _input_map(x, params, plan)
@@ -361,8 +342,7 @@ def _full_glora_layer(sub: SparseMatrix, h: Tensor, lp: LayerParams, pa: Tensor,
     return add(base, update)
 
 
-def encoder_forward(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
-                    params: EncoderParams,
+def encoder_forward(adj: SparseMatrix, x: Tensor, params: EncoderParams,
                     plan: ForwardPlan | None = None,
                     frozen: FrozenInput | None = None) -> list[Tensor]:
     """Run the (possibly adapted) encoder; ReLU on interior layers only.
@@ -373,7 +353,7 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, cfg: EncoderConfig,
     `frozen` is `frozen_input` over the same plan; the forward then starts
     from its constants instead of recomputing them.
     """
-    plan = _checked_plan(adj, x, cfg, params, plan)
+    plan = _checked_plan(adj, x, params, plan)
     n = adj.shape[0]
     if frozen is None:
         stack = [_input_map(x, params, plan)]
@@ -437,36 +417,35 @@ def count_trainable(params: EncoderParams, stage: str) -> int:
     return int(sum(t.data.size for t in trainable))
 
 
-def glora_param_count(cfg: EncoderConfig, num_nodes: int | None = None,
-                      num_selected_edges: int | None = None) -> int:
-    """Closed-form stage-two encoder trainable count (cross-check oracle)."""
-    if cfg.glora_mode == "off":
-        return 0
-    proj = sum(cfg.rank * (cfg.hidden_dim + cfg.dims[l])
-               for l in range(1, cfg.layers + 1))
-    if cfg.glora_mode == "full":
-        if num_nodes is None:
-            raise ParameterError("full mode count needs num_nodes")
-        return proj + 2 * num_nodes * cfg.layers
-    if num_selected_edges is None:
-        raise ParameterError("edge_subset count needs num_selected_edges")
-    return proj + num_selected_edges * cfg.layers
-
-
 # ---------------------------------------------------------------------------
 # checkpoint container: magic "DAGP", u32 version, length-prefixed config
-# JSON, then (name_len, name, ndim, dims..., float32 payload) records to EOF,
-# all little-endian
+# JSON, then one (name_len, name, ndim, dims..., float32 payload) record per
+# base weight, "w_in" then "layer{l}.w0" in layer order, all little-endian
 # ---------------------------------------------------------------------------
 
-def _named_tensors(params: EncoderParams):
-    yield "w_in", params.w_in
+def _records(params: EncoderParams):
+    """(name, float32 array) of each base weight, in checkpoint order: the
+    storage precision both a checkpoint and `as_stored` keep."""
+    partition_params(params, "pretrain")  # a checkpoint holds no adapters
+    yield "w_in", params.w_in.data.astype("<f4")
     for i, lp in enumerate(params.layers):
-        yield f"layer{i}.w0", lp.w0
-        for attr in ("p", "q", "pa", "qa", "edge_weights"):
-            t = getattr(lp, attr)
-            if t is not None:
-                yield f"layer{i}.{attr}", t
+        yield f"layer{i}.w0", lp.w0.data.astype("<f4")
+
+
+def _from_records(arrays: list[np.ndarray]) -> EncoderParams:
+    w_in, *w0s = [Tensor(a.astype(np.float64)) for a in arrays]
+    return EncoderParams(w_in=w_in, layers=[LayerParams(w0=w) for w in w0s])
+
+
+def as_stored(params: EncoderParams) -> EncoderParams:
+    """The base weights as a checkpoint of them loads: rounded to float32,
+    in new untracked tensors."""
+    return _from_records([data for _name, data in _records(params)])
+
+
+def _record_header(name: str, shape: tuple[int, int]) -> bytes:
+    raw = name.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw + struct.pack("<III", 2, *shape)
 
 
 def checkpoint_save(params: EncoderParams, cfg: EncoderConfig, path) -> None:
@@ -477,17 +456,9 @@ def checkpoint_save(params: EncoderParams, cfg: EncoderConfig, path) -> None:
     blob = cfg.to_json().encode("utf-8")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", _VERSION))
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for name, tensor in _named_tensors(params):
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<I", 2))
-                fh.write(struct.pack("<II", *tensor.shape))
-                fh.write(tensor.data.astype("<f4").tobytes())
+            fh.write(_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob)
+            for name, data in _records(params):
+                fh.write(_record_header(name, data.shape) + data.tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -495,80 +466,42 @@ def checkpoint_save(params: EncoderParams, cfg: EncoderConfig, path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
-
-
-def checkpoint_load(path, expect_cfg: EncoderConfig | None = None):
+def checkpoint_load(path):
     """Read a checkpoint; returns (EncoderParams, EncoderConfig).
 
-    Loaded tensors are not trainable; stage two and fine-tuning train
-    tensors of their own over the same arrays (`own_base`).
+    The config fixes each record's header, checked before its payload is
+    read, and no read asks for more than the file holds: a malformed file
+    raises CheckpointError only. Loaded tensors are not trainable; stage two
+    and fine-tuning train tensors of their own over them (`own_base`).
     """
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != _MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            if n > size - fh.tell():
+                raise CheckpointError(f"truncated checkpoint while reading {what}")
+            return fh.read(n)
+
+        if read(4, "magic") != _MAGIC:
             raise CheckpointError("bad magic bytes (not a checkpoint)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != _VERSION:
             raise CheckpointError(f"version {version} unsupported (want {_VERSION})")
-        (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        cfg = EncoderConfig.from_json(_read_exact(fh, blob_len, "config").decode("utf-8"))
-        tensors: dict[str, Tensor] = {}
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise CheckpointError("truncated checkpoint while reading record header")
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, "record name").decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
-            if ndim != 2:
-                raise CheckpointError(f"{name}: rank {ndim} unsupported")
-            rows, cols = struct.unpack("<II", _read_exact(fh, 8, f"{name} dims"))
-            payload = _read_exact(fh, 4 * rows * cols, f"{name} payload")
-            data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-            try:
-                tensors[name] = Tensor(data.reshape(rows, cols))
-            except NumericError:
-                raise CheckpointError(f"{name}: non-finite entries") from None
-
-    if expect_cfg is not None and (
-        expect_cfg.layers != cfg.layers or expect_cfg.dims != cfg.dims
-    ):
-        raise CheckpointError(
-            f"config mismatch: checkpoint dims {cfg.dims} vs requested {expect_cfg.dims}"
-        )
-    if "w_in" not in tensors:
-        raise CheckpointError("checkpoint missing w_in")
-    expected_win = (cfg.feature_dim, cfg.hidden_dim)
-    if tensors["w_in"].shape != expected_win:
-        raise CheckpointError(
-            f"w_in shape {tensors['w_in'].shape} vs config-implied {expected_win}"
-        )
-    layers = []
-    for l in range(cfg.layers):
-        key = f"layer{l}.w0"
-        if key not in tensors:
-            raise CheckpointError(f"checkpoint missing {key}")
-        want = (cfg.hidden_dim, cfg.dims[l + 1])  # l is 0-based here
-        if tensors[key].shape != want:
-            raise CheckpointError(f"{key} shape {tensors[key].shape} vs config-implied {want}")
-        lp = LayerParams(w0=tensors[key])
-        for attr in ("p", "q", "pa", "qa", "edge_weights"):
-            t = tensors.get(f"layer{l}.{attr}")
-            if t is not None:
-                setattr(lp, attr, t)
-        layers.append(lp)
-    known = {"w_in"} | {
-        f"layer{l}.{a}" for l in range(cfg.layers)
-        for a in ("w0", "p", "q", "pa", "qa", "edge_weights")
-    }
-    unknown = set(tensors) - known
-    if unknown:
-        raise CheckpointError(f"unknown records: {sorted(unknown)}")
-    return EncoderParams(w_in=tensors["w_in"], layers=layers), cfg
-
+        (blob_len,) = struct.unpack("<I", read(4, "config length"))
+        cfg = EncoderConfig.from_json(read(blob_len, "config"))
+        d = cfg.hidden_dim
+        arrays = []
+        for name, shape in [("w_in", (cfg.feature_dim, d))] + [
+                (f"layer{l}.w0", (d, d)) for l in range(cfg.layers)]:
+            header = _record_header(name, shape)
+            if read(len(header), f"{name} header") != header:
+                raise CheckpointError(f"record {len(arrays)} is not {name} {shape}")
+            data = np.frombuffer(read(4 * shape[0] * shape[1], f"{name} payload"),
+                                 dtype="<f4").reshape(shape)
+            # checked before widening: a signalling NaN warns when cast
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{name}: non-finite entries")
+            arrays.append(data)
+        if fh.tell() != size:
+            raise CheckpointError(f"{size - fh.tell()} bytes after the last record")
+    return _from_records(arrays), cfg

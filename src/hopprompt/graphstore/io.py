@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DatasetError
+from ..errors import DatasetError, StructuralError
 from ..numcore import Tensor
-from .graph import Graph, GraphSet
+from .graph import Graph, GraphSet, canonical_edges
 
 _META_KEYS = {"name", "num_nodes", "num_features", "num_classes", "task"}
 
@@ -170,48 +170,64 @@ def _load_graph_task(path: Path, meta: dict) -> GraphSet:
     f = int(meta["num_features"])
     c = int(meta["num_classes"])
     graphs = []
-    total_nodes = 0
     with jsonl.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{jsonl}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
-                raise DatasetError(f"{jsonl}:{lineno}: invalid JSON ({e})") from e
-            for key in ("edges", "features", "label"):
-                if key not in rec:
-                    raise DatasetError(f"{jsonl}:{lineno}: missing key {key!r}")
-            feats = np.asarray(rec["features"], dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[1] != f:
-                raise DatasetError(
-                    f"{jsonl}:{lineno}: features must be n x {f}, got {feats.shape}"
-                )
-            label = int(rec["label"])
-            if not 0 <= label < c:
-                raise DatasetError(f"{jsonl}:{lineno}: label {label} outside [0, {c})")
-            n_i = feats.shape[0]
-            edges = np.asarray(rec["edges"], dtype=np.int64).reshape(-1, 2)
-            if edges.size and (edges.min() < 0 or edges.max() >= n_i):
-                raise DatasetError(f"{jsonl}:{lineno}: edge endpoint outside [0, {n_i})")
-            lo = edges.min(axis=1) if edges.size else edges[:, 0]
-            hi = edges.max(axis=1) if edges.size else edges[:, 1]
-            if edges.size and np.any(lo == hi):
-                raise DatasetError(f"{jsonl}:{lineno}: self-loop")
-            canon = np.unique(np.stack([lo, hi], axis=1), axis=0) if edges.size else edges
-            if len(canon) != len(edges):
-                raise DatasetError(f"{jsonl}:{lineno}: duplicate edges")
-            total_nodes += n_i
-            graphs.append(Graph(num_nodes=n_i, edges=canon, features=Tensor(feats),
-                                labels=None, num_classes=c, graph_label=label))
+                raise DatasetError(f"{where}: invalid JSON ({e})") from e
+            graphs.append(_graph_item(rec, where, f, c))
     if not graphs:
         raise DatasetError(f"{jsonl}: no graphs")
+    total_nodes = sum(g.num_nodes for g in graphs)
     if total_nodes != int(meta["num_nodes"]):
         raise DatasetError(
             f"{jsonl}: {total_nodes} total nodes but meta num_nodes={meta['num_nodes']}"
         )
     return GraphSet(graphs=graphs, num_classes=c)
+
+
+def _json_array(value, kinds: str, want: str, where: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.size and arr.dtype.kind not in kinds:
+        raise DatasetError(f"{where}: expected a rectangular array of {want}")
+    return arr
+
+
+def _graph_item(rec, where: str, f: int, c: int) -> Graph:
+    """One graphs.jsonl record as a graph-task item; malformed values raise
+    DatasetError naming the line."""
+    if not isinstance(rec, dict):
+        raise DatasetError(f"{where}: expected a JSON object")
+    for key in ("edges", "features", "label"):
+        if key not in rec:
+            raise DatasetError(f"{where}: missing key {key!r}")
+    feats = _json_array(rec["features"], "if", "numeric features", where).astype(np.float64)
+    if feats.ndim != 2 or feats.shape[1] != f:
+        raise DatasetError(f"{where}: features must be n x {f}, got {feats.shape}")
+    if not np.isfinite(feats).all():
+        raise DatasetError(f"{where}: non-finite feature value")
+    label = rec["label"]
+    if type(label) is not int or not 0 <= label < c:
+        raise DatasetError(f"{where}: label {label!r} is not an integer in [0, {c})")
+    edges = _json_array(rec["edges"], "i", "integer edge endpoints", where)
+    if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+        raise DatasetError(f"{where}: edges must be [u, v] pairs, got shape {edges.shape}")
+    try:
+        canon = canonical_edges(edges, feats.shape[0])
+    except StructuralError as e:
+        raise DatasetError(f"{where}: {e}") from e
+    if len(canon) != edges.size // 2:
+        raise DatasetError(f"{where}: duplicate edges")
+    return Graph(num_nodes=feats.shape[0], edges=canon, features=Tensor(feats),
+                 labels=None, num_classes=c, graph_label=label)
 
 
 def _write_floats_row(values) -> str:

@@ -98,7 +98,7 @@ def train_finetune_lp(checkpoint_params, cfg: EncoderConfig, g: Graph,
     trainables = [params.w_in] + [lp.w0 for lp in params.layers] + [head]
 
     def forward_logits(plan):
-        stack = encoder_forward(adj, g.features, cfg, params, plan=plan)
+        stack = encoder_forward(adj, g.features, params, plan=plan)
         return matmul(stack[-1], head)
 
     accuracy, losses = _train_classifier(forward_logits, adj, cfg.layers,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..encoder import EncoderConfig, checkpoint_load
+from ..encoder import EncoderConfig, as_stored, checkpoint_load
 from ..errors import CheckpointError
 from ..graphstore import Graph, GraphSet
 from ..pretrain import PretrainConfig, run_pretrain
@@ -38,12 +38,6 @@ def dataset_digest(data: Graph | GraphSet) -> str:
     return h.hexdigest()
 
 
-def _round_to_storage_precision(params) -> None:
-    params.w_in.data = params.w_in.data.astype(np.float32).astype(np.float64)
-    for lp in params.layers:
-        lp.w0.data = lp.w0.data.astype(np.float32).astype(np.float64)
-
-
 def _key(digest: str, cfg: EncoderConfig, pcfg: PretrainConfig) -> str:
     h = hashlib.sha256()
     h.update(digest.encode())
@@ -68,8 +62,8 @@ class CheckpointCache:
                         digest: str | None = None):
         """Returns (params, cfg, losses-or-None); losses only on a fresh run.
 
-        Fresh results are passed through the checkpoint's float32 storage
-        precision so warm and cold caches yield bitwise-identical parameters.
+        Every result is what loading its checkpoint gives (`as_stored`), so
+        warm, cold, disk and in-memory caches yield bitwise-equal parameters.
         """
         key = _key(digest or dataset_digest(data), cfg, pcfg)
         if self.root is not None:
@@ -91,6 +85,6 @@ class CheckpointCache:
             return params, cached_cfg, None
         self.pretrain_runs += 1
         params, losses = run_pretrain(data, cfg, pcfg)
-        _round_to_storage_precision(params)
+        params = as_stored(params)
         self._mem[key] = (params, cfg)
         return params, cfg, losses

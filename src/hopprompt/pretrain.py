@@ -151,7 +151,7 @@ def run_pretrain(data: Graph | GraphSet, cfg: EncoderConfig, pcfg: PretrainConfi
         order = rng.permutation(len(triplets))
         for start in range(0, len(triplets), pcfg.batch_size):
             batch = triplets[order[start:start + pcfg.batch_size]]
-            stack = encoder_forward(adj, g.features, cfg, params)
+            stack = encoder_forward(adj, g.features, params)
             yield pretrain_loss(stack, adj, batch, pcfg.tau), len(batch)
 
     epoch_losses, _best_epoch = fit(

@@ -12,7 +12,8 @@ tape node per epoch, `numcore.prompt_nll`, over all scored layers at once.
 Prediction is the argmax of the cosines summed over layers with hop
 coefficients gamma; where training raises on a zero-norm row, evaluation
 scores it 0. Node and graph tasks map their training inputs through the
-frozen input map once per call (`encoder.frozen_input`).
+frozen input map once per call (`encoder.frozen_input`). GLoRA's mode and
+rank are set by `PromptTuneConfig` alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import (
-    EncoderConfig,
+    GLORA_MODES,
     EncoderParams,
     FrozenInput,
     attach_glora,
@@ -69,11 +70,11 @@ def init_gamma(alpha: float, num_layers: int) -> Tensor:
     return Tensor(np.array([values]), requires_grad=True)
 
 
-def graph_tokens(batch: GraphBatch, params: EncoderParams, cfg: EncoderConfig,
+def graph_tokens(batch: GraphBatch, params: EncoderParams,
                  frozen: FrozenInput | None = None) -> list[Tensor]:
     """One forward over the batch's disjoint union, from `frozen` when given,
     then each graph's mean row per layer: one (B, d) tensor per layer."""
-    stack = encoder_forward(batch.adj, batch.features, cfg, params, frozen=frozen)
+    stack = encoder_forward(batch.adj, batch.features, params, frozen=frozen)
     return [spmm(batch.pool, h) for h in stack]
 
 
@@ -116,6 +117,10 @@ class PromptTuneConfig:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if self.patience is not None and self.patience < 0:
             raise ParameterError(f"patience must be >= 0, got {self.patience}")
+        if self.glora_mode not in GLORA_MODES:
+            raise ParameterError(f"glora_mode must be one of {GLORA_MODES}")
+        if self.glora_mode != "off" and self.rank < 1:
+            raise ParameterError(f"rank must be >= 1 with GLoRA on, got {self.rank}")
 
 
 @dataclass
@@ -128,7 +133,7 @@ class TuneResult:
     predictions: np.ndarray = field(repr=False, default=None)
 
 
-def _load_encoder(checkpoint, feature_dim: int):
+def _load_encoder(checkpoint, feature_dim: int) -> EncoderParams:
     if isinstance(checkpoint, (str, Path)):
         params, cfg = checkpoint_load(checkpoint)
     else:
@@ -137,7 +142,7 @@ def _load_encoder(checkpoint, feature_dim: int):
         raise CheckpointError(
             f"checkpoint expects {cfg.feature_dim} features, dataset has {feature_dim}"
         )
-    return own_base(params, trainable=False), cfg
+    return own_base(params, trainable=False)
 
 
 def run_prompt_tune(checkpoint, data: Graph | GraphSet, split: SplitSpec,
@@ -151,17 +156,6 @@ def run_prompt_tune(checkpoint, data: Graph | GraphSet, split: SplitSpec,
     if isinstance(data, GraphSet):
         return _tune_graph_task(checkpoint, data, split, tcfg)
     return _tune_node_task(checkpoint, data, split, tcfg)
-
-
-def _make_stage_two(params, base_cfg, tcfg, rng, *, num_nodes=None,
-                    edge_positions=None, adjacency_adaptation=True):
-    cfg = EncoderConfig(layers=base_cfg.layers, dims=base_cfg.dims,
-                        rank=tcfg.rank, glora_mode=tcfg.glora_mode)
-    if tcfg.glora_mode != "off":
-        params = attach_glora(params, cfg, rng, num_nodes=num_nodes,
-                              edge_positions=edge_positions,
-                              adjacency_adaptation=adjacency_adaptation)
-    return params, cfg
 
 
 def _prompt_trainables(theta, gamma, tcfg, num_layers):
@@ -184,21 +178,21 @@ def _once_if_frozen(forward, encoder_trainables):
 def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConfig):
     if g.labels is None:
         raise ParameterError("node tuning needs labels")
-    params, base_cfg = _load_encoder(checkpoint, g.num_features)
+    params = _load_encoder(checkpoint, g.num_features)
     rng = np.random.default_rng(tcfg.seed)
     adj = normalize_adjacency(g)
-    positions = None
-    if tcfg.glora_mode == "edge_subset":
-        positions = edge_subset_positions(adj, split.train_ids)
-    params, cfg = _make_stage_two(params, base_cfg, tcfg, rng,
-                                  num_nodes=g.num_nodes, edge_positions=positions)
+    if tcfg.glora_mode != "off":
+        positions = (edge_subset_positions(adj, split.train_ids)
+                     if tcfg.glora_mode == "edge_subset" else None)
+        params = attach_glora(params, tcfg.glora_mode, tcfg.rank, rng,
+                              num_nodes=g.num_nodes, edge_positions=positions)
 
     # the input map and every W0 are frozen: each forward of this call starts
     # from constants built once, here, from this call's own inputs
-    frozen = frozen_input(adj, g.features, cfg, params)
+    frozen = frozen_input(adj, g.features, params)
 
     def evaluate():
-        return encoder_forward(adj, g.features, cfg, params, frozen=frozen)
+        return encoder_forward(adj, g.features, params, frozen=frozen)
 
     if tcfg.glora_mode == "off":
         # nothing in the encoder trains: one full forward serves every epoch
@@ -210,55 +204,55 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
     else:
         # the loss reads the training rows only, so training runs on their
         # receptive field
-        plan = forward_plan(adj, split.train_ids, cfg.layers,
+        plan = forward_plan(adj, split.train_ids, len(params.layers),
                             edge_positions=params.edge_positions,
                             dense=tcfg.glora_mode == "full")
         # a plan whose first layer computes every row starts as the full
         # forward does
         planned = frozen if plan.rows[1] is None else frozen_input(
-            adj, g.features, cfg, params, plan)
+            adj, g.features, params, plan)
 
         def forward():
-            return encoder_forward(adj, g.features, cfg, params, plan=plan,
+            return encoder_forward(adj, g.features, params, plan=plan,
                                    frozen=planned)
 
-    return _fit_prompts(params, cfg, tcfg, split, g.labels, g.num_classes,
+    return _fit_prompts(params, tcfg, split, g.labels, g.num_classes,
                         forward, evaluate)
 
 
 def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
                      tcfg: PromptTuneConfig):
-    params, base_cfg = _load_encoder(checkpoint, items.graphs[0].num_features)
-    rng = np.random.default_rng(tcfg.seed)
-    # per-item graphs vary in size, so adjacency-side adaptation is disabled
-    params, cfg = _make_stage_two(params, base_cfg, tcfg, rng,
-                                  adjacency_adaptation=False)
+    params = _load_encoder(checkpoint, items.graphs[0].num_features)
+    if tcfg.glora_mode != "off":
+        # per-item graphs vary in size, so adjacency-side adaptation is disabled
+        params = attach_glora(params, tcfg.glora_mode, tcfg.rank,
+                              np.random.default_rng(tcfg.seed),
+                              adjacency_adaptation=False)
     train_batch = graph_batch([items.graphs[int(i)] for i in split.train_ids])
     # every epoch's forward starts from the training batch's X W_in
-    frozen = frozen_input(train_batch.adj, train_batch.features, cfg, params)
+    frozen = frozen_input(train_batch.adj, train_batch.features, params)
     return _fit_prompts(
-        params, cfg, tcfg, split, items.labels, items.num_classes,
-        lambda: graph_tokens(train_batch, params, cfg, frozen),
-        lambda: graph_tokens(graph_batch(items.graphs), params, cfg))
+        params, tcfg, split, items.labels, items.num_classes,
+        lambda: graph_tokens(train_batch, params, frozen),
+        lambda: graph_tokens(graph_batch(items.graphs), params))
 
 
-def _fit_prompts(params, cfg, tcfg, split, labels, num_classes, forward,
-                 evaluate):
+def _fit_prompts(params, tcfg, split, labels, num_classes, forward, evaluate):
     """The stage-two loop of both tasks.
 
     `forward()` returns per-layer tensors with one row per training item, in
     `split.train_ids` order; `evaluate()` returns per-layer tensors with one
     row per item, read at the split's train and test ids.
     """
-    num_layers = cfg.layers + 1
-    width = cfg.hidden_dim
+    num_layers = len(params.layers) + 1
+    width = params.w_in.cols
     c = num_classes
     theta = [Tensor(np.zeros((c, width)), requires_grad=True)
              for _ in range(num_layers)]
     if tcfg.fixed_gamma:
         gamma = Tensor(np.ones((1, num_layers)))
     else:
-        gamma = init_gamma(tcfg.alpha, cfg.layers)
+        gamma = init_gamma(tcfg.alpha, len(params.layers))
 
     encoder_trainables, _frozen = partition_params(params, "prompt")
     prompt_trainables = _prompt_trainables(theta, gamma, tcfg, num_layers)

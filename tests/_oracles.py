@@ -33,7 +33,8 @@ evaluation loop, one `guarded_scores` cosine per layer, that the evaluation
 replaces with one call to `numcore.prompt_cosines`, the loss's own cosines;
 `reference_graph_tune` predicts through it. `scalar`, `sub`, `scale`,
 `sum_all` and `mean_rows` are tape ops the package itself does not run; the
-tests build losses and poolings from them.
+tests build losses and poolings from them. `glora_param_count` is the closed
+form of the adapter size that `encoder.count_trainable` enumerates.
 """
 
 import dataclasses
@@ -44,6 +45,7 @@ import numpy as np
 import hopprompt.pretrain as pt
 import hopprompt.prompt as pr
 from hopprompt.encoder import (
+    attach_glora,
     encoder_forward,
     forward_plan,
     init_encoder,
@@ -53,6 +55,7 @@ from hopprompt.errors import (
     ContractError,
     DimensionError,
     NumericError,
+    ParameterError,
     PretrainInfeasibleError,
     SplitError,
 )
@@ -349,9 +352,9 @@ def reference_predict(layer_data, anchor_data, theta_data, weights, ids):
     return np.argmax(combined, axis=1)
 
 
-def reference_graph_tokens(graph, params, cfg):
+def reference_graph_tokens(graph, params):
     """One item's own forward, mean-pooled per layer: L+1 tensors, 1 x d."""
-    stack = encoder_forward(normalize_adjacency(graph), graph.features, cfg, params)
+    stack = encoder_forward(normalize_adjacency(graph), graph.features, params)
     return [mean_rows(h) for h in stack]
 
 
@@ -360,18 +363,19 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
     and one per item for the evaluation; returns (predictions, losses,
     best epoch). With a patience the best epoch's weights are evaluated,
     without one the last epoch's."""
-    params, base_cfg = pr._load_encoder(checkpoint, items.graphs[0].num_features)
-    rng = np.random.default_rng(tcfg.seed)
-    params, cfg = pr._make_stage_two(params, base_cfg, tcfg, rng,
-                                     adjacency_adaptation=False)
-    layers = cfg.layers + 1
+    params = pr._load_encoder(checkpoint, items.graphs[0].num_features)
+    if tcfg.glora_mode != "off":
+        params = attach_glora(params, tcfg.glora_mode, tcfg.rank,
+                              np.random.default_rng(tcfg.seed),
+                              adjacency_adaptation=False)
+    layers = len(params.layers) + 1
     c = items.num_classes
-    theta = [Tensor(np.zeros((c, cfg.hidden_dim)), requires_grad=True)
+    theta = [Tensor(np.zeros((c, params.w_in.cols)), requires_grad=True)
              for _ in range(layers)]
     if tcfg.fixed_gamma:
         gamma = Tensor(np.ones((1, layers)))
     else:
-        gamma = pr.init_gamma(tcfg.alpha, cfg.layers)
+        gamma = pr.init_gamma(tcfg.alpha, layers - 1)
     encoder_trainables, _frozen = partition_params(params, "prompt")
     trainables = encoder_trainables + pr._prompt_trainables(theta, gamma, tcfg, layers)
     state = AdamState.for_params(trainables, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
@@ -383,7 +387,7 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
     best = (np.inf, -1, None)
     stale = 0
     for epoch in range(tcfg.epochs):
-        tokens = [reference_graph_tokens(g, params, cfg) for g in train]
+        tokens = [reference_graph_tokens(g, params) for g in train]
         mats = [vstack([t[l] for t in tokens]) for l in range(layers)]
         prompts = ClassPromptSet(anchors=tape_anchors(mats, y_train, c), theta=theta)
         loss = matrix_loss(mats, prompts, y_train, tcfg.tau, layers=layer_ids)
@@ -403,7 +407,7 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
         for t, saved in zip(trainables, best[2]):
             t.data = saved
 
-    tokens = [reference_graph_tokens(g, params, cfg) for g in items.graphs]
+    tokens = [reference_graph_tokens(g, params) for g in items.graphs]
     layer_data = [np.concatenate([t[l].data for t in tokens]) for l in range(layers)]
     anchor_data = anchor_arrays(layer_data, split.train_ids, y_train, c)
     if tcfg.last_layer_only:
@@ -472,7 +476,7 @@ def reference_pretrain(data, cfg, pcfg):
         total, count = 0.0, 0
         for start in range(0, len(triplets), pcfg.batch_size):
             batch = triplets[order[start:start + pcfg.batch_size]]
-            stack = encoder_forward(adj, g.features, cfg, params)
+            stack = encoder_forward(adj, g.features, params)
             loss = unfused_pretrain_loss(stack, adj, batch, pcfg.tau)
             reference_adam_step(trainable, backward(loss), state)
             total += loss.item() * len(batch)
@@ -522,3 +526,18 @@ def unfactored_forward(adj, x, params, plan=None):
         stack.append(h)
     return [h if pick is None else gather_rows(h, pick)
             for h, pick in zip(stack, plan.picks)]
+
+
+def glora_param_count(cfg, mode, rank, num_nodes=None, num_selected_edges=None):
+    """Closed-form stage-two encoder trainable count of an encoder `cfg`
+    adapted in GLoRA `mode` at `rank`."""
+    if mode == "off":
+        return 0
+    proj = sum(rank * (cfg.hidden_dim + cfg.dims[l]) for l in range(1, cfg.layers + 1))
+    if mode == "full":
+        if num_nodes is None:
+            raise ParameterError("full mode count needs num_nodes")
+        return proj + 2 * num_nodes * cfg.layers
+    if num_selected_edges is None:
+        raise ParameterError("edge_subset count needs num_selected_edges")
+    return proj + num_selected_edges * cfg.layers

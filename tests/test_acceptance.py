@@ -23,6 +23,7 @@ from hopprompt import numcore as nc
 
 from tests._oracles import (
     finite_diff,
+    glora_param_count,
     mean_rows,
     random_csr,
     rank_one_update_spmm,
@@ -129,7 +130,7 @@ def test_criterion_01_gradient_correctness():
     trips = pt.build_triplets(g6, 1, seed=2)
 
     def contrastive_composite():
-        stack = enc.encoder_forward(adj6, g6.features, cfg6, params6)
+        stack = enc.encoder_forward(adj6, g6.features, params6)
         return pt.pretrain_loss(stack, adj6, trips, tau=0.5)
 
     fd_check(contrastive_composite, [params6.w_in, params6.layers[0].w0, params6.layers[1].w0])
@@ -143,9 +144,7 @@ def test_criterion_01_gradient_correctness():
     base.w_in.requires_grad = False
     for lp in base.layers:
         lp.w0.requires_grad = False
-    glora_cfg = enc.EncoderConfig(layers=2, dims=[4, 6, 6], rank=2,
-                                  glora_mode="full")
-    adapted = enc.attach_glora(base, glora_cfg, rng, num_nodes=8)
+    adapted = enc.attach_glora(base, "full", 2, rng, num_nodes=8)
     train_ids = np.array([0, 1, 2, 3])
     y_train = g8.labels[train_ids]
     theta = [nc.Tensor(0.1 * rng.standard_normal((2, 6)), requires_grad=True)
@@ -153,7 +152,7 @@ def test_criterion_01_gradient_correctness():
 
     def prompt_composite(loss_of):
         def build():
-            stack = enc.encoder_forward(adj8, g8.features, glora_cfg, adapted)
+            stack = enc.encoder_forward(adj8, g8.features, adapted)
             mats = [nc.gather_rows(hh, train_ids) for hh in stack]
             return loss_of(mats, y_train, theta, 0.5)
         return build
@@ -186,16 +185,14 @@ def test_criterion_02_zero_adaptation_identity():
         adj = gs.normalize_adjacency(g)
         cfg_off = enc.EncoderConfig(layers=2, dims=[f, 8, 8])
         params = enc.init_encoder(cfg_off, rng)
-        frozen = enc.encoder_forward(adj, g.features, cfg_off, params)
+        frozen = enc.encoder_forward(adj, g.features, params)
         mode = "full" if trial % 2 == 0 else "edge_subset"
-        cfg_on = enc.EncoderConfig(layers=2, dims=[f, 8, 8], rank=3,
-                                   glora_mode=mode)
         if mode == "full":
-            adapted = enc.attach_glora(params, cfg_on, rng, num_nodes=n)
+            adapted = enc.attach_glora(params, mode, 3, rng, num_nodes=n)
         else:
             pos = enc.edge_subset_positions(adj, [0, 1])
-            adapted = enc.attach_glora(params, cfg_on, rng, edge_positions=pos)
-        fresh = enc.encoder_forward(adj, g.features, cfg_on, adapted)
+            adapted = enc.attach_glora(params, mode, 3, rng, edge_positions=pos)
+        fresh = enc.encoder_forward(adj, g.features, adapted)
         gap = max(np.abs(x.data - y.data).max()
                   for x, y in zip(frozen, fresh))
         worst = max(worst, gap)
@@ -347,17 +344,16 @@ def test_criterion_09_ablation_direction(shared_cache, syn_h10):
 
 def test_criterion_10_parameter_economy(syn_h10):
     rng = np.random.default_rng(3)
-    cfg = enc.EncoderConfig(layers=2, dims=[syn_h10.num_features, 128, 128],
-                            rank=8, glora_mode="edge_subset")
+    cfg = enc.EncoderConfig(layers=2, dims=[syn_h10.num_features, 128, 128])
     params = enc.init_encoder(cfg, rng)
     adj = gs.normalize_adjacency(syn_h10)
     split = gs.kshot_split(syn_h10, 5, seed=0)
     pos = enc.edge_subset_positions(adj, split.train_ids)
-    adapted = enc.attach_glora(params, cfg, rng, edge_positions=pos)
+    adapted = enc.attach_glora(params, "edge_subset", 8, rng, edge_positions=pos)
 
     encoder_count = enc.count_trainable(adapted, "prompt")
     prompt_count = pr.prompt_param_count(cfg.layers + 1, syn_h10.num_classes, 128)
-    closed_encoder = enc.glora_param_count(cfg, num_selected_edges=len(pos))
+    closed_encoder = glora_param_count(cfg, "edge_subset", 8, num_selected_edges=len(pos))
     closed_prompt = (cfg.layers + 1) * syn_h10.num_classes * 128 + (cfg.layers + 1)
     total = encoder_count + prompt_count
     check(10, "parameter economy (edge-subset)",

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from hopprompt import graphstore as gs
+from hopprompt import harness as hn
 from hopprompt.cli import main
 
 
@@ -225,3 +226,12 @@ def test_sweep_h_command(runner, tmp_path):
     assert result.exit_code == 0, result.output
     saved = json.loads(out.read_text())
     assert [e["target_h"] for e in saved["series"]] == [0.3, 0.5]
+
+
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--shots", "3"]])
+def test_sweep_h_rejects_options_it_cannot_honour(runner, monkeypatch, flag):
+    # the sweep is full-shot and writes JSON: both options are unknown to it
+    monkeypatch.setattr(hn, "run_heterophily_sweep", None)
+    result = runner.invoke(main, ["sweep-h", "--data", "datasets/web-tiny", *flag])
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.output

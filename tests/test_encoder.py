@@ -1,4 +1,5 @@
-from dataclasses import replace
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hopprompt.errors import (
 from tests._oracles import (
     assert_grads_close,
     finite_diff,
+    glora_param_count,
     reference_edge_subset_positions,
     unfactored_forward,
 )
@@ -27,12 +29,11 @@ from tests._oracles import (
 DATASETS = Path(__file__).resolve().parents[1] / "datasets"
 
 
-def small_setup(seed=0, n=6, f=5, d=8, layers=2, mode="off", rank=3):
+def small_setup(seed=0, n=6, f=5, d=8, layers=2):
     rng = np.random.default_rng(seed)
     g = gs.random_labeled_graph(n, min(2 * n, n * (n - 1) // 2), 2, f, seed=seed)
     adj = gs.normalize_adjacency(g)
-    cfg = enc.EncoderConfig(layers=layers, dims=[f] + [d] * layers,
-                            rank=rank, glora_mode=mode)
+    cfg = enc.EncoderConfig(layers=layers, dims=[f] + [d] * layers)
     params = enc.init_encoder(cfg, rng)
     return g, adj, cfg, params, rng
 
@@ -80,13 +81,9 @@ class TestEncoderConfig:
             enc.EncoderConfig(layers=0, dims=[4])
         with pytest.raises(ParameterError):
             enc.EncoderConfig(layers=2, dims=[4, 8, 16])  # unequal hidden
-        with pytest.raises(ParameterError):
-            enc.EncoderConfig(layers=1, dims=[4, 8], glora_mode="bogus")
-        with pytest.raises(ParameterError):
-            enc.EncoderConfig(layers=1, dims=[4, 8], rank=0, glora_mode="full")
 
     def test_json_roundtrip(self):
-        cfg = enc.EncoderConfig(layers=2, dims=[10, 16, 16], rank=4, glora_mode="full")
+        cfg = enc.EncoderConfig(layers=2, dims=[10, 16, 16])
         again = enc.EncoderConfig.from_json(cfg.to_json())
         assert again == cfg
 
@@ -94,7 +91,7 @@ class TestEncoderConfig:
 class TestForward:
     def test_matches_dense_oracle(self):
         g, adj, cfg, params, _ = small_setup(seed=1)
-        stack = enc.encoder_forward(adj, g.features, cfg, params)
+        stack = enc.encoder_forward(adj, g.features, params)
         ref = dense_reference(adj, g.features.data, params)
         assert len(stack) == cfg.layers + 1
         for ours, theirs in zip(stack, ref):
@@ -111,46 +108,32 @@ class TestForward:
         )
         adj = nc.SparseMatrix((f, f), np.arange(f + 1), np.arange(f), np.ones(f))
         x = nc.Tensor(rng.standard_normal((f, f)))
-        stack = enc.encoder_forward(adj, x, cfg, params)
+        stack = enc.encoder_forward(adj, x, params)
         np.testing.assert_allclose(stack[1].data, stack[0].data, atol=1e-15)
         np.testing.assert_allclose(stack[0].data, x.data, atol=1e-15)
 
     def test_zero_init_glora_is_exact_identity(self):
-        g, adj, cfg_off, params, rng = small_setup(seed=3)
-        frozen = enc.encoder_forward(adj, g.features, cfg_off, params)
-        cfg_full = enc.EncoderConfig(layers=cfg_off.layers, dims=cfg_off.dims,
-                                     rank=3, glora_mode="full")
-        adapted_params = enc.attach_glora(params, cfg_full, rng, num_nodes=g.num_nodes)
-        adapted = enc.encoder_forward(adj, g.features, cfg_full, adapted_params)
+        g, adj, _, params, rng = small_setup(seed=3)
+        frozen = enc.encoder_forward(adj, g.features, params)
+        adapted_params = enc.attach_glora(params, "full", 3, rng, num_nodes=g.num_nodes)
+        adapted = enc.encoder_forward(adj, g.features, adapted_params)
         for a, b in zip(frozen, adapted):
             assert np.abs(a.data - b.data).max() < 1e-12
 
     def test_edge_subset_zero_init_identity(self):
-        g, adj, cfg_off, params, rng = small_setup(seed=4)
-        frozen = enc.encoder_forward(adj, g.features, cfg_off, params)
-        cfg_es = enc.EncoderConfig(layers=cfg_off.layers, dims=cfg_off.dims,
-                                   rank=3, glora_mode="edge_subset")
+        g, adj, _, params, rng = small_setup(seed=4)
+        frozen = enc.encoder_forward(adj, g.features, params)
         pos = enc.edge_subset_positions(adj, [0, 1])
-        adapted_params = enc.attach_glora(params, cfg_es, rng, edge_positions=pos)
-        adapted = enc.encoder_forward(adj, g.features, cfg_es, adapted_params)
+        adapted_params = enc.attach_glora(params, "edge_subset", 3, rng, edge_positions=pos)
+        adapted = enc.encoder_forward(adj, g.features, adapted_params)
         for a, b in zip(frozen, adapted):
             assert np.abs(a.data - b.data).max() < 1e-12
 
-    def test_glora_factors_with_mode_off_rejected(self):
-        g, adj, cfg, params, rng = small_setup(seed=5)
-        cfg_full = enc.EncoderConfig(layers=cfg.layers, dims=cfg.dims,
-                                     rank=3, glora_mode="full")
-        adapted = enc.attach_glora(params, cfg_full, rng, num_nodes=g.num_nodes)
-        with pytest.raises(ContractError):
-            enc.encoder_forward(adj, g.features, cfg, adapted)
-
     def test_edge_subset_only_touches_selected_edges(self):
-        g, adj, cfg, params, rng = small_setup(seed=6, n=8)
-        cfg_es = enc.EncoderConfig(layers=cfg.layers, dims=cfg.dims,
-                                   rank=2, glora_mode="edge_subset")
+        g, adj, _, params, rng = small_setup(seed=6, n=8)
         train_ids = [0, 1]
         pos = enc.edge_subset_positions(adj, train_ids)
-        adapted = enc.attach_glora(params, cfg_es, rng, edge_positions=pos)
+        adapted = enc.attach_glora(params, "edge_subset", 2, rng, edge_positions=pos)
         for lp in adapted.layers:
             lp.edge_weights.data = (lp.edge_weights.data + 0.37
                                     + 0.1 * rng.standard_normal(lp.edge_weights.shape))
@@ -174,7 +157,7 @@ class TestForward:
         def loss_of(stack):
             return nc.softmax_nll(stack[-1], g.labels, tau=0.5)
 
-        ours = enc.encoder_forward(adj, g.features, cfg_es, adapted)
+        ours = enc.encoder_forward(adj, g.features, adapted)
         oracle = scatter_edge_subset_forward(adj, g.features, adapted)
         for a, b in zip(ours, oracle):
             assert np.array_equal(a.data, b.data)
@@ -185,10 +168,8 @@ class TestForward:
         assert np.any(got.get(adapted.layers[0].edge_weights) != 0)
 
     def test_rank_bound_of_projection_adaptation(self):
-        g, adj, cfg, params, rng = small_setup(seed=7, d=10, rank=3, mode="off")
-        cfg_full = enc.EncoderConfig(layers=cfg.layers, dims=cfg.dims,
-                                     rank=3, glora_mode="full")
-        adapted = enc.attach_glora(params, cfg_full, rng, num_nodes=g.num_nodes)
+        g, adj, _, params, rng = small_setup(seed=7, d=10)
+        adapted = enc.attach_glora(params, "full", 3, rng, num_nodes=g.num_nodes)
         lp = adapted.layers[0]
         lp.q.data = rng.standard_normal(lp.q.shape)  # pretend it trained
         delta = lp.p.data @ lp.q.data.T
@@ -300,11 +281,11 @@ class TestForwardPlan:
     @staticmethod
     def _adapted(g, adj, ids, mode, seed):
         rng = np.random.default_rng(seed)
-        cfg = enc.EncoderConfig(layers=2, dims=[3, 6, 6], rank=2, glora_mode=mode)
+        cfg = enc.EncoderConfig(layers=2, dims=[3, 6, 6])
         params = enc.init_encoder(cfg, rng)
         if mode != "off":
             pos = enc.edge_subset_positions(adj, ids) if mode == "edge_subset" else None
-            params = enc.attach_glora(params, cfg, rng, num_nodes=g.num_nodes,
+            params = enc.attach_glora(params, mode, 2, rng, num_nodes=g.num_nodes,
                                       edge_positions=pos)
         # every factor nonzero, as after some training; the base weights
         # take gradients too, so that mode off has some to compare
@@ -349,11 +330,11 @@ class TestForwardPlan:
                                 dense=mode == "full")
         with pytest.MonkeyPatch.context() as m:
             full_calls = _SpmmValues(m)
-            full = enc.encoder_forward(adj, g.features, cfg, params)
+            full = enc.encoder_forward(adj, g.features, params)
             want = nc.backward(self._loss([nc.gather_rows(h, ids) for h in full], seed))
         with pytest.MonkeyPatch.context() as m:
             planned_calls = _SpmmValues(m)
-            planned = enc.encoder_forward(adj, g.features, cfg, params, plan=plan)
+            planned = enc.encoder_forward(adj, g.features, params, plan=plan)
             got = nc.backward(self._loss(planned, seed))
 
         for l, h in enumerate(planned):
@@ -395,14 +376,12 @@ class TestForwardPlan:
         adj = gs.normalize_adjacency(g)
         cfg = enc.EncoderConfig(layers=2, dims=[5, 8, 8])
         params = enc.init_encoder(cfg, rng)
-        cfg_full = enc.EncoderConfig(layers=cfg.layers, dims=cfg.dims, rank=2,
-                                     glora_mode="full")
-        adapted = enc.attach_glora(params, cfg_full, rng, num_nodes=g.num_nodes)
+        adapted = enc.attach_glora(params, "full", 2, rng, num_nodes=g.num_nodes)
         with pytest.raises(ContractError, match="dense=True"):
-            enc.encoder_forward(adj, g.features, cfg_full, adapted,
+            enc.encoder_forward(adj, g.features, adapted,
                                 plan=enc.forward_plan(adj, [0, 1], cfg.layers))
-        with pytest.raises(DimensionError, match="plan has 1 layers"):
-            enc.encoder_forward(adj, g.features, cfg_full, adapted,
+        with pytest.raises(DimensionError, match="plan has 1 layers, params carry 2"):
+            enc.encoder_forward(adj, g.features, adapted,
                                 plan=enc.forward_plan(adj, [0, 1], 1, dense=True))
 
 
@@ -415,14 +394,13 @@ class TestFactoredFullGlora:
     @staticmethod
     def _adapted(g, seed, mode="full", ids=None):
         rng = np.random.default_rng(seed)
-        cfg = enc.EncoderConfig(layers=2, dims=[g.num_features, 6, 6], rank=2,
-                                glora_mode=mode)
+        cfg = enc.EncoderConfig(layers=2, dims=[g.num_features, 6, 6])
         base = enc.own_base(enc.init_encoder(cfg, rng), trainable=False)
         if mode == "off":
             return cfg, base
         adj = gs.normalize_adjacency(g)
         pos = enc.edge_subset_positions(adj, ids) if mode == "edge_subset" else None
-        params = enc.attach_glora(base, cfg, rng, num_nodes=g.num_nodes,
+        params = enc.attach_glora(base, mode, 2, rng, num_nodes=g.num_nodes,
                                   edge_positions=pos)
         # every factor nonzero, as after some training
         for t in enc.partition_params(params, "prompt")[0]:
@@ -437,7 +415,7 @@ class TestFactoredFullGlora:
         cfg, params = self._adapted(g, seed)
         adapters = enc.partition_params(params, "prompt")[0]
         for plan in (None, enc.forward_plan(adj, ids, cfg.layers, dense=True)):
-            ours = enc.encoder_forward(adj, g.features, cfg, params, plan=plan)
+            ours = enc.encoder_forward(adj, g.features, params, plan=plan)
             oracle = unfactored_forward(adj, g.features, params, plan)
             for a, b in zip(ours, oracle):
                 scale = np.abs(b.data).max(initial=1.0)
@@ -456,10 +434,10 @@ class TestFactoredFullGlora:
         adj = gs.normalize_adjacency(g)
         cfg, params = self._adapted(g, 13)
         plan = enc.forward_plan(adj, [1, 4, 6], cfg.layers, dense=True) if planned else None
-        frozen = enc.frozen_input(adj, g.features, cfg, params, plan) if hoisted else None
+        frozen = enc.frozen_input(adj, g.features, params, plan) if hoisted else None
 
         def loss():
-            stack = enc.encoder_forward(adj, g.features, cfg, params, plan=plan,
+            stack = enc.encoder_forward(adj, g.features, params, plan=plan,
                                         frozen=frozen)
             return TestForwardPlan._loss(stack, 13)
 
@@ -479,11 +457,10 @@ class TestFactoredFullGlora:
         rng = np.random.default_rng(14)
         cfg = enc.EncoderConfig(layers=2, dims=[g.num_features, 32, 32])
         base = enc.own_base(enc.init_encoder(cfg, rng), trainable=False)
-        want = enc.encoder_forward(adj, g.features, cfg, base)
-        cfg_full = replace(cfg, rank=8, glora_mode="full")
-        adapted = enc.attach_glora(base, cfg_full, rng, num_nodes=g.num_nodes)
-        for frozen in (None, enc.frozen_input(adj, g.features, cfg_full, adapted)):
-            fresh = enc.encoder_forward(adj, g.features, cfg_full, adapted, frozen=frozen)
+        want = enc.encoder_forward(adj, g.features, base)
+        adapted = enc.attach_glora(base, "full", 8, rng, num_nodes=g.num_nodes)
+        for frozen in (None, enc.frozen_input(adj, g.features, adapted)):
+            fresh = enc.encoder_forward(adj, g.features, adapted, frozen=frozen)
             for l, (a, b) in enumerate(zip(want, fresh)):
                 assert a.data.tobytes() == b.data.tobytes(), f"layer {l}"
 
@@ -496,9 +473,9 @@ class TestFactoredFullGlora:
         planned = enc.forward_plan(adj, ids, cfg.layers, params.edge_positions,
                                    dense=mode == "full")
         for plan in (None, planned):
-            frozen = enc.frozen_input(adj, g.features, cfg, params, plan)
-            want = enc.encoder_forward(adj, g.features, cfg, params, plan=plan)
-            got = enc.encoder_forward(adj, g.features, cfg, params, plan=plan,
+            frozen = enc.frozen_input(adj, g.features, params, plan)
+            want = enc.encoder_forward(adj, g.features, params, plan=plan)
+            got = enc.encoder_forward(adj, g.features, params, plan=plan,
                                       frozen=frozen)
             for l, (a, b) in enumerate(zip(want, got)):
                 assert a.data.tobytes() == b.data.tobytes(), f"layer {l}"
@@ -512,13 +489,13 @@ class TestFactoredFullGlora:
         cfg = enc.EncoderConfig(layers=2, dims=[5, 8, 8])
         trainable = enc.init_encoder(cfg, rng)
         with pytest.raises(ContractError, match="frozen input map"):
-            enc.frozen_input(adj, g.features, cfg, trainable)
+            enc.frozen_input(adj, g.features, trainable)
         base = enc.own_base(trainable, trainable=False)
-        whole = enc.frozen_input(adj, g.features, cfg, base)
+        whole = enc.frozen_input(adj, g.features, base)
         plan = enc.forward_plan(adj, [0, 1], cfg.layers)
         assert plan.rows[0].size == 4
         with pytest.raises(DimensionError, match="frozen input has 8 rows"):
-            enc.encoder_forward(adj, g.features, cfg, base, plan=plan, frozen=whole)
+            enc.encoder_forward(adj, g.features, base, plan=plan, frozen=whole)
 
 
 class TestPartitionAndCount:
@@ -530,49 +507,48 @@ class TestPartitionAndCount:
 
     def test_prompt_partition_freezes_base(self):
         g, _, cfg, params, rng = small_setup(seed=9)
-        cfg_full = enc.EncoderConfig(layers=cfg.layers, dims=cfg.dims,
-                                     rank=3, glora_mode="full")
-        adapted = enc.attach_glora(params, cfg_full, rng, num_nodes=g.num_nodes)
+        adapted = enc.attach_glora(params, "full", 3, rng, num_nodes=g.num_nodes)
         trainable, frozen = enc.partition_params(adapted, "prompt")
         assert params.w_in in frozen
         assert all(lp.w0 in frozen for lp in adapted.layers)
         assert not set(map(id, trainable)) & set(map(id, frozen))
         assert len(trainable) == 4 * cfg.layers
 
-    def test_glora_factors_at_pretrain_rejected(self):
+    def test_glora_factors_at_pretrain_rejected(self, tmp_path):
         g, _, cfg, params, rng = small_setup(seed=10)
-        cfg_full = enc.EncoderConfig(layers=cfg.layers, dims=cfg.dims,
-                                     rank=3, glora_mode="full")
-        adapted = enc.attach_glora(params, cfg_full, rng, num_nodes=g.num_nodes)
+        adapted = enc.attach_glora(params, "full", 3, rng, num_nodes=g.num_nodes)
         with pytest.raises(ContractError):
             enc.partition_params(adapted, "pretrain")
+        # a checkpoint holds the base weights only
+        with pytest.raises(ContractError):
+            enc.checkpoint_save(adapted, cfg, tmp_path / "m.dagp")
+        assert not any(tmp_path.iterdir())
 
     def test_projection_only_counts(self):
         # r (d_in + d_out) per layer
-        cfg = enc.EncoderConfig(layers=1, dims=[128, 128], rank=8, glora_mode="full")
+        cfg = enc.EncoderConfig(layers=1, dims=[128, 128])
         rng = np.random.default_rng(0)
         params = enc.init_encoder(cfg, rng)
-        adapted = enc.attach_glora(params, cfg, rng, adjacency_adaptation=False)
+        adapted = enc.attach_glora(params, "full", 8, rng, adjacency_adaptation=False)
         assert enc.count_trainable(adapted, "prompt") == 2048
-        cfg2 = enc.EncoderConfig(layers=2, dims=[128, 128, 128], rank=8,
-                                 glora_mode="full")
+        cfg2 = enc.EncoderConfig(layers=2, dims=[128, 128, 128])
         params2 = enc.init_encoder(cfg2, rng)
-        adapted2 = enc.attach_glora(params2, cfg2, rng, adjacency_adaptation=False)
+        adapted2 = enc.attach_glora(params2, "full", 8, rng, adjacency_adaptation=False)
         assert enc.count_trainable(adapted2, "prompt") == 4096
 
     def test_closed_form_matches_enumeration(self):
         g, adj, _, _, rng = small_setup(seed=11, n=10)
         for mode, kwargs in [("full", dict(num_nodes=10)),
                              ("edge_subset", dict())]:
-            cfg = enc.EncoderConfig(layers=2, dims=[5, 8, 8], rank=3, glora_mode=mode)
+            cfg = enc.EncoderConfig(layers=2, dims=[5, 8, 8])
             params = enc.init_encoder(cfg, rng)
             if mode == "edge_subset":
                 pos = enc.edge_subset_positions(adj, [0, 1, 2])
-                adapted = enc.attach_glora(params, cfg, rng, edge_positions=pos)
-                closed = enc.glora_param_count(cfg, num_selected_edges=len(pos))
+                adapted = enc.attach_glora(params, mode, 3, rng, edge_positions=pos)
+                closed = glora_param_count(cfg, mode, 3, num_selected_edges=len(pos))
             else:
-                adapted = enc.attach_glora(params, cfg, rng, **kwargs)
-                closed = enc.glora_param_count(cfg, **kwargs)
+                adapted = enc.attach_glora(params, mode, 3, rng, **kwargs)
+                closed = glora_param_count(cfg, mode, 3, **kwargs)
             assert enc.count_trainable(adapted, "prompt") == closed
 
 
@@ -586,21 +562,13 @@ class TestCheckpoint:
         enc.checkpoint_save(loaded, cfg2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_wrong_dims_named(self, tmp_path):
-        _, _, cfg, params, _ = small_setup(seed=13, f=5, d=8)
-        path = tmp_path / "m.dagp"
-        enc.checkpoint_save(params, cfg, path)
-        other = enc.EncoderConfig(layers=2, dims=[7, 8, 8])
-        with pytest.raises(CheckpointError, match=r"\[5, 8, 8\].*\[7, 8, 8\]"):
-            enc.checkpoint_load(path, expect_cfg=other)
-
     def test_roundtrip_forward_close(self, tmp_path):
         g, adj, cfg, params, _ = small_setup(seed=14)
-        before = enc.encoder_forward(adj, g.features, cfg, params)
+        before = enc.encoder_forward(adj, g.features, params)
         path = tmp_path / "m.dagp"
         enc.checkpoint_save(params, cfg, path)
         loaded, _ = enc.checkpoint_load(path)
-        after = enc.encoder_forward(adj, g.features, cfg, loaded)
+        after = enc.encoder_forward(adj, g.features, loaded)
         # 32-bit storage keeps the forward within 1e-6
         gap = max(np.abs(a.data - b.data).max()
                   for a, b in zip(before, after))
@@ -649,11 +617,15 @@ class TestCheckpoint:
         enc.checkpoint_save(params, cfg, path)
         before = path.read_bytes()
 
+        real = enc._records
+
         def torn(p):
-            yield "w_in", p.w_in
+            # the first record reaches the file, then the write fails
+            records = real(p)
+            yield next(records)
             raise OSError("disk full")
 
-        monkeypatch.setattr(enc, "_named_tensors", torn)
+        monkeypatch.setattr(enc, "_records", torn)
         with pytest.raises(OSError, match="disk full"):
             enc.checkpoint_save(params, cfg, path)
         assert path.read_bytes() == before
@@ -667,3 +639,46 @@ class TestCheckpoint:
         path.write_bytes(raw[:-5])
         with pytest.raises(CheckpointError, match="truncated"):
             enc.checkpoint_load(path)
+
+    def test_every_single_byte_corruption_loads_or_raises_checkpoint_error(
+            self, tmp_path):
+        # the cache quarantines CheckpointError only: any other exception
+        # from a damaged file would escape it on every later run
+        _, _, cfg, params, _ = small_setup(seed=20, f=3, d=2)
+        path = tmp_path / "m.dagp"
+        enc.checkpoint_save(params, cfg, path)
+        whole = path.read_bytes()
+        loaded = 0
+        for offset, old in enumerate(whole):
+            for new in sorted({0x00, 0x7F, 0xFF, old ^ 0x01, old ^ 0x80} - {old}):
+                path.write_bytes(whole[:offset] + bytes([new]) + whole[offset + 1:])
+                try:
+                    got, got_cfg = enc.checkpoint_load(path)
+                except CheckpointError:
+                    continue
+                loaded += 1
+                assert [t.shape for t in [got.w_in] + [lp.w0 for lp in got.layers]] \
+                    == [(got_cfg.feature_dim, got_cfg.hidden_dim)] + \
+                       [(got_cfg.hidden_dim, got_cfg.hidden_dim)] * got_cfg.layers
+        # payload bytes that stay finite load as other weights
+        assert loaded > 0
+
+    def test_config_blob_with_stage_two_fields_loads(self, tmp_path):
+        # checkpoints written before the config held only the architecture
+        # also carry a stage-two mode and rank, which the reader ignores
+        _, _, cfg, params, _ = small_setup(seed=21)
+        path = tmp_path / "m.dagp"
+        enc.checkpoint_save(params, cfg, path)
+        whole = path.read_bytes()
+        (blob_len,) = struct.unpack("<I", whole[8:12])
+        old_blob = json.dumps({"layers": cfg.layers, "dims": cfg.dims, "rank": 8,
+                               "glora_mode": "off"}, sort_keys=True).encode()
+        old = tmp_path / "old.dagp"
+        old.write_bytes(whole[:8] + struct.pack("<I", len(old_blob)) + old_blob
+                        + whole[12 + blob_len:])
+        want, want_cfg = enc.checkpoint_load(path)
+        got, got_cfg = enc.checkpoint_load(old)
+        assert got_cfg == want_cfg == cfg
+        for a, b in zip([got.w_in] + [lp.w0 for lp in got.layers],
+                        [want.w_in] + [lp.w0 for lp in want.layers]):
+            assert a.data.tobytes() == b.data.tobytes()

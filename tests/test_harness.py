@@ -19,7 +19,7 @@ from hopprompt.harness import baselines
 from hopprompt.pretrain import PretrainConfig
 from hopprompt.prompt import PromptTuneConfig, run_prompt_tune
 
-from tests._oracles import full_rows_plan
+from tests._oracles import full_rows_plan, glora_param_count
 
 
 def quick_cfg(dataset="datasets/web-tiny", **overrides):
@@ -123,9 +123,8 @@ class TestRunExperiment:
         full = hn.run_experiment(quick_cfg(), data=tiny_data, cache=cache)
         off = hn.run_experiment(quick_cfg(mode="ablation:no_glora"),
                                 data=tiny_data, cache=cache)
-        cfg = enc.EncoderConfig(layers=2, dims=[16, 128, 128], rank=8,
-                                glora_mode="full")
-        expected = enc.glora_param_count(cfg, num_nodes=tiny_data.num_nodes)
+        cfg = enc.EncoderConfig(layers=2, dims=[16, 128, 128])
+        expected = glora_param_count(cfg, "full", 8, num_nodes=tiny_data.num_nodes)
         delta = full.trainable_params_downstream - off.trainable_params_downstream
         assert delta == expected
 
@@ -176,10 +175,9 @@ class TestRunExperiment:
     def test_downstream_count_cross_checked(self, tiny_data):
         # report counter == closed-form encoder adapters + prompt module
         report = hn.run_experiment(quick_cfg(), data=tiny_data)
-        cfg = enc.EncoderConfig(layers=2, dims=[16, 128, 128], rank=8,
-                                glora_mode="full")
+        cfg = enc.EncoderConfig(layers=2, dims=[16, 128, 128])
         from hopprompt.prompt import prompt_param_count
-        expected = enc.glora_param_count(cfg, num_nodes=tiny_data.num_nodes) \
+        expected = glora_param_count(cfg, "full", 8, num_nodes=tiny_data.num_nodes) \
             + prompt_param_count(3, tiny_data.num_classes, 128)
         assert report.trainable_params_downstream == expected
 
@@ -224,6 +222,24 @@ class TestCacheRecovery:
         warm = hn.CheckpointCache(root)
         assert warm.get_or_pretrain(tiny_data, cfg, pcfg)[2] is None
         assert (warm.quarantined, warm.pretrain_runs) == (0, 0)
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[:12] + b"\xff" + raw[13:],  # not UTF-8
+        lambda raw: raw.replace(b'"layers": 2', b'"layers": 0'),  # invalid config
+    ], ids=["undecodable", "invalid"])
+    def test_damaged_config_blob_is_quarantined_and_retrained(self, tiny_data,
+                                                              tmp_path, damage):
+        cfg, pcfg = self._configs(tiny_data)
+        root = tmp_path / "cache"
+        hn.CheckpointCache(root).get_or_pretrain(tiny_data, cfg, pcfg)
+        (entry,) = root.glob("*.dagp")
+        whole = entry.read_bytes()
+        entry.write_bytes(damage(whole))
+        cache = hn.CheckpointCache(root)
+        assert cache.get_or_pretrain(tiny_data, cfg, pcfg)[2] is not None
+        assert (cache.quarantined, cache.pretrain_runs) == (1, 1)
+        assert entry.with_name(entry.name + ".bad").read_bytes() == damage(whole)
+        assert entry.read_bytes() == whole
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_is_quarantined_and_retrained(self, tiny_data, tmp_path,

@@ -202,3 +202,34 @@ def test_graph_task_total_nodes_validated(tmp_path):
     (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(DatasetError, match="total nodes"):
         gs.load_dataset(tmp_path / "ds")
+
+
+_GOOD_ITEM = {"edges": [[0, 1]], "features": [[1.0, 2.0], [3.0, 4.0]], "label": 0}
+
+
+@pytest.mark.parametrize("line, message", [
+    (json.dumps({**_GOOD_ITEM, "edges": [["a", 1]]}), "integer edge endpoints"),
+    (json.dumps({**_GOOD_ITEM, "edges": [[0.5, 1]]}), "integer edge endpoints"),
+    (json.dumps({**_GOOD_ITEM, "edges": [0, 1, 1]}), r"\[u, v\] pairs"),
+    (json.dumps({**_GOOD_ITEM, "edges": [[1, 1]]}), "self-loop"),
+    (json.dumps({**_GOOD_ITEM, "edges": [[0, 1], [1, 0]]}), "duplicate edges"),
+    (json.dumps({**_GOOD_ITEM, "edges": [[0, 2]]}), r"outside \[0, 2\)"),
+    (json.dumps({**_GOOD_ITEM, "features": [["a", 1.0], [3.0, 4.0]]}), "numeric features"),
+    (json.dumps({**_GOOD_ITEM, "features": [[1.0, 2.0], [3.0]]}), "numeric features"),
+    (json.dumps({**_GOOD_ITEM, "features": [[float("nan"), 2.0], [3.0, 4.0]]}),
+     "non-finite feature"),
+    (json.dumps({**_GOOD_ITEM, "label": "x"}), "label 'x' is not an integer"),
+    (json.dumps({**_GOOD_ITEM, "label": None}), "label None is not an integer"),
+    (json.dumps([1, 2]), "expected a JSON object"),
+], ids=["string-endpoint", "fractional-endpoint", "odd-length-edges", "self-loop",
+        "duplicate", "endpoint-range", "string-feature", "ragged-features",
+        "nan-feature", "string-label", "null-label", "not-an-object"])
+def test_graph_task_malformed_item_names_the_line(tmp_path, line, message):
+    d = tmp_path / "ds"
+    d.mkdir()
+    (d / "meta.json").write_text(json.dumps({
+        "name": "items", "num_nodes": 4, "num_features": 2, "num_classes": 2,
+        "task": "graph"}))
+    (d / "graphs.jsonl").write_text(json.dumps(_GOOD_ITEM) + "\n" + line + "\n")
+    with pytest.raises(DatasetError, match=rf"graphs.jsonl:2: .*{message}"):
+        gs.load_dataset(d)

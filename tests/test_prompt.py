@@ -75,15 +75,23 @@ class TestPromptTuneConfig:
         assert pr.PromptTuneConfig(patience=0).patience == 0
         assert pr.PromptTuneConfig(patience=None).patience is None
 
+    def test_glora_mode_and_rank_checked_when_built(self):
+        with pytest.raises(ParameterError, match="glora_mode must be one of"):
+            pr.PromptTuneConfig(glora_mode="bogus")
+        with pytest.raises(ParameterError, match="rank must be >= 1 with GLoRA on"):
+            pr.PromptTuneConfig(rank=0, glora_mode="full")
+        # with nothing attached the rank is never read
+        assert pr.PromptTuneConfig(rank=0, glora_mode="off").rank == 0
+
 
 class TestTokens:
     def test_node_tokens_match_full_graph_rows(self):
         g, cfg, params = small_node_setup(seed=1)
         adj = gs.normalize_adjacency(g)
-        stack = enc.encoder_forward(adj, g.features, cfg, params)
+        stack = enc.encoder_forward(adj, g.features, params)
         for v in [0, 3, 9]:
             plan = enc.forward_plan(adj, [v], cfg.layers)
-            tok = enc.encoder_forward(adj, g.features, cfg, params, plan=plan)
+            tok = enc.encoder_forward(adj, g.features, params, plan=plan)
             assert len(tok) == cfg.layers + 1
             for l, t in enumerate(tok):
                 np.testing.assert_allclose(t.data[0], stack[l].data[v], atol=1e-10)
@@ -100,7 +108,7 @@ class TestTokens:
         params = enc.init_encoder(cfg, np.random.default_rng(2))
         adj = gs.normalize_adjacency(g)
         plan = enc.forward_plan(adj, [2], cfg.layers)
-        tok = enc.encoder_forward(adj, g.features, cfg, params, plan=plan)
+        tok = enc.encoder_forward(adj, g.features, params, plan=plan)
         # the isolated node's normalized adjacency row is its self-loop, 1.0
         h0 = g.features.data[2:3] @ params.w_in.data
         np.testing.assert_allclose(tok[0].data, h0, atol=1e-12)
@@ -111,8 +119,8 @@ class TestTokens:
         g, cfg, params = small_node_setup(seed=3)
         item, _ = gs.ego_network(g, 0, 2)
         adj = gs.normalize_adjacency(item)
-        stack = enc.encoder_forward(adj, item.features, cfg, params)
-        tokens = pr.graph_tokens(gs.graph_batch([item]), params, cfg)
+        stack = enc.encoder_forward(adj, item.features, params)
+        tokens = pr.graph_tokens(gs.graph_batch([item]), params)
         for l, t in enumerate(tokens):
             assert t.shape == (1, stack[l].cols)
             np.testing.assert_allclose(t.data[0], stack[l].data.mean(axis=0), atol=1e-12)
@@ -123,9 +131,9 @@ class TestTokens:
                      num_classes=2, graph_label=1)
         cfg = enc.EncoderConfig(layers=1, dims=[2, 3])
         params = enc.init_encoder(cfg, np.random.default_rng(4))
-        tokens = pr.graph_tokens(gs.graph_batch([g]), params, cfg)
+        tokens = pr.graph_tokens(gs.graph_batch([g]), params)
         adj = gs.normalize_adjacency(g)
-        stack = enc.encoder_forward(adj, g.features, cfg, params)
+        stack = enc.encoder_forward(adj, g.features, params)
         for l, t in enumerate(tokens):
             np.testing.assert_allclose(t.data, stack[l].data, atol=1e-15)
 
@@ -136,8 +144,8 @@ class TestTokens:
             features=nc.Tensor(feats), labels=None, num_classes=2, graph_label=0)
         cfg = enc.EncoderConfig(layers=1, dims=[2, 3])
         params = enc.init_encoder(cfg, np.random.default_rng(5))
-        a = pr.graph_tokens(gs.graph_batch([mk()]), params, cfg)
-        b = pr.graph_tokens(gs.graph_batch([mk(), mk()]), params, cfg)
+        a = pr.graph_tokens(gs.graph_batch([mk()]), params)
+        b = pr.graph_tokens(gs.graph_batch([mk(), mk()]), params)
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.data[0], tb.data[0])
             np.testing.assert_array_equal(tb.data[0], tb.data[1])
@@ -172,9 +180,8 @@ def _fixture_items(name):
 def _adapted_encoder(feature_dim, seed):
     """A random encoder with nonzero projection adapters attached."""
     rng = np.random.default_rng(seed)
-    cfg = enc.EncoderConfig(layers=2, dims=[feature_dim, 6, 6], rank=2,
-                            glora_mode="full")
-    params = enc.attach_glora(enc.init_encoder(cfg, rng), cfg, rng,
+    cfg = enc.EncoderConfig(layers=2, dims=[feature_dim, 6, 6])
+    params = enc.attach_glora(enc.init_encoder(cfg, rng), "full", 2, rng,
                               adjacency_adaptation=False)
     for lp in params.layers:
         lp.q.data = 0.3 * rng.standard_normal(lp.q.shape)
@@ -206,10 +213,10 @@ class TestGraphBatch:
 
     @staticmethod
     def _assert_tokens_match_oracle(graphs, params, cfg):
-        tokens = pr.graph_tokens(gs.graph_batch(graphs), params, cfg)
+        tokens = pr.graph_tokens(gs.graph_batch(graphs), params)
         assert len(tokens) == cfg.layers + 1
         for b, g in enumerate(graphs):
-            for l, ref in enumerate(reference_graph_tokens(g, params, cfg)):
+            for l, ref in enumerate(reference_graph_tokens(g, params)):
                 np.testing.assert_allclose(tokens[l].data[b:b + 1], ref.data,
                                            rtol=0, atol=1e-12)
 
@@ -242,7 +249,7 @@ class TestGraphBatch:
         wrt += [t for lp in params.layers for t in (lp.p, lp.q)]
 
         def loss():
-            tokens = pr.graph_tokens(batch, params, cfg)
+            tokens = pr.graph_tokens(batch, params)
             return nc.prompt_nll(tokens, np.array([0, 1, 2, 1]), offsets, tau=0.5)
 
         grads = nc.backward(loss())
@@ -296,11 +303,11 @@ class TestClassPrompts:
         adj = gs.normalize_adjacency(g)
         ids = np.array([0, 1, 2, 3])
         y = np.array([0, 0, 1, 1])
-        stack = enc.encoder_forward(adj, g.features, cfg, params)
+        stack = enc.encoder_forward(adj, g.features, params)
         mats = [h.data[ids] for h in stack]
         before = pr.anchors_from_matrices(mats, y, 2)[1].copy()
         params.layers[0].w0.data = params.layers[0].w0.data * 1.5
-        stack = enc.encoder_forward(adj, g.features, cfg, params)
+        stack = enc.encoder_forward(adj, g.features, params)
         mats = [h.data[ids] for h in stack]
         after = pr.anchors_from_matrices(mats, y, 2)[1]
         assert np.abs(before - after).max() > 1e-6
@@ -483,20 +490,20 @@ def _adapted_layers(seed, n=9):
     """Every layer of a 3-class node encoder with moved adapter factors,
     and those factors."""
     g = gs.random_labeled_graph(n, 2 * n, 3, 4, seed=seed)
-    cfg = enc.EncoderConfig(layers=2, dims=[4, 5, 5], rank=2, glora_mode="full")
+    cfg = enc.EncoderConfig(layers=2, dims=[4, 5, 5])
     rng = np.random.default_rng(seed)
     base = enc.init_encoder(cfg, rng)
     base.w_in.requires_grad = False
     for lp in base.layers:
         lp.w0.requires_grad = False
-    params = enc.attach_glora(base, cfg, rng, num_nodes=n)
+    params = enc.attach_glora(base, "full", 2, rng, num_nodes=n)
     factors = []
     for lp in params.layers:
         lp.q.data = 0.3 * rng.standard_normal(lp.q.shape)
         lp.qa.data = 0.3 * rng.standard_normal(lp.qa.shape)
         factors += [lp.p, lp.q, lp.pa, lp.qa]
     adj = gs.normalize_adjacency(g)
-    return (lambda: enc.encoder_forward(adj, g.features, cfg, params)), factors
+    return (lambda: enc.encoder_forward(adj, g.features, params)), factors
 
 
 def _offsets(rng, layers, width=5, classes=3):
@@ -788,7 +795,7 @@ class TestFrozenForwardHoist:
         ours_params, ours = pr.run_prompt_tune(path, items, split, tcfg)
         real = pr.graph_tokens
         monkeypatch.setattr(pr, "graph_tokens",
-                            lambda batch, params, cfg, frozen=None: real(batch, params, cfg))
+                            lambda batch, params, frozen=None: real(batch, params))
         per_epoch_params, per_epoch = pr.run_prompt_tune(path, items, split, tcfg)
         assert ours.train_losses == per_epoch.train_losses
         assert ours.best_epoch == per_epoch.best_epoch
@@ -996,7 +1003,7 @@ def _prototype_oracle(ckpt, g, split, alpha):
     """Frozen-encoder prototype classifier computed with plain numpy."""
     params, cfg = enc.checkpoint_load(ckpt)
     adj = gs.normalize_adjacency(g)
-    stack = enc.encoder_forward(adj, g.features, cfg, params)
+    stack = enc.encoder_forward(adj, g.features, params)
     gamma = pr.init_gamma(alpha, cfg.layers).data[0]
     y_train = g.labels[split.train_ids]
     correct = 0
