@@ -7,8 +7,10 @@ frozen afterwards, while the low-rank factors are the stage-two trainables:
 Adaptation factors are zero-initialized on one side so a freshly attached
 adapter reproduces the frozen encoder exactly. A full-GLoRA layer runs as
 the frozen product (A_hat H) W0 plus a rank-(r+1) update, and a stage-two
-forward can take its epoch-invariant start from `frozen_input`. A checkpoint
-holds the float32 base weights only, as `as_stored` rounds them.
+forward can take its epoch-invariant start from `frozen_input`; a forward
+that trains the input map starts from `aggregated_input`'s A_hat X, its first
+layer being (A_hat X)(W_in W0). A checkpoint holds the float32 base weights
+only, as `as_stored` rounds them.
 """
 
 from __future__ import annotations
@@ -98,6 +100,11 @@ class LayerParams:
     pa: Tensor | None = None
     qa: Tensor | None = None
     edge_weights: Tensor | None = None
+
+    def adapters(self) -> list[Tensor]:
+        """The stage-two factors this layer carries."""
+        return [t for t in (self.p, self.q, self.pa, self.qa, self.edge_weights)
+                if t is not None]
 
 
 @dataclass
@@ -271,13 +278,16 @@ def forward_plan(adj: SparseMatrix, ids, layers: int,
 
 @dataclass(frozen=True)
 class FrozenInput:
-    """The epoch-invariant start of stage-two forwards over one plan, for a
-    frozen input map and frozen W0: H(0) = X W_in on the plan's input rows
-    and, when the first layer carries full GLoRA, its aggregation A H(0) and
-    frozen product A H(0) W0. All untracked."""
+    """The constant start of every forward over one plan, untracked. From
+    `frozen_input` (input map and W0 frozen): `h0` = H(0) = X W_in on the
+    plan's input rows and, when the first layer carries full GLoRA, `first`
+    = its aggregation A H(0) and frozen product A H(0) W0. From
+    `aggregated_input` (the input map may train): `ax` = A X on the first
+    layer's rows alone."""
 
-    h0: Tensor
-    first: tuple[Tensor, Tensor] | None
+    h0: Tensor | None = None
+    first: tuple[Tensor, Tensor] | None = None
+    ax: Tensor | None = None
 
 
 def _checked_plan(adj: SparseMatrix, x: Tensor, params: EncoderParams,
@@ -322,6 +332,16 @@ def frozen_input(adj: SparseMatrix, x: Tensor, params: EncoderParams,
     return FrozenInput(h0=h0, first=first)
 
 
+def aggregated_input(adj: SparseMatrix, x: Tensor, params: EncoderParams,
+                     plan: ForwardPlan | None = None) -> FrozenInput:
+    """A X on the rows the first layer of `plan` (None: the full forward)
+    computes: the constant start of forwards that train the input map, whose
+    first layer then runs as (A X)(W_in W0) and returns None for H(0)."""
+    plan = _checked_plan(adj, x, params, plan)
+    x_rows = x if plan.rows[0] is None else gather_rows(x, plan.rows[0])
+    return FrozenInput(ax=spmm(plan.adjs[0], x_rows))
+
+
 def _full_glora_layer(sub: SparseMatrix, h: Tensor, lp: LayerParams, pa: Tensor,
                       known: tuple[Tensor, Tensor] | None) -> Tensor:
     """((A + pa qa^T) h)(W0 + P Q^T) as (A h) W0 + [(A h) P | pa] [Q^T ; (qa^T h) W]:
@@ -344,28 +364,33 @@ def _full_glora_layer(sub: SparseMatrix, h: Tensor, lp: LayerParams, pa: Tensor,
 
 def encoder_forward(adj: SparseMatrix, x: Tensor, params: EncoderParams,
                     plan: ForwardPlan | None = None,
-                    frozen: FrozenInput | None = None) -> list[Tensor]:
+                    frozen: FrozenInput | None = None) -> list[Tensor | None]:
     """Run the (possibly adapted) encoder; ReLU on interior layers only.
 
     Returns the per-layer embeddings H(0..L), H(0) being the input linear
     map's output. With a `plan` from `forward_plan(adj, ids, ...)` each layer
     runs on its planned rows only, and every returned layer holds rows `ids`.
-    `frozen` is `frozen_input` over the same plan; the forward then starts
-    from its constants instead of recomputing them.
+    `frozen` is `frozen_input` or `aggregated_input` over the same plan; the
+    forward then starts from its constants instead of recomputing them. From
+    `aggregated_input`, H(0) is not formed and its place holds None.
     """
     plan = _checked_plan(adj, x, params, plan)
-    n = adj.shape[0]
-    if frozen is None:
-        stack = [_input_map(x, params, plan)]
-    else:
-        want = n if plan.rows[0] is None else plan.rows[0].size
-        if frozen.h0.rows != want:
+    ax = None if frozen is None else frozen.ax
+    if frozen is not None:
+        start, level = (frozen.h0, 0) if ax is None else (ax, 1)
+        want = adj.shape[0] if plan.rows[level] is None else plan.rows[level].size
+        if start.rows != want:
             raise DimensionError(
-                f"frozen input has {frozen.h0.rows} rows, the plan's first layer reads {want}")
-        stack = [frozen.h0]
+                f"frozen input has {start.rows} rows, the plan wants {want}")
+    stack = [_input_map(x, params, plan) if frozen is None else frozen.h0]
     for l, lp in enumerate(params.layers):
         h, sub = stack[-1], plan.adjs[l]
-        if _full_glora(lp):
+        if l == 0 and ax is not None:
+            if lp.adapters():
+                raise ContractError("an A X start needs a layer 0 without GLoRA factors")
+            # no nonlinearity precedes it: A (X W_in) W0 = (A X)(W_in W0)
+            h = matmul(ax, matmul(params.w_in, lp.w0))
+        elif _full_glora(lp):
             if plan.rows[l] is not None:
                 raise ContractError("full GLoRA reads every row of each layer's "
                                     "input; plan it with dense=True")
@@ -391,7 +416,7 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, params: EncoderParams,
         if l < len(params.layers) - 1:
             h = relu(h)
         stack.append(h)
-    return [h if pick is None else gather_rows(h, pick)
+    return [h if h is None or pick is None else gather_rows(h, pick)
             for h, pick in zip(stack, plan.picks)]
 
 
@@ -400,11 +425,7 @@ def partition_params(params: EncoderParams, stage: str):
     if stage not in ("pretrain", "prompt"):
         raise ParameterError(f"stage must be 'pretrain' or 'prompt', got {stage!r}")
     base = [params.w_in] + [lp.w0 for lp in params.layers]
-    adapters = []
-    for lp in params.layers:
-        for t in (lp.p, lp.q, lp.pa, lp.qa, lp.edge_weights):
-            if t is not None:
-                adapters.append(t)
+    adapters = [t for lp in params.layers for t in lp.adapters()]
     if stage == "pretrain":
         if adapters:
             raise ContractError("GLoRA factors must not exist during pre-training")

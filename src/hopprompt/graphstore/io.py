@@ -41,6 +41,11 @@ def _read_meta(path: Path) -> dict:
         raise DatasetError(f"{meta_path}: missing keys {sorted(missing)}")
     if meta["task"] not in ("node", "graph"):
         raise DatasetError(f"{meta_path}: task must be 'node' or 'graph', got {meta['task']!r}")
+    for key in ("num_nodes", "num_features", "num_classes"):
+        # JSON integers only: bool is an int, and int() would take 1.5 or "7"
+        if type(meta[key]) is not int or meta[key] < 0:
+            raise DatasetError(
+                f"{meta_path}: {key} must be a non-negative integer, got {meta[key]!r}")
     return meta
 
 
@@ -151,9 +156,7 @@ def load_dataset(path) -> Graph | GraphSet:
     if not path.is_dir():
         raise DatasetError(f"{path}: not a directory")
     meta = _read_meta(path)
-    n = int(meta["num_nodes"])
-    f = int(meta["num_features"])
-    c = int(meta["num_classes"])
+    n, f, c = meta["num_nodes"], meta["num_features"], meta["num_classes"]
     if meta["task"] == "node":
         edges = _read_edges(path, n)
         feats = _read_features(path, n, f)
@@ -167,8 +170,7 @@ def _load_graph_task(path: Path, meta: dict) -> GraphSet:
     jsonl = path / "graphs.jsonl"
     if not jsonl.is_file():
         raise DatasetError(f"{jsonl}: missing")
-    f = int(meta["num_features"])
-    c = int(meta["num_classes"])
+    f, c = meta["num_features"], meta["num_classes"]
     graphs = []
     with jsonl.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -184,7 +186,7 @@ def _load_graph_task(path: Path, meta: dict) -> GraphSet:
     if not graphs:
         raise DatasetError(f"{jsonl}: no graphs")
     total_nodes = sum(g.num_nodes for g in graphs)
-    if total_nodes != int(meta["num_nodes"]):
+    if total_nodes != meta["num_nodes"]:
         raise DatasetError(
             f"{jsonl}: {total_nodes} total nodes but meta num_nodes={meta['num_nodes']}"
         )

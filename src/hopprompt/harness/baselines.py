@@ -1,5 +1,6 @@
 """Reference models for ordering checks: a GCN trained from scratch and full
-fine-tuning on top of the link-prediction checkpoint. Node tasks only."""
+fine-tuning on top of the link-prediction checkpoint. Node tasks only; both
+start their trainable first layer from A X, built once per call and plan."""
 
 from __future__ import annotations
 
@@ -7,7 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoder import EncoderConfig, encoder_forward, forward_plan, own_base
+from ..encoder import (
+    EncoderConfig,
+    aggregated_input,
+    encoder_forward,
+    forward_plan,
+    own_base,
+)
 from ..errors import ConfigError
 from ..graphstore import Graph, SplitSpec, normalize_adjacency
 from ..numcore import (
@@ -28,20 +35,21 @@ class BaselineResult:
     trainable_count: int
 
 
-def _train_classifier(forward_logits, adj, layers, trainables, g, split, lr,
+def _train_classifier(logits_over, adj, layers, trainables, g, split, lr,
                       weight_decay, epochs, patience):
-    """`forward_logits(plan)` returns the logits of the plan's rows: training
-    runs on the training rows' receptive field, evaluation on every row."""
-    train_plan = forward_plan(adj, split.train_ids, layers)
+    """`logits_over(plan)` builds the plan's constant A X once and returns a
+    function computing the logits of the plan's rows from it: training runs
+    on the training rows' receptive field, evaluation on every row."""
+    train_logits = logits_over(forward_plan(adj, split.train_ids, layers))
     y_train = g.labels[split.train_ids]
 
     def steps(_epoch):
-        yield softmax_nll(forward_logits(train_plan), y_train, tau=1.0), 1
+        yield softmax_nll(train_logits(), y_train, tau=1.0), 1
 
     losses, _best_epoch = fit(
         steps, trainables, lr=lr, weight_decay=weight_decay, epochs=epochs,
         patience=patience, what="baseline")
-    logits = forward_logits(forward_plan(adj, None, layers)).data
+    logits = logits_over(forward_plan(adj, None, layers))().data
     preds = np.argmax(logits[split.test_ids], axis=1)
     accuracy = float((preds == g.labels[split.test_ids]).mean())
     return accuracy, losses
@@ -65,13 +73,16 @@ def train_scratch_gcn(g: Graph, split: SplitSpec, hidden: int, lr: float,
     w1 = glorot(f, hidden)
     w2 = glorot(hidden, c)
 
-    def forward_logits(plan):
+    def logits_over(plan):
         x = g.features if plan.rows[0] is None else gather_rows(g.features, plan.rows[0])
-        h1 = relu(spmm(plan.adjs[0], matmul(x, w1)))
-        logits = spmm(plan.adjs[1], matmul(h1, w2))
-        return logits if plan.picks[2] is None else gather_rows(logits, plan.picks[2])
+        ax = spmm(plan.adjs[0], x)  # A (X w1) = (A X) w1
 
-    accuracy, losses = _train_classifier(forward_logits, adj, 2, [w1, w2], g,
+        def logits():
+            out = spmm(plan.adjs[1], matmul(relu(matmul(ax, w1)), w2))
+            return out if plan.picks[2] is None else gather_rows(out, plan.picks[2])
+        return logits
+
+    accuracy, losses = _train_classifier(logits_over, adj, 2, [w1, w2], g,
                                          split, lr, weight_decay, epochs, patience)
     return BaselineResult(test_accuracy=accuracy, train_losses=losses,
                           trainable_count=w1.data.size + w2.data.size)
@@ -97,11 +108,12 @@ def train_finetune_lp(checkpoint_params, cfg: EncoderConfig, g: Graph,
                   requires_grad=True)
     trainables = [params.w_in] + [lp.w0 for lp in params.layers] + [head]
 
-    def forward_logits(plan):
-        stack = encoder_forward(adj, g.features, params, plan=plan)
-        return matmul(stack[-1], head)
+    def logits_over(plan):
+        start = aggregated_input(adj, g.features, params, plan)
+        return lambda: matmul(
+            encoder_forward(adj, g.features, params, plan=plan, frozen=start)[-1], head)
 
-    accuracy, losses = _train_classifier(forward_logits, adj, cfg.layers,
+    accuracy, losses = _train_classifier(logits_over, adj, cfg.layers,
                                          trainables, g, split, lr, weight_decay,
                                          epochs, patience)
     return BaselineResult(

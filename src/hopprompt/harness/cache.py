@@ -1,5 +1,5 @@
-"""Checkpoint cache keyed by (dataset digest, encoder config, pretrain config,
-seed) so grid points sharing a pre-training setup never retrain."""
+"""Checkpoint cache keyed by (revision, dataset digest, encoder config,
+pretrain config, seed): grid points sharing a pre-training setup never retrain."""
 
 from __future__ import annotations
 
@@ -38,8 +38,14 @@ def dataset_digest(data: Graph | GraphSet) -> str:
     return h.hexdigest()
 
 
+# Revision of pre-training's arithmetic: any change that moves a checkpoint's
+# bytes for the same inputs must bump it, so no warm cache serves stale weights.
+CHECKPOINT_REVISION = 1
+
+
 def _key(digest: str, cfg: EncoderConfig, pcfg: PretrainConfig) -> str:
     h = hashlib.sha256()
+    h.update(f"revision {CHECKPOINT_REVISION};".encode())
     h.update(digest.encode())
     h.update(cfg.to_json().encode())
     h.update(repr((pcfg.tau, pcfg.negatives, pcfg.epochs, pcfg.batch_size,

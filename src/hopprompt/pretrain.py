@@ -3,10 +3,11 @@
 Each node v contributes triplets (v, a, b) with a drawn from its neighbors
 and b from its non-neighbors; the encoder (plus one extra aggregation over
 the normalized adjacency) is trained so cosine(s_v, s_a) beats
-cosine(s_v, s_b) under a temperature-scaled two-way softmax. A batch's loss
-is one `numcore.triplet_nll` tape node over s = adj @ H(L); a zero-norm row
-of s raises DegenerateRowError naming its node and role, which `fit` wraps
-in DivergenceError with the epoch and lr.
+cosine(s_v, s_b) under a temperature-scaled two-way softmax. Each step's
+forward starts from A X, built once per run (`encoder.aggregated_input`). A
+batch's loss is one `numcore.triplet_nll` tape node over s = adj @ H(L); a
+zero-norm row of s raises DegenerateRowError naming its node and role, which
+`fit` wraps in DivergenceError with the epoch and lr.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .encoder import (
     EncoderConfig,
+    aggregated_input,
     checkpoint_save,
     encoder_forward,
     init_encoder,
@@ -144,6 +146,8 @@ def run_pretrain(data: Graph | GraphSet, cfg: EncoderConfig, pcfg: PretrainConfi
     params = init_encoder(cfg, rng)
     adj = normalize_adjacency(g)
     trainable, _ = partition_params(params, "pretrain")
+    # every step's first layer starts from A X, built once per run
+    ax = aggregated_input(adj, g.features, params)
 
     def steps(epoch):
         # the epoch's triplets and batch order are drawn when it starts
@@ -151,7 +155,7 @@ def run_pretrain(data: Graph | GraphSet, cfg: EncoderConfig, pcfg: PretrainConfi
         order = rng.permutation(len(triplets))
         for start in range(0, len(triplets), pcfg.batch_size):
             batch = triplets[order[start:start + pcfg.batch_size]]
-            stack = encoder_forward(adj, g.features, params)
+            stack = encoder_forward(adj, g.features, params, frozen=ax)
             yield pretrain_loss(stack, adj, batch, pcfg.tau), len(batch)
 
     epoch_losses, _best_epoch = fit(

@@ -85,11 +85,6 @@ def anchors_from_matrices(mats: list[np.ndarray], y: np.ndarray,
     return class_means(np.stack(mats), y, num_classes)
 
 
-def prompt_param_count(num_layers: int, num_classes: int, width: int) -> int:
-    """Trainable prompt-module size: offsets plus hop coefficients."""
-    return num_layers * num_classes * width + num_layers
-
-
 # ---------------------------------------------------------------------------
 # stage-two driver
 # ---------------------------------------------------------------------------

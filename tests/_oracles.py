@@ -541,3 +541,9 @@ def glora_param_count(cfg, mode, rank, num_nodes=None, num_selected_edges=None):
     if num_selected_edges is None:
         raise ParameterError("edge_subset count needs num_selected_edges")
     return proj + num_selected_edges * cfg.layers
+
+
+def prompt_param_count(num_layers: int, num_classes: int, width: int) -> int:
+    """Closed-form trainable prompt-module size: one width-wide offset per
+    scored layer and class, plus one hop coefficient per scored layer."""
+    return num_layers * num_classes * width + num_layers

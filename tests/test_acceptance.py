@@ -25,6 +25,7 @@ from tests._oracles import (
     finite_diff,
     glora_param_count,
     mean_rows,
+    prompt_param_count,
     random_csr,
     rank_one_update_spmm,
     scale,
@@ -352,12 +353,18 @@ def test_criterion_10_parameter_economy(syn_h10):
     adapted = enc.attach_glora(params, "edge_subset", 8, rng, edge_positions=pos)
 
     encoder_count = enc.count_trainable(adapted, "prompt")
-    prompt_count = pr.prompt_param_count(cfg.layers + 1, syn_h10.num_classes, 128)
+    # the prompt count is the one an edge-subset tune on the same params and
+    # split reports
+    _params, tuned = pr.run_prompt_tune(
+        (params, cfg), syn_h10, split,
+        pr.PromptTuneConfig(glora_mode="edge_subset", rank=8, epochs=1))
+    prompt_count = tuned.trainable_prompt
     closed_encoder = glora_param_count(cfg, "edge_subset", 8, num_selected_edges=len(pos))
-    closed_prompt = (cfg.layers + 1) * syn_h10.num_classes * 128 + (cfg.layers + 1)
+    closed_prompt = prompt_param_count(cfg.layers + 1, syn_h10.num_classes, 128)
     total = encoder_count + prompt_count
     check(10, "parameter economy (edge-subset)",
           total < 10_000 and encoder_count == closed_encoder
+          and tuned.trainable_encoder == encoder_count
           and prompt_count == closed_prompt,
           f"total {total} (encoder {encoder_count}, prompt {prompt_count})")
 

@@ -498,6 +498,94 @@ class TestFactoredFullGlora:
             enc.encoder_forward(adj, g.features, base, plan=plan, frozen=whole)
 
 
+class TestAggregatedInput:
+    """A forward whose input map trains starts from A X, built once, and runs
+    its first layer as (A X)(W_in W0). It reassociates the H(0)-first
+    forward's products, so it agrees with it to rounding: H(L) within 1e-13
+    of its largest entry, the loss within 1e-13 relative, and the gradients
+    of W_in and every W0 within 1e-12 of each one's largest entry (measured
+    at most 8.3e-16, 1.9e-16 and 1.1e-15)."""
+
+    @staticmethod
+    def _setup(layers, features, seed):
+        rng = np.random.default_rng(seed)
+        g = gs.random_labeled_graph(12, 24, 3, features, seed=seed)
+        cfg = enc.EncoderConfig(layers=layers, dims=[features] + [6] * layers)
+        return g, gs.normalize_adjacency(g), enc.init_encoder(cfg, rng)
+
+    @staticmethod
+    def _loss(stack, seed):
+        return TestForwardPlan._loss([stack[-1]], seed)
+
+    @pytest.mark.parametrize("features", [3, 20], ids=["F-below-rows", "F-above-rows"])
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("planned", [False, True], ids=["full", "planned"])
+    def test_matches_the_h0_first_forward(self, planned, layers, features):
+        g, adj, params = self._setup(layers, features, seed=20 + layers)
+        plan = (enc.forward_plan(adj, [9, 1, 4, 6, 10], layers) if planned
+                else enc.forward_plan(adj, None, layers))
+        block_rows = plan.adjs[0].shape[0]
+        assert (features < block_rows) == (features == 3)
+        base = [params.w_in] + [lp.w0 for lp in params.layers]
+        start = enc.aggregated_input(adj, g.features, params, plan)
+        assert start.ax.shape == (block_rows, features) and start.h0 is None
+        ours = enc.encoder_forward(adj, g.features, params, plan=plan, frozen=start)
+        want = enc.encoder_forward(adj, g.features, params, plan=plan)
+        assert ours[0] is None and len(ours) == len(want) == layers + 1
+        for a, b in zip(ours[1:], want[1:]):
+            assert a.shape == b.shape
+            assert np.abs(a.data - b.data).max() <= 1e-13 * np.abs(b.data).max()
+        loss, ref = self._loss(ours, 21), self._loss(want, 21)
+        assert abs(loss.item() - ref.item()) <= 1e-13 * abs(ref.item())
+        got, grads = nc.backward(loss), nc.backward(ref)
+        for t in base:
+            a, b = got.get(t), grads.get(t)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("planned", [False, True], ids=["full", "planned"])
+    def test_finite_differences_on_w_in_and_w0(self, planned, layers):
+        g, adj, params = self._setup(layers, 4, seed=30)
+        plan = enc.forward_plan(adj, [2, 7], layers) if planned else None
+        start = enc.aggregated_input(adj, g.features, params, plan)
+        base = [params.w_in] + [lp.w0 for lp in params.layers]
+
+        def loss():
+            stack = enc.encoder_forward(adj, g.features, params, plan=plan, frozen=start)
+            return self._loss(stack, 31)
+
+        grads = nc.backward(loss())
+        fds = finite_diff(lambda: loss().item(), base)
+        for l, (t, fd) in enumerate(zip(base, fds)):
+            assert np.abs(fd).max() > 0, l
+            assert_grads_close(grads.get(t), fd, label=f"weight {l}")
+
+    def test_ax_is_the_aggregated_features(self):
+        g, adj, params = self._setup(2, 5, seed=32)
+        plan = enc.forward_plan(adj, [0, 3], 2)
+        start = enc.aggregated_input(adj, g.features, params, plan)
+        rows = plan.rows[1] if plan.rows[1] is not None else np.arange(g.num_nodes)
+        want = adj.densify()[rows] @ g.features.data
+        np.testing.assert_allclose(start.ax.data, want, rtol=1e-13, atol=1e-15)
+        assert not start.ax.requires_grad
+
+    def test_contracts(self):
+        g, adj, params = self._setup(2, 5, seed=33)
+        with pytest.raises(ContractError, match="frozen input map"):
+            enc.frozen_input(adj, g.features, params)
+        start = enc.aggregated_input(adj, g.features, params)
+        frozen = enc.own_base(params, trainable=False)
+        for mode in ("full", "edge_subset"):
+            pos = enc.edge_subset_positions(adj, [0, 1]) if mode == "edge_subset" else None
+            adapted = enc.attach_glora(frozen, mode, 2, np.random.default_rng(0),
+                                       num_nodes=g.num_nodes, edge_positions=pos)
+            with pytest.raises(ContractError, match="layer 0 without GLoRA"):
+                enc.encoder_forward(adj, g.features, adapted, frozen=start)
+        plan = enc.forward_plan(adj, [0], 2)
+        with pytest.raises(DimensionError, match="frozen input has 12 rows"):
+            enc.encoder_forward(adj, g.features, params, plan=plan, frozen=start)
+
+
 class TestPartitionAndCount:
     def test_pretrain_partition(self):
         _, _, cfg, params, _ = small_setup(seed=8, f=5, d=8, layers=2)

@@ -16,10 +16,11 @@ from hopprompt.errors import (
     TransferInfeasibleError,
 )
 from hopprompt.harness import baselines
+from hopprompt.harness import cache as cache_module
 from hopprompt.pretrain import PretrainConfig
 from hopprompt.prompt import PromptTuneConfig, run_prompt_tune
 
-from tests._oracles import full_rows_plan, glora_param_count
+from tests._oracles import full_rows_plan, glora_param_count, prompt_param_count
 
 
 def quick_cfg(dataset="datasets/web-tiny", **overrides):
@@ -176,7 +177,6 @@ class TestRunExperiment:
         # report counter == closed-form encoder adapters + prompt module
         report = hn.run_experiment(quick_cfg(), data=tiny_data)
         cfg = enc.EncoderConfig(layers=2, dims=[16, 128, 128])
-        from hopprompt.prompt import prompt_param_count
         expected = glora_param_count(cfg, "full", 8, num_nodes=tiny_data.num_nodes) \
             + prompt_param_count(3, tiny_data.num_classes, 128)
         assert report.trainable_params_downstream == expected
@@ -267,6 +267,27 @@ class TestCacheRecovery:
         assert (warm.quarantined, warm.pretrain_runs) == (0, 0)
 
 
+class TestCacheRevision:
+    """Every key hashes the revision of pre-training's arithmetic, so an entry
+    written under another revision is never served."""
+
+    def test_other_revision_misses_and_same_revision_hits(self, tiny_data, tmp_path,
+                                                          monkeypatch):
+        cfg, pcfg = TestCacheRecovery._configs(tiny_data)
+        root = tmp_path / "cache"
+        current = cache_module.CHECKPOINT_REVISION
+        monkeypatch.setattr(cache_module, "CHECKPOINT_REVISION", current + 1)
+        assert hn.CheckpointCache(root).get_or_pretrain(tiny_data, cfg, pcfg)[2] is not None
+        monkeypatch.setattr(cache_module, "CHECKPOINT_REVISION", current)
+        cold = hn.CheckpointCache(root)
+        assert cold.get_or_pretrain(tiny_data, cfg, pcfg)[2] is not None
+        assert (cold.pretrain_runs, cold.quarantined) == (1, 0)
+        assert len(list(root.glob("*.dagp"))) == 2
+        warm = hn.CheckpointCache(root)
+        assert warm.get_or_pretrain(tiny_data, cfg, pcfg)[2] is None
+        assert warm.pretrain_runs == 0
+
+
 class TestFinetuneBaseline:
     def test_w0_actually_moves(self, tiny_data, monkeypatch):
         import hopprompt.pretrain as pt
@@ -347,6 +368,24 @@ class TestBaselinesOnReceptiveField:
         assert len(ours.train_losses) == len(oracle.train_losses)
         np.testing.assert_allclose(ours.train_losses, oracle.train_losses,
                                    rtol=1e-12, atol=0)
+
+    def test_scratch_gcn_starts_from_the_gcn_it_reassociates(self, synth_h10):
+        """The first epoch's loss, taken at the initial weights, is the
+        H(0)-first GCN's, A relu(A (X W1)) W2, within 1e-13 relative."""
+        split = gs.kshot_split(synth_h10, 5, seed=2)
+        result = hn.train_scratch_gcn(synth_h10, split, hidden=32, lr=1e-2,
+                                      weight_decay=0.0, epochs=1, seed=1)
+        rng = np.random.default_rng(1)  # the baseline's Glorot draws, in order
+        f, c = synth_h10.num_features, synth_h10.num_classes
+        w1 = np.sqrt(2.0 / (f + 32)) * rng.standard_normal((f, 32))
+        w2 = np.sqrt(2.0 / (32 + c)) * rng.standard_normal((32, c))
+        a = gs.normalize_adjacency(synth_h10).densify()
+        h1 = np.maximum(a @ (synth_h10.features.data @ w1), 0.0)
+        z = (a @ h1 @ w2)[split.train_ids]
+        z = z - z.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        want = -logp[np.arange(z.shape[0]), synth_h10.labels[split.train_ids]].mean()
+        assert abs(result.train_losses[0] - want) <= 1e-13 * want
 
     def test_degenerate_row_raises_divergence(self, monkeypatch, tiny_data):
         real, calls = baselines.softmax_nll, []

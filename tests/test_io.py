@@ -193,6 +193,18 @@ def test_bad_meta_task(tmp_path):
         gs.load_dataset(d)
 
 
+@pytest.mark.parametrize("value", ["x", None, 1.5, True, -1],
+                         ids=["string", "null", "float", "bool", "negative"])
+def test_meta_count_must_be_a_json_integer(tmp_path, value):
+    d = _write_valid(tmp_path)
+    meta = json.loads((d / "meta.json").read_text())
+    meta["num_features"] = value
+    (d / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DatasetError,
+                       match="num_features must be a non-negative integer"):
+        gs.load_dataset(d)
+
+
 def test_graph_task_total_nodes_validated(tmp_path):
     base = gs.random_labeled_graph(6, 8, 2, 3, seed=1)
     task = gs.build_graph_task(base, hops=0)

@@ -629,3 +629,31 @@ class TestSharedTrainingLoop:
         assert len(calls) == 1
         assert calls[0]["patience"] is None and calls[0]["epochs"] == 4
         assert calls[0]["what"] == "pre-training"
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_a_step_makes_l_sparse_products(self, monkeypatch, layers):
+        """A X is built once per call, so a step of an L-layer encoder makes
+        L sparse products (L - 1 layers plus the loss's), not L + 1."""
+        calls, steps = [], []
+        real_spmm, real_loss = nc.spmm, pt.pretrain_loss
+
+        def spmm(s, d, *args, **kwargs):
+            calls.append(d.requires_grad)
+            return real_spmm(s, d, *args, **kwargs)
+
+        def pretrain_loss(*args):
+            steps.append(len(calls))
+            return real_loss(*args)
+
+        monkeypatch.setattr(enc, "spmm", spmm)
+        monkeypatch.setattr(pt, "spmm", spmm)
+        monkeypatch.setattr(pt, "pretrain_loss", pretrain_loss)
+        g = gs.random_labeled_graph(20, 50, 2, 5, seed=8)
+        cfg = enc.EncoderConfig(layers=layers, dims=[5] + [8] * layers)
+        pt.run_pretrain(g, cfg, pt.PretrainConfig(epochs=2, batch_size=8, seed=3))
+        assert len(steps) == 2 * math.ceil(20 / 8)
+        # the one untracked product is A X, made before the first step
+        assert calls.count(False) == 1 and not calls[0]
+        assert len(calls) == 1 + len(steps) * layers
+        # each step's encoder forward makes L - 1, its loss one more
+        assert steps == [1 + i * layers + layers - 1 for i in range(len(steps))]
