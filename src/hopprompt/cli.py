@@ -149,8 +149,7 @@ def pretrain(dataset, out_path, hidden, layers, tau, epochs, lr, weight_decay,
              batch_size, negatives, seed):
     """Link-prediction pre-training; writes OUT and OUT.losses.csv."""
     data = gs.load_dataset(dataset)
-    feature_dim = (data.graphs[0] if isinstance(data, gs.GraphSet) else data).num_features
-    cfg = enc.EncoderConfig(layers=layers, dims=[feature_dim] + [hidden] * layers)
+    cfg = enc.EncoderConfig(layers=layers, dims=[data.num_features] + [hidden] * layers)
     pcfg = pt.PretrainConfig(tau=tau, negatives=negatives, epochs=epochs,
                              batch_size=batch_size, lr=lr,
                              weight_decay=weight_decay, seed=seed)

@@ -6,11 +6,11 @@ frozen afterwards, while the low-rank factors are the stage-two trainables:
 `EncoderConfig` describes the former, `attach_glora` adds the latter.
 Adaptation factors are zero-initialized on one side so a freshly attached
 adapter reproduces the frozen encoder exactly. A full-GLoRA layer runs as
-the frozen product (A_hat H) W0 plus a rank-(r+1) update, and a stage-two
-forward can take its epoch-invariant start from `frozen_input`; a forward
-that trains the input map starts from `aggregated_input`'s A_hat X, its first
-layer being (A_hat X)(W_in W0). A checkpoint holds the float32 base weights
-only, as `as_stored` rounds them.
+the frozen product (A_hat H) W0 plus a rank-(r+1) update. A forward can take
+its epoch-invariant start from `forward_start`, which picks it from the
+parameters: H(0) = X W_in while the base is frozen, A_hat X once a base
+weight trains, the first layer then being (A_hat X)(W_in W0). A checkpoint
+holds the float32 base weights only, as `as_stored` rounds them.
 """
 
 from __future__ import annotations
@@ -175,10 +175,11 @@ def attach_glora(params: EncoderParams, mode: str, rank: int,
     P (and PA) start Gaussian, Q (and QA, and edge weights) start at zero, so
     the adapted forward initially equals the frozen one exactly. Set
     `adjacency_adaptation=False` to attach only the projection factors
-    (graph-level tasks, where per-item adjacency sizes vary).
+    (graph-level tasks, where per-item adjacency sizes vary). Mode "off"
+    attaches nothing and returns `params` itself.
     """
     if mode == "off":
-        raise ContractError("attach_glora called with glora_mode=off")
+        return params
     layers = []
     for l, lp in enumerate(params.layers):
         d_in, d_out = lp.w0.shape
@@ -278,12 +279,12 @@ def forward_plan(adj: SparseMatrix, ids, layers: int,
 
 @dataclass(frozen=True)
 class FrozenInput:
-    """The constant start of every forward over one plan, untracked. From
-    `frozen_input` (input map and W0 frozen): `h0` = H(0) = X W_in on the
-    plan's input rows and, when the first layer carries full GLoRA, `first`
-    = its aggregation A H(0) and frozen product A H(0) W0. From
-    `aggregated_input` (the input map may train): `ax` = A X on the first
-    layer's rows alone."""
+    """The constant start of every forward over one plan, untracked, as
+    `forward_start` builds it. With the input map and every W0 frozen: `h0`
+    = H(0) = X W_in on the plan's input rows and, when the first layer
+    carries full GLoRA, `first` = its aggregation A H(0) and frozen product
+    A H(0) W0. With a base weight training: `ax` = A X on the first layer's
+    rows alone."""
 
     h0: Tensor | None = None
     first: tuple[Tensor, Tensor] | None = None
@@ -307,39 +308,34 @@ def _checked_plan(adj: SparseMatrix, x: Tensor, params: EncoderParams,
     return plan
 
 
+def _input_rows(x: Tensor, plan: ForwardPlan) -> Tensor:
+    return x if plan.rows[0] is None else gather_rows(x, plan.rows[0])
+
+
 def _input_map(x: Tensor, params: EncoderParams, plan: ForwardPlan) -> Tensor:
-    x_rows = x if plan.rows[0] is None else gather_rows(x, plan.rows[0])
-    return matmul(x_rows, params.w_in)
+    return matmul(_input_rows(x, plan), params.w_in)
 
 
 def _full_glora(lp: LayerParams) -> bool:
     return lp.pa is not None and lp.qa is not None
 
 
-def frozen_input(adj: SparseMatrix, x: Tensor, params: EncoderParams,
-                 plan: ForwardPlan | None = None) -> FrozenInput:
-    """The constants every stage-two forward over `plan` (None: the full
-    forward) starts from. Build them from the call's own inputs; they hold
-    only while the input map and every W0 stay frozen."""
+def forward_start(adj: SparseMatrix, x: Tensor, params: EncoderParams,
+                  plan: ForwardPlan | None = None) -> FrozenInput:
+    """The constants every forward over `plan` (None: the full forward)
+    starts from, built from the call's own inputs. While the input map and
+    every W0 stay frozen that is H(0), plus the first layer's frozen
+    products under full GLoRA; once a base weight trains it is A X, and
+    the first layer runs as (A X)(W_in W0)."""
     plan = _checked_plan(adj, x, params, plan)
     if params.w_in.requires_grad or any(lp.w0.requires_grad for lp in params.layers):
-        raise ContractError("frozen_input needs a frozen input map and frozen W0")
+        return FrozenInput(ax=spmm(plan.adjs[0], _input_rows(x, plan)))
     h0 = _input_map(x, params, plan)
     first = None
     if _full_glora(params.layers[0]):
         agg = spmm(plan.adjs[0], h0)
         first = (agg, matmul(agg, params.layers[0].w0))
     return FrozenInput(h0=h0, first=first)
-
-
-def aggregated_input(adj: SparseMatrix, x: Tensor, params: EncoderParams,
-                     plan: ForwardPlan | None = None) -> FrozenInput:
-    """A X on the rows the first layer of `plan` (None: the full forward)
-    computes: the constant start of forwards that train the input map, whose
-    first layer then runs as (A X)(W_in W0) and returns None for H(0)."""
-    plan = _checked_plan(adj, x, params, plan)
-    x_rows = x if plan.rows[0] is None else gather_rows(x, plan.rows[0])
-    return FrozenInput(ax=spmm(plan.adjs[0], x_rows))
 
 
 def _full_glora_layer(sub: SparseMatrix, h: Tensor, lp: LayerParams, pa: Tensor,
@@ -370,9 +366,9 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, params: EncoderParams,
     Returns the per-layer embeddings H(0..L), H(0) being the input linear
     map's output. With a `plan` from `forward_plan(adj, ids, ...)` each layer
     runs on its planned rows only, and every returned layer holds rows `ids`.
-    `frozen` is `frozen_input` or `aggregated_input` over the same plan; the
-    forward then starts from its constants instead of recomputing them. From
-    `aggregated_input`, H(0) is not formed and its place holds None.
+    `frozen` is `forward_start` over the same plan; the forward then starts
+    from its constants instead of recomputing them. From an A X start, H(0)
+    is not formed and its place holds None.
     """
     plan = _checked_plan(adj, x, params, plan)
     ax = None if frozen is None else frozen.ax

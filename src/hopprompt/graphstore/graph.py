@@ -125,6 +125,10 @@ class GraphSet:
                 )
 
     @property
+    def num_features(self) -> int:
+        return self.graphs[0].num_features
+
+    @property
     def labels(self) -> np.ndarray:
         return np.array([g.graph_label for g in self.graphs], dtype=np.int64)
 

@@ -36,6 +36,8 @@ def _read_meta(path: Path) -> dict:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as e:
         raise DatasetError(f"{meta_path}: invalid JSON ({e})") from e
+    if not isinstance(meta, dict):
+        raise DatasetError(f"{meta_path}: expected a JSON object")
     missing = _META_KEYS - meta.keys()
     if missing:
         raise DatasetError(f"{meta_path}: missing keys {sorted(missing)}")
@@ -244,7 +246,7 @@ def save_dataset(data: Graph | GraphSet, path, name: str) -> None:
         meta = {
             "name": name,
             "num_nodes": int(sum(g.num_nodes for g in data.graphs)),
-            "num_features": int(data.graphs[0].num_features),
+            "num_features": int(data.num_features),
             "num_classes": int(data.num_classes),
             "task": "graph",
         }

@@ -1,6 +1,7 @@
 """Reference models for ordering checks: a GCN trained from scratch and full
 fine-tuning on top of the link-prediction checkpoint. Node tasks only; both
-start their trainable first layer from A X, built once per call and plan."""
+start their trainable first layer from A X, built once per call and plan
+(fine-tuning's by `encoder.forward_start`, as its base trains)."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ import numpy as np
 
 from ..encoder import (
     EncoderConfig,
-    aggregated_input,
     encoder_forward,
     forward_plan,
+    forward_start,
     own_base,
 )
 from ..errors import ConfigError
@@ -109,7 +110,7 @@ def train_finetune_lp(checkpoint_params, cfg: EncoderConfig, g: Graph,
     trainables = [params.w_in] + [lp.w0 for lp in params.layers] + [head]
 
     def logits_over(plan):
-        start = aggregated_input(adj, g.features, params, plan)
+        start = forward_start(adj, g.features, params, plan)
         return lambda: matmul(
             encoder_forward(adj, g.features, params, plan=plan, frozen=start)[-1], head)
 

@@ -18,7 +18,6 @@ from ..errors import (
     TransferInfeasibleError,
 )
 from ..graphstore import (
-    Graph,
     GraphSet,
     fraction_split,
     homophily_ratio,
@@ -74,7 +73,6 @@ def _split_for(cfg: ExperimentConfig, data, seed: int):
 def _single_run(cfg: ExperimentConfig, data, digest: str, cache: CheckpointCache,
                 point: dict, seed: int) -> dict:
     """One (grid point, seed) cell; returns accuracy plus bookkeeping."""
-    feature_dim = (data.graphs[0] if isinstance(data, GraphSet) else data).num_features
     split = _split_for(cfg, data, seed)
     out = {"seed": seed, "pretrain_sec": 0.0, "tune_sec": 0.0,
            "pretrain_params": 0, "downstream_params": 0, "train_loss": np.nan}
@@ -94,7 +92,7 @@ def _single_run(cfg: ExperimentConfig, data, digest: str, cache: CheckpointCache
                    train_loss=min(res.train_losses) if res.train_losses else np.nan)
         return out
 
-    enc_cfg = _encoder_cfg(cfg, feature_dim, point)
+    enc_cfg = _encoder_cfg(cfg, data.num_features, point)
     pcfg = _pretrain_cfg(cfg, point, seed)
     t0 = time.perf_counter()
     params, loaded_cfg, _losses = cache.get_or_pretrain(data, enc_cfg, pcfg,
@@ -204,8 +202,7 @@ def run_transfer(src_path, dst_path, cfg: ExperimentConfig,
     (pre-train on the source, stage two on the target)."""
     src = load_dataset(src_path)
     dst = load_dataset(dst_path)
-    src_f = (src.graphs[0] if isinstance(src, GraphSet) else src).num_features
-    dst_f = (dst.graphs[0] if isinstance(dst, GraphSet) else dst).num_features
+    src_f, dst_f = src.num_features, dst.num_features
     if src_f != dst_f:
         raise TransferInfeasibleError(
             f"feature widths differ: source {src_f} vs target {dst_f}"
@@ -260,8 +257,7 @@ def run_transfer(src_path, dst_path, cfg: ExperimentConfig,
 
 def run_heterophily_sweep(base_path, targets, cfg: ExperimentConfig,
                           modes=("dagprompt", "prototype"),
-                          cache: CheckpointCache | None = None,
-                          rewire_seed: int = 0) -> dict:
+                          cache: CheckpointCache | None = None) -> dict:
     """Rewire the base dataset to each target homophily and evaluate under the
     full-shot 50% split; infeasible targets are skipped with a warning."""
     base = load_dataset(base_path)
@@ -271,7 +267,7 @@ def run_heterophily_sweep(base_path, targets, cfg: ExperimentConfig,
     series: list[dict] = []
     for target in targets:
         try:
-            rewired = synth_rewire(base, float(target), seed=rewire_seed)
+            rewired = synth_rewire(base, float(target), seed=0)
         except (RewireInfeasibleError, InfeasibleError) as e:
             warnings.warn(f"target h={target} skipped: {e}")
             continue

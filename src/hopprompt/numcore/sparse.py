@@ -133,20 +133,22 @@ class SparseMatrix:
 
 def spmm(s: SparseMatrix, d: Tensor, values: Tensor | None = None,
          slots=None) -> Tensor:
-    """Sparse @ dense. Pass `values` to make entries trainable: (k, 1) values
-    override the entries at `slots` (k distinct CSR positions; every position
-    when `slots` is None), and only those entries get a value gradient.
+    """Sparse @ dense. Pass `values` with `slots` to make entries trainable:
+    (k, 1) values override the entries at k distinct CSR positions, and only
+    those entries get a value gradient.
     """
     if s.shape[1] != d.rows:
         raise DimensionError(f"spmm: inner dims differ, {s.shape} x {d.shape}")
     rows_of, cols_of = s._entry_rows, s.col_indices
     mat = s._csr
     if values is not None or slots is not None:
-        slots = np.arange(s.nnz) if slots is None else np.asarray(slots, dtype=np.int64)
-        if values is None or slots.ndim != 1 or values.shape != (slots.size, 1):
+        if values is None or slots is None:
+            raise DimensionError("spmm: values and slots override entries together")
+        slots = np.asarray(slots, dtype=np.int64)
+        if slots.ndim != 1 or values.shape != (slots.size, 1):
             raise DimensionError(
                 f"spmm: slots {slots.shape} need a ({slots.size}, 1) values override, "
-                f"got {None if values is None else values.shape}"
+                f"got {values.shape}"
             )
         if slots.size and (slots.min() < 0 or slots.max() >= s.nnz):
             raise DimensionError(f"spmm: slot outside [0, {s.nnz})")

@@ -4,10 +4,10 @@ Each node v contributes triplets (v, a, b) with a drawn from its neighbors
 and b from its non-neighbors; the encoder (plus one extra aggregation over
 the normalized adjacency) is trained so cosine(s_v, s_a) beats
 cosine(s_v, s_b) under a temperature-scaled two-way softmax. Each step's
-forward starts from A X, built once per run (`encoder.aggregated_input`). A
-batch's loss is one `numcore.triplet_nll` tape node over s = adj @ H(L); a
-zero-norm row of s raises DegenerateRowError naming its node and role, which
-`fit` wraps in DivergenceError with the epoch and lr.
+forward starts from A X, which `encoder.forward_start` builds once per run
+for a training base. A batch's loss is one `numcore.triplet_nll` tape node
+over s = adj @ H(L); a zero-norm row of s raises DegenerateRowError naming
+its node and role, which `fit` wraps in DivergenceError with the epoch and lr.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 
 from .encoder import (
     EncoderConfig,
-    aggregated_input,
     checkpoint_save,
     encoder_forward,
+    forward_start,
     init_encoder,
     partition_params,
 )
@@ -147,7 +147,7 @@ def run_pretrain(data: Graph | GraphSet, cfg: EncoderConfig, pcfg: PretrainConfi
     adj = normalize_adjacency(g)
     trainable, _ = partition_params(params, "pretrain")
     # every step's first layer starts from A X, built once per run
-    ax = aggregated_input(adj, g.features, params)
+    ax = forward_start(adj, g.features, params)
 
     def steps(epoch):
         # the epoch's triplets and batch order are drawn when it starts

@@ -11,9 +11,9 @@ them, so gamma itself keeps its structured initialization; that loss is one
 tape node per epoch, `numcore.prompt_nll`, over all scored layers at once.
 Prediction is the argmax of the cosines summed over layers with hop
 coefficients gamma; where training raises on a zero-norm row, evaluation
-scores it 0. Node and graph tasks map their training inputs through the
-frozen input map once per call (`encoder.frozen_input`). GLoRA's mode and
-rank are set by `PromptTuneConfig` alone.
+scores it 0. Each task trains from one `encoder.forward_start` per call, a
+node task on its training rows' receptive field, and evaluates with one plain
+forward. GLoRA's mode and rank are set by `PromptTuneConfig` alone.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .encoder import (
     edge_subset_positions,
     encoder_forward,
     forward_plan,
-    frozen_input,
+    forward_start,
     own_base,
     partition_params,
 )
@@ -51,7 +51,6 @@ from .numcore import (
     Tensor,
     class_means,
     fit,
-    gather_rows,
     prompt_cosines,
     prompt_nll,
     spmm,
@@ -164,9 +163,9 @@ def _prompt_trainables(theta, gamma, tcfg, num_layers):
 
 
 def _once_if_frozen(forward, encoder_trainables):
-    """A stage-two forward, computed once when no encoder weight trains
-    (glora_mode=off): its tensors are then constant and off the tape, and the
-    prompt offsets are read from `theta` afresh by every loss."""
+    """A stage-two training forward, computed once when no encoder weight
+    trains (glora_mode=off): its tensors are then constant and off the tape,
+    and the prompt offsets are read from `theta` afresh by every loss."""
     return forward if encoder_trainables else functools.cache(forward)
 
 
@@ -174,61 +173,37 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
     if g.labels is None:
         raise ParameterError("node tuning needs labels")
     params = _load_encoder(checkpoint, g.num_features)
-    rng = np.random.default_rng(tcfg.seed)
     adj = normalize_adjacency(g)
-    if tcfg.glora_mode != "off":
-        positions = (edge_subset_positions(adj, split.train_ids)
-                     if tcfg.glora_mode == "edge_subset" else None)
-        params = attach_glora(params, tcfg.glora_mode, tcfg.rank, rng,
-                              num_nodes=g.num_nodes, edge_positions=positions)
-
-    # the input map and every W0 are frozen: each forward of this call starts
-    # from constants built once, here, from this call's own inputs
-    frozen = frozen_input(adj, g.features, params)
-
-    def evaluate():
-        return encoder_forward(adj, g.features, params, frozen=frozen)
-
-    if tcfg.glora_mode == "off":
-        # nothing in the encoder trains: one full forward serves every epoch
-        # and the evaluation, where a restricted one would add a forward
-        evaluate = _once_if_frozen(evaluate, ())
-
-        def forward():
-            return [gather_rows(h, split.train_ids) for h in evaluate()]
-    else:
-        # the loss reads the training rows only, so training runs on their
-        # receptive field
-        plan = forward_plan(adj, split.train_ids, len(params.layers),
-                            edge_positions=params.edge_positions,
-                            dense=tcfg.glora_mode == "full")
-        # a plan whose first layer computes every row starts as the full
-        # forward does
-        planned = frozen if plan.rows[1] is None else frozen_input(
-            adj, g.features, params, plan)
-
-        def forward():
-            return encoder_forward(adj, g.features, params, plan=plan,
-                                   frozen=planned)
-
-    return _fit_prompts(params, tcfg, split, g.labels, g.num_classes,
-                        forward, evaluate)
+    positions = (edge_subset_positions(adj, split.train_ids)
+                 if tcfg.glora_mode == "edge_subset" else None)
+    params = attach_glora(params, tcfg.glora_mode, tcfg.rank,
+                          np.random.default_rng(tcfg.seed),
+                          num_nodes=g.num_nodes, edge_positions=positions)
+    # the loss reads the training rows only, so training runs on their
+    # receptive field, every epoch from constants built once, here
+    plan = forward_plan(adj, split.train_ids, len(params.layers),
+                        edge_positions=params.edge_positions,
+                        dense=tcfg.glora_mode == "full")
+    start = forward_start(adj, g.features, params, plan)
+    return _fit_prompts(
+        params, tcfg, split, g.labels, g.num_classes,
+        lambda: encoder_forward(adj, g.features, params, plan=plan, frozen=start),
+        lambda: encoder_forward(adj, g.features, params))
 
 
 def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
                      tcfg: PromptTuneConfig):
-    params = _load_encoder(checkpoint, items.graphs[0].num_features)
-    if tcfg.glora_mode != "off":
-        # per-item graphs vary in size, so adjacency-side adaptation is disabled
-        params = attach_glora(params, tcfg.glora_mode, tcfg.rank,
-                              np.random.default_rng(tcfg.seed),
-                              adjacency_adaptation=False)
+    params = _load_encoder(checkpoint, items.num_features)
+    # per-item graphs vary in size, so adjacency-side adaptation is disabled
+    params = attach_glora(params, tcfg.glora_mode, tcfg.rank,
+                          np.random.default_rng(tcfg.seed),
+                          adjacency_adaptation=False)
     train_batch = graph_batch([items.graphs[int(i)] for i in split.train_ids])
     # every epoch's forward starts from the training batch's X W_in
-    frozen = frozen_input(train_batch.adj, train_batch.features, params)
+    start = forward_start(train_batch.adj, train_batch.features, params)
     return _fit_prompts(
         params, tcfg, split, items.labels, items.num_classes,
-        lambda: graph_tokens(train_batch, params, frozen),
+        lambda: graph_tokens(train_batch, params, start),
         lambda: graph_tokens(graph_batch(items.graphs), params))
 
 

@@ -118,7 +118,7 @@ def test_criterion_01_gradient_correctness():
     s = nc.SparseMatrix((5, 5), offs, cidx, vals)
     d = nc.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     v = nc.Tensor(rng.standard_normal((s.nnz, 1)), requires_grad=True)
-    fd_check(lambda: sum_all(nc.spmm(s, d, values=v)), [d, v])
+    fd_check(lambda: sum_all(nc.spmm(s, d, values=v, slots=np.arange(s.nnz))), [d, v])
     pv = nc.Tensor(rng.standard_normal((5, 1)), requires_grad=True)
     qv = nc.Tensor(rng.standard_normal((5, 1)), requires_grad=True)
     fd_check(lambda: sum_all(rank_one_update_spmm(s, pv, qv, d)), [pv, qv, d])

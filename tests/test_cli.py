@@ -80,6 +80,15 @@ def test_non_integer_meta_count_exit_code(runner, tmp_path):
     assert "num_features must be a non-negative integer" in result.output
 
 
+def test_non_object_meta_exit_code(runner, tmp_path):
+    data = gs.load_dataset("datasets/web-tiny")
+    gs.save_dataset(data, tmp_path / "ds", name="web-tiny")
+    (tmp_path / "ds" / "meta.json").write_text(json.dumps([1, 2]))
+    result = runner.invoke(main, ["homophily", str(tmp_path / "ds")])
+    assert result.exit_code == 2, result.output
+    assert "expected a JSON object" in result.output
+
+
 def test_pretrain_then_tune(runner, tmp_path):
     model = tmp_path / "model.dagp"
     result = runner.invoke(main, [

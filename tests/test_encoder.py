@@ -68,7 +68,7 @@ def scatter_edge_subset_forward(adj, x, params):
         weight = nc.add(lp.w0, nc.matmul(lp.p, nc.transpose(lp.q)))
         doubled = nc.vstack([lp.edge_weights, lp.edge_weights])
         values = nc.add(base, nc.scatter_rows(doubled, slots, adj.nnz))
-        h = nc.matmul(nc.spmm(adj, h, values=values), weight)
+        h = nc.matmul(nc.spmm(adj, h, values=values, slots=np.arange(adj.nnz)), weight)
         if l < len(params.layers) - 1:
             h = nc.relu(h)
         out.append(h)
@@ -389,7 +389,7 @@ class TestFactoredFullGlora:
     """A full-GLoRA layer runs as the frozen product (A h) W0 plus a
     rank-(r+1) update. It agrees with ((A + pa qa^T) h)(W0 + P Q^T) to
     rounding, equals the frozen forward bit for bit while the update is zero,
-    and starting a forward from `frozen_input` changes no bit."""
+    and starting a forward from `forward_start` changes no bit."""
 
     @staticmethod
     def _adapted(g, seed, mode="full", ids=None):
@@ -434,7 +434,7 @@ class TestFactoredFullGlora:
         adj = gs.normalize_adjacency(g)
         cfg, params = self._adapted(g, 13)
         plan = enc.forward_plan(adj, [1, 4, 6], cfg.layers, dense=True) if planned else None
-        frozen = enc.frozen_input(adj, g.features, params, plan) if hoisted else None
+        frozen = enc.forward_start(adj, g.features, params, plan) if hoisted else None
 
         def loss():
             stack = enc.encoder_forward(adj, g.features, params, plan=plan,
@@ -459,7 +459,7 @@ class TestFactoredFullGlora:
         base = enc.own_base(enc.init_encoder(cfg, rng), trainable=False)
         want = enc.encoder_forward(adj, g.features, base)
         adapted = enc.attach_glora(base, "full", 8, rng, num_nodes=g.num_nodes)
-        for frozen in (None, enc.frozen_input(adj, g.features, adapted)):
+        for frozen in (None, enc.forward_start(adj, g.features, adapted)):
             fresh = enc.encoder_forward(adj, g.features, adapted, frozen=frozen)
             for l, (a, b) in enumerate(zip(want, fresh)):
                 assert a.data.tobytes() == b.data.tobytes(), f"layer {l}"
@@ -473,7 +473,8 @@ class TestFactoredFullGlora:
         planned = enc.forward_plan(adj, ids, cfg.layers, params.edge_positions,
                                    dense=mode == "full")
         for plan in (None, planned):
-            frozen = enc.frozen_input(adj, g.features, params, plan)
+            frozen = enc.forward_start(adj, g.features, params, plan)
+            assert frozen.ax is None and frozen.h0 is not None
             want = enc.encoder_forward(adj, g.features, params, plan=plan)
             got = enc.encoder_forward(adj, g.features, params, plan=plan,
                                       frozen=frozen)
@@ -488,10 +489,16 @@ class TestFactoredFullGlora:
         adj = gs.normalize_adjacency(g)
         cfg = enc.EncoderConfig(layers=2, dims=[5, 8, 8])
         trainable = enc.init_encoder(cfg, rng)
-        with pytest.raises(ContractError, match="frozen input map"):
-            enc.frozen_input(adj, g.features, trainable)
+        # a training base gets the A X start, so H(0) is never held constant
+        ax = enc.forward_start(adj, g.features, trainable)
+        assert ax.h0 is None and ax.first is None and ax.ax.shape == (8, 5)
         base = enc.own_base(trainable, trainable=False)
-        whole = enc.frozen_input(adj, g.features, base)
+        whole = enc.forward_start(adj, g.features, base)
+        assert whole.ax is None and whole.h0.shape == (8, 8)
+        # one training W0 is enough for the A X start
+        one = enc.EncoderParams(w_in=base.w_in, layers=[
+            base.layers[0], enc.LayerParams(w0=trainable.layers[1].w0)])
+        assert enc.forward_start(adj, g.features, one).h0 is None
         plan = enc.forward_plan(adj, [0, 1], cfg.layers)
         assert plan.rows[0].size == 4
         with pytest.raises(DimensionError, match="frozen input has 8 rows"):
@@ -499,7 +506,8 @@ class TestFactoredFullGlora:
 
 
 class TestAggregatedInput:
-    """A forward whose input map trains starts from A X, built once, and runs
+    """A forward whose input map trains starts from A X, which
+    `forward_start` builds once for a training base, and runs
     its first layer as (A X)(W_in W0). It reassociates the H(0)-first
     forward's products, so it agrees with it to rounding: H(L) within 1e-13
     of its largest entry, the loss within 1e-13 relative, and the gradients
@@ -527,7 +535,7 @@ class TestAggregatedInput:
         block_rows = plan.adjs[0].shape[0]
         assert (features < block_rows) == (features == 3)
         base = [params.w_in] + [lp.w0 for lp in params.layers]
-        start = enc.aggregated_input(adj, g.features, params, plan)
+        start = enc.forward_start(adj, g.features, params, plan)
         assert start.ax.shape == (block_rows, features) and start.h0 is None
         ours = enc.encoder_forward(adj, g.features, params, plan=plan, frozen=start)
         want = enc.encoder_forward(adj, g.features, params, plan=plan)
@@ -547,7 +555,7 @@ class TestAggregatedInput:
     def test_finite_differences_on_w_in_and_w0(self, planned, layers):
         g, adj, params = self._setup(layers, 4, seed=30)
         plan = enc.forward_plan(adj, [2, 7], layers) if planned else None
-        start = enc.aggregated_input(adj, g.features, params, plan)
+        start = enc.forward_start(adj, g.features, params, plan)
         base = [params.w_in] + [lp.w0 for lp in params.layers]
 
         def loss():
@@ -563,7 +571,7 @@ class TestAggregatedInput:
     def test_ax_is_the_aggregated_features(self):
         g, adj, params = self._setup(2, 5, seed=32)
         plan = enc.forward_plan(adj, [0, 3], 2)
-        start = enc.aggregated_input(adj, g.features, params, plan)
+        start = enc.forward_start(adj, g.features, params, plan)
         rows = plan.rows[1] if plan.rows[1] is not None else np.arange(g.num_nodes)
         want = adj.densify()[rows] @ g.features.data
         np.testing.assert_allclose(start.ax.data, want, rtol=1e-13, atol=1e-15)
@@ -571,9 +579,7 @@ class TestAggregatedInput:
 
     def test_contracts(self):
         g, adj, params = self._setup(2, 5, seed=33)
-        with pytest.raises(ContractError, match="frozen input map"):
-            enc.frozen_input(adj, g.features, params)
-        start = enc.aggregated_input(adj, g.features, params)
+        start = enc.forward_start(adj, g.features, params)
         frozen = enc.own_base(params, trainable=False)
         for mode in ("full", "edge_subset"):
             pos = enc.edge_subset_positions(adj, [0, 1]) if mode == "edge_subset" else None
@@ -601,6 +607,13 @@ class TestPartitionAndCount:
         assert all(lp.w0 in frozen for lp in adapted.layers)
         assert not set(map(id, trainable)) & set(map(id, frozen))
         assert len(trainable) == 4 * cfg.layers
+
+    def test_off_attaches_nothing(self):
+        _, _, _, params, rng = small_setup(seed=9)
+        state = rng.bit_generator.state
+        assert enc.attach_glora(params, "off", 0, rng) is params
+        assert rng.bit_generator.state == state
+        assert enc.count_trainable(params, "prompt") == 0
 
     def test_glora_factors_at_pretrain_rejected(self, tmp_path):
         g, _, cfg, params, rng = small_setup(seed=10)

@@ -17,6 +17,7 @@ from hopprompt.errors import (
 )
 from hopprompt.harness import baselines
 from hopprompt.harness import cache as cache_module
+from hopprompt.harness import runner
 from hopprompt.pretrain import PretrainConfig
 from hopprompt.prompt import PromptTuneConfig, run_prompt_tune
 
@@ -172,6 +173,36 @@ class TestRunExperiment:
         cfg = quick_cfg(grid=hn.GridSpec(alpha=[0.1, 0.9]))
         report = hn.run_experiment(cfg, data=tiny_data)
         assert report.chosen_grid_point["alpha"] in (0.1, 0.9)
+
+    def test_grid_selection_by_training_loss(self, tiny_data, monkeypatch):
+        cells = []
+        real = runner._single_run
+
+        def recorded(cfg, data, digest, cache, point, seed):
+            out = real(cfg, data, digest, cache, point, seed)
+            cells.append((dict(point), out))
+            return out
+
+        monkeypatch.setattr(runner, "_single_run", recorded)
+        grid = hn.GridSpec(lr=[1e-5, 1e-3], alpha=[0.1, 0.9])
+        cache = hn.CheckpointCache()
+        chosen = {}
+        for selection in ("test_acc", "train_loss"):
+            cells.clear()
+            cfg = quick_cfg(grid=grid, epochs=5, pretrain_epochs=3,
+                            selection=selection)
+            chosen[selection] = hn.run_experiment(cfg, data=tiny_data,
+                                                  cache=cache).chosen_grid_point
+        # the cells of the train_loss run: every point under seeds 0 and 1
+        points = grid.points()
+        assert len(cells) == len(points) * 2
+        mean_loss = [np.mean([out["train_loss"] for p, out in cells if p == point])
+                     for point in points]
+        # the loss does not read gamma, so alpha ties it and the first of
+        # the tied points is chosen, as argmin picks
+        assert chosen["train_loss"] == points[int(np.argmin(mean_loss))]
+        # on this grid the two rules disagree, so the rule is really applied
+        assert chosen["train_loss"] != chosen["test_acc"]
 
     def test_downstream_count_cross_checked(self, tiny_data):
         # report counter == closed-form encoder adapters + prompt module

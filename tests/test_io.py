@@ -205,6 +205,15 @@ def test_meta_count_must_be_a_json_integer(tmp_path, value):
         gs.load_dataset(d)
 
 
+@pytest.mark.parametrize("value", [[1, 2], "x", 7, None],
+                         ids=["list", "string", "number", "null"])
+def test_meta_must_be_a_json_object(tmp_path, value):
+    d = _write_valid(tmp_path)
+    (d / "meta.json").write_text(json.dumps(value))
+    with pytest.raises(DatasetError, match="meta.json: expected a JSON object"):
+        gs.load_dataset(d)
+
+
 def test_graph_task_total_nodes_validated(tmp_path):
     base = gs.random_labeled_graph(6, 8, 2, 3, seed=1)
     task = gs.build_graph_task(base, hops=0)

@@ -749,9 +749,9 @@ class TestFrozenForwardHoist:
                                    glora_mode=mode)
         _params, result = pr.run_prompt_tune(ckpt_h90, synth_h90, split, tcfg)
         assert len(result.train_losses) == epochs
-        # one per epoch the loop computes, plus one for the final evaluation,
-        # which reuses the frozen encoder's forward
-        assert len(calls) == (1 if mode == "off" else epochs + 1)
+        # one per epoch the loop computes (the frozen encoder's once, on the
+        # training rows' receptive field), plus one full forward to evaluate
+        assert len(calls) == (2 if mode == "off" else epochs + 1)
 
     @pytest.mark.parametrize("epochs", [2, 6])
     def test_graph_loop_runs_the_frozen_encoder_once(self, monkeypatch,

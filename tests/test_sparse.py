@@ -148,11 +148,12 @@ class TestSpmm:
         s = nc.SparseMatrix((5, 5), offs, cidx, np.zeros_like(vals))
         d = nc.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         v = nc.Tensor(vals[:, None], requires_grad=True)
+        every = np.arange(s.nnz)
 
         def loss():
-            return nc.softmax_nll(nc.spmm(s, d, values=v), [0, 1, 2, 0, 1], tau=1.0).item()
+            return nc.softmax_nll(nc.spmm(s, d, values=v, slots=every), [0, 1, 2, 0, 1], tau=1.0).item()
 
-        grads = nc.backward(nc.softmax_nll(nc.spmm(s, d, values=v), [0, 1, 2, 0, 1], tau=1.0))
+        grads = nc.backward(nc.softmax_nll(nc.spmm(s, d, values=v, slots=every), [0, 1, 2, 0, 1], tau=1.0))
         fd_d, fd_v = finite_diff(loss, [d, v])
         assert_grads_close(grads.get(d), fd_d, label="spmm dD")
         assert_grads_close(grads.get(v), fd_v, label="spmm dV")
@@ -205,7 +206,7 @@ class TestSpmmStoredTranspose:
         k = s.nnz if not slotted else slots.size
         v = nc.Tensor(rng.standard_normal((k, 1)), requires_grad=True)
         d = nc.Tensor(rng.standard_normal((7, 3)), requires_grad=True)
-        out = nc.spmm(s, d, values=v, slots=slots if slotted else None)
+        out = nc.spmm(s, d, values=v, slots=slots if slotted else np.arange(s.nnz))
         g = rng.standard_normal(out.shape)
         dd, _dv = out._vjp(g)
         values = s.values.copy()
@@ -245,7 +246,7 @@ class TestSpmmSlots:
             grads = nc.backward(nc.softmax_nll(out, targets, tau=0.7))
             return out.data, grads.get(d), grads.get(v)
 
-        out_full, dd_full, dv_full = run(full)
+        out_full, dd_full, dv_full = run(full, slots=np.arange(s.nnz))
         out_slot, dd_slot, dv_slot = run(picked, slots=slots)
         assert np.array_equal(out_slot, out_full)
         assert np.array_equal(dd_slot, dd_full)
@@ -276,8 +277,10 @@ class TestSpmmSlots:
                 nc.spmm(s, d, values=two, slots=bad)
         with pytest.raises(DimensionError):
             nc.spmm(s, d, values=nc.Tensor(np.zeros((3, 1))), slots=[0, 1])
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="values and slots"):
             nc.spmm(s, d, slots=[0, 1])
+        with pytest.raises(DimensionError, match="values and slots"):
+            nc.spmm(s, d, values=nc.Tensor(np.zeros((4, 1))))
 
     @pytest.mark.parametrize("slots", [[0, 2, 0], [3, 1, 3], [0, 0], [3, 3]])
     def test_repeat_at_first_or_last_slot_rejected(self, slots):
@@ -312,8 +315,8 @@ class TestSpmmSlots:
     def test_untracked_operand_gets_no_product(self, slotted):
         rng, s, slots = self._setup(3)
         if not slotted:
-            slots = None
-        k = s.nnz if slots is None else slots.size
+            slots = np.arange(s.nnz)
+        k = slots.size
         v = nc.Tensor(rng.standard_normal((k, 1)), requires_grad=True)
         d_data = rng.standard_normal((7, 2))
         g = rng.standard_normal((9, 2))
@@ -367,8 +370,9 @@ class TestSlice:
     def test_gradients_match_finite_differences(self, slotted):
         rng, s, _dense, rows, cols = self._block(7)
         block, _source = s.slice(rows, cols)
-        slots = rng.choice(block.nnz, size=block.nnz // 2, replace=False) if slotted else None
-        k = block.nnz if slots is None else slots.size
+        slots = (rng.choice(block.nnz, size=block.nnz // 2, replace=False) if slotted
+                 else np.arange(block.nnz))
+        k = slots.size
         d = nc.Tensor(rng.standard_normal((6, 3)), requires_grad=True)
         v = nc.Tensor(rng.standard_normal((k, 1)), requires_grad=True)
         targets = rng.integers(0, 3, size=7)
