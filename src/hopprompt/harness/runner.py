@@ -33,6 +33,7 @@ from .config import ExperimentConfig, RunReport
 
 ABLATION_MODES = ("ablation:no_glora", "ablation:last_layer_only",
                   "ablation:fixed_gamma")
+BASELINE_MODES = ("scratch_gcn", "finetune_lp")
 
 
 def _encoder_cfg(cfg: ExperimentConfig, feature_dim: int, point: dict) -> EncoderConfig:
@@ -70,99 +71,81 @@ def _split_for(cfg: ExperimentConfig, data, seed: int):
     return fraction_split(data, cfg.train_fraction, seed)
 
 
-def _single_run(cfg: ExperimentConfig, data, digest: str, cache: CheckpointCache,
-                point: dict, seed: int) -> dict:
-    """One (grid point, seed) cell; returns accuracy plus bookkeeping."""
+def _single_run(cfg: ExperimentConfig, data, cache: CheckpointCache,
+                point: dict, seed: int, source) -> dict:
+    """One (grid point, seed) cell; returns accuracy plus bookkeeping.
+
+    `source` is the (dataset, digest) pair to pre-train on; None starts
+    from a random encoder drawn with `seed`.
+    """
     split = _split_for(cfg, data, seed)
-    out = {"seed": seed, "pretrain_sec": 0.0, "tune_sec": 0.0,
-           "pretrain_params": 0, "downstream_params": 0, "train_loss": np.nan}
+    out = {"seed": seed, "pretrain_sec": 0.0, "pretrain_params": 0}
     mode = cfg.mode
+    if mode in BASELINE_MODES and isinstance(data, GraphSet):
+        raise ConfigError(f"{mode} baseline covers node tasks only")
 
+    if mode != "scratch_gcn":
+        enc_cfg = _encoder_cfg(cfg, data.num_features, point)
+        if source is None:
+            params = init_encoder(enc_cfg, np.random.default_rng(seed))
+        else:
+            t0 = time.perf_counter()
+            params, enc_cfg, _losses = cache.get_or_pretrain(
+                source[0], enc_cfg, _pretrain_cfg(cfg, point, seed),
+                digest=source[1])
+            out["pretrain_sec"] = time.perf_counter() - t0
+            out["pretrain_params"] = params.w_in.data.size + sum(
+                lp.w0.data.size for lp in params.layers)
+
+    train_kw = dict(lr=float(point["lr"]), weight_decay=float(point["weight_decay"]),
+                    epochs=cfg.epochs, seed=seed, patience=cfg.patience)
+    t0 = time.perf_counter()
     if mode == "scratch_gcn":
-        if isinstance(data, GraphSet):
-            raise ConfigError("scratch_gcn baseline covers node tasks only")
-        t0 = time.perf_counter()
         res = train_scratch_gcn(data, split, hidden=int(point["hidden"]),
-                                lr=float(point["lr"]),
-                                weight_decay=float(point["weight_decay"]),
-                                epochs=cfg.epochs, seed=seed, patience=cfg.patience)
-        out.update(tune_sec=time.perf_counter() - t0,
-                   accuracy=res.test_accuracy,
-                   downstream_params=res.trainable_count,
-                   train_loss=min(res.train_losses) if res.train_losses else np.nan)
-        return out
-
-    enc_cfg = _encoder_cfg(cfg, data.num_features, point)
-    pcfg = _pretrain_cfg(cfg, point, seed)
-    t0 = time.perf_counter()
-    params, loaded_cfg, _losses = cache.get_or_pretrain(data, enc_cfg, pcfg,
-                                                        digest=digest)
-    out["pretrain_sec"] = time.perf_counter() - t0
-    out["pretrain_params"] = params.w_in.data.size + sum(
-        lp.w0.data.size for lp in params.layers)
-
-    if mode == "finetune_lp":
-        if isinstance(data, GraphSet):
-            raise ConfigError("finetune_lp baseline covers node tasks only")
-        t0 = time.perf_counter()
-        res = train_finetune_lp(params, loaded_cfg, data, split,
-                                lr=float(point["lr"]),
-                                weight_decay=float(point["weight_decay"]),
-                                epochs=cfg.epochs, seed=seed, patience=cfg.patience)
-        out.update(tune_sec=time.perf_counter() - t0,
-                   accuracy=res.test_accuracy,
-                   downstream_params=res.trainable_count,
-                   train_loss=min(res.train_losses) if res.train_losses else np.nan)
-        return out
-
-    tcfg = _tune_cfg(cfg, point, seed)
-    t0 = time.perf_counter()
-    _tuned, result = run_prompt_tune((params, loaded_cfg), data,
-                                     split, tcfg)
+                                **train_kw)
+        downstream = res.trainable_count
+    elif mode == "finetune_lp":
+        res = train_finetune_lp(params, enc_cfg, data, split, **train_kw)
+        downstream = res.trainable_count
+    else:
+        _tuned, res = run_prompt_tune((params, enc_cfg), data, split,
+                                      _tune_cfg(cfg, point, seed))
+        downstream = res.trainable_encoder + res.trainable_prompt
     out.update(tune_sec=time.perf_counter() - t0,
-               accuracy=result.test_accuracy,
-               downstream_params=result.trainable_encoder + result.trainable_prompt,
-               train_loss=min(result.train_losses) if result.train_losses else np.nan)
+               accuracy=res.test_accuracy,
+               downstream_params=downstream,
+               train_loss=min(res.train_losses) if res.train_losses else np.nan)
     return out
 
 
-def run_experiment(cfg: ExperimentConfig, cache: CheckpointCache | None = None,
-                   data=None) -> RunReport:
-    """Grid search over (point x seed); the report carries the chosen point.
+def _grid_report(cfg: ExperimentConfig, data, cache: CheckpointCache, source,
+                 mode: str, dataset: str, extra: dict | None = None) -> RunReport:
+    """Grid search over (point x seed) on `data`; the report carries the
+    chosen point.
 
     Selection follows the protocol-faithful mean test accuracy by default;
     selection="train_loss" picks by training loss instead (no test labels
-    touched during selection).
+    touched during selection). Counts are the max over the chosen seeds.
     """
-    if data is None:
-        data = load_dataset(cfg.dataset)
     task = "graph" if isinstance(data, GraphSet) else "node"
     if cfg.task is not None and cfg.task != task:
         raise ConfigError(f"config says task={cfg.task} but dataset is {task}")
-    cache = cache if cache is not None else CheckpointCache()
-    digest = dataset_digest(data)
     nc.peak_tape_bytes(reset=True)
 
     points = cfg.grid.points()
-    cells = {(pi, seed): _single_run(cfg, data, digest, cache, points[pi], seed)
+    cells = {(pi, seed): _single_run(cfg, data, cache, points[pi], seed, source)
              for pi in range(len(points)) for seed in cfg.seeds}
 
-    def point_accs(pi):
-        return [cells[(pi, s)]["accuracy"] for s in cfg.seeds]
-
-    if cfg.selection == "test_acc":
-        score = [float(np.mean(point_accs(pi))) for pi in range(len(points))]
-        best_pi = int(np.argmax(score))
-    else:
-        losses = [float(np.mean([cells[(pi, s)]["train_loss"] for s in cfg.seeds]))
-                  for pi in range(len(points))]
-        best_pi = int(np.argmin(losses))
+    key, pick = (("accuracy", np.argmax) if cfg.selection == "test_acc"
+                 else ("train_loss", np.argmin))
+    best_pi = int(pick([np.mean([cells[(pi, s)][key] for s in cfg.seeds])
+                        for pi in range(len(points))]))
 
     chosen = [cells[(best_pi, s)] for s in cfg.seeds]
     return RunReport.build(
-        dataset=cfg.dataset,
+        dataset=dataset,
         task=task,
-        mode=cfg.mode,
+        mode=mode,
         shots=cfg.shots,
         seeds=cfg.seeds,
         accuracies=[c["accuracy"] for c in chosen],
@@ -174,7 +157,18 @@ def run_experiment(cfg: ExperimentConfig, cache: CheckpointCache | None = None,
             "pretrain": sum(c["pretrain_sec"] for c in cells.values()),
             "tune": sum(c["tune_sec"] for c in cells.values()),
         },
+        extra=extra,
     )
+
+
+def run_experiment(cfg: ExperimentConfig, cache: CheckpointCache | None = None,
+                   data=None) -> RunReport:
+    """Grid search over (point x seed) on `cfg.dataset`, pre-training on it."""
+    if data is None:
+        data = load_dataset(cfg.dataset)
+    cache = cache if cache is not None else CheckpointCache()
+    return _grid_report(cfg, data, cache, (data, dataset_digest(data)),
+                        cfg.mode, cfg.dataset)
 
 
 def _per_mode(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
@@ -199,7 +193,10 @@ def run_ablation(cfg: ExperimentConfig, cache: CheckpointCache | None = None,
 def run_transfer(src_path, dst_path, cfg: ExperimentConfig,
                  cache: CheckpointCache | None = None) -> list[RunReport]:
     """-Scratch (random encoder, stage two only on the target) vs -Cross
-    (pre-train on the source, stage two on the target)."""
+    (pre-train on the source, stage two on the target), each searched over
+    the grid as `run_experiment` does."""
+    if cfg.mode in BASELINE_MODES:
+        raise ConfigError(f"transfer tunes a prompt; mode {cfg.mode} is a baseline")
     src = load_dataset(src_path)
     dst = load_dataset(dst_path)
     src_f, dst_f = src.num_features, dst.num_features
@@ -208,51 +205,11 @@ def run_transfer(src_path, dst_path, cfg: ExperimentConfig,
             f"feature widths differ: source {src_f} vs target {dst_f}"
         )
     cache = cache if cache is not None else CheckpointCache()
-    src_digest = dataset_digest(src)
-    reports = []
-
-    for suffix in ("Scratch", "Cross"):
-        nc.peak_tape_bytes(reset=True)
-        accs = []
-        pre_sec = tune_sec = 0.0
-        downstream = pretrain_count = 0
-        point = cfg.grid.points()[0]
-        for seed in cfg.seeds:
-            split = _split_for(cfg, dst, seed)
-            enc_cfg = _encoder_cfg(cfg, dst_f, point)
-            if suffix == "Cross":
-                pcfg = _pretrain_cfg(cfg, point, seed)
-                t0 = time.perf_counter()
-                params, loaded_cfg, _ = cache.get_or_pretrain(src, enc_cfg, pcfg,
-                                                              digest=src_digest)
-                pre_sec += time.perf_counter() - t0
-                pretrain_count = params.w_in.data.size + sum(
-                    lp.w0.data.size for lp in params.layers)
-            else:
-                params = init_encoder(enc_cfg, np.random.default_rng(seed))
-                loaded_cfg = enc_cfg
-            tcfg = _tune_cfg(cfg, point, seed)
-            t0 = time.perf_counter()
-            _tuned, result = run_prompt_tune((params, loaded_cfg), dst, split,
-                                             tcfg)
-            tune_sec += time.perf_counter() - t0
-            accs.append(result.test_accuracy)
-            downstream = result.trainable_encoder + result.trainable_prompt
-        reports.append(RunReport.build(
-            dataset=str(dst_path),
-            task="graph" if isinstance(dst, GraphSet) else "node",
-            mode=f"{cfg.mode}-{suffix}",
-            shots=cfg.shots,
-            seeds=cfg.seeds,
-            accuracies=accs,
-            chosen_grid_point=point,
-            trainable_params_pretrain=pretrain_count,
-            trainable_params_downstream=downstream,
-            peak_tape_bytes=nc.peak_tape_bytes(),
-            wall_clock_sec={"pretrain": pre_sec, "tune": tune_sec},
-            extra={"source_dataset": str(src_path)},
-        ))
-    return reports
+    extra = {"source_dataset": str(src_path)}
+    return [_grid_report(cfg, dst, cache, source, f"{cfg.mode}-{suffix}",
+                         str(dst_path), extra)
+            for suffix, source in (("Scratch", None),
+                                   ("Cross", (src, dataset_digest(src))))]
 
 
 def run_heterophily_sweep(base_path, targets, cfg: ExperimentConfig,

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,6 +13,17 @@ from hopprompt import graphstore as gs
 # prints a failure's reproduction blob, so a CI failure can be replayed;
 # runs without the flag keep hypothesis's random draws
 settings.register_profile("ci", derandomize=True, print_blob=True)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _run_from_repo_root():
+    """The tests name bundled data by paths relative to the repository root
+    ("datasets/web-tiny"), so they run from there, wherever pytest started."""
+    started_in = os.getcwd()
+    os.chdir(Path(__file__).resolve().parents[1])
+    yield
+    os.chdir(started_in)
+
 
 # shared desk-scale fixtures: a small heterophily/homophily pair plus a
 # pre-trained encoder for each, reused across prompt/harness/acceptance tests

@@ -1,3 +1,4 @@
+import inspect
 import json
 import warnings
 from dataclasses import replace
@@ -178,8 +179,9 @@ class TestRunExperiment:
         cells = []
         real = runner._single_run
 
-        def recorded(cfg, data, digest, cache, point, seed):
-            out = real(cfg, data, digest, cache, point, seed)
+        def recorded(*args, **kwargs):
+            out = real(*args, **kwargs)
+            point = inspect.signature(real).bind(*args, **kwargs).arguments["point"]
             cells.append((dict(point), out))
             return out
 
@@ -218,6 +220,15 @@ class TestRunExperiment:
                                    data=items)
         assert report.task == "graph"
         assert len(report.accuracies) == 2
+
+    @pytest.mark.parametrize("mode", ["scratch_gcn", "finetune_lp"])
+    def test_baselines_reject_graph_tasks(self, mode):
+        items = gs.load_dataset("datasets/ego-tiny")
+        cache = hn.CheckpointCache()
+        with pytest.raises(ConfigError, match="node tasks only"):
+            hn.run_experiment(quick_cfg(dataset="datasets/ego-tiny", mode=mode),
+                              data=items, cache=cache)
+        assert cache.pretrain_runs == 0
 
 
 class TestCacheRecovery:
@@ -469,6 +480,73 @@ class TestAblationAndTransfer:
         gs.save_dataset(other, tmp_path / "other", name="other")
         with pytest.raises(TransferInfeasibleError):
             hn.run_transfer("datasets/web-tiny", tmp_path / "other", quick_cfg())
+
+    @pytest.mark.parametrize("mode", ["scratch_gcn", "finetune_lp"])
+    def test_transfer_rejects_baseline_modes(self, mode):
+        with pytest.raises(ConfigError, match="baseline"):
+            hn.run_transfer("datasets/web-tiny", "datasets/web-tiny",
+                            quick_cfg(mode=mode))
+
+    def test_transfer_task_mismatch_rejected(self):
+        with pytest.raises(ConfigError, match="task"):
+            hn.run_transfer("datasets/web-tiny", "datasets/web-tiny",
+                            quick_cfg(task="graph"))
+
+    @pytest.mark.parametrize("selection", ["test_acc", "train_loss"])
+    def test_transfer_searches_the_grid(self, monkeypatch, selection):
+        cells = []
+        real = runner._single_run
+
+        def recorded(*args, **kwargs):
+            out = real(*args, **kwargs)
+            bound = inspect.signature(real).bind(*args, **kwargs).arguments
+            cells.append((bound["source"] is None, dict(bound["point"]), out))
+            return out
+
+        monkeypatch.setattr(runner, "_single_run", recorded)
+        cfg = quick_cfg(grid=hn.GridSpec(lr=[1e-5, 1e-3], alpha=[0.1, 0.9]),
+                        selection=selection)
+        cache = hn.CheckpointCache()
+        reports = hn.run_transfer("datasets/web-tiny", "datasets/web-tiny", cfg,
+                                  cache=cache)
+        points = cfg.grid.points()
+        assert len(cells) == 2 * len(points) * len(cfg.seeds)
+        key, pick = (("accuracy", np.argmax) if selection == "test_acc"
+                     else ("train_loss", np.argmin))
+        for report, scratch in zip(reports, (True, False)):
+            means = [np.mean([out[key] for s, p, out in cells
+                              if s == scratch and p == point])
+                     for point in points]
+            assert report.chosen_grid_point == points[int(pick(means))]
+        # self-transfer's Cross arm is the plain experiment, grid search included
+        direct = hn.run_experiment(cfg, cache=cache)
+        assert reports[1].chosen_grid_point == direct.chosen_grid_point
+        assert reports[1].accuracies == direct.accuracies
+
+    def test_transfer_scratch_arm_tunes_a_random_encoder(self):
+        cfg = quick_cfg(glora_mode="edge_subset", seeds=[0, 1, 2])
+        scratch, _cross = hn.run_transfer("datasets/web-tiny", "datasets/web-tiny",
+                                          cfg, cache=hn.CheckpointCache())
+        dst = gs.load_dataset("datasets/web-tiny")
+        point = cfg.grid.points()[0]
+        enc_cfg = enc.EncoderConfig(layers=2, dims=[dst.num_features, 128, 128])
+        accs, counts = [], []
+        for seed in cfg.seeds:
+            tcfg = PromptTuneConfig(
+                alpha=point["alpha"], rank=point["rank"], glora_mode="edge_subset",
+                lr=point["lr"], weight_decay=point["weight_decay"], tau=cfg.tau,
+                epochs=cfg.epochs, seed=seed, patience=cfg.patience)
+            params = enc.init_encoder(enc_cfg, np.random.default_rng(seed))
+            _tuned, res = run_prompt_tune((params, enc_cfg), dst,
+                                          gs.kshot_split(dst, cfg.shots, seed), tcfg)
+            accs.append(res.test_accuracy)
+            counts.append(res.trainable_encoder + res.trainable_prompt)
+        assert scratch.accuracies == accs
+        assert scratch.trainable_params_pretrain == 0
+        # under edge_subset the count follows the split; the report keeps the
+        # max over the seeds, as run_experiment does, not the last seed's
+        assert counts[-1] < max(counts)
+        assert scratch.trainable_params_downstream == max(counts)
 
 
 class TestHeterophilySweep:
