@@ -5,16 +5,23 @@ weights W0 (and the input linear map) are learned during pre-training and
 frozen afterwards, while the low-rank factors are the stage-two trainables:
 `EncoderConfig` describes the former, `attach_glora` adds the latter.
 Adaptation factors are zero-initialized on one side so a freshly attached
-adapter reproduces the frozen encoder exactly. A full-GLoRA layer runs as
-the frozen product (A_hat H) W0 plus a rank-(r+1) update. A forward can take
-its epoch-invariant start from `forward_start`, which picks it from the
-parameters: H(0) = X W_in while the base is frozen, A_hat X once a base
+adapter reproduces the frozen encoder exactly. Every layer carrying P and Q
+is one `numcore.lowrank_layer` node that never forms W0 + P Q^T: a projected
+layer (`edge_subset`, graph tasks) runs as (A'H) W0 + ((A'H) P) Q^T, which
+reassociates the dense weight's product (results move by rounding), and a
+full-GLoRA layer as the frozen product (A_hat H) W0 plus a rank-(r+1)
+update, bitwise as the unfused chain ran it. A forward can take its
+epoch-invariant start from `forward_start`, which picks it from the
+parameters: H(0) = X W_in while the base is frozen, with layer 0's A_hat H(0)
+and A_hat H(0) W0 unless its edge weights train, and A_hat X once a base
 weight trains, the first layer then being (A_hat X)(W_in W0). A checkpoint
-holds the float32 base weights only, as `as_stored` rounds them.
+holds the float32 base weights only, as `as_stored` rounds them, and ends in
+the sha256 of its other bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -36,12 +43,10 @@ from .numcore import (
     Tensor,
     add,
     gather_rows,
-    hstack,
+    lowrank_layer,
     matmul,
     relu,
     spmm,
-    transpose,
-    vstack,
 )
 
 GLORA_MODES = ("off", "full", "edge_subset")
@@ -49,7 +54,8 @@ GLORA_MODES = ("off", "full", "edge_subset")
 GLORA_INIT_STD = 0.02  # one-sided Gaussian; the other factor starts at zero
 
 _MAGIC = b"DAGP"
-_VERSION = 1
+_VERSION = 2
+_DIGEST_BYTES = 32  # sha256 of every byte before it
 
 
 @dataclass
@@ -281,8 +287,8 @@ def forward_plan(adj: SparseMatrix, ids, layers: int,
 class FrozenInput:
     """The constant start of every forward over one plan, untracked, as
     `forward_start` builds it. With the input map and every W0 frozen: `h0`
-    = H(0) = X W_in on the plan's input rows and, when the first layer
-    carries full GLoRA, `first` = its aggregation A H(0) and frozen product
+    = H(0) = X W_in on the plan's input rows and, unless the first layer's
+    edge weights train, `first` = its aggregation A H(0) and frozen product
     A H(0) W0. With a base weight training: `ax` = A X on the first layer's
     rows alone."""
 
@@ -325,37 +331,17 @@ def forward_start(adj: SparseMatrix, x: Tensor, params: EncoderParams,
     """The constants every forward over `plan` (None: the full forward)
     starts from, built from the call's own inputs. While the input map and
     every W0 stay frozen that is H(0), plus the first layer's frozen
-    products under full GLoRA; once a base weight trains it is A X, and
-    the first layer runs as (A X)(W_in W0)."""
+    products unless its edge weights train; once a base weight trains it
+    is A X, and the first layer runs as (A X)(W_in W0)."""
     plan = _checked_plan(adj, x, params, plan)
     if params.w_in.requires_grad or any(lp.w0.requires_grad for lp in params.layers):
         return FrozenInput(ax=spmm(plan.adjs[0], _input_rows(x, plan)))
     h0 = _input_map(x, params, plan)
     first = None
-    if _full_glora(params.layers[0]):
+    if params.layers[0].edge_weights is None:
         agg = spmm(plan.adjs[0], h0)
         first = (agg, matmul(agg, params.layers[0].w0))
     return FrozenInput(h0=h0, first=first)
-
-
-def _full_glora_layer(sub: SparseMatrix, h: Tensor, lp: LayerParams, pa: Tensor,
-                      known: tuple[Tensor, Tensor] | None) -> Tensor:
-    """((A + pa qa^T) h)(W0 + P Q^T) as (A h) W0 + [(A h) P | pa] [Q^T ; (qa^T h) W]:
-    the frozen product plus a rank-(r+1) update, with (qa^T h) W as
-    (qa^T h) W0 + ((qa^T h) P) Q^T. An adapter meets W0 only through one
-    row, so no adapter enters an (n, d) x (d, d) product. `known` is
-    (A h, A h W0) when h is constant."""
-    if lp.p is None or lp.q is None:
-        raise ContractError("full GLoRA needs the projection factors P and Q")
-    if known is None:
-        agg = spmm(sub, h)
-        known = (agg, matmul(agg, lp.w0))
-    agg, base = known
-    q_t = transpose(lp.q)
-    qh = matmul(transpose(lp.qa), h)
-    row = add(matmul(qh, lp.w0), matmul(matmul(qh, lp.p), q_t))
-    update = matmul(hstack([matmul(agg, lp.p), pa]), vstack([q_t, row]))
-    return add(base, update)
 
 
 def encoder_forward(adj: SparseMatrix, x: Tensor, params: EncoderParams,
@@ -386,18 +372,11 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, params: EncoderParams,
                 raise ContractError("an A X start needs a layer 0 without GLoRA factors")
             # no nonlinearity precedes it: A (X W_in) W0 = (A X)(W_in W0)
             h = matmul(ax, matmul(params.w_in, lp.w0))
-        elif _full_glora(lp):
-            if plan.rows[l] is not None:
-                raise ContractError("full GLoRA reads every row of each layer's "
-                                    "input; plan it with dense=True")
-            pa = lp.pa if plan.rows[l + 1] is None else gather_rows(lp.pa, plan.rows[l + 1])
-            known = frozen.first if l == 0 and frozen is not None else None
-            h = _full_glora_layer(sub, h, lp, pa, known)
         else:
-            weight = lp.w0
-            if lp.p is not None and lp.q is not None:
-                weight = add(weight, matmul(lp.p, transpose(lp.q)))
-            if lp.edge_weights is not None:
+            base = None
+            if l == 0 and frozen is not None and frozen.first is not None:
+                agg, base = frozen.first
+            elif lp.edge_weights is not None:
                 if plan.edge_slots is None:
                     raise ContractError("edge weights present but no edge_positions")
                 # one shared scalar per selected undirected edge, added to
@@ -408,7 +387,19 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, params: EncoderParams,
                 agg = spmm(sub, h, values=values, slots=slots)
             else:
                 agg = spmm(sub, h)
-            h = matmul(agg, weight)
+            if _full_glora(lp):
+                if lp.p is None or lp.q is None:
+                    raise ContractError("full GLoRA needs the projection factors P and Q")
+                if plan.rows[l] is not None:
+                    raise ContractError("full GLoRA reads every row of each layer's "
+                                        "input; plan it with dense=True")
+                rows = plan.rows[l + 1]
+                pa = lp.pa if rows is None else gather_rows(lp.pa, rows)
+                h = lowrank_layer(agg, lp.w0, lp.p, lp.q, base, h=h, pa=pa, qa=lp.qa)
+            elif lp.p is not None and lp.q is not None:
+                h = lowrank_layer(agg, lp.w0, lp.p, lp.q, base)
+            else:
+                h = matmul(agg, lp.w0) if base is None else base
         if l < len(params.layers) - 1:
             h = relu(h)
         stack.append(h)
@@ -437,7 +428,8 @@ def count_trainable(params: EncoderParams, stage: str) -> int:
 # ---------------------------------------------------------------------------
 # checkpoint container: magic "DAGP", u32 version, length-prefixed config
 # JSON, then one (name_len, name, ndim, dims..., float32 payload) record per
-# base weight, "w_in" then "layer{l}.w0" in layer order, all little-endian
+# base weight, "w_in" then "layer{l}.w0" in layer order, all little-endian,
+# then the sha256 digest of every preceding byte (version 2)
 # ---------------------------------------------------------------------------
 
 def _records(params: EncoderParams):
@@ -471,11 +463,12 @@ def checkpoint_save(params: EncoderParams, cfg: EncoderConfig, path) -> None:
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     blob = cfg.to_json().encode("utf-8")
+    body = b"".join([_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob] + [
+        _record_header(name, data.shape) + data.tobytes()
+        for name, data in _records(params)])
     try:
         with open(tmp, "xb") as fh:
-            fh.write(_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob)
-            for name, data in _records(params):
-                fh.write(_record_header(name, data.shape) + data.tobytes())
+            fh.write(body + hashlib.sha256(body).digest())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -487,9 +480,11 @@ def checkpoint_load(path):
     """Read a checkpoint; returns (EncoderParams, EncoderConfig).
 
     The config fixes each record's header, checked before its payload is
-    read, and no read asks for more than the file holds: a malformed file
-    raises CheckpointError only. Loaded tensors are not trainable; stage two
-    and fine-tuning train tensors of their own over them (`own_base`).
+    read, and no read asks for more than the file holds; the digest at the
+    end must match every byte before it. A malformed or altered file, or
+    one of another version, raises CheckpointError only. Loaded tensors are
+    not trainable; stage two and fine-tuning train tensors of their own over
+    them (`own_base`).
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -519,6 +514,11 @@ def checkpoint_load(path):
             if not np.isfinite(data).all():
                 raise CheckpointError(f"{name}: non-finite entries")
             arrays.append(data)
+        body = fh.tell()
+        digest = read(_DIGEST_BYTES, "checksum")
         if fh.tell() != size:
-            raise CheckpointError(f"{size - fh.tell()} bytes after the last record")
+            raise CheckpointError(f"{size - fh.tell()} bytes after the checksum")
+        fh.seek(0)
+        if hashlib.sha256(fh.read(body)).digest() != digest:
+            raise CheckpointError("checksum mismatch: the file was altered")
     return _from_records(arrays), cfg

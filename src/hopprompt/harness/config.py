@@ -36,6 +36,14 @@ MODES = (
     "ablation:fixed_gamma",
 )
 
+# modes whose runs attach no GLoRA factors, so a grid rank of 0 is theirs
+GLORA_FREE_MODES = ("scratch_gcn", "finetune_lp", "ablation:no_glora")
+
+# the range every grid value must lie in, checked when the grid is built,
+# so that no value fails a run after its pre-training
+GRID_RANGES = {"lr": (0.0, math.inf), "weight_decay": (0.0, math.inf),
+               "hidden": (1, math.inf), "rank": (0, math.inf), "alpha": (0.0, 1.0)}
+
 QUICK_SEEDS = 5
 PAPER_SEEDS = 10
 
@@ -65,11 +73,15 @@ class GridSpec:
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"grid {f.name} must be a non-empty list, got {values!r}")
             whole = f.name in ("hidden", "rank")
+            lo, hi = GRID_RANGES[f.name]
             for value in values:
                 if not _is_grid_number(value, whole):
                     raise ConfigError(
                         f"grid {f.name} values must be {'ints' if whole else 'finite numbers'}, "
                         f"got {value!r}")
+                if not lo <= value <= hi:
+                    raise ConfigError(
+                        f"grid {f.name} values must lie in [{lo}, {hi}], got {value!r}")
 
     def points(self) -> list[dict]:
         """Cartesian product in a fixed field order."""
@@ -80,7 +92,8 @@ class GridSpec:
     def validate_within_paper_sets(self) -> None:
         for key, allowed in PAPER_GRID.items():
             for value in getattr(self, key):
-                if not any(np.isclose(value, a) for a in allowed):
+                # relative only: an absolute slack would pass 5e-9 as 0.0
+                if not any(np.isclose(value, a, atol=0.0) for a in allowed):
                     raise ConfigError(
                         f"grid value {key}={value} outside the stated set {allowed}; "
                         "set allow_custom_grid to override"
@@ -133,6 +146,10 @@ class ExperimentConfig:
             raise ConfigError(f"glora_mode {self.glora_mode!r} not in {GLORA_MODES}")
         if self.patience is not None and self.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
+        if (self.glora_mode != "off" and self.mode not in GLORA_FREE_MODES
+                and min(self.grid.rank) < 1):
+            raise ConfigError(f"grid rank must be >= 1 when {self.mode} attaches "
+                              f"GLoRA ({self.glora_mode}), got {self.grid.rank}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.workers > 1:

@@ -9,7 +9,7 @@ from .tensor import (
     backward,
     class_means,
     gather_rows,
-    hstack,
+    lowrank_layer,
     matmul,
     peak_tape_bytes,
     prompt_cosines,
@@ -19,9 +19,7 @@ from .tensor import (
     rowwise_cosine_sim,
     scatter_rows,
     softmax_nll,
-    transpose,
     triplet_nll,
-    vstack,
 )
 
 __all__ = [
@@ -33,7 +31,7 @@ __all__ = [
     "class_means",
     "fit",
     "gather_rows",
-    "hstack",
+    "lowrank_layer",
     "matmul",
     "peak_tape_bytes",
     "prompt_cosines",
@@ -44,7 +42,5 @@ __all__ = [
     "scatter_rows",
     "softmax_nll",
     "spmm",
-    "transpose",
     "triplet_nll",
-    "vstack",
 ]

@@ -120,13 +120,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", ad @ bd, (a, b), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (g.T,)
-
-    return _record("transpose", a.data.T.copy(), (a,), vjp)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes differ, {a.shape} vs {b.shape}")
@@ -191,38 +184,63 @@ def scatter_rows(src: Tensor, idx, out_rows: int) -> Tensor:
     return _record("scatter_rows", out, (src,), vjp)
 
 
-def vstack(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise DimensionError("vstack: no tensors")
-    cols = parts[0].cols
-    for p in parts:
-        if p.cols != cols:
-            raise DimensionError(f"vstack: column counts differ, {p.cols} vs {cols}")
-    sizes = [p.rows for p in parts]
-    offsets = np.cumsum([0] + sizes)
+def lowrank_layer(agg: Tensor, w0: Tensor, p: Tensor, q: Tensor,
+                  base: Tensor | None = None, h: Tensor | None = None,
+                  pa: Tensor | None = None, qa: Tensor | None = None) -> Tensor:
+    """A layer adapted by a rank-r weight update, agg (W0 + P Q^T), as one
+    tape node: base + (agg P) Q^T, never forming W0 + P Q^T. `base` is
+    agg W0, supplied when it is constant. With the adjacency factors of
+    agg = A h, the layer is ((A + pa qa^T) h)(W0 + P Q^T) = base +
+    [agg P | pa] [Q^T ; (qa^T h) W0 + ((qa^T h) P) Q^T], a rank-(r+1)
+    update. Both passes run the expressions of that chain of `matmul`,
+    `add`, `hstack` and `vstack` in its order, so the adjacency-adapted
+    layer agrees with it bit for bit. The VJP keeps no (n, d) array but
+    the inputs'."""
+    n, k = agg.shape
+    r, full = p.cols, pa is not None
+    if (w0.rows != k or p.rows != k or q.shape != (w0.cols, r)
+            or base is not None and base.shape != (n, w0.cols)
+            or full and (h is None or qa is None or h.cols != k
+                         or pa.shape != (n, 1) or qa.shape != (h.rows, 1))):
+        raise DimensionError(
+            f"lowrank_layer: agg {agg.shape}, w0 {w0.shape}, p {p.shape}, "
+            f"q {q.shape} do not chain, or base or the adjacency factors do "
+            f"not fit them")
+    q_t = q.data.T.copy()
+    left, right = agg.data @ p.data, q_t
+    if full:
+        qa_t = qa.data.T.copy()
+        qh = qa_t @ h.data
+        m2 = qh @ p.data
+        row = qh @ w0.data + m2 @ q_t
+        left = np.concatenate([left, pa.data], axis=1)
+        right = np.concatenate([q_t, row], axis=0)
+    out = (agg.data @ w0.data if base is None else base.data) + left @ right
 
     def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+        d_left, d_right = g @ right.T, left.T @ g
+        d_ap, d_qt = d_left[:, :r], d_right[:r]
+        d_agg = d_ap @ p.data.T if agg.requires_grad else None
+        d_p = agg.data.T @ d_ap if p.requires_grad else None
+        d_w0 = d_h = d_pa = d_qa = None
+        if full:
+            d_pa, d_row = d_left[:, r:], d_right[r:]
+            d_m2 = d_row @ q_t.T
+            d_qt = d_qt + m2.T @ d_row
+            d_qh = d_m2 @ p.data.T + d_row @ w0.data.T
+            d_p = None if d_p is None else d_p + qh.T @ d_m2
+            d_w0 = qh.T @ d_row if w0.requires_grad else None
+            d_qa = (d_qh @ h.data.T).T
+            d_h = qa_t.T @ d_qh if h.requires_grad else None
+        if base is None:
+            d_agg = None if d_agg is None else d_agg + g @ w0.data.T
+            if w0.requires_grad:
+                d_w0 = agg.data.T @ g if d_w0 is None else d_w0 + agg.data.T @ g
+        grads = (d_agg, d_w0, d_p, d_qt.T) + (() if base is None else (g,))
+        return grads + ((d_h, d_pa, d_qa) if full else ())
 
-    return _record("vstack", np.concatenate([p.data for p in parts], axis=0),
-                   tuple(parts), vjp)
-
-
-def hstack(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise DimensionError("hstack: no tensors")
-    rows = parts[0].rows
-    for p in parts:
-        if p.rows != rows:
-            raise DimensionError(f"hstack: row counts differ, {p.rows} vs {rows}")
-    sizes = [p.cols for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-
-    return _record("hstack", np.concatenate([p.data for p in parts], axis=1),
-                   tuple(parts), vjp)
+    extra = (() if base is None else (base,)) + ((h, pa, qa) if full else ())
+    return _record("lowrank_layer", out, (agg, w0, p, q) + extra, vjp)
 
 
 def _require_norms(norms: np.ndarray, op: str, who: str, nodes=None) -> None:

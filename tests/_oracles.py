@@ -24,7 +24,12 @@ node-task training on the training rows' receptive field replaces: every
 layer runs on every row and the planned rows are gathered from the result.
 `unfactored_forward` runs each full-GLoRA layer as ((A + pa qa^T) h)(W0 +
 P Q^T), through `rank_one_update_spmm`, where the encoder runs it as the
-frozen product plus a rank-(r+1) update. `ClassPromptSet`,
+frozen product plus a rank-(r+1) update. `unfused_lowrank_layer` is the
+chain of tape ops (`transpose`, `matmul`, `add`, `hstack`, `vstack`) that
+`numcore.lowrank_layer` fuses into one node: the factored full-GLoRA layer,
+which the op matches bit for bit, and, without adjacency factors, the layer
+with the dense weight W0 + P Q^T formed, which the op reassociates;
+`lowrank_chain` is the op's own association as a chain. `ClassPromptSet`,
 `tape_anchors` and `matrix_loss` are the unfused chain of tape ops that
 `numcore.prompt_nll` fuses into one node (`unfused_prompt_nll` runs it
 with that op's arguments); `anchor_arrays` is the per-class mask loop the
@@ -32,12 +37,16 @@ evaluation's anchors must agree with. `reference_predict` is the per-layer
 evaluation loop, one `guarded_scores` cosine per layer, that the evaluation
 replaces with one call to `numcore.prompt_cosines`, the loss's own cosines;
 `reference_graph_tune` predicts through it. `scalar`, `sub`, `scale`,
-`sum_all` and `mean_rows` are tape ops the package itself does not run; the
-tests build losses and poolings from them. `glora_param_count` is the closed
-form of the adapter size that `encoder.count_trainable` enumerates.
+`sum_all`, `mean_rows`, `transpose`, `vstack` and `hstack` are tape ops the
+package itself does not run; the tests build losses, poolings and the
+oracle chains from them. `resigned` and `version_one` rewrite a
+checkpoint's bytes as `checkpoint_save` would sign them and as the
+version-1 format held them. `glora_param_count` is the closed form of the
+adapter size that `encoder.count_trainable` enumerates.
 """
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -65,15 +74,12 @@ from hopprompt.numcore import (
     add,
     backward,
     gather_rows,
-    hstack,
     matmul,
     relu,
     row_cosine_sim,
     rowwise_cosine_sim,
     softmax_nll,
     spmm,
-    transpose,
-    vstack,
 )
 from hopprompt.numcore.optim import BETA1, BETA2, EPS, AdamState
 from hopprompt.numcore.tensor import NORM_EPS, _record
@@ -122,6 +128,69 @@ def mean_rows(a: Tensor) -> Tensor:
         return (np.repeat(g, n, axis=0) / n,)
 
     return _record("mean_rows", a.data.mean(axis=0, keepdims=True), (a,), vjp)
+
+
+def transpose(a: Tensor) -> Tensor:
+    def vjp(g):
+        return (g.T,)
+
+    return _record("transpose", a.data.T.copy(), (a,), vjp)
+
+
+def vstack(parts) -> Tensor:
+    if not parts:
+        raise DimensionError("vstack: no tensors")
+    cols = parts[0].cols
+    for p in parts:
+        if p.cols != cols:
+            raise DimensionError(f"vstack: column counts differ, {p.cols} vs {cols}")
+    sizes = [p.rows for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def vjp(g):
+        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+
+    return _record("vstack", np.concatenate([p.data for p in parts], axis=0),
+                   tuple(parts), vjp)
+
+
+def hstack(parts) -> Tensor:
+    if not parts:
+        raise DimensionError("hstack: no tensors")
+    rows = parts[0].rows
+    for p in parts:
+        if p.rows != rows:
+            raise DimensionError(f"hstack: row counts differ, {p.rows} vs {rows}")
+    sizes = [p.cols for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def vjp(g):
+        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+
+    return _record("hstack", np.concatenate([p.data for p in parts], axis=1),
+                   tuple(parts), vjp)
+
+
+def unfused_lowrank_layer(agg, w0, p, q, base=None, h=None, pa=None, qa=None):
+    """`numcore.lowrank_layer` with the same arguments as the chains of tape
+    ops the encoder ran before it. With the adjacency factors, the factored
+    full-GLoRA layer: base + [agg P | pa] [Q^T ; (qa^T h) W0 + ((qa^T h) P)
+    Q^T], base = agg W0 unless supplied. Without them, agg (W0 + P Q^T) with
+    the dense adapted weight formed (`base` is not read)."""
+    if pa is None:
+        return matmul(agg, add(w0, matmul(p, transpose(q))))
+    if base is None:
+        base = matmul(agg, w0)
+    q_t = transpose(q)
+    qh = matmul(transpose(qa), h)
+    row = add(matmul(qh, w0), matmul(matmul(qh, p), q_t))
+    return add(base, matmul(hstack([matmul(agg, p), pa]), vstack([q_t, row])))
+
+
+def lowrank_chain(agg, w0, p, q):
+    """agg W0 + (agg P) Q^T as a chain of tape ops: the association that
+    `numcore.lowrank_layer` runs without adjacency factors or a base."""
+    return add(matmul(agg, w0), matmul(matmul(agg, p), transpose(q)))
 
 
 def reference_adam_step(params, grads, state):
@@ -526,6 +595,20 @@ def unfactored_forward(adj, x, params, plan=None):
         stack.append(h)
     return [h if pick is None else gather_rows(h, pick)
             for h, pick in zip(stack, plan.picks)]
+
+
+def resigned(raw: bytes) -> bytes:
+    """A checkpoint's bytes with the trailing sha256 digest recomputed over
+    the rest, as `checkpoint_save` writes it: an edit made before calling
+    this reaches the reader's other checks instead of the checksum."""
+    body = raw[:-32]
+    return body + hashlib.sha256(body).digest()
+
+
+def version_one(raw: bytes) -> bytes:
+    """A version-2 checkpoint's bytes as the version-1 format wrote them:
+    version field 1 and no trailing digest."""
+    return raw[:4] + (1).to_bytes(4, "little") + raw[8:-32]
 
 
 def glora_param_count(cfg, mode, rank, num_nodes=None, num_selected_edges=None):

@@ -6,6 +6,8 @@ when datasets/texas and datasets/cora exist (see scripts/fetch_webkb.py);
 otherwise the synthetic-generator fallback branch runs.
 """
 
+import ast
+import importlib
 import math
 import time
 from dataclasses import replace
@@ -24,6 +26,7 @@ from hopprompt import numcore as nc
 from tests._oracles import (
     finite_diff,
     glora_param_count,
+    hstack,
     mean_rows,
     prompt_param_count,
     random_csr,
@@ -31,7 +34,9 @@ from tests._oracles import (
     scale,
     sub,
     sum_all,
+    transpose,
     unfused_prompt_nll,
+    vstack,
 )
 
 BUNDLED = ["datasets/syn-h10", "datasets/syn-h90", "datasets/web-tiny",
@@ -80,8 +85,9 @@ def ordering_config(mode, *, shots=None, train_fraction=None, seeds, epochs=150)
 # criterion 1: gradient correctness, < 10 s
 # ---------------------------------------------------------------------------
 
-def test_criterion_01_gradient_correctness():
-    t0 = time.perf_counter()
+def gradient_checks() -> float:
+    """Criterion 01's finite-difference checks; returns the largest relative
+    error between a tape gradient and central differences."""
     rng = np.random.default_rng(0)
     worst = 0.0
 
@@ -97,7 +103,7 @@ def test_criterion_01_gradient_correctness():
     b = nc.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     fd_check(lambda: sum_all(nc.matmul(a, b)), [a, b])
     fd_check(lambda: sum_all(nc.relu(nc.matmul(a, b))), [a, b])
-    fd_check(lambda: sum_all(nc.transpose(a)), [a])
+    fd_check(lambda: sum_all(transpose(a)), [a])
     c = nc.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     fd_check(lambda: sum_all(nc.add(a, c)), [a, c])
     fd_check(lambda: sum_all(sub(a, c)), [a, c])
@@ -105,8 +111,8 @@ def test_criterion_01_gradient_correctness():
     fd_check(lambda: sum_all(mean_rows(a)), [a])
     fd_check(lambda: sum_all(nc.gather_rows(a, [0, 0, 2])), [a])
     fd_check(lambda: sum_all(nc.scatter_rows(a, [1, 4, 1], 6)), [a])
-    fd_check(lambda: sum_all(nc.vstack([a, c])), [a, c])
-    fd_check(lambda: sum_all(nc.hstack([a, c])), [a, c])
+    fd_check(lambda: sum_all(vstack([a, c])), [a, c])
+    fd_check(lambda: sum_all(hstack([a, c])), [a, c])
     h = nc.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     p = nc.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     fd_check(lambda: sum_all(nc.row_cosine_sim(h, p)), [h, p])
@@ -165,10 +171,65 @@ def test_criterion_01_gradient_correctness():
     fd_check(prompt_composite(unfused_prompt_nll), prompt_params)
     fd_check(prompt_composite(nc.prompt_nll), prompt_params)
 
+    # one GLoRA-adapted layer, with its own draws so that the instances
+    # above stay as they were: the projection update alone, and with the
+    # adjacency factors of agg = A h under a non-uniform upstream
+    lrng = np.random.default_rng(1)
+    agg, w0, pl, ql, hl = (nc.Tensor(lrng.standard_normal(shape), requires_grad=True)
+                           for shape in [(3, 4), (4, 5), (4, 2), (5, 2), (6, 4)])
+    pal = nc.Tensor(lrng.standard_normal((3, 1)), requires_grad=True)
+    qal = nc.Tensor(lrng.standard_normal((6, 1)), requires_grad=True)
+    fd_check(lambda: sum_all(nc.lowrank_layer(agg, w0, pl, ql)), [agg, w0, pl, ql])
+    fd_check(lambda: nc.softmax_nll(
+        nc.lowrank_layer(agg, w0, pl, ql, h=hl, pa=pal, qa=qal), [0, 4, 2], 0.7),
+        [agg, w0, pl, ql, hl, pal, qal])
+    return worst
+
+
+def test_criterion_01_gradient_correctness():
+    t0 = time.perf_counter()
+    worst = gradient_checks()
     elapsed = time.perf_counter() - t0
     check(1, "gradient correctness",
           worst < 1e-4 and elapsed < 10.0,
           f"max rel err {worst:.2e}, {elapsed:.1f}s")
+
+
+NUMCORE = Path(nc.__file__).resolve().parent
+
+
+def recorded_op_names() -> dict[str, str]:
+    """{op name: module} of every `_record(...)` call in `numcore`'s
+    sources. An op name that is not a string literal fails here, since
+    the guard below could not tell which op it names."""
+    names = {}
+    for path in sorted(NUMCORE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record":
+                op = node.args[0]
+                assert isinstance(op, ast.Constant) and isinstance(op.value, str), \
+                    f"{path.name}:{node.lineno}: _record's op name is not a literal"
+                names[op.value] = f"hopprompt.numcore.{path.stem}"
+    return names
+
+
+def test_criterion_01_checks_every_tape_op(monkeypatch):
+    """Every op `numcore` records on the tape runs under criterion 01's
+    finite-difference checks, so no op, fused or not, lands unchecked."""
+    ops = recorded_op_names()
+    assert {"matmul", "spmm", "lowrank_layer", "prompt_nll"} <= set(ops)
+    seen = set()
+    for module_name in set(ops.values()):
+        module = importlib.import_module(module_name)
+
+        def spy(op, *args, _real=module._record):
+            seen.add(op)
+            return _real(op, *args)
+
+        monkeypatch.setattr(module, "_record", spy)
+    gradient_checks()
+    missing = sorted(set(ops) - seen)
+    assert not missing, f"criterion 01 checks no instance of {missing}"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,14 @@ import pytest
 from hopprompt import numcore as nc
 from hopprompt.errors import ContractError
 
-from tests._oracles import assert_grads_close, finite_diff, mean_rows, scale, sum_all
+from tests._oracles import (
+    assert_grads_close,
+    finite_diff,
+    mean_rows,
+    scale,
+    sum_all,
+    vstack,
+)
 
 
 def test_sum_gradient_is_ones():
@@ -90,9 +97,9 @@ def test_composite_gradients_over_random_instances(seed):
     def forward():
         pre = nc.matmul(x, w)
         h = nc.add(nc.relu(pre), scale(pre, 0.1))  # leaky: no all-zero rows
-        pooled = nc.vstack([mean_rows(nc.gather_rows(h, [0, 1])),
+        pooled = vstack([mean_rows(nc.gather_rows(h, [0, 1])),
                             mean_rows(nc.gather_rows(h, [2, 3]))])
-        both = nc.vstack([h, pooled])
+        both = vstack([h, pooled])
         scores = nc.row_cosine_sim(both, proto)
         return nc.softmax_nll(scores, np.concatenate([y, [0, 1]]), tau=0.6)
 

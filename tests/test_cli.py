@@ -164,6 +164,8 @@ def test_experiment_bad_config_exit_code(runner, tmp_path):
     ("seeds", [-1], "seeds must be a list of ints"),
     ("grid", {"lr": ["x"]}, "grid lr values must be finite numbers"),
     ("grid", {"rank": [8.5]}, "grid rank values must be ints"),
+    ("grid", {"alpha": [1.5]}, "grid alpha values must lie in [0.0, 1.0]"),
+    ("grid", {"rank": [0]}, "grid rank must be >= 1"),
 ])
 def test_experiment_bad_value_exit_code(runner, tmp_path, field, value, message):
     # rejected while the config is built, before any data is read; a custom

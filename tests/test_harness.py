@@ -22,7 +22,13 @@ from hopprompt.harness import runner
 from hopprompt.pretrain import PretrainConfig
 from hopprompt.prompt import PromptTuneConfig, run_prompt_tune
 
-from tests._oracles import full_rows_plan, glora_param_count, prompt_param_count
+from tests._oracles import (
+    full_rows_plan,
+    glora_param_count,
+    prompt_param_count,
+    resigned,
+    version_one,
+)
 
 
 def quick_cfg(dataset="datasets/web-tiny", **overrides):
@@ -54,6 +60,39 @@ class TestExperimentConfig:
             quick_cfg(grid=hn.GridSpec(lr=[0.123]))
         cfg = quick_cfg(grid=hn.GridSpec(lr=[0.123]), allow_custom_grid=True)
         assert cfg.grid.lr == [0.123]
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1e-3), ("weight_decay", -5e-9), ("hidden", 0), ("rank", -1),
+        ("alpha", 1.5), ("alpha", -0.1),
+    ])
+    def test_grid_value_out_of_range_rejected_when_built(self, field, value):
+        # before this check, each one passed and failed a run mid-way, after
+        # its pre-training had been paid for
+        with pytest.raises(ConfigError, match=f"grid {field} values must lie in"):
+            hn.GridSpec(**{field: [value]})
+
+    @pytest.mark.parametrize("mode", ["dagprompt", "prototype",
+                                      "ablation:last_layer_only", "ablation:fixed_gamma"])
+    def test_rank_zero_rejected_when_glora_attaches(self, mode):
+        with pytest.raises(ConfigError, match="rank must be >= 1"):
+            quick_cfg(mode=mode, grid=hn.GridSpec(rank=[8, 0]), allow_custom_grid=True)
+        # without GLoRA factors the rank is never read
+        assert quick_cfg(mode=mode, grid=hn.GridSpec(rank=[0]), allow_custom_grid=True,
+                         glora_mode="off").grid.rank == [0]
+
+    @pytest.mark.parametrize("mode", ["scratch_gcn", "finetune_lp", "ablation:no_glora"])
+    def test_rank_zero_allowed_without_glora(self, mode):
+        cfg = quick_cfg(mode=mode, grid=hn.GridSpec(rank=[0]), allow_custom_grid=True)
+        assert cfg.grid.rank == [0]
+
+    @pytest.mark.parametrize("field, value", [
+        ("weight_decay", 5e-9), ("weight_decay", -5e-9), ("weight_decay", 2.509e-6),
+    ])
+    def test_paper_sets_match_by_relative_tolerance(self, field, value):
+        # an absolute slack of 1e-8 matched these to 0.0 and 2.5e-6
+        with pytest.raises(ConfigError):
+            quick_cfg(grid=hn.GridSpec(**{field: [value]}))
+        assert quick_cfg(grid=hn.GridSpec(weight_decay=[2.5e-6 * (1 + 1e-9)]))
 
     def test_grid_points_cartesian(self):
         spec = hn.GridSpec(lr=[1e-4, 5e-4], rank=[8, 16])
@@ -293,7 +332,10 @@ class TestCacheRecovery:
         hn.CheckpointCache(root).get_or_pretrain(tiny_data, cfg, pcfg)
         (entry,) = root.glob("*.dagp")
         whole = entry.read_bytes()
-        poisoned = whole[:-4] + np.float32(bad).astype("<f4").tobytes()
+        # the last payload entry, signed again, so the finiteness check
+        # rejects it rather than the checksum
+        poisoned = resigned(whole[:-36] + np.float32(bad).astype("<f4").tobytes()
+                            + whole[-32:])
         entry.write_bytes(poisoned)
         cache = hn.CheckpointCache(root)
         params, _cfg, losses = cache.get_or_pretrain(tiny_data, cfg, pcfg)
@@ -304,6 +346,23 @@ class TestCacheRecovery:
         for ours, theirs in zip([params.w_in] + [lp.w0 for lp in params.layers],
                                 [fresh.w_in] + [lp.w0 for lp in fresh.layers]):
             assert ours.data.tobytes() == theirs.data.tobytes()
+        warm = hn.CheckpointCache(root)
+        assert warm.get_or_pretrain(tiny_data, cfg, pcfg)[2] is None
+        assert (warm.quarantined, warm.pretrain_runs) == (0, 0)
+
+
+    def test_version_one_entry_is_quarantined_and_retrained_once(self, tiny_data,
+                                                                 tmp_path):
+        cfg, pcfg = self._configs(tiny_data)
+        root = tmp_path / "cache"
+        hn.CheckpointCache(root).get_or_pretrain(tiny_data, cfg, pcfg)
+        (entry,) = root.glob("*.dagp")
+        whole = entry.read_bytes()
+        entry.write_bytes(version_one(whole))
+        cache = hn.CheckpointCache(root)
+        assert cache.get_or_pretrain(tiny_data, cfg, pcfg)[2] is not None
+        assert (cache.quarantined, cache.pretrain_runs) == (1, 1)
+        assert entry.read_bytes() == whole
         warm = hn.CheckpointCache(root)
         assert warm.get_or_pretrain(tiny_data, cfg, pcfg)[2] is None
         assert (warm.quarantined, warm.pretrain_runs) == (0, 0)

@@ -895,17 +895,25 @@ class TestNodeStageTwoTrainsEveryAdapter:
 class TestFullGloraEpochProducts:
     """During a full-mode node tune's epochs no product multiplies an
     (N, d) operand by a (d, d) one: the frozen first layer's is computed
-    once per call, and every adapter enters through a rank-(r+1) update."""
+    once per call, and every adapter enters through a rank-(r+1) update.
+    A layer's own products run inside `numcore.lowrank_layer`, which forms
+    agg W0 only when it is not handed that base, so each call that
+    aggregates N rows must be handed it."""
 
     def test_no_node_by_weight_product_per_epoch(self, monkeypatch, synth_h10,
                                                   ckpt_h10):
-        shapes, in_epochs = [], [False]
-        real_matmul, real_fit = enc.matmul, pr.fit
+        shapes, layers, in_epochs = [], [], [False]
+        real_matmul, real_layer, real_fit = enc.matmul, enc.lowrank_layer, pr.fit
 
         def matmul(a, b):
             if in_epochs[0]:
                 shapes.append((a.shape, b.shape))
             return real_matmul(a, b)
+
+        def lowrank_layer(agg, w0, p, q, base=None, **adjacency):
+            if in_epochs[0]:
+                layers.append((agg.shape, w0.shape, base is not None))
+            return real_layer(agg, w0, p, q, base, **adjacency)
 
         def fit(*args, **kwargs):
             in_epochs[0] = True
@@ -915,15 +923,20 @@ class TestFullGloraEpochProducts:
                 in_epochs[0] = False
 
         monkeypatch.setattr(enc, "matmul", matmul)
+        monkeypatch.setattr(enc, "lowrank_layer", lowrank_layer)
         monkeypatch.setattr(pr, "fit", fit)
         split = gs.kshot_split(synth_h10, 5, seed=2)
         tcfg = pr.PromptTuneConfig(epochs=4, patience=None, seed=0, lr=1e-3,
                                    glora_mode="full")
         pr.run_prompt_tune(ckpt_h10, synth_h10, split, tcfg)
         n, d = synth_h10.num_nodes, encoder_config().hidden_dim
-        assert shapes, "no product recorded during the epochs"
+        assert len(layers) == 4 * 2, "one adapted-layer op per layer and epoch"
         dense = [s for s in shapes if s == ((n, d), (d, d))]
+        dense += [(a, w) for a, w, given in layers if a == (n, d) and w == (d, d)
+                  and not given]
         assert not dense, f"{len(dense)} (N, d) x (d, d) products in 4 epochs"
+        # the N-row layer is there, and it is handed its base
+        assert ((n, d), (d, d), True) in layers
 
 
 class TestDegenerateRowWrapped:
