@@ -10,13 +10,15 @@ is one `numcore.lowrank_layer` node that never forms W0 + P Q^T: a projected
 layer (`edge_subset`, graph tasks) runs as (A'H) W0 + ((A'H) P) Q^T, which
 reassociates the dense weight's product (results move by rounding), and a
 full-GLoRA layer as the frozen product (A_hat H) W0 plus a rank-(r+1)
-update, bitwise as the unfused chain ran it. A forward can take its
-epoch-invariant start from `forward_start`, which picks it from the
-parameters: H(0) = X W_in while the base is frozen, with layer 0's A_hat H(0)
-and A_hat H(0) W0 unless its edge weights train, and A_hat X once a base
-weight trains, the first layer then being (A_hat X)(W_in W0). A checkpoint
-holds the float32 base weights only, as `as_stored` rounds them, and ends in
-the sha256 of its other bytes.
+update, bitwise as the unfused chain ran it. Trainable edges make A' = A_hat
++ E(w), E(w) holding each selected edge's weight at its two entries; one
+`numcore.edge_update` node adds E(w) H to the frozen aggregation, which is
+never rebuilt. A forward starts from `forward_start`, which picks its
+epoch-invariant start from the parameters: while the base is frozen, H(0) =
+X W_in with layer 0's A_hat H(0) and A_hat H(0) W0 in every mode, and A_hat
+X once a base weight trains, the first layer then being (A_hat X)(W_in W0).
+A checkpoint holds the float32 base weights only, as `as_stored` rounds
+them, and ends in the sha256 of its other bytes.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from .errors import (
     StructuralError,
 )
 from .numcore import (
+    EdgePattern,
     SparseMatrix,
     Tensor,
-    add,
+    edge_update,
     gather_rows,
     lowrank_layer,
     matmul,
@@ -218,15 +221,14 @@ class ForwardPlan:
     `rows[l]` are the sorted rows of H(l) computed (None: every row);
     `adjs[l]` aggregates layer l+1, rows `rows[l+1]` by columns `rows[l]`;
     `picks[l]` are the positions of `ids` in `rows[l]` (None: all of them,
-    in order); `edge_slots[l]` holds, for the trainable edge entries lying in
-    `adjs[l]`, their slots there and the edge each one belongs to (None
-    without selected edges).
+    in order); `edge_patterns[l]` places the trainable edge entries lying in
+    `adjs[l]` (None without selected edges).
     """
 
     rows: list
     adjs: list[SparseMatrix]
     picks: list
-    edge_slots: list | None
+    edge_patterns: list[EdgePattern] | None
 
 
 def forward_plan(adj: SparseMatrix, ids, layers: int,
@@ -237,6 +239,7 @@ def forward_plan(adj: SparseMatrix, ids, layers: int,
     neighbours, the exact (sampling-free) receptive field. `dense` layers
     carry full GLoRA's rank-one term, which reads every row of its input, so
     only the last layer is restricted. `ids=None` plans the full forward.
+    `edge_positions` (E, 2) pairs each selected entry with its mirror.
     """
     n = adj.shape[0]
     if ids is None:
@@ -264,36 +267,42 @@ def forward_plan(adj: SparseMatrix, ids, layers: int,
             block, source = adj.slice(rows[l], cols)
             adjs.append(block)
             sources.append(source)
-    edge_slots = None
+    patterns = None
     if edge_positions is not None:
-        # each selected undirected edge owns an upper and a mirrored slot;
-        # a layer keeps those lying in its block
-        slots = np.concatenate([edge_positions[:, 0], edge_positions[:, 1]])
-        edges = np.tile(np.arange(len(edge_positions)), 2)
-        edge_slots = []
-        for source in sources:
+        pos = np.asarray(edge_positions, dtype=np.int64)
+        if pos.ndim != 2 or pos.shape[1] != 2:
+            raise DimensionError(f"edge_positions must be (E, 2), got {pos.shape}")
+        # each selected undirected edge owns an upper and a mirrored slot,
+        # checked once here; a layer keeps those lying in its block
+        slots, edges = pos.T.ravel(), np.tile(np.arange(len(pos)), 2)
+        EdgePattern(adj, slots, edges, len(pos))  # in range and distinct
+        if np.any(adj.nnz_rows()[pos] != adj.col_indices[pos][:, ::-1]):
+            raise ContractError("edge_positions must pair each entry with its mirror")
+        patterns = []
+        for block, source in zip(adjs, sources):
             where = np.full(adj.nnz, -1)
             where[source] = np.arange(source.size)
             mapped = where[slots]
-            edge_slots.append((mapped[mapped >= 0], edges[mapped >= 0]))
+            keep = mapped >= 0
+            patterns.append(EdgePattern(block, mapped[keep], edges[keep], len(pos)))
     if ids is None:
         picks = rows
     else:
         picks = [ids if r is None else np.searchsorted(r, ids) for r in rows]
-    return ForwardPlan(rows=rows, adjs=adjs, picks=picks, edge_slots=edge_slots)
+    return ForwardPlan(rows=rows, adjs=adjs, picks=picks, edge_patterns=patterns)
 
 
 @dataclass(frozen=True)
 class FrozenInput:
     """The constant start of every forward over one plan, untracked, as
     `forward_start` builds it. With the input map and every W0 frozen: `h0`
-    = H(0) = X W_in on the plan's input rows and, unless the first layer's
-    edge weights train, `first` = its aggregation A H(0) and frozen product
-    A H(0) W0. With a base weight training: `ax` = A X on the first layer's
-    rows alone."""
+    = H(0) = X W_in on the plan's input rows and `first` = the first layer's
+    A H(0), A H(0) W0 and, only when its edge weights train, the H(0) W0
+    their update of A H(0) W0 reads. With a base weight training: `ax` = A X
+    on the first layer's rows alone."""
 
     h0: Tensor | None = None
-    first: tuple[Tensor, Tensor] | None = None
+    first: tuple[Tensor, Tensor, Tensor | None] | None = None
     ax: Tensor | None = None
 
 
@@ -326,22 +335,24 @@ def _full_glora(lp: LayerParams) -> bool:
     return lp.pa is not None and lp.qa is not None
 
 
+def _base_trains(params: EncoderParams) -> bool:
+    return params.w_in.requires_grad or any(lp.w0.requires_grad for lp in params.layers)
+
+
 def forward_start(adj: SparseMatrix, x: Tensor, params: EncoderParams,
                   plan: ForwardPlan | None = None) -> FrozenInput:
     """The constants every forward over `plan` (None: the full forward)
     starts from, built from the call's own inputs. While the input map and
-    every W0 stay frozen that is H(0), plus the first layer's frozen
-    products unless its edge weights train; once a base weight trains it
-    is A X, and the first layer runs as (A X)(W_in W0)."""
+    every W0 stay frozen that is H(0) and the first layer's frozen products;
+    once a base weight trains it is A X, and the first layer runs as
+    (A X)(W_in W0)."""
     plan = _checked_plan(adj, x, params, plan)
-    if params.w_in.requires_grad or any(lp.w0.requires_grad for lp in params.layers):
+    if _base_trains(params):
         return FrozenInput(ax=spmm(plan.adjs[0], _input_rows(x, plan)))
-    h0 = _input_map(x, params, plan)
-    first = None
-    if params.layers[0].edge_weights is None:
-        agg = spmm(plan.adjs[0], h0)
-        first = (agg, matmul(agg, params.layers[0].w0))
-    return FrozenInput(h0=h0, first=first)
+    h0, w0 = _input_map(x, params, plan), params.layers[0].w0
+    agg = spmm(plan.adjs[0], h0)
+    hw = None if params.layers[0].edge_weights is None else matmul(h0, w0)
+    return FrozenInput(h0=h0, first=(agg, matmul(agg, w0), hw))
 
 
 def encoder_forward(adj: SparseMatrix, x: Tensor, params: EncoderParams,
@@ -353,10 +364,13 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, params: EncoderParams,
     map's output. With a `plan` from `forward_plan(adj, ids, ...)` each layer
     runs on its planned rows only, and every returned layer holds rows `ids`.
     `frozen` is `forward_start` over the same plan; the forward then starts
-    from its constants instead of recomputing them. From an A X start, H(0)
-    is not formed and its place holds None.
+    from its constants instead of recomputing them. A frozen base builds that
+    start itself when none is given, so both run the same ops. From an A X
+    start, H(0) is not formed and its place holds None.
     """
     plan = _checked_plan(adj, x, params, plan)
+    if frozen is None and not _base_trains(params):
+        frozen = forward_start(adj, x, params, plan)
     ax = None if frozen is None else frozen.ax
     if frozen is not None:
         start, level = (frozen.h0, 0) if ax is None else (ax, 1)
@@ -366,27 +380,27 @@ def encoder_forward(adj: SparseMatrix, x: Tensor, params: EncoderParams,
                 f"frozen input has {start.rows} rows, the plan wants {want}")
     stack = [_input_map(x, params, plan) if frozen is None else frozen.h0]
     for l, lp in enumerate(params.layers):
-        h, sub = stack[-1], plan.adjs[l]
+        h, sub, w = stack[-1], plan.adjs[l], lp.edge_weights
+        if w is not None and plan.edge_patterns is None:
+            raise ContractError("edge weights present but no edge_positions")
         if l == 0 and ax is not None:
             if lp.adapters():
                 raise ContractError("an A X start needs a layer 0 without GLoRA factors")
             # no nonlinearity precedes it: A (X W_in) W0 = (A X)(W_in W0)
             h = matmul(ax, matmul(params.w_in, lp.w0))
         else:
-            base = None
-            if l == 0 and frozen is not None and frozen.first is not None:
-                agg, base = frozen.first
-            elif lp.edge_weights is not None:
-                if plan.edge_slots is None:
-                    raise ContractError("edge weights present but no edge_positions")
-                # one shared scalar per selected undirected edge, added to
-                # each of its slots; the other entries stay constant
-                slots, edges = plan.edge_slots[l]
-                values = add(Tensor(sub.values[slots][:, None]),
-                             gather_rows(lp.edge_weights, edges))
-                agg = spmm(sub, h, values=values, slots=slots)
+            if l == 0 and frozen is not None:
+                agg, base, hw = frozen.first
+                if w is not None:
+                    if hw is None:
+                        raise ContractError("the start holds no H(0) W0 for edge weights")
+                    base = edge_update(base, plan.edge_patterns[l], w, hw)
             else:
-                agg = spmm(sub, h)
+                agg, base = spmm(sub, h), None
+            if w is not None:
+                # A' = A + E(w): one shared scalar per selected undirected
+                # edge at each of its entries, added to the frozen product
+                agg = edge_update(agg, plan.edge_patterns[l], w, h)
             if _full_glora(lp):
                 if lp.p is None or lp.q is None:
                     raise ContractError("full GLoRA needs the projection factors P and Q")

@@ -44,11 +44,16 @@ GLORA_FREE_MODES = ("scratch_gcn", "finetune_lp", "ablation:no_glora")
 GRID_RANGES = {"lr": (0.0, math.inf), "weight_decay": (0.0, math.inf),
                "hidden": (1, math.inf), "rank": (0, math.inf), "alpha": (0.0, 1.0)}
 
+# each whole-number field's least value, checked when the config is built;
+# shots and patience may also be None
+WHOLE_FIELDS = {"shots": 1, "layers": 1, "epochs": 0, "pretrain_epochs": 1,
+                "negatives": 1, "batch_size": 1, "patience": 0, "workers": 1}
+
 QUICK_SEEDS = 5
 PAPER_SEEDS = 10
 
 
-def _is_grid_number(value, whole: bool) -> bool:
+def _is_number(value, whole: bool) -> bool:
     if isinstance(value, bool):
         return False
     if whole:
@@ -75,7 +80,7 @@ class GridSpec:
             whole = f.name in ("hidden", "rank")
             lo, hi = GRID_RANGES[f.name]
             for value in values:
-                if not _is_grid_number(value, whole):
+                if not _is_number(value, whole):
                     raise ConfigError(
                         f"grid {f.name} values must be {'ints' if whole else 'finite numbers'}, "
                         f"got {value!r}")
@@ -128,8 +133,18 @@ class ExperimentConfig:
             raise ConfigError(f"task must be node/graph, got {self.task!r}")
         if (self.shots is None) == (self.train_fraction is None):
             raise ConfigError("exactly one of shots / train_fraction must be set")
-        if self.shots is not None and self.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {self.shots}")
+        for name, least in WHOLE_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name in ("shots", "patience"):
+                continue
+            if not _is_number(value, whole=True) or value < least:
+                raise ConfigError(f"{name} must be an int >= {least}, got {value!r}")
+        if not (_is_number(self.tau, whole=False) and self.tau > 0):
+            raise ConfigError(f"tau must be a finite number > 0, got {self.tau!r}")
+        if self.train_fraction is not None and not (
+                _is_number(self.train_fraction, whole=False) and 0 < self.train_fraction < 1):
+            raise ConfigError(
+                f"train_fraction must be a number in (0, 1), got {self.train_fraction!r}")
         if not isinstance(self.seeds, list) or not all(
                 isinstance(s, int) and not isinstance(s, bool) and s >= 0
                 for s in self.seeds):
@@ -138,20 +153,14 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if self.epochs > 200 or self.pretrain_epochs > 200:
             raise ConfigError("epochs are capped at 200")
-        if self.epochs < 0 or self.pretrain_epochs < 1:
-            raise ConfigError("bad epoch counts")
         if self.selection not in ("test_acc", "train_loss"):
             raise ConfigError(f"selection must be test_acc/train_loss, got {self.selection}")
         if self.glora_mode not in GLORA_MODES:
             raise ConfigError(f"glora_mode {self.glora_mode!r} not in {GLORA_MODES}")
-        if self.patience is not None and self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
         if (self.glora_mode != "off" and self.mode not in GLORA_FREE_MODES
                 and min(self.grid.rank) < 1):
             raise ConfigError(f"grid rank must be >= 1 when {self.mode} attaches "
                               f"GLoRA ({self.glora_mode}), got {self.grid.rank}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.workers > 1:
             warnings.warn(f"workers={self.workers} is ignored: runs are serial",
                           UserWarning, stacklevel=3)

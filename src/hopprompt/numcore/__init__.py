@@ -2,10 +2,9 @@
 loop."""
 
 from .optim import adam_step, fit
-from .sparse import SparseMatrix, spmm
+from .sparse import EdgePattern, SparseMatrix, edge_update, spmm
 from .tensor import (
     Tensor,
-    add,
     backward,
     class_means,
     gather_rows,
@@ -23,12 +22,13 @@ from .tensor import (
 )
 
 __all__ = [
+    "EdgePattern",
     "SparseMatrix",
     "Tensor",
     "adam_step",
-    "add",
     "backward",
     "class_means",
+    "edge_update",
     "fit",
     "gather_rows",
     "lowrank_layer",

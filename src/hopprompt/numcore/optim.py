@@ -120,7 +120,9 @@ def fit(steps, trainables: list[Tensor], *, lr: float, weight_decay: float,
         if value < best - 1e-12:
             best, best_epoch, stale = value, epoch, 0
             if patience is not None:
-                saved = [t.data.copy() for t in trainables]
+                # by reference: no op and no step writes into a parameter's
+                # array, and `adam_step` rebinds each one to a fresh array
+                saved = [t.data for t in trainables]
         else:
             stale += 1
             if patience is not None and stale > patience:

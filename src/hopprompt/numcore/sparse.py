@@ -10,7 +10,7 @@ import numpy as np
 from scipy import sparse as _scipy_sparse
 
 from ..errors import ContractError, DimensionError, StructuralError
-from .tensor import Tensor, _record
+from .tensor import _BLOCK_BYTES, Tensor, _record
 
 
 class SparseMatrix:
@@ -50,7 +50,7 @@ class SparseMatrix:
         # built once here, never lazily, so an instance holds no mutable state
         entry_rows.setflags(write=False)
         self._entry_rows = entry_rows
-        self._csr = self._scipy(vals)
+        self._csr = _scipy_sparse.csr_matrix((vals, idx, offs), shape=self.shape)
         # its rows add their entries in column order from zero, as `_csr.T`'s do
         self._csr_t = self._csr.T.tocsr()
 
@@ -122,53 +122,74 @@ class SparseMatrix:
                              self.values[source])
         return block, source
 
-    def _scipy(self, values: np.ndarray):
-        return _scipy_sparse.csr_matrix(
-            (values, self.col_indices, self.row_offsets), shape=self.shape
-        )
-
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
-def spmm(s: SparseMatrix, d: Tensor, values: Tensor | None = None,
-         slots=None) -> Tensor:
-    """Sparse @ dense. Pass `values` with `slots` to make entries trainable:
-    (k, 1) values override the entries at k distinct CSR positions, and only
-    those entries get a value gradient.
-    """
+def spmm(s: SparseMatrix, d: Tensor) -> Tensor:
+    """Sparse @ dense."""
     if s.shape[1] != d.rows:
         raise DimensionError(f"spmm: inner dims differ, {s.shape} x {d.shape}")
-    rows_of, cols_of = s._entry_rows, s.col_indices
-    mat = s._csr
-    if values is not None or slots is not None:
-        if values is None or slots is None:
-            raise DimensionError("spmm: values and slots override entries together")
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.ndim != 1 or values.shape != (slots.size, 1):
-            raise DimensionError(
-                f"spmm: slots {slots.shape} need a ({slots.size}, 1) values override, "
-                f"got {values.shape}"
-            )
-        if slots.size and (slots.min() < 0 or slots.max() >= s.nnz):
-            raise DimensionError(f"spmm: slot outside [0, {s.nnz})")
-        # slots are in range now, so one linear count finds a repeat
-        if slots.size and np.bincount(slots, minlength=s.nnz).max() > 1:
-            raise ContractError("spmm: slots must be distinct")
-        val_arr = s.values.copy()
-        val_arr[slots] = values.data[:, 0]
-        mat = s._scipy(val_arr)
-        rows_of, cols_of = rows_of[slots], cols_of[slots]
-    dd = d.data
 
     def vjp(g):
         # an untracked operand (e.g. constant features) gets no product
-        mat_t = s._csr_t if mat is s._csr else mat.T
-        dd_grad = mat_t @ g if d.requires_grad else None
-        if values is None:
-            return (dd_grad,)
-        dval = np.einsum("ij,ij->i", g[rows_of], dd[cols_of])
-        return dd_grad, dval[:, None]
+        return (s._csr_t @ g if d.requires_grad else None,)
 
-    parents = (d,) if values is None else (d, values)
-    return _record("spmm", mat @ dd, parents, vjp)
+    return _record("spmm", s._csr @ d.data, (d,), vjp)
+
+
+class EdgePattern:
+    """Where k trainable edge weights enter a block: its entries at distinct
+    CSR `slots`, entry i carrying weight `edges[i]` of `num_edges`, held in
+    CSR order as E(w)'s row offsets and columns, with each entry's row. Bad
+    slots or edges raise DimensionError, repeated slots ContractError."""
+
+    __slots__ = ("shape", "num_edges", "row_offsets", "cols", "rows", "edges")
+
+    def __init__(self, block: SparseMatrix, slots, edges, num_edges: int):
+        slots, edges = np.asarray(slots, dtype=np.int64), np.asarray(edges, dtype=np.int64)
+        if slots.ndim != 1 or edges.shape != slots.shape or slots.size and (
+                min(slots.min(), edges.min()) < 0 or slots.max() >= block.nnz
+                or edges.max() >= num_edges):
+            raise DimensionError(
+                f"edge pattern: need 1-D slots in [0, {block.nnz}) and one edge each "
+                f"in [0, {num_edges}), got {slots.shape} and {edges.shape}")
+        order = np.argsort(slots, kind="stable")
+        slots, self.edges = slots[order], edges[order]
+        if np.any(slots[1:] == slots[:-1]):
+            raise ContractError("edge pattern: slots must be distinct")
+        self.shape, self.num_edges = block.shape, int(num_edges)
+        self.rows = block._entry_rows[slots]
+        # sorted and distinct, so CSR keeps the entries in this order, with
+        # the index type scipy picks: building E(w) then converts nothing
+        ones = _scipy_sparse.csr_matrix(
+            (np.ones(slots.size), (self.rows, block.col_indices[slots])), shape=block.shape)
+        self.cols, self.row_offsets = ones.indices, ones.indptr
+
+
+def edge_update(base: Tensor, pattern: EdgePattern, w: Tensor, x: Tensor) -> Tensor:
+    """base + E(w) x as one tape node, E(w) holding the (num_edges, 1) edge
+    weights w at `pattern`'s entries: a k-entry update of a frozen product,
+    which is never rebuilt. d/dx = E(w)^T g is formed only when x is tracked;
+    d/dw sums g[r] . x[c] over each edge's entries, gathering their rows in
+    blocks of `_BLOCK_BYTES`."""
+    m, n = pattern.shape
+    if base.shape != (m, x.cols) or x.rows != n or w.shape != (pattern.num_edges, 1):
+        raise DimensionError(f"edge_update: base {base.shape}, w {w.shape} and x {x.shape} "
+                             f"do not fit a {pattern.shape} pattern of {pattern.num_edges} edges")
+    mat = _scipy_sparse.csr_matrix(
+        (w.data[pattern.edges, 0], pattern.cols, pattern.row_offsets), shape=(m, n))
+
+    def vjp(g):
+        rows, cols, dots = pattern.rows, pattern.cols, np.empty(pattern.rows.size)
+        step = max(1, _BLOCK_BYTES // (8 * max(g.shape[1], 1)))
+        for lo in range(0, rows.size, step):
+            blk = slice(lo, lo + step)
+            dots[blk] = np.einsum("ij,ij->i", g.take(rows[blk], axis=0),
+                                  x.data.take(cols[blk], axis=0))
+        d_w = np.bincount(pattern.edges, weights=dots, minlength=pattern.num_edges)
+        return g, mat.T @ g if x.requires_grad else None, d_w[:, None]
+
+    out = mat @ x.data
+    out += base.data  # base + E(w) x, bit for bit, in the product's array
+    return _record("edge_update", out, (base, x, w), vjp)

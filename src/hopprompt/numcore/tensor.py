@@ -120,16 +120,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", ad @ bd, (a, b), vjp)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes differ, {a.shape} vs {b.shape}")
-
-    def vjp(g):
-        return g, g
-
-    return _record("add", a.data + b.data, (a, b), vjp)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient at 0 is 0
 
@@ -324,11 +314,11 @@ def softmax_nll(scores: Tensor, targets, tau: float) -> Tensor:
     return _record("softmax_nll", np.array([[loss]]), (scores,), vjp)
 
 
-# `triplet_nll`'s forward gathers the rows of its two dot products in blocks
-# of about this many bytes of float64: temporaries that small are reused from
-# the heap, where whole (n, d) ones are freshly mapped and page-faulted on every
-# call (on syn-h10 at width 128, gathering whole rows took 18 times the minor
-# faults)
+# `triplet_nll`'s forward and `edge_update`'s VJP gather the rows of their dot
+# products in blocks of about this many bytes of float64: temporaries that small
+# are reused from the heap, where whole (n, d) ones are freshly mapped and
+# page-faulted on every call (on syn-h10 at width 128, gathering whole rows took
+# 18 times the minor faults)
 _BLOCK_BYTES = 1 << 16
 
 

@@ -22,6 +22,9 @@ replaces with one pass over all entries; both training-loop oracles step
 through it. `full_rows_plan` is the full-forward training path that
 node-task training on the training rows' receptive field replaces: every
 layer runs on every row and the planned rows are gathered from the result.
+`override_spmm` is the trainable-edge product that `numcore.edge_update`
+replaces: it rebuilds the adjacency with the edge weights written into their
+entries, where the op adds their k-entry update to the frozen product.
 `unfactored_forward` runs each full-GLoRA layer as ((A + pa qa^T) h)(W0 +
 P Q^T), through `rank_one_update_spmm`, where the encoder runs it as the
 frozen product plus a rank-(r+1) update. `unfused_lowrank_layer` is the
@@ -36,21 +39,27 @@ with that op's arguments); `anchor_arrays` is the per-class mask loop the
 evaluation's anchors must agree with. `reference_predict` is the per-layer
 evaluation loop, one `guarded_scores` cosine per layer, that the evaluation
 replaces with one call to `numcore.prompt_cosines`, the loss's own cosines;
-`reference_graph_tune` predicts through it. `scalar`, `sub`, `scale`,
-`sum_all`, `mean_rows`, `transpose`, `vstack` and `hstack` are tape ops the
+`reference_graph_tune` predicts through it. `scalar`, `add`, `sub`,
+`scale`, `sum_all`, `mean_rows`, `transpose`, `vstack` and `hstack` are tape ops the
 package itself does not run; the tests build losses, poolings and the
 oracle chains from them. `resigned` and `version_one` rewrite a
 checkpoint's bytes as `checkpoint_save` would sign them and as the
 version-1 format held them. `glora_param_count` is the closed form of the
-adapter size that `encoder.count_trainable` enumerates.
+adapter size that `encoder.count_trainable` enumerates. `recorded_op_names`
+lists the tape ops `numcore` records, which the guards that check every op
+read.
 """
 
+import ast
 import dataclasses
 import hashlib
 import warnings
+from pathlib import Path
 
 import numpy as np
+from scipy import sparse as scipy_sparse
 
+import hopprompt.numcore
 import hopprompt.pretrain as pt
 import hopprompt.prompt as pr
 from hopprompt.encoder import (
@@ -71,7 +80,6 @@ from hopprompt.errors import (
 from hopprompt.graphstore import GraphSet, disjoint_union, normalize_adjacency
 from hopprompt.numcore import (
     Tensor,
-    add,
     backward,
     gather_rows,
     matmul,
@@ -88,6 +96,16 @@ from hopprompt.pretrain import Triplets
 
 def scalar(x: float) -> Tensor:
     return Tensor(np.array([[float(x)]]))
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes differ, {a.shape} vs {b.shape}")
+
+    def vjp(g):
+        return g, g
+
+    return _record("add", a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -245,6 +263,22 @@ def finite_diff(loss_fn, params, h=1e-5):
         p.data = base
         grads.append(g)
     return grads
+
+
+def recorded_op_names() -> dict[str, str]:
+    """{op name: module} of every `_record(...)` call in `numcore`'s
+    sources, the tape ops the guards that every op is checked read. An op
+    name that is not a string literal fails here, since a guard could not
+    tell which op it names."""
+    names = {}
+    for path in sorted(Path(hopprompt.numcore.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record":
+                op = node.args[0]
+                assert isinstance(op, ast.Constant) and isinstance(op.value, str), \
+                    f"{path.name}:{node.lineno}: _record's op name is not a literal"
+                names[op.value] = f"hopprompt.numcore.{path.stem}"
+    return names
 
 
 def assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7, label=""):
@@ -562,6 +596,29 @@ def full_rows_plan(adj, ids, layers, edge_positions=None, dense=False):
         return plan
     ids = np.asarray(ids, dtype=np.int64)
     return dataclasses.replace(plan, picks=[ids] * (layers + 1))
+
+
+def override_spmm(s, d, values, slots):
+    """s @ d with the (k, 1) `values` in place of the entries at k distinct
+    CSR `slots`, and only those entries getting a value gradient: the
+    trainable-edge path `numcore.spmm` ran before `numcore.edge_update`
+    added E(w) d to the frozen product instead of rebuilding the matrix."""
+    slots = np.asarray(slots, dtype=np.int64)
+    if values.shape != (slots.size, 1):
+        raise DimensionError(f"override_spmm: {slots.size} slots, values {values.shape}")
+    if s.shape[1] != d.rows:
+        raise DimensionError(f"override_spmm: inner dims differ, {s.shape} x {d.shape}")
+    val_arr = s.values.copy()
+    val_arr[slots] = values.data[:, 0]
+    mat = scipy_sparse.csr_matrix((val_arr, s.col_indices, s.row_offsets), shape=s.shape)
+    rows_of, cols_of = s.nnz_rows()[slots], s.col_indices[slots]
+    dd = d.data
+
+    def vjp(g):
+        dd_grad = mat.T @ g if d.requires_grad else None
+        return dd_grad, np.einsum("ij,ij->i", g[rows_of], dd[cols_of])[:, None]
+
+    return _record("override_spmm", mat @ dd, (d, values), vjp)
 
 
 def rank_one_update_spmm(s, p, q, d):

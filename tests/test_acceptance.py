@@ -6,7 +6,6 @@ when datasets/texas and datasets/cora exist (see scripts/fetch_webkb.py);
 otherwise the synthetic-generator fallback branch runs.
 """
 
-import ast
 import importlib
 import math
 import time
@@ -24,6 +23,7 @@ from hopprompt import harness as hn
 from hopprompt import numcore as nc
 
 from tests._oracles import (
+    add,
     finite_diff,
     glora_param_count,
     hstack,
@@ -31,6 +31,7 @@ from tests._oracles import (
     prompt_param_count,
     random_csr,
     rank_one_update_spmm,
+    recorded_op_names,
     scale,
     sub,
     sum_all,
@@ -105,7 +106,7 @@ def gradient_checks() -> float:
     fd_check(lambda: sum_all(nc.relu(nc.matmul(a, b))), [a, b])
     fd_check(lambda: sum_all(transpose(a)), [a])
     c = nc.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    fd_check(lambda: sum_all(nc.add(a, c)), [a, c])
+    fd_check(lambda: sum_all(add(a, c)), [a, c])
     fd_check(lambda: sum_all(sub(a, c)), [a, c])
     fd_check(lambda: sum_all(scale(a, -1.7)), [a])
     fd_check(lambda: sum_all(mean_rows(a)), [a])
@@ -124,7 +125,9 @@ def gradient_checks() -> float:
     s = nc.SparseMatrix((5, 5), offs, cidx, vals)
     d = nc.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     v = nc.Tensor(rng.standard_normal((s.nnz, 1)), requires_grad=True)
-    fd_check(lambda: sum_all(nc.spmm(s, d, values=v, slots=np.arange(s.nnz))), [d, v])
+    # the frozen product plus an update of every entry, one weight each
+    every = nc.EdgePattern(s, np.arange(s.nnz), np.arange(s.nnz), s.nnz)
+    fd_check(lambda: sum_all(nc.edge_update(nc.spmm(s, d), every, v, d)), [d, v])
     pv = nc.Tensor(rng.standard_normal((5, 1)), requires_grad=True)
     qv = nc.Tensor(rng.standard_normal((5, 1)), requires_grad=True)
     fd_check(lambda: sum_all(rank_one_update_spmm(s, pv, qv, d)), [pv, qv, d])
@@ -195,29 +198,11 @@ def test_criterion_01_gradient_correctness():
           f"max rel err {worst:.2e}, {elapsed:.1f}s")
 
 
-NUMCORE = Path(nc.__file__).resolve().parent
-
-
-def recorded_op_names() -> dict[str, str]:
-    """{op name: module} of every `_record(...)` call in `numcore`'s
-    sources. An op name that is not a string literal fails here, since
-    the guard below could not tell which op it names."""
-    names = {}
-    for path in sorted(NUMCORE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record":
-                op = node.args[0]
-                assert isinstance(op, ast.Constant) and isinstance(op.value, str), \
-                    f"{path.name}:{node.lineno}: _record's op name is not a literal"
-                names[op.value] = f"hopprompt.numcore.{path.stem}"
-    return names
-
-
 def test_criterion_01_checks_every_tape_op(monkeypatch):
     """Every op `numcore` records on the tape runs under criterion 01's
     finite-difference checks, so no op, fused or not, lands unchecked."""
     ops = recorded_op_names()
-    assert {"matmul", "spmm", "lowrank_layer", "prompt_nll"} <= set(ops)
+    assert {"matmul", "spmm", "edge_update", "lowrank_layer", "prompt_nll"} <= set(ops)
     seen = set()
     for module_name in set(ops.values()):
         module = importlib.import_module(module_name)

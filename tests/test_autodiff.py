@@ -5,6 +5,7 @@ from hopprompt import numcore as nc
 from hopprompt.errors import ContractError
 
 from tests._oracles import (
+    add,
     assert_grads_close,
     finite_diff,
     mean_rows,
@@ -96,7 +97,7 @@ def test_composite_gradients_over_random_instances(seed):
 
     def forward():
         pre = nc.matmul(x, w)
-        h = nc.add(nc.relu(pre), scale(pre, 0.1))  # leaky: no all-zero rows
+        h = add(nc.relu(pre), scale(pre, 0.1))  # leaky: no all-zero rows
         pooled = vstack([mean_rows(nc.gather_rows(h, [0, 1])),
                             mean_rows(nc.gather_rows(h, [2, 3]))])
         both = vstack([h, pooled])

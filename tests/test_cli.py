@@ -166,6 +166,10 @@ def test_experiment_bad_config_exit_code(runner, tmp_path):
     ("grid", {"rank": [8.5]}, "grid rank values must be ints"),
     ("grid", {"alpha": [1.5]}, "grid alpha values must lie in [0.0, 1.0]"),
     ("grid", {"rank": [0]}, "grid rank must be >= 1"),
+    ("shots", 2.5, "shots must be an int >= 1, got 2.5"),
+    ("shots", "5", "shots must be an int >= 1, got '5'"),
+    ("epochs", 2.5, "epochs must be an int >= 0"),
+    ("tau", 0, "tau must be a finite number > 0"),
 ])
 def test_experiment_bad_value_exit_code(runner, tmp_path, field, value, message):
     # rejected while the config is built, before any data is read; a custom

@@ -115,6 +115,37 @@ class TestExperimentConfig:
             quick_cfg(patience=-3)
         assert quick_cfg(patience=0).patience == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("shots", 2.5), ("shots", True), ("shots", "5"), ("shots", 0),
+        ("layers", 2.0), ("layers", True), ("layers", 0),
+        ("epochs", 2.5), ("epochs", -1), ("pretrain_epochs", 2.5), ("pretrain_epochs", 0),
+        ("negatives", 2.5), ("negatives", 0), ("batch_size", 2.5), ("batch_size", 0),
+        ("patience", True), ("patience", 1.5), ("workers", 1.5), ("workers", True),
+    ])
+    def test_whole_number_fields_checked_when_built(self, field, value):
+        # each one built and then failed a run with a raw TypeError or
+        # ParameterError, some only after a pre-training, or ran bools as 1
+        with pytest.raises(ConfigError, match=f"{field} must be an int >= "):
+            quick_cfg(**{field: value})
+
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(tau=0), "tau"), (dict(tau=-0.5), "tau"), (dict(tau=float("nan")), "tau"),
+        (dict(tau="0.5"), "tau"), (dict(tau=True), "tau"),
+        (dict(shots=None, train_fraction=0.0), "train_fraction"),
+        (dict(shots=None, train_fraction=1.0), "train_fraction"),
+        (dict(shots=None, train_fraction=1.5), "train_fraction"),
+        (dict(shots=None, train_fraction="0.5"), "train_fraction"),
+    ])
+    def test_tau_and_train_fraction_checked_when_built(self, overrides, field):
+        with pytest.raises(ConfigError, match=f"{field} must be a"):
+            quick_cfg(**overrides)
+
+    def test_numbers_in_range_build(self):
+        cfg = quick_cfg(shots=np.int64(3), layers=1, epochs=0, negatives=2,
+                        batch_size=1, patience=None, tau=1, workers=1)
+        assert cfg.shots == 3 and cfg.tau == 1 and cfg.patience is None
+        assert quick_cfg(shots=None, train_fraction=0.5).train_fraction == 0.5
+
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError, match="workers"):
             quick_cfg(workers=0)

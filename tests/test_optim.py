@@ -1,7 +1,12 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hopprompt import graphstore as gs
 from hopprompt import numcore as nc
+from hopprompt.encoder import GLORA_MODES, EncoderConfig
 from hopprompt.errors import (
     DegenerateRowError,
     DimensionError,
@@ -9,9 +14,15 @@ from hopprompt.errors import (
     NumericError,
     ParameterError,
 )
+from hopprompt.harness.baselines import train_finetune_lp, train_scratch_gcn
+from hopprompt.numcore import optim
 from hopprompt.numcore.optim import AdamState
 from hopprompt.numcore.tensor import Gradients
-from tests._oracles import reference_adam_step, scalar, sum_all
+from hopprompt.pretrain import PretrainConfig, run_pretrain
+from hopprompt.prompt import PromptTuneConfig, run_prompt_tune
+from tests._oracles import add, recorded_op_names, reference_adam_step, scalar, sum_all
+
+DATASETS = Path(__file__).resolve().parents[1] / "datasets"
 
 
 class _ZeroGrads:
@@ -177,7 +188,7 @@ def _scripted(w, values, fail_at=None, error=None):
         starts.append(w.data.copy())
         if epoch == fail_at:
             raise error
-        yield nc.add(sum_all(w), scalar(values[epoch] - w.data.sum())), 1
+        yield add(sum_all(w), scalar(values[epoch] - w.data.sum())), 1
 
     return steps, starts
 
@@ -257,7 +268,7 @@ def test_fit_steps_once_per_pair_and_weights_the_epoch_loss():
     def steps(epoch):
         for value, weight in ((1.0, 3), (2.0, 1), (4.0, 2)):
             seen.append(w.data.copy())
-            yield nc.add(sum_all(w), scalar(value + epoch - w.data.sum())), weight
+            yield add(sum_all(w), scalar(value + epoch - w.data.sum())), weight
 
     losses, best_epoch = _fit(steps, w, epochs=2, patience=None)
     assert losses == [(1.0 * 3 + 2.0 * 1 + 4.0 * 2) / 6,
@@ -287,3 +298,93 @@ def test_fit_accepts_zero_rates():
     steps, _starts = _scripted(w, [1.0, 1.0])
     losses, _best_epoch = _fit(steps, w, epochs=2, patience=None, lr=0.0)
     assert losses == [1.0, 1.0] and w.data.tobytes() == before
+
+
+class TestNoWriteIntoParameters:
+    """`fit` keeps the best epoch's arrays by reference. That is sound only
+    while no tape op and no Adam step writes into a parameter's array. Here
+    every array `fit` is handed is made read-only before its first epoch,
+    and so is each array a step binds, so a write anywhere in a forward, a
+    VJP or a step raises."""
+
+    @staticmethod
+    def _read_only_training(monkeypatch):
+        """Patch `fit`'s Adam state and step to freeze the parameters'
+        arrays, and spy on every numcore op recorded; returns the op names."""
+        def freeze(params):
+            for p in params:
+                p.data.setflags(write=False)
+
+        real_for_params = optim.AdamState.for_params.__func__
+        real_step = optim.adam_step
+
+        def for_params(cls, params, lr, weight_decay=0.0):
+            freeze(params)
+            return real_for_params(cls, params, lr, weight_decay)
+
+        def adam_step(params, grads, state):
+            real_step(params, grads, state)
+            freeze(params)
+
+        monkeypatch.setattr(optim.AdamState, "for_params", classmethod(for_params))
+        monkeypatch.setattr(optim, "adam_step", adam_step)
+        seen = set()
+        for module_name in set(recorded_op_names().values()):
+            module = importlib.import_module(module_name)
+
+            def spy(op, *args, _real=module._record):
+                seen.add(op)
+                return _real(op, *args)
+
+            monkeypatch.setattr(module, "_record", spy)
+        return seen
+
+    def test_every_op_and_step_leaves_parameter_arrays_unwritten(self, monkeypatch):
+        seen = self._read_only_training(monkeypatch)
+        web = gs.load_dataset(DATASETS / "web-tiny")
+        ego = gs.load_dataset(DATASETS / "ego-tiny")
+        cfg = EncoderConfig(layers=2, dims=[web.num_features, 8, 8])
+        pcfg = PretrainConfig(epochs=3, batch_size=64, lr=1e-3, seed=0)
+        params, _losses = run_pretrain(web, cfg, pcfg)
+        assert not params.w_in.data.flags.writeable
+        split = gs.kshot_split(web, 2, seed=0)
+        for mode in GLORA_MODES:
+            tcfg = PromptTuneConfig(glora_mode=mode, rank=2, lr=1e-2, epochs=4,
+                                    patience=1, seed=0)
+            run_prompt_tune((params, cfg), web, split, tcfg)
+        ego_cfg = EncoderConfig(layers=2, dims=[ego.num_features, 8, 8])
+        ego_params, _losses = run_pretrain(ego, ego_cfg, pcfg)
+        run_prompt_tune((ego_params, ego_cfg), ego, gs.kshot_split(ego, 2, seed=0),
+                        PromptTuneConfig(rank=2, lr=1e-2, epochs=3, patience=1))
+        train_finetune_lp(params, cfg, web, split, lr=1e-2, weight_decay=1e-4,
+                          epochs=3, seed=0, patience=1)
+        train_scratch_gcn(web, split, hidden=8, lr=1e-2, weight_decay=1e-4,
+                          epochs=3, seed=0, patience=1)
+
+        # the ops the package does not run, through one loss of parameters
+        rng = np.random.default_rng(0)
+        a, b = (nc.Tensor(rng.standard_normal((rows, 4)), requires_grad=True)
+                for rows in (4, 3))
+
+        def steps(_epoch):
+            h = nc.scatter_rows(a, [2, 0, 2, 1], 3)
+            paired = nc.matmul(nc.rowwise_cosine_sim(h, b), nc.Tensor(np.ones((1, 3))))
+            cos = add(nc.row_cosine_sim(h, b), paired)
+            yield nc.softmax_nll(cos, [0, 1, 2], tau=0.7), 1
+
+        nc.fit(steps, [a, b], lr=1e-2, weight_decay=1e-4, epochs=3, patience=0,
+               what="test loop")
+        missing = sorted(set(recorded_op_names()) - seen)
+        assert not missing, f"no read-only run of {missing}"
+
+    def test_a_write_into_a_parameter_raises(self, monkeypatch):
+        self._read_only_training(monkeypatch)
+        w = nc.Tensor([[0.5, -0.25]], requires_grad=True)
+
+        def steps(_epoch):
+            w.data += 1.0
+            yield sum_all(w), 1
+
+        with pytest.raises(ValueError, match="read-only"):
+            nc.fit(steps, [w], lr=0.1, weight_decay=0.0, epochs=2, patience=None,
+                   what="test loop")

@@ -10,6 +10,7 @@ from hopprompt.errors import ContractError, DimensionError, StructuralError
 from tests._oracles import (
     assert_grads_close,
     finite_diff,
+    override_spmm,
     random_csr,
     rank_one_update_spmm,
     reference_unsorted_row,
@@ -143,18 +144,21 @@ class TestSpmm:
             nc.spmm(sparse_identity(3), nc.Tensor(np.zeros((4, 2))))
 
     def test_gradient_wrt_dense_and_values(self):
+        # the frozen product plus an update over every entry, one value each:
+        # the product of a matrix whose values all train
         rng = np.random.default_rng(3)
         offs, cidx, vals, _ = random_csr(rng, 5, 5, density=0.4)
-        s = nc.SparseMatrix((5, 5), offs, cidx, np.zeros_like(vals))
+        s = nc.SparseMatrix((5, 5), offs, cidx, vals)
         d = nc.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-        v = nc.Tensor(vals[:, None], requires_grad=True)
-        every = np.arange(s.nnz)
+        v = nc.Tensor(rng.standard_normal((s.nnz, 1)), requires_grad=True)
+        every = nc.EdgePattern(s, np.arange(s.nnz), np.arange(s.nnz), s.nnz)
 
         def loss():
-            return nc.softmax_nll(nc.spmm(s, d, values=v, slots=every), [0, 1, 2, 0, 1], tau=1.0).item()
+            return nc.softmax_nll(nc.edge_update(nc.spmm(s, d), every, v, d),
+                                  [0, 1, 2, 0, 1], tau=1.0)
 
-        grads = nc.backward(nc.softmax_nll(nc.spmm(s, d, values=v, slots=every), [0, 1, 2, 0, 1], tau=1.0))
-        fd_d, fd_v = finite_diff(loss, [d, v])
+        grads = nc.backward(loss())
+        fd_d, fd_v = finite_diff(lambda: loss().item(), [d, v])
         assert_grads_close(grads.get(d), fd_d, label="spmm dD")
         assert_grads_close(grads.get(v), fd_v, label="spmm dV")
 
@@ -202,25 +206,28 @@ class TestSpmmStoredTranspose:
 
     @pytest.mark.parametrize("slotted", [False, True])
     def test_values_override_multiplies_by_its_own_transpose(self, slotted):
+        """An edge update's d/dx is E(w)^T g, E(w) holding only the trained
+        entries, not the stored matrix's transpose."""
         rng, s, slots = TestSpmmSlots._setup(4)
-        k = s.nnz if not slotted else slots.size
-        v = nc.Tensor(rng.standard_normal((k, 1)), requires_grad=True)
+        if not slotted:
+            slots = np.arange(s.nnz)
+        pattern = nc.EdgePattern(s, slots, np.arange(slots.size), slots.size)
+        v = nc.Tensor(rng.standard_normal((slots.size, 1)), requires_grad=True)
         d = nc.Tensor(rng.standard_normal((7, 3)), requires_grad=True)
-        out = nc.spmm(s, d, values=v, slots=slots if slotted else np.arange(s.nnz))
+        out = nc.edge_update(nc.Tensor(np.zeros((9, 3))), pattern, v, d)
         g = rng.standard_normal(out.shape)
-        dd, _dv = out._vjp(g)
-        values = s.values.copy()
-        if slotted:
-            values[slots] = v.data[:, 0]
-        else:
-            values = v.data[:, 0]
-        assert dd.tobytes() == (s._scipy(values).T @ g).tobytes()
+        _dbase, dd, _dv = out._vjp(g)
+        values = np.zeros(s.nnz)
+        values[slots] = v.data[:, 0]
+        e_w = scipy_sparse.csr_matrix((values, s.col_indices, s.row_offsets), shape=s.shape)
+        assert dd.tobytes() == (e_w.T @ g).tobytes()
         assert not np.array_equal(dd, s._csr_t @ g)
 
 
 class TestSpmmSlots:
-    """`slots` restricts the values override, and its gradient, to chosen
-    CSR positions; the other entries keep their stored values."""
+    """Trainable entries at chosen CSR `slots`: `EdgePattern` checks them
+    once, and `edge_update` adds their k-entry update E(w) d to a frozen
+    product; the other entries keep their stored values."""
 
     @staticmethod
     def _setup(seed):
@@ -232,22 +239,28 @@ class TestSpmmSlots:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_full_override_bitwise(self, seed):
+        """With one value per slot, E(w) d is the override product over a
+        zero-valued copy of the matrix, and so are both gradients."""
         rng, s, slots = self._setup(seed)
+        zero = nc.SparseMatrix(s.shape, s.row_offsets, s.col_indices, np.zeros(s.nnz))
         d_data = rng.standard_normal((7, 4))
         picked = rng.standard_normal((slots.size, 1))
-        full = s.values.copy()[:, None]
+        full = np.zeros((s.nnz, 1))
         full[slots] = picked
         targets = rng.integers(0, 4, size=9)
+        pattern = nc.EdgePattern(s, slots, np.arange(slots.size), slots.size)
 
-        def run(values, **kw):
+        def run(values, product):
             d = nc.Tensor(d_data, requires_grad=True)
             v = nc.Tensor(values, requires_grad=True)
-            out = nc.spmm(s, d, values=v, **kw)
+            out = product(d, v)
             grads = nc.backward(nc.softmax_nll(out, targets, tau=0.7))
             return out.data, grads.get(d), grads.get(v)
 
-        out_full, dd_full, dv_full = run(full, slots=np.arange(s.nnz))
-        out_slot, dd_slot, dv_slot = run(picked, slots=slots)
+        out_full, dd_full, dv_full = run(
+            full, lambda d, v: override_spmm(zero, d, v, np.arange(s.nnz)))
+        out_slot, dd_slot, dv_slot = run(
+            picked, lambda d, v: nc.edge_update(nc.Tensor(np.zeros((9, 4))), pattern, v, d))
         assert np.array_equal(out_slot, out_full)
         assert np.array_equal(dd_slot, dd_full)
         assert np.array_equal(dv_slot, dv_full[slots])
@@ -256,10 +269,12 @@ class TestSpmmSlots:
         rng, s, slots = self._setup(11)
         d = nc.Tensor(rng.standard_normal((7, 3)), requires_grad=True)
         v = nc.Tensor(rng.standard_normal((slots.size, 1)), requires_grad=True)
+        pattern = nc.EdgePattern(s, slots, np.arange(slots.size), slots.size)
         targets = rng.integers(0, 3, size=9)
 
         def loss():
-            return nc.softmax_nll(nc.spmm(s, d, values=v, slots=slots), targets, tau=1.0)
+            return nc.softmax_nll(nc.edge_update(nc.spmm(s, d), pattern, v, d),
+                                  targets, tau=1.0)
 
         grads = nc.backward(loss())
         fd_d, fd_v = finite_diff(lambda: loss().item(), [d, v])
@@ -268,48 +283,50 @@ class TestSpmmSlots:
 
     def test_bad_slots_rejected(self):
         s = path3_adjacency()  # nnz 4
-        d = nc.Tensor(np.zeros((3, 2)))
-        two = nc.Tensor(np.zeros((2, 1)))
         with pytest.raises(ContractError):
-            nc.spmm(s, d, values=two, slots=[1, 1])
+            nc.EdgePattern(s, [1, 1], [0, 1], 2)
         for bad in ([0, 4], [-1, 0], [[0, 1]]):
             with pytest.raises(DimensionError):
-                nc.spmm(s, d, values=two, slots=bad)
-        with pytest.raises(DimensionError):
-            nc.spmm(s, d, values=nc.Tensor(np.zeros((3, 1))), slots=[0, 1])
-        with pytest.raises(DimensionError, match="values and slots"):
-            nc.spmm(s, d, slots=[0, 1])
-        with pytest.raises(DimensionError, match="values and slots"):
-            nc.spmm(s, d, values=nc.Tensor(np.zeros((4, 1))))
+                nc.EdgePattern(s, bad, [0, 1], 2)
+        for edges in ([0, 2], [-1, 0], [0]):
+            with pytest.raises(DimensionError):
+                nc.EdgePattern(s, [0, 1], edges, 2)
+        pattern = nc.EdgePattern(s, [0, 1], [0, 1], 2)
+        d, base = nc.Tensor(np.zeros((3, 2))), nc.Tensor(np.zeros((3, 2)))
+        for w, x, b in [(nc.Tensor(np.zeros((3, 1))), d, base),
+                        (nc.Tensor(np.zeros((2, 1))), nc.Tensor(np.zeros((4, 2))), base),
+                        (nc.Tensor(np.zeros((2, 1))), d, nc.Tensor(np.zeros((3, 1))))]:
+            with pytest.raises(DimensionError, match="edge_update"):
+                nc.edge_update(b, pattern, w, x)
 
     @pytest.mark.parametrize("slots", [[0, 2, 0], [3, 1, 3], [0, 0], [3, 3]])
     def test_repeat_at_first_or_last_slot_rejected(self, slots):
         s = path3_adjacency()  # nnz 4: slots 0 and 3 are the first and last
-        values = nc.Tensor(np.zeros((len(slots), 1)))
         with pytest.raises(ContractError, match="slots must be distinct"):
-            nc.spmm(s, nc.Tensor(np.ones((3, 2))), values=values, slots=slots)
+            nc.EdgePattern(s, slots, np.zeros(len(slots), dtype=np.int64), 1)
 
     def test_empty_slots_keep_the_stored_values(self):
         s = path3_adjacency()
         d = nc.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        v = nc.Tensor(np.zeros((0, 1)), requires_grad=True)
-        out = nc.spmm(s, d, values=v, slots=np.array([], dtype=np.int64))
-        assert np.array_equal(out.data, nc.spmm(s, d).data)
-        dd, dv = out._vjp(np.ones((3, 2)))
-        assert dv.shape == (0, 1)
+        v = nc.Tensor(np.ones((2, 1)), requires_grad=True)
+        pattern = nc.EdgePattern(s, np.array([], dtype=np.int64), [], 2)
+        base = nc.spmm(s, d)
+        out = nc.edge_update(base, pattern, v, d)
+        assert np.array_equal(out.data, base.data)
+        _dbase, dd, dv = out._vjp(np.ones((3, 2)))
+        assert np.array_equal(dv, np.zeros((2, 1))) and not dd.any()
 
     @given(slots=st.lists(st.integers(0, 6), max_size=9))
     @settings(max_examples=100, deadline=None)
     def test_repeats_rejected_exactly_when_not_unique(self, slots):
         s = nc.SparseMatrix.from_coo((3, 3), [0, 0, 1, 1, 2, 2, 2], [0, 1, 0, 2, 0, 1, 2],
                                      np.arange(1.0, 8.0))
-        values = nc.Tensor(np.ones((len(slots), 1)))
-        d = nc.Tensor(np.ones((3, 2)))
+        edges = np.arange(len(slots))
         if len(set(slots)) == len(slots):
-            nc.spmm(s, d, values=values, slots=slots)
+            nc.EdgePattern(s, slots, edges, max(len(slots), 1))
         else:
             with pytest.raises(ContractError, match="slots must be distinct"):
-                nc.spmm(s, d, values=values, slots=slots)
+                nc.EdgePattern(s, slots, edges, len(slots))
 
     @pytest.mark.parametrize("slotted", [False, True])
     def test_untracked_operand_gets_no_product(self, slotted):
@@ -317,17 +334,84 @@ class TestSpmmSlots:
         if not slotted:
             slots = np.arange(s.nnz)
         k = slots.size
+        pattern = nc.EdgePattern(s, slots, np.arange(k), k)
         v = nc.Tensor(rng.standard_normal((k, 1)), requires_grad=True)
         d_data = rng.standard_normal((7, 2))
         g = rng.standard_normal((9, 2))
-        const = nc.spmm(s, nc.Tensor(d_data), values=v, slots=slots)
-        tracked = nc.spmm(s, nc.Tensor(d_data, requires_grad=True), values=v,
-                          slots=slots)
-        dd_const, dv_const = const._vjp(g)
-        dd_tracked, dv_tracked = tracked._vjp(g)
+        base = nc.Tensor(np.zeros((9, 2)))
+        const = nc.edge_update(base, pattern, v, nc.Tensor(d_data))
+        tracked = nc.edge_update(base, pattern, v, nc.Tensor(d_data, requires_grad=True))
+        _b, dd_const, dv_const = const._vjp(g)
+        _b, dd_tracked, dv_tracked = tracked._vjp(g)
         assert dd_const is None
         assert dd_tracked is not None
         assert np.array_equal(dv_const, dv_tracked)
+
+
+def _edge_cases():
+    """(name, block, slots, edges, num_edges): a 4-node cycle's adjacency
+    and two of its blocks, with edges (0,1) and (2,3) trained at both of
+    their entries; the blocks keep both, one or none of an edge's."""
+    adj = nc.SparseMatrix.from_coo((4, 4), [0, 1, 1, 2, 2, 3, 3, 0], [1, 0, 2, 1, 3, 2, 0, 3],
+                                   [0.5, 0.5, 0.25, 0.25, 0.75, 0.75, 0.5, 0.5])
+    pos = np.array([[0, 2], [5, 7]])  # CSR slots of (0,1)/(1,0) and (2,3)/(3,2)
+    slots, edges = pos.T.ravel(), np.tile(np.arange(2), 2)
+    cases = [("both_entries", adj, slots, edges, 2)]
+    for name, rows, cols in [("one_entry", [0, 2], np.arange(4)),
+                             ("no_entry", [1], [2, 3])]:
+        block, source = adj.slice(rows, cols)
+        where = np.full(adj.nnz, -1)
+        where[source] = np.arange(source.size)
+        keep = where[slots] >= 0
+        cases.append((name, block, where[slots][keep], edges[keep], 2))
+    return cases
+
+
+class TestEdgeUpdate:
+    """`edge_update` (base + E(w) x) against central differences for each
+    kind of pattern and each tracked operand."""
+
+    @pytest.mark.parametrize("x_tracked", [False, True], ids=["x-const", "x-tracked"])
+    @pytest.mark.parametrize("base_tracked", [False, True],
+                             ids=["base-const", "base-tracked"])
+    @pytest.mark.parametrize("name, block, slots, edges, k", _edge_cases(),
+                             ids=[c[0] for c in _edge_cases()])
+    def test_finite_differences(self, name, block, slots, edges, k, base_tracked,
+                                x_tracked):
+        rng = np.random.default_rng(31)
+        pattern = nc.EdgePattern(block, slots, edges, k)
+        m, n = block.shape
+        assert pattern.rows.size == {"both_entries": 4, "one_entry": 2, "no_entry": 0}[name]
+        x = nc.Tensor(rng.standard_normal((n, 3)), requires_grad=x_tracked)
+        base = nc.Tensor(rng.standard_normal((m, 3)), requires_grad=base_tracked)
+        w = nc.Tensor(rng.standard_normal((k, 1)), requires_grad=True)
+        targets = rng.integers(0, 3, size=m)
+
+        def loss():
+            return nc.softmax_nll(nc.edge_update(base, pattern, w, x), targets, tau=0.8)
+
+        tracked = [t for t in (base, w, x) if t.requires_grad]
+        grads = nc.backward(loss())
+        for t, fd in zip(tracked, finite_diff(lambda: loss().item(), tracked)):
+            assert_grads_close(grads.get(t), fd, label=name)
+        assert (x in grads) == x_tracked and (base in grads) == base_tracked
+        if name == "no_entry":
+            assert not grads.get(w).any()
+
+    def test_matches_the_dense_update(self):
+        rng = np.random.default_rng(32)
+        for name, block, slots, edges, k in _edge_cases():
+            pattern = nc.EdgePattern(block, slots, edges, k)
+            w = rng.standard_normal((k, 1))
+            x = rng.standard_normal((block.shape[1], 2))
+            e = np.zeros(block.nnz)
+            e[slots] = w[edges, 0]
+            dense = nc.SparseMatrix(block.shape, block.row_offsets, block.col_indices,
+                                    e).densify()
+            out = nc.edge_update(nc.Tensor(np.zeros((block.shape[0], 2))), pattern,
+                                 nc.Tensor(w), nc.Tensor(x))
+            np.testing.assert_allclose(out.data, dense @ x, rtol=0, atol=1e-15,
+                                       err_msg=name)
 
 
 class TestSlice:
@@ -376,10 +460,11 @@ class TestSlice:
         d = nc.Tensor(rng.standard_normal((6, 3)), requires_grad=True)
         v = nc.Tensor(rng.standard_normal((k, 1)), requires_grad=True)
         targets = rng.integers(0, 3, size=7)
+        pattern = nc.EdgePattern(block, slots, np.arange(k), k)
 
         def loss():
-            return nc.softmax_nll(nc.spmm(block, d, values=v, slots=slots), targets,
-                                  tau=1.0)
+            return nc.softmax_nll(nc.edge_update(nc.spmm(block, d), pattern, v, d),
+                                  targets, tau=1.0)
 
         grads = nc.backward(loss())
         fd_d, fd_v = finite_diff(lambda: loss().item(), [d, v])
