@@ -13,8 +13,10 @@ full-GLoRA layer as the frozen product (A_hat H) W0 plus a rank-(r+1)
 update, bitwise as the unfused chain ran it. Trainable edges make A' = A_hat
 + E(w), E(w) holding each selected edge's weight at its two entries; one
 `numcore.edge_update` node adds E(w) H to the frozen aggregation, which is
-never rebuilt. A forward starts from `forward_start`, which picks its
-epoch-invariant start from the parameters: while the base is frozen, H(0) =
+never rebuilt. There is one way into the encoder: `forward_start(adj, x,
+params, ids)` plans rows `ids` from the parameters alone and builds the
+constants every forward over that plan starts from, and
+`encoder_forward(start)` runs it. While the base is frozen those are H(0) =
 X W_in with layer 0's A_hat H(0) and A_hat H(0) W0 in every mode, and A_hat
 X once a base weight trains, the first layer then being (A_hat X)(W_in W0).
 A checkpoint holds the float32 base weights only, as `as_stored` rounds
@@ -293,21 +295,33 @@ def forward_plan(adj: SparseMatrix, ids, layers: int,
 
 
 @dataclass(frozen=True)
-class FrozenInput:
-    """The constant start of every forward over one plan, untracked, as
-    `forward_start` builds it. With the input map and every W0 frozen: `h0`
-    = H(0) = X W_in on the plan's input rows and `first` = the first layer's
-    A H(0), A H(0) W0 and, only when its edge weights train, the H(0) W0
-    their update of A H(0) W0 reads. With a base weight training: `ax` = A X
-    on the first layer's rows alone."""
+class ForwardStart:
+    """A forward's parameters, its plan and the constants it starts from, as
+    `forward_start` builds them, untracked. With the input map and every W0
+    frozen: `h0` = H(0) = X W_in on the plan's input rows and `first` = the
+    first layer's A H(0), A H(0) W0 and, only when its edge weights train,
+    the H(0) W0 their update of A H(0) W0 reads. With a base weight
+    training: `ax` = A X on the first layer's rows alone."""
 
+    params: EncoderParams
+    plan: ForwardPlan
     h0: Tensor | None = None
     first: tuple[Tensor, Tensor, Tensor | None] | None = None
     ax: Tensor | None = None
 
 
-def _checked_plan(adj: SparseMatrix, x: Tensor, params: EncoderParams,
-                  plan: ForwardPlan | None) -> ForwardPlan:
+def _full_glora(lp: LayerParams) -> bool:
+    return lp.pa is not None and lp.qa is not None
+
+
+def forward_start(adj: SparseMatrix, x: Tensor, params: EncoderParams,
+                  ids=None) -> ForwardStart:
+    """Plan a forward of `params` over rows `ids` (None: every row) and build
+    the constants it starts from. The plan takes its trainable edges from
+    `params.edge_positions` and, when a layer carries full GLoRA, keeps every
+    row below the top. While the input map and every W0 stay frozen the
+    constants are H(0) and the first layer's frozen products; once a base
+    weight trains they are A X, and the first layer runs as (A X)(W_in W0)."""
     n = adj.shape[0]
     if adj.shape[1] != n:
         raise DimensionError(f"adjacency must be square, got {adj.shape}")
@@ -315,102 +329,52 @@ def _checked_plan(adj: SparseMatrix, x: Tensor, params: EncoderParams,
         raise DimensionError(
             f"features must be ({n}, {params.w_in.rows}), got {x.shape}"
         )
-    layers = len(params.layers)
-    if plan is None:
-        return forward_plan(adj, None, layers, params.edge_positions)
-    if len(plan.adjs) != layers:
-        raise DimensionError(f"plan has {len(plan.adjs)} layers, params carry {layers}")
-    return plan
-
-
-def _input_rows(x: Tensor, plan: ForwardPlan) -> Tensor:
-    return x if plan.rows[0] is None else gather_rows(x, plan.rows[0])
-
-
-def _input_map(x: Tensor, params: EncoderParams, plan: ForwardPlan) -> Tensor:
-    return matmul(_input_rows(x, plan), params.w_in)
-
-
-def _full_glora(lp: LayerParams) -> bool:
-    return lp.pa is not None and lp.qa is not None
-
-
-def _base_trains(params: EncoderParams) -> bool:
-    return params.w_in.requires_grad or any(lp.w0.requires_grad for lp in params.layers)
-
-
-def forward_start(adj: SparseMatrix, x: Tensor, params: EncoderParams,
-                  plan: ForwardPlan | None = None) -> FrozenInput:
-    """The constants every forward over `plan` (None: the full forward)
-    starts from, built from the call's own inputs. While the input map and
-    every W0 stay frozen that is H(0) and the first layer's frozen products;
-    once a base weight trains it is A X, and the first layer runs as
-    (A X)(W_in W0)."""
-    plan = _checked_plan(adj, x, params, plan)
-    if _base_trains(params):
-        return FrozenInput(ax=spmm(plan.adjs[0], _input_rows(x, plan)))
-    h0, w0 = _input_map(x, params, plan), params.layers[0].w0
+    layers = params.layers
+    plan = forward_plan(adj, ids, len(layers), edge_positions=params.edge_positions,
+                        dense=any(_full_glora(lp) for lp in layers))
+    x = x if plan.rows[0] is None else gather_rows(x, plan.rows[0])
+    if params.w_in.requires_grad or any(lp.w0.requires_grad for lp in layers):
+        if layers[0].adapters():
+            raise ContractError("an A X start needs a layer 0 without GLoRA factors")
+        return ForwardStart(params, plan, ax=spmm(plan.adjs[0], x))
+    h0, w0 = matmul(x, params.w_in), layers[0].w0
     agg = spmm(plan.adjs[0], h0)
-    hw = None if params.layers[0].edge_weights is None else matmul(h0, w0)
-    return FrozenInput(h0=h0, first=(agg, matmul(agg, w0), hw))
+    hw = None if layers[0].edge_weights is None else matmul(h0, w0)
+    return ForwardStart(params, plan, h0=h0, first=(agg, matmul(agg, w0), hw))
 
 
-def encoder_forward(adj: SparseMatrix, x: Tensor, params: EncoderParams,
-                    plan: ForwardPlan | None = None,
-                    frozen: FrozenInput | None = None) -> list[Tensor | None]:
-    """Run the (possibly adapted) encoder; ReLU on interior layers only.
+def encoder_forward(start: ForwardStart) -> list[Tensor | None]:
+    """Run the (possibly adapted) encoder from `start`; ReLU on interior
+    layers only.
 
-    Returns the per-layer embeddings H(0..L), H(0) being the input linear
-    map's output. With a `plan` from `forward_plan(adj, ids, ...)` each layer
-    runs on its planned rows only, and every returned layer holds rows `ids`.
-    `frozen` is `forward_start` over the same plan; the forward then starts
-    from its constants instead of recomputing them. A frozen base builds that
-    start itself when none is given, so both run the same ops. From an A X
-    start, H(0) is not formed and its place holds None.
+    Returns the per-layer embeddings H(0..L) of the rows `forward_start` was
+    given, each layer computed on its planned rows only. H(0) is the input
+    map's output; from an A X start it is not formed and its place holds
+    None.
     """
-    plan = _checked_plan(adj, x, params, plan)
-    if frozen is None and not _base_trains(params):
-        frozen = forward_start(adj, x, params, plan)
-    ax = None if frozen is None else frozen.ax
-    if frozen is not None:
-        start, level = (frozen.h0, 0) if ax is None else (ax, 1)
-        want = adj.shape[0] if plan.rows[level] is None else plan.rows[level].size
-        if start.rows != want:
-            raise DimensionError(
-                f"frozen input has {start.rows} rows, the plan wants {want}")
-    stack = [_input_map(x, params, plan) if frozen is None else frozen.h0]
+    params, plan, ax = start.params, start.plan, start.ax
+    stack = [start.h0]
     for l, lp in enumerate(params.layers):
-        h, sub, w = stack[-1], plan.adjs[l], lp.edge_weights
-        if w is not None and plan.edge_patterns is None:
-            raise ContractError("edge weights present but no edge_positions")
+        h, w = stack[-1], lp.edge_weights
         if l == 0 and ax is not None:
-            if lp.adapters():
-                raise ContractError("an A X start needs a layer 0 without GLoRA factors")
             # no nonlinearity precedes it: A (X W_in) W0 = (A X)(W_in W0)
             h = matmul(ax, matmul(params.w_in, lp.w0))
         else:
-            if l == 0 and frozen is not None:
-                agg, base, hw = frozen.first
+            if l == 0:
+                agg, base, hw = start.first
                 if w is not None:
-                    if hw is None:
-                        raise ContractError("the start holds no H(0) W0 for edge weights")
                     base = edge_update(base, plan.edge_patterns[l], w, hw)
             else:
-                agg, base = spmm(sub, h), None
+                agg, base = spmm(plan.adjs[l], h), None
             if w is not None:
                 # A' = A + E(w): one shared scalar per selected undirected
                 # edge at each of its entries, added to the frozen product
                 agg = edge_update(agg, plan.edge_patterns[l], w, h)
             if _full_glora(lp):
-                if lp.p is None or lp.q is None:
-                    raise ContractError("full GLoRA needs the projection factors P and Q")
-                if plan.rows[l] is not None:
-                    raise ContractError("full GLoRA reads every row of each layer's "
-                                        "input; plan it with dense=True")
                 rows = plan.rows[l + 1]
                 pa = lp.pa if rows is None else gather_rows(lp.pa, rows)
                 h = lowrank_layer(agg, lp.w0, lp.p, lp.q, base, h=h, pa=pa, qa=lp.qa)
-            elif lp.p is not None and lp.q is not None:
+            elif lp.p is not None:
                 h = lowrank_layer(agg, lp.w0, lp.p, lp.q, base)
             else:
                 h = matmul(agg, lp.w0) if base is None else base

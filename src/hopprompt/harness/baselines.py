@@ -1,7 +1,8 @@
 """Reference models for ordering checks: a GCN trained from scratch and full
 fine-tuning on top of the link-prediction checkpoint. Node tasks only; both
-start their trainable first layer from A X, built once per call and plan
-(fine-tuning's by `encoder.forward_start`, as its base trains)."""
+start their trainable first layer from A X, built once for the training
+rows and once for every row (fine-tuning's by `encoder.forward_start`, as
+its base trains; the GCN plans its own rows with `encoder.forward_plan`)."""
 
 from __future__ import annotations
 
@@ -36,12 +37,13 @@ class BaselineResult:
     trainable_count: int
 
 
-def _train_classifier(logits_over, adj, layers, trainables, g, split, lr,
-                      weight_decay, epochs, patience):
-    """`logits_over(plan)` builds the plan's constant A X once and returns a
-    function computing the logits of the plan's rows from it: training runs
-    on the training rows' receptive field, evaluation on every row."""
-    train_logits = logits_over(forward_plan(adj, split.train_ids, layers))
+def _train_classifier(logits_over, trainables, g, split, lr, weight_decay,
+                      epochs, patience):
+    """`logits_over(ids)` plans rows `ids` (None: every row), builds their
+    constant A X once and returns a function computing their logits from it:
+    training runs on the training rows' receptive field, evaluation on every
+    row."""
+    train_logits = logits_over(split.train_ids)
     y_train = g.labels[split.train_ids]
 
     def steps(_epoch):
@@ -50,7 +52,7 @@ def _train_classifier(logits_over, adj, layers, trainables, g, split, lr,
     losses, _best_epoch = fit(
         steps, trainables, lr=lr, weight_decay=weight_decay, epochs=epochs,
         patience=patience, what="baseline")
-    logits = logits_over(forward_plan(adj, None, layers))().data
+    logits = logits_over(None)().data
     preds = np.argmax(logits[split.test_ids], axis=1)
     accuracy = float((preds == g.labels[split.test_ids]).mean())
     return accuracy, losses
@@ -74,7 +76,8 @@ def train_scratch_gcn(g: Graph, split: SplitSpec, hidden: int, lr: float,
     w1 = glorot(f, hidden)
     w2 = glorot(hidden, c)
 
-    def logits_over(plan):
+    def logits_over(ids):
+        plan = forward_plan(adj, ids, 2)
         x = g.features if plan.rows[0] is None else gather_rows(g.features, plan.rows[0])
         ax = spmm(plan.adjs[0], x)  # A (X w1) = (A X) w1
 
@@ -83,8 +86,8 @@ def train_scratch_gcn(g: Graph, split: SplitSpec, hidden: int, lr: float,
             return out if plan.picks[2] is None else gather_rows(out, plan.picks[2])
         return logits
 
-    accuracy, losses = _train_classifier(logits_over, adj, 2, [w1, w2], g,
-                                         split, lr, weight_decay, epochs, patience)
+    accuracy, losses = _train_classifier(logits_over, [w1, w2], g, split, lr,
+                                         weight_decay, epochs, patience)
     return BaselineResult(test_accuracy=accuracy, train_losses=losses,
                           trainable_count=w1.data.size + w2.data.size)
 
@@ -109,14 +112,12 @@ def train_finetune_lp(checkpoint_params, cfg: EncoderConfig, g: Graph,
                   requires_grad=True)
     trainables = [params.w_in] + [lp.w0 for lp in params.layers] + [head]
 
-    def logits_over(plan):
-        start = forward_start(adj, g.features, params, plan)
-        return lambda: matmul(
-            encoder_forward(adj, g.features, params, plan=plan, frozen=start)[-1], head)
+    def logits_over(ids):
+        start = forward_start(adj, g.features, params, ids)
+        return lambda: matmul(encoder_forward(start)[-1], head)
 
-    accuracy, losses = _train_classifier(logits_over, adj, cfg.layers,
-                                         trainables, g, split, lr, weight_decay,
-                                         epochs, patience)
+    accuracy, losses = _train_classifier(logits_over, trainables, g, split, lr,
+                                         weight_decay, epochs, patience)
     return BaselineResult(
         test_accuracy=accuracy,
         train_losses=losses,

@@ -155,6 +155,11 @@ class ExperimentConfig:
             raise ConfigError("epochs are capped at 200")
         if self.selection not in ("test_acc", "train_loss"):
             raise ConfigError(f"selection must be test_acc/train_loss, got {self.selection}")
+        if (self.selection == "train_loss" and len(self.grid.points()) > 1
+                and (self.mode == "prototype" or self.epochs == 0)):
+            # no run records a training loss, so no grid point could be chosen
+            raise ConfigError(f"selection train_loss needs runs that train; mode "
+                              f"{self.mode} with epochs={self.epochs} trains nothing")
         if self.glora_mode not in GLORA_MODES:
             raise ConfigError(f"glora_mode {self.glora_mode!r} not in {GLORA_MODES}")
         if (self.glora_mode != "off" and self.mode not in GLORA_FREE_MODES

@@ -217,6 +217,9 @@ def run_heterophily_sweep(base_path, targets, cfg: ExperimentConfig,
                           cache: CheckpointCache | None = None) -> dict:
     """Rewire the base dataset to each target homophily and evaluate under the
     full-shot 50% split; infeasible targets are skipped with a warning."""
+    # every mode's config is checked before any rewiring or training
+    mode_cfgs = {mode: _per_mode(cfg, mode=mode, shots=None, train_fraction=0.5)
+                 for mode in modes}
     base = load_dataset(base_path)
     if isinstance(base, GraphSet):
         raise ConfigError("heterophily sweep needs a node dataset")
@@ -230,8 +233,7 @@ def run_heterophily_sweep(base_path, targets, cfg: ExperimentConfig,
             continue
         achieved = homophily_ratio(rewired)
         entry = {"target_h": float(target), "achieved_h": achieved, "modes": {}}
-        for mode in modes:
-            sweep_cfg = _per_mode(cfg, mode=mode, shots=None, train_fraction=0.5)
+        for mode, sweep_cfg in mode_cfgs.items():
             report = run_experiment(sweep_cfg, cache=cache, data=rewired)
             entry["modes"][mode] = {
                 "mean_accuracy": report.mean_accuracy,

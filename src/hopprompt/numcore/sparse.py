@@ -1,7 +1,7 @@
 """Canonical CSR matrices and sparse-dense products recorded on the tape.
 
 scipy.sparse supplies the multiply kernel; the CSR arrays here are the source
-of truth and the dense `densify` path exists for oracle checks.
+of truth.
 """
 
 from __future__ import annotations
@@ -74,11 +74,6 @@ class SparseMatrix:
     def nnz_rows(self) -> np.ndarray:
         """Row index of each stored entry (read-only)."""
         return self._entry_rows
-
-    def densify(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.nnz_rows(), self.col_indices] = self.values
-        return out
 
     def _entries_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR positions of every entry of `rows`, row by row, and the number

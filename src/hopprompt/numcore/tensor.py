@@ -341,7 +341,9 @@ def triplet_nll(s: Tensor, v, a, b, tau: float) -> Tensor:
     The VJP keeps only the array of `s` (already on the tape), the indices
     and per-triplet vectors. A row a triplet reads of norm below NORM_EPS
     raises DegenerateRowError naming its node and its role (anchor, positive
-    or negative).
+    or negative). `prompt_nll` scores such a row 0 because stage two's
+    evaluation does; no evaluation reads these cosines, and a collapsed row
+    of s would be a fault in the checkpoint every later stage starts from.
     """
     if tau <= 0:
         raise ParameterError(f"triplet_nll: tau must be > 0, got {tau}")
@@ -425,10 +427,10 @@ def prompt_cosines(h: np.ndarray, prompts: np.ndarray):
     stack's rows against (L, C, d) prompts, layer by layer, with the unit
     rows u, v and the norms hn, pn they came from, as (s, u, v, hn, pn).
 
-    A row or prompt of norm below NORM_EPS scores 0 against everything;
-    `prompt_nll` raises on one instead, and the evaluation predicts from the
-    rest. Rows above it are divided by their own norm, so their scores do not
-    depend on whether a degenerate row sits beside them.
+    A row or prompt of norm below NORM_EPS scores 0 against everything, in
+    training (`prompt_nll`) and evaluation alike. Rows above it are divided
+    by their own norm, so their scores do not depend on whether a degenerate
+    row sits beside them.
     """
     hn = np.linalg.norm(h, axis=2)
     pn = np.linalg.norm(prompts, axis=2)
@@ -456,8 +458,9 @@ def prompt_nll(mats: Sequence[Tensor], targets, thetas: Sequence[Tensor],
     sums in its order, so both agree bit for bit at every width above 1 (at
     width 1, to rounding). The cosines are `prompt_cosines`', the evaluation's
     scoring path. Every layer has the same width. A row or prompt of norm
-    below NORM_EPS raises DegenerateRowError; an untracked matrix gets no
-    gradient.
+    below NORM_EPS scores 0, as in the evaluation, and no gradient flows
+    through its cosines; a row still reaches its class's prompt through the
+    class mean. An untracked matrix gets no gradient.
     """
     if tau <= 0:
         raise ParameterError(f"prompt_nll: tau must be > 0, got {tau}")
@@ -480,10 +483,8 @@ def prompt_nll(mats: Sequence[Tensor], targets, thetas: Sequence[Tensor],
     h = np.stack([mat.data for mat in mats])
     prompts = class_means(h, y, c) + np.stack([theta.data for theta in thetas])
     s, u, v, hn, pn = prompt_cosines(h, prompts)
-    if min(hn.min(), pn.min()) < NORM_EPS:
-        for l in range(len(mats)):
-            _require_norms(hn[l], "prompt_nll", f"layer {l} item")
-            _require_norms(pn[l], "prompt_nll", f"layer {l} prompt")
+    low_h, low_p = hn < NORM_EPS, pn < NORM_EPS
+    hn, pn = np.where(low_h, 1.0, hn), np.where(low_p, 1.0, pn)
     z = s / tau
     z = z - z.max(axis=2, keepdims=True)
     expz = np.exp(z)
@@ -503,6 +504,9 @@ def prompt_nll(mats: Sequence[Tensor], targets, thetas: Sequence[Tensor],
         ds = expz / denom[..., None]
         ds[:, items, y] -= 1.0
         ds = ds * (g_mean / (n * tau))
+        # a degenerate row's or prompt's scores are the constant 0
+        ds[low_h] = 0.0
+        ds.transpose(0, 2, 1)[low_p] = 0.0
         gs = ds * s
         dp = ((ds.transpose(0, 2, 1) @ u) / pn[..., None]
               - v * (gs.sum(axis=1) / pn)[..., None])

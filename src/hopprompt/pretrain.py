@@ -3,11 +3,12 @@
 Each node v contributes triplets (v, a, b) with a drawn from its neighbors
 and b from its non-neighbors; the encoder (plus one extra aggregation over
 the normalized adjacency) is trained so cosine(s_v, s_a) beats
-cosine(s_v, s_b) under a temperature-scaled two-way softmax. Each step's
-forward starts from A X, which `encoder.forward_start` builds once per run
-for a training base. A batch's loss is one `numcore.triplet_nll` tape node
-over s = adj @ H(L); a zero-norm row of s raises DegenerateRowError naming
-its node and role, which `fit` wraps in DivergenceError with the epoch and lr.
+cosine(s_v, s_b) under a temperature-scaled two-way softmax. Every step
+runs `encoder.encoder_forward` from one start, which `forward_start` plans
+and builds once per run: A X, for a training base. A batch's loss is one
+`numcore.triplet_nll` tape node over s = adj @ H(L); a zero-norm row of s
+raises DegenerateRowError naming its node and role, which `fit` wraps in
+DivergenceError with the epoch and lr.
 """
 
 from __future__ import annotations
@@ -146,17 +147,16 @@ def run_pretrain(data: Graph | GraphSet, cfg: EncoderConfig, pcfg: PretrainConfi
     params = init_encoder(cfg, rng)
     adj = normalize_adjacency(g)
     trainable, _ = partition_params(params, "pretrain")
-    # every step's first layer starts from A X, built once per run
-    ax = forward_start(adj, g.features, params)
+    # every step's first layer starts from A X, planned and built once per run
+    start = forward_start(adj, g.features, params)
 
     def steps(epoch):
         # the epoch's triplets and batch order are drawn when it starts
         triplets = build_triplets(g, pcfg.negatives, _epoch_seed(pcfg.seed, epoch))
         order = rng.permutation(len(triplets))
-        for start in range(0, len(triplets), pcfg.batch_size):
-            batch = triplets[order[start:start + pcfg.batch_size]]
-            stack = encoder_forward(adj, g.features, params, frozen=ax)
-            yield pretrain_loss(stack, adj, batch, pcfg.tau), len(batch)
+        for lo in range(0, len(triplets), pcfg.batch_size):
+            batch = triplets[order[lo:lo + pcfg.batch_size]]
+            yield pretrain_loss(encoder_forward(start), adj, batch, pcfg.tau), len(batch)
 
     epoch_losses, _best_epoch = fit(
         steps, trainable, lr=pcfg.lr, weight_decay=pcfg.weight_decay,

@@ -10,10 +10,11 @@ The training loss is the unweighted sum of per-layer softmax NLL terms over
 them, so gamma itself keeps its structured initialization; that loss is one
 tape node per epoch, `numcore.prompt_nll`, over all scored layers at once.
 Prediction is the argmax of the cosines summed over layers with hop
-coefficients gamma; where training raises on a zero-norm row, evaluation
-scores it 0. Each task trains from one `encoder.forward_start` per call, a
-node task on its training rows' receptive field, and evaluates with one plain
-forward. GLoRA's mode and rank are set by `PromptTuneConfig` alone.
+coefficients gamma; a zero-norm row or prompt scores 0 in training and
+evaluation alike. Each task trains from one `encoder.forward_start` per
+call, a node task on its training rows' receptive field, and evaluates from
+a second start over every row. GLoRA's mode and rank are set by
+`PromptTuneConfig` alone.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ import numpy as np
 from .encoder import (
     GLORA_MODES,
     EncoderParams,
-    FrozenInput,
+    ForwardStart,
     attach_glora,
     checkpoint_load,
     count_trainable,
     edge_subset_positions,
     encoder_forward,
-    forward_plan,
     forward_start,
     own_base,
     partition_params,
@@ -69,12 +69,11 @@ def init_gamma(alpha: float, num_layers: int) -> Tensor:
     return Tensor(np.array([values]), requires_grad=True)
 
 
-def graph_tokens(batch: GraphBatch, params: EncoderParams,
-                 frozen: FrozenInput | None = None) -> list[Tensor]:
-    """One forward over the batch's disjoint union, from `frozen` when given,
-    then each graph's mean row per layer: one (B, d) tensor per layer."""
-    stack = encoder_forward(batch.adj, batch.features, params, frozen=frozen)
-    return [spmm(batch.pool, h) for h in stack]
+def graph_tokens(batch: GraphBatch, start: ForwardStart) -> list[Tensor]:
+    """One forward over the batch's disjoint union from `start`, a
+    `forward_start` over it, then each graph's mean row per layer: one
+    (B, d) tensor per layer."""
+    return [spmm(batch.pool, h) for h in encoder_forward(start)]
 
 
 def anchors_from_matrices(mats: list[np.ndarray], y: np.ndarray,
@@ -181,14 +180,11 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
                           num_nodes=g.num_nodes, edge_positions=positions)
     # the loss reads the training rows only, so training runs on their
     # receptive field, every epoch from constants built once, here
-    plan = forward_plan(adj, split.train_ids, len(params.layers),
-                        edge_positions=params.edge_positions,
-                        dense=tcfg.glora_mode == "full")
-    start = forward_start(adj, g.features, params, plan)
+    start = forward_start(adj, g.features, params, split.train_ids)
     return _fit_prompts(
         params, tcfg, split, g.labels, g.num_classes,
-        lambda: encoder_forward(adj, g.features, params, plan=plan, frozen=start),
-        lambda: encoder_forward(adj, g.features, params))
+        lambda: encoder_forward(start),
+        lambda: encoder_forward(forward_start(adj, g.features, params)))
 
 
 def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
@@ -201,10 +197,13 @@ def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
     train_batch = graph_batch([items.graphs[int(i)] for i in split.train_ids])
     # every epoch's forward starts from the training batch's X W_in
     start = forward_start(train_batch.adj, train_batch.features, params)
-    return _fit_prompts(
-        params, tcfg, split, items.labels, items.num_classes,
-        lambda: graph_tokens(train_batch, params, start),
-        lambda: graph_tokens(graph_batch(items.graphs), params))
+
+    def evaluate():
+        every = graph_batch(items.graphs)
+        return graph_tokens(every, forward_start(every.adj, every.features, params))
+
+    return _fit_prompts(params, tcfg, split, items.labels, items.num_classes,
+                        lambda: graph_tokens(train_batch, start), evaluate)
 
 
 def _fit_prompts(params, tcfg, split, labels, num_classes, forward, evaluate):

@@ -9,7 +9,9 @@ draw; the edge-subset and CSR-row oracles are the loops that
 The graph-task oracles run one forward per item and `mean_rows` pooling,
 which the batched disjoint-union forward in `prompt.graph_tokens` replaces.
 `reference_pretrain` is stage one's own mini-batch Adam loop, which
-`run_pretrain` replaces with the shared `numcore.fit`; it scores each batch
+`run_pretrain` replaces with the shared `numcore.fit`; it runs each step's
+forward as `h0_first_forward`, X W_in first, where every forward of a
+training base starts from A X as (A X)(W_in W0), and it scores each batch
 with `unfused_pretrain_loss`, the chain of tape ops (`spmm`, three
 `gather_rows`, two `rowwise_cosine_sim`, `hstack`, `softmax_nll`) that
 `numcore.triplet_nll` fuses into one node (`unfused_triplet_nll` runs it
@@ -32,7 +34,9 @@ chain of tape ops (`transpose`, `matmul`, `add`, `hstack`, `vstack`) that
 `numcore.lowrank_layer` fuses into one node: the factored full-GLoRA layer,
 which the op matches bit for bit, and, without adjacency factors, the layer
 with the dense weight W0 + P Q^T formed, which the op reassociates;
-`lowrank_chain` is the op's own association as a chain. `ClassPromptSet`,
+`lowrank_chain` is the op's own association as a chain. `densify` is a
+`SparseMatrix`'s dense array, which the sparse kernels are checked against.
+`ClassPromptSet`,
 `tape_anchors` and `matrix_loss` are the unfused chain of tape ops that
 `numcore.prompt_nll` fuses into one node (`unfused_prompt_nll` runs it
 with that op's arguments); `anchor_arrays` is the per-class mask loop the
@@ -66,6 +70,7 @@ from hopprompt.encoder import (
     attach_glora,
     encoder_forward,
     forward_plan,
+    forward_start,
     init_encoder,
     partition_params,
 )
@@ -294,6 +299,14 @@ def assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7, label=""):
     )
 
 
+def densify(s):
+    """The dense array of a `SparseMatrix`: its stored values at their
+    (row, column) entries, zero elsewhere."""
+    out = np.zeros(s.shape)
+    out[s.nnz_rows(), s.col_indices] = s.values
+    return out
+
+
 def random_csr(rng, rows, cols, density=0.2):
     """Random canonical CSR as plain arrays (structure oracle for SparseMatrix)."""
     mask = rng.random((rows, cols)) < density
@@ -457,7 +470,8 @@ def reference_predict(layer_data, anchor_data, theta_data, weights, ids):
 
 def reference_graph_tokens(graph, params):
     """One item's own forward, mean-pooled per layer: L+1 tensors, 1 x d."""
-    stack = encoder_forward(normalize_adjacency(graph), graph.features, params)
+    stack = encoder_forward(forward_start(normalize_adjacency(graph), graph.features,
+                                          params))
     return [mean_rows(h) for h in stack]
 
 
@@ -561,10 +575,10 @@ def unfused_pretrain_loss(stack, adj, triplets, tau):
 
 
 def reference_pretrain(data, cfg, pcfg):
-    """Stage one as its own mini-batch Adam loop over the unfused loss: each
-    epoch draws its triplets and a batch permutation, takes one step per
-    batch, and records the batch-size-weighted mean loss; the last weights
-    stay. Returns (params, [(epoch, mean_loss), ...]) as `run_pretrain`
+    """Stage one as its own mini-batch Adam loop over the unfused loss and
+    the H(0)-first forward: each epoch draws its triplets and a batch
+    permutation, takes one step per batch, and records the
+    batch-size-weighted mean loss; the last weights stay. Returns (params, [(epoch, mean_loss), ...]) as `run_pretrain`
     does."""
     g = disjoint_union(data.graphs) if isinstance(data, GraphSet) else data
     rng = np.random.default_rng(pcfg.seed)
@@ -579,7 +593,7 @@ def reference_pretrain(data, cfg, pcfg):
         total, count = 0.0, 0
         for start in range(0, len(triplets), pcfg.batch_size):
             batch = triplets[order[start:start + pcfg.batch_size]]
-            stack = encoder_forward(adj, g.features, params)
+            stack = h0_first_forward(adj, g.features, params)
             loss = unfused_pretrain_loss(stack, adj, batch, pcfg.tau)
             reference_adam_step(trainable, backward(loss), state)
             total += loss.item() * len(batch)
@@ -633,6 +647,24 @@ def rank_one_update_spmm(s, p, q, d):
     if d.rows != n:
         raise DimensionError(f"rank_one_update_spmm: d has {d.rows} rows, expected {n}")
     return add(spmm(s, d), matmul(p, matmul(transpose(q), d)))
+
+
+def h0_first_forward(adj, x, params, plan=None):
+    """The forward of an encoder without adapters, the input map first: H(0)
+    = X W_in on the plan's input rows, then A h W0 per layer, with ReLU on
+    interior layers. Every forward of a training base runs from A X as
+    (A X)(W_in W0) instead, which reassociates these products."""
+    if plan is None:
+        plan = forward_plan(adj, None, len(params.layers))
+    h = matmul(x if plan.rows[0] is None else gather_rows(x, plan.rows[0]), params.w_in)
+    stack = [h]
+    for l, lp in enumerate(params.layers):
+        h = matmul(spmm(plan.adjs[l], h), lp.w0)
+        if l < len(params.layers) - 1:
+            h = relu(h)
+        stack.append(h)
+    return [h if pick is None else gather_rows(h, pick)
+            for h, pick in zip(stack, plan.picks)]
 
 
 def unfactored_forward(adj, x, params, plan=None):

@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,22 @@ def _run_from_repo_root():
     os.chdir(Path(__file__).resolve().parents[1])
     yield
     os.chdir(started_in)
+
+
+@pytest.fixture(scope="session")
+def tracing():
+    """`bench/tracing.py` as a module, loaded from its path: its `TARGETS`
+    name the package functions the bench wraps."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    written = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave bench/ as it is
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+    return module
 
 
 # shared desk-scale fixtures: a small heterophily/homophily pair plus a

@@ -140,7 +140,7 @@ def gradient_checks() -> float:
     trips = pt.build_triplets(g6, 1, seed=2)
 
     def contrastive_composite():
-        stack = enc.encoder_forward(adj6, g6.features, params6)
+        stack = enc.encoder_forward(enc.forward_start(adj6, g6.features, params6))
         return pt.pretrain_loss(stack, adj6, trips, tau=0.5)
 
     fd_check(contrastive_composite, [params6.w_in, params6.layers[0].w0, params6.layers[1].w0])
@@ -162,7 +162,7 @@ def gradient_checks() -> float:
 
     def prompt_composite(loss_of):
         def build():
-            stack = enc.encoder_forward(adj8, g8.features, adapted)
+            stack = enc.encoder_forward(enc.forward_start(adj8, g8.features, adapted))
             mats = [nc.gather_rows(hh, train_ids) for hh in stack]
             return loss_of(mats, y_train, theta, 0.5)
         return build
@@ -231,15 +231,15 @@ def test_criterion_02_zero_adaptation_identity():
                                     seed=trial)
         adj = gs.normalize_adjacency(g)
         cfg_off = enc.EncoderConfig(layers=2, dims=[f, 8, 8])
-        params = enc.init_encoder(cfg_off, rng)
-        frozen = enc.encoder_forward(adj, g.features, params)
+        params = enc.own_base(enc.init_encoder(cfg_off, rng), trainable=False)
+        frozen = enc.encoder_forward(enc.forward_start(adj, g.features, params))
         mode = "full" if trial % 2 == 0 else "edge_subset"
         if mode == "full":
             adapted = enc.attach_glora(params, mode, 3, rng, num_nodes=n)
         else:
             pos = enc.edge_subset_positions(adj, [0, 1])
             adapted = enc.attach_glora(params, mode, 3, rng, edge_positions=pos)
-        fresh = enc.encoder_forward(adj, g.features, adapted)
+        fresh = enc.encoder_forward(enc.forward_start(adj, g.features, adapted))
         gap = max(np.abs(x.data - y.data).max()
                   for x, y in zip(frozen, fresh))
         worst = max(worst, gap)

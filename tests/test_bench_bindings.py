@@ -6,28 +6,9 @@ what the package runs outside it or the tracer binds."""
 
 import ast
 import importlib
-import importlib.util
-import sys
 from pathlib import Path
 
-import pytest
-
 import hopprompt.harness  # noqa: F401  (every package module, as bench/run.py does)
-
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-
-
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    written = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave bench/ as it is
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = written
-    return module
 
 
 def _owner_and_name(module_name, attr):

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from hopprompt import graphstore as gs
 from hopprompt import harness as hn
 from hopprompt.cli import main
+from hopprompt.harness import runner as runner_module
 
 
 @pytest.fixture
@@ -252,6 +253,17 @@ def test_sweep_h_command(runner, tmp_path):
     assert result.exit_code == 0, result.output
     saved = json.loads(out.read_text())
     assert [e["target_h"] for e in saved["series"]] == [0.3, 0.5]
+
+
+def test_sweep_h_unknown_mode_exits_before_training(runner, monkeypatch):
+    calls = []
+    monkeypatch.setattr(runner_module, "run_experiment",
+                        lambda *args, **kwargs: calls.append(1))
+    result = runner.invoke(main, ["sweep-h", "--data", "datasets/web-tiny",
+                                  "--modes", "dagprompt,bogus", "--seeds", "0"])
+    assert result.exit_code == 2, result.output
+    assert "mode 'bogus'" in result.output
+    assert calls == []
 
 
 @pytest.mark.parametrize("flag", [["--format", "csv"], ["--shots", "3"]])

@@ -22,8 +22,10 @@ from hopprompt.errors import (
 from tests._oracles import (
     add,
     assert_grads_close,
+    densify,
     finite_diff,
     glora_param_count,
+    h0_first_forward,
     lowrank_chain,
     override_spmm,
     reference_edge_subset_positions,
@@ -45,9 +47,14 @@ def small_setup(seed=0, n=6, f=5, d=8, layers=2):
     return g, adj, cfg, params, rng
 
 
+def forward(adj, x, params, ids=None):
+    """The encoder's one forward: planned and started by `forward_start`."""
+    return enc.encoder_forward(enc.forward_start(adj, x, params, ids))
+
+
 def dense_reference(adj, x, params, relu_interior=True):
     """Dense numpy re-implementation of the forward pass (oracle)."""
-    a = adj.densify()
+    a = densify(adj)
     h = x @ params.w_in.data
     out = [h]
     for l, lp in enumerate(params.layers):
@@ -99,7 +106,8 @@ class TestEncoderConfig:
 class TestForward:
     def test_matches_dense_oracle(self):
         g, adj, cfg, params, _ = small_setup(seed=1)
-        stack = enc.encoder_forward(adj, g.features, params)
+        params = enc.own_base(params, trainable=False)
+        stack = forward(adj, g.features, params)
         ref = dense_reference(adj, g.features.data, params)
         assert len(stack) == cfg.layers + 1
         for ours, theirs in zip(stack, ref):
@@ -111,29 +119,31 @@ class TestForward:
         cfg = enc.EncoderConfig(layers=1, dims=[f, f])
         rng = np.random.default_rng(2)
         params = enc.EncoderParams(
-            w_in=nc.Tensor(np.eye(f), requires_grad=True),
-            layers=[enc.LayerParams(w0=nc.Tensor(np.eye(f), requires_grad=True))],
+            w_in=nc.Tensor(np.eye(f)),
+            layers=[enc.LayerParams(w0=nc.Tensor(np.eye(f)))],
         )
         adj = nc.SparseMatrix((f, f), np.arange(f + 1), np.arange(f), np.ones(f))
         x = nc.Tensor(rng.standard_normal((f, f)))
-        stack = enc.encoder_forward(adj, x, params)
+        stack = forward(adj, x, params)
         np.testing.assert_allclose(stack[1].data, stack[0].data, atol=1e-15)
         np.testing.assert_allclose(stack[0].data, x.data, atol=1e-15)
 
     def test_zero_init_glora_is_exact_identity(self):
         g, adj, _, params, rng = small_setup(seed=3)
-        frozen = enc.encoder_forward(adj, g.features, params)
+        params = enc.own_base(params, trainable=False)
+        frozen = forward(adj, g.features, params)
         adapted_params = enc.attach_glora(params, "full", 3, rng, num_nodes=g.num_nodes)
-        adapted = enc.encoder_forward(adj, g.features, adapted_params)
+        adapted = forward(adj, g.features, adapted_params)
         for a, b in zip(frozen, adapted):
             assert np.abs(a.data - b.data).max() < 1e-12
 
     def test_edge_subset_zero_init_identity(self):
         g, adj, _, params, rng = small_setup(seed=4)
-        frozen = enc.encoder_forward(adj, g.features, params)
+        params = enc.own_base(params, trainable=False)
+        frozen = forward(adj, g.features, params)
         pos = enc.edge_subset_positions(adj, [0, 1])
         adapted_params = enc.attach_glora(params, "edge_subset", 3, rng, edge_positions=pos)
-        adapted = enc.encoder_forward(adj, g.features, adapted_params)
+        adapted = forward(adj, g.features, adapted_params)
         for a, b in zip(frozen, adapted):
             assert np.abs(a.data - b.data).max() < 1e-12
 
@@ -170,18 +180,17 @@ class TestForward:
         def assert_close(a, b):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
-        # a frozen base starts layer 0 from A H(0) W0; a training one runs it
-        # as the update of A H(0), then the product
-        for trainable in (False, True):
-            params = enc.own_base(adapted, trainable)
-            ours = enc.encoder_forward(adj, g.features, params)
-            oracle = scatter_edge_subset_forward(adj, g.features, params)
-            for a, b in zip(ours, oracle):
-                assert_close(a.data, b.data)
-            got, want = nc.backward(loss_of(ours)), nc.backward(loss_of(oracle))
-            for t in enc.partition_params(params, "prompt")[0]:
-                assert_close(got.get(t), want.get(t))
-            assert np.any(got.get(params.layers[0].edge_weights) != 0)
+        # the frozen base starts layer 0 from A H(0) W0 and adds the edges'
+        # update to it
+        params = enc.own_base(adapted, trainable=False)
+        ours = forward(adj, g.features, params)
+        oracle = scatter_edge_subset_forward(adj, g.features, params)
+        for a, b in zip(ours, oracle):
+            assert_close(a.data, b.data)
+        got, want = nc.backward(loss_of(ours)), nc.backward(loss_of(oracle))
+        for t in enc.partition_params(params, "prompt")[0]:
+            assert_close(got.get(t), want.get(t))
+        assert np.any(got.get(params.layers[0].edge_weights) != 0)
 
     def test_rank_bound_of_projection_adaptation(self):
         g, adj, _, params, rng = small_setup(seed=7, d=10)
@@ -283,20 +292,22 @@ class TestForwardPlan:
         rng = np.random.default_rng(seed)
         cfg = enc.EncoderConfig(layers=2, dims=[3, 6, 6])
         params = enc.init_encoder(cfg, rng)
-        if mode != "off":
-            pos = enc.edge_subset_positions(adj, ids) if mode == "edge_subset" else None
-            params = enc.attach_glora(params, mode, 2, rng, num_nodes=g.num_nodes,
-                                      edge_positions=pos)
-        # every factor nonzero, as after some training; the base weights
-        # take gradients too, so that mode off has some to compare
+        if mode == "off":
+            # the base trains, so that mode off has gradients to compare
+            return cfg, params
+        pos = enc.edge_subset_positions(adj, ids) if mode == "edge_subset" else None
+        params = enc.attach_glora(enc.own_base(params, trainable=False), mode, 2, rng,
+                                  num_nodes=g.num_nodes, edge_positions=pos)
+        # every factor nonzero, as after some training
         for t in enc.partition_params(params, "prompt")[0]:
             t.data = rng.standard_normal(t.shape)
-        for t in enc.partition_params(params, "prompt")[1]:
-            t.requires_grad = True
         return cfg, params
 
     @staticmethod
     def _loss(layers, seed):
+        """A loss over every layer the forward formed: from an A X start,
+        H(0) is not formed."""
+        layers = [h for h in layers if h is not None]
         rng = np.random.default_rng(seed)
         y = rng.integers(0, 3, size=layers[0].rows)
         total = None
@@ -313,14 +324,16 @@ class TestForwardPlan:
         adj = gs.normalize_adjacency(g)
         cfg, params = self._adapted(g, adj, ids, mode, seed)
         trainables = [t for group in enc.partition_params(params, "prompt") for t in group]
-        plan = enc.forward_plan(adj, ids, cfg.layers, edge_positions=params.edge_positions,
-                                dense=mode == "full")
-        full = enc.encoder_forward(adj, g.features, params)
-        want = nc.backward(self._loss([nc.gather_rows(h, ids) for h in full], seed))
-        planned = enc.encoder_forward(adj, g.features, params, plan=plan)
+        full = forward(adj, g.features, params)
+        want = nc.backward(self._loss([None if h is None else nc.gather_rows(h, ids)
+                                        for h in full], seed))
+        start = enc.forward_start(adj, g.features, params, ids)
+        plan = start.plan
+        planned = enc.encoder_forward(start)
         got = nc.backward(self._loss(planned, seed))
 
-        for l, h in enumerate(planned):
+        assert (planned[0] is None) == (full[0] is None) == (mode == "off")
+        for l, h in enumerate(planned[1:], 1):
             assert np.array_equal(h.data, full[l].data[ids]), f"layer {l}"
         # a layer that needs every row runs unsliced
         assert all(r is None or r.size < g.num_nodes for r in plan.rows)
@@ -339,6 +352,10 @@ class TestForwardPlan:
     def test_syn_h10_receptive_fields(self):
         g = gs.load_dataset(DATASETS / "syn-h10")
         adj = gs.normalize_adjacency(g)
+        rng = np.random.default_rng(3)
+        base = enc.own_base(enc.init_encoder(
+            enc.EncoderConfig(layers=2, dims=[g.num_features, 8, 8]), rng), trainable=False)
+        full = enc.attach_glora(base, "full", 2, rng, num_nodes=g.num_nodes)
         for seed, sizes in [(3, [590, 239, 25]), (7, [594, 244, 25])]:
             ids = gs.kshot_split(g, 5, seed=seed).train_ids
             plan = enc.forward_plan(adj, ids, 2)
@@ -348,6 +365,12 @@ class TestForwardPlan:
             dense = enc.forward_plan(adj, ids, 2, dense=True)
             assert dense.rows[:2] == [None, None]
             assert dense.adjs[1].shape == (25, g.num_nodes)
+            # forward_start plans as much from the parameters alone
+            for params, want in [(base, plan), (full, dense)]:
+                got = enc.forward_start(adj, g.features, params, ids).plan
+                assert [None if r is None else r.tolist() for r in got.rows] == \
+                    [None if r is None else r.tolist() for r in want.rows]
+                assert [a.shape for a in got.adjs] == [a.shape for a in want.adjs]
 
     def test_edge_positions_checked_once_per_plan(self):
         # path 0-1-2-3: CSR slots (0,1)=0 (1,0)=1 (1,2)=2 (2,1)=3 (2,3)=4 (3,2)=5
@@ -376,28 +399,40 @@ class TestForwardPlan:
         assert first.rows.tolist() == [0, 1, 2] and first.cols.tolist() == [1, 0, 3]
         assert second.rows.tolist() == [0, 1] and second.cols.tolist() == [1, 0]
 
-    def test_full_glora_needs_a_dense_plan(self):
+    def test_start_plans_from_the_parameters(self):
         rng = np.random.default_rng(9)
         g = gs.Graph(num_nodes=8, edges=gs.canonical_edges([(i, i + 1) for i in range(7)], 8),
                      features=nc.Tensor(rng.standard_normal((8, 5))), labels=None,
                      num_classes=2)
         adj = gs.normalize_adjacency(g)
         cfg = enc.EncoderConfig(layers=2, dims=[5, 8, 8])
-        params = enc.init_encoder(cfg, rng)
-        adapted = enc.attach_glora(params, "full", 2, rng, num_nodes=g.num_nodes)
-        with pytest.raises(ContractError, match="dense=True"):
-            enc.encoder_forward(adj, g.features, adapted,
-                                plan=enc.forward_plan(adj, [0, 1], cfg.layers))
-        with pytest.raises(DimensionError, match="plan has 1 layers, params carry 2"):
-            enc.encoder_forward(adj, g.features, adapted,
-                                plan=enc.forward_plan(adj, [0, 1], 1, dense=True))
+        base = enc.own_base(enc.init_encoder(cfg, rng), trainable=False)
+        # full GLoRA's rank-one term reads every row below the top
+        full = enc.attach_glora(base, "full", 2, rng, num_nodes=g.num_nodes)
+        plan = enc.forward_start(adj, g.features, full, [0, 1]).plan
+        assert plan.rows[:2] == [None, None] and plan.rows[2].tolist() == [0, 1]
+        assert plan.edge_patterns is None
+        # edge_subset's trainable entries are placed in each layer's block
+        pos = enc.edge_subset_positions(adj, [0, 1])
+        edges = enc.attach_glora(base, "edge_subset", 2, rng, edge_positions=pos)
+        plan = enc.forward_start(adj, g.features, edges, [0, 1]).plan
+        want = enc.forward_plan(adj, [0, 1], 2, edge_positions=pos)
+        assert [r.tolist() for r in plan.rows] == [r.tolist() for r in want.rows]
+        for got, ref in zip(plan.edge_patterns, want.edge_patterns):
+            assert got.shape == ref.shape
+            assert (got.rows.tolist(), got.cols.tolist(), got.edges.tolist()) == \
+                (ref.rows.tolist(), ref.cols.tolist(), ref.edges.tolist())
+        # the projection factors alone plan the receptive field
+        projected = enc.attach_glora(base, "full", 2, rng, adjacency_adaptation=False)
+        plan = enc.forward_start(adj, g.features, projected, [0, 1]).plan
+        assert [r.tolist() for r in plan.rows] == [[0, 1, 2, 3], [0, 1, 2], [0, 1]]
 
 
 class TestFactoredFullGlora:
     """A full-GLoRA layer runs as the frozen product (A h) W0 plus a
     rank-(r+1) update. It agrees with ((A + pa qa^T) h)(W0 + P Q^T) to
     rounding, equals the frozen forward bit for bit while the update is zero,
-    and starting a forward from `forward_start` changes no bit."""
+    and a start built before the adapters move changes no bit."""
 
     @staticmethod
     def _adapted(g, seed, mode="full", ids=None):
@@ -422,9 +457,10 @@ class TestFactoredFullGlora:
         adj = gs.normalize_adjacency(g)
         cfg, params = self._adapted(g, seed)
         adapters = enc.partition_params(params, "prompt")[0]
-        for plan in (None, enc.forward_plan(adj, ids, cfg.layers, dense=True)):
-            ours = enc.encoder_forward(adj, g.features, params, plan=plan)
-            oracle = unfactored_forward(adj, g.features, params, plan)
+        for rows in (None, ids):
+            start = enc.forward_start(adj, g.features, params, rows)
+            ours = enc.encoder_forward(start)
+            oracle = unfactored_forward(adj, g.features, params, start.plan)
             for a, b in zip(ours, oracle):
                 scale = np.abs(b.data).max(initial=1.0)
                 assert np.abs(a.data - b.data).max(initial=0.0) <= 1e-12 * scale
@@ -441,13 +477,14 @@ class TestFactoredFullGlora:
         g = gs.random_labeled_graph(9, 16, 2, 3, seed=13)
         adj = gs.normalize_adjacency(g)
         cfg, params = self._adapted(g, 13)
-        plan = enc.forward_plan(adj, [1, 4, 6], cfg.layers, dense=True) if planned else None
-        frozen = enc.forward_start(adj, g.features, params, plan) if hoisted else None
+        ids = [1, 4, 6] if planned else None
+        # hoisted, as stage two trains: one start for every perturbed forward,
+        # since it holds the frozen base's products, which no factor moves
+        start = enc.forward_start(adj, g.features, params, ids)
 
         def loss():
-            stack = enc.encoder_forward(adj, g.features, params, plan=plan,
-                                        frozen=frozen)
-            return TestForwardPlan._loss(stack, 13)
+            fresh = start if hoisted else enc.forward_start(adj, g.features, params, ids)
+            return TestForwardPlan._loss(enc.encoder_forward(fresh), 13)
 
         adapters = enc.partition_params(params, "prompt")[0]
         assert len(adapters) == 4 * cfg.layers  # P, Q, PA, QA of each layer
@@ -465,27 +502,29 @@ class TestFactoredFullGlora:
         rng = np.random.default_rng(14)
         cfg = enc.EncoderConfig(layers=2, dims=[g.num_features, 32, 32])
         base = enc.own_base(enc.init_encoder(cfg, rng), trainable=False)
-        want = enc.encoder_forward(adj, g.features, base)
+        want = forward(adj, g.features, base)
         adapted = enc.attach_glora(base, "full", 8, rng, num_nodes=g.num_nodes)
-        for frozen in (None, enc.forward_start(adj, g.features, adapted)):
-            fresh = enc.encoder_forward(adj, g.features, adapted, frozen=frozen)
-            for l, (a, b) in enumerate(zip(want, fresh)):
-                assert a.data.tobytes() == b.data.tobytes(), f"layer {l}"
+        fresh = forward(adj, g.features, adapted)
+        for l, (a, b) in enumerate(zip(want, fresh)):
+            assert a.data.tobytes() == b.data.tobytes(), f"layer {l}"
 
     @pytest.mark.parametrize("mode", ["off", "full", "edge_subset"])
     def test_frozen_input_changes_no_bit(self, mode):
+        """A start built before the adapters move, as stage two builds it
+        once for every epoch, gives the forward a fresh start gives after
+        they moved, bit for bit."""
         g = gs.load_dataset(DATASETS / "syn-h10")
         adj = gs.normalize_adjacency(g)
         ids = gs.kshot_split(g, 5, seed=3).train_ids
         cfg, params = self._adapted(g, 15, mode, ids)
-        planned = enc.forward_plan(adj, ids, cfg.layers, params.edge_positions,
-                                   dense=mode == "full")
-        for plan in (None, planned):
-            frozen = enc.forward_start(adj, g.features, params, plan)
-            assert frozen.ax is None and frozen.h0 is not None
-            want = enc.encoder_forward(adj, g.features, params, plan=plan)
-            got = enc.encoder_forward(adj, g.features, params, plan=plan,
-                                      frozen=frozen)
+        rng = np.random.default_rng(15)
+        for rows in (None, ids):
+            start = enc.forward_start(adj, g.features, params, rows)
+            assert start.ax is None and start.h0 is not None
+            for t in enc.partition_params(params, "prompt")[0]:
+                t.data = t.data + 0.1 * rng.standard_normal(t.shape)
+            want = forward(adj, g.features, params, rows)
+            got = enc.encoder_forward(start)
             for l, (a, b) in enumerate(zip(want, got)):
                 assert a.data.tobytes() == b.data.tobytes(), f"layer {l}"
 
@@ -503,31 +542,32 @@ class TestFactoredFullGlora:
         base = enc.own_base(trainable, trainable=False)
         whole = enc.forward_start(adj, g.features, base)
         assert whole.ax is None and whole.h0.shape == (8, 8)
+        assert whole.params is base and whole.plan.rows == [None] * 3
         # one training W0 is enough for the A X start
         one = enc.EncoderParams(w_in=base.w_in, layers=[
             base.layers[0], enc.LayerParams(w0=trainable.layers[1].w0)])
         assert enc.forward_start(adj, g.features, one).h0 is None
-        plan = enc.forward_plan(adj, [0, 1], cfg.layers)
-        assert plan.rows[0].size == 4
-        with pytest.raises(DimensionError, match="frozen input has 8 rows"):
-            enc.encoder_forward(adj, g.features, base, plan=plan, frozen=whole)
-        # trainable edges read H(0) W0, which a start for other params lacks
+        # a planned start holds the planned input rows alone
+        assert enc.forward_start(adj, g.features, base, [0, 1]).h0.shape == (4, 8)
+        # only trainable edges read H(0) W0
         assert whole.first[2] is None
         edges = enc.attach_glora(base, "edge_subset", 2, rng,
                                  edge_positions=enc.edge_subset_positions(adj, [0]))
         assert enc.forward_start(adj, g.features, edges).first[2].shape == (8, 8)
-        with pytest.raises(ContractError, match="no H\\(0\\) W0"):
-            enc.encoder_forward(adj, g.features, edges, frozen=whole)
+        # the features must match the adjacency and the input map
+        for x in (nc.Tensor(np.ones((7, 5))), nc.Tensor(np.ones((8, 4)))):
+            with pytest.raises(DimensionError, match=r"features must be \(8, 5\)"):
+                enc.forward_start(adj, x, base)
 
 
 class TestAggregatedInput:
     """A forward whose input map trains starts from A X, which
     `forward_start` builds once for a training base, and runs
     its first layer as (A X)(W_in W0). It reassociates the H(0)-first
-    forward's products, so it agrees with it to rounding: H(L) within 1e-13
-    of its largest entry, the loss within 1e-13 relative, and the gradients
-    of W_in and every W0 within 1e-12 of each one's largest entry (measured
-    at most 8.3e-16, 1.9e-16 and 1.1e-15)."""
+    forward's products (`h0_first_forward`), so it agrees with it to
+    rounding: H(L) within 1e-13 of its largest entry, the loss within 1e-13
+    relative, and the gradients of W_in and every W0 within 1e-12 of each
+    one's largest entry (measured at most 8.3e-16, 1.9e-16 and 1.1e-15)."""
 
     @staticmethod
     def _setup(layers, features, seed):
@@ -545,15 +585,15 @@ class TestAggregatedInput:
     @pytest.mark.parametrize("planned", [False, True], ids=["full", "planned"])
     def test_matches_the_h0_first_forward(self, planned, layers, features):
         g, adj, params = self._setup(layers, features, seed=20 + layers)
-        plan = (enc.forward_plan(adj, [9, 1, 4, 6, 10], layers) if planned
-                else enc.forward_plan(adj, None, layers))
+        start = enc.forward_start(adj, g.features, params,
+                                  [9, 1, 4, 6, 10] if planned else None)
+        plan = start.plan
         block_rows = plan.adjs[0].shape[0]
         assert (features < block_rows) == (features == 3)
         base = [params.w_in] + [lp.w0 for lp in params.layers]
-        start = enc.forward_start(adj, g.features, params, plan)
         assert start.ax.shape == (block_rows, features) and start.h0 is None
-        ours = enc.encoder_forward(adj, g.features, params, plan=plan, frozen=start)
-        want = enc.encoder_forward(adj, g.features, params, plan=plan)
+        ours = enc.encoder_forward(start)
+        want = h0_first_forward(adj, g.features, params, plan)
         assert ours[0] is None and len(ours) == len(want) == layers + 1
         for a, b in zip(ours[1:], want[1:]):
             assert a.shape == b.shape
@@ -569,13 +609,12 @@ class TestAggregatedInput:
     @pytest.mark.parametrize("planned", [False, True], ids=["full", "planned"])
     def test_finite_differences_on_w_in_and_w0(self, planned, layers):
         g, adj, params = self._setup(layers, 4, seed=30)
-        plan = enc.forward_plan(adj, [2, 7], layers) if planned else None
-        start = enc.forward_start(adj, g.features, params, plan)
+        # A X holds no weight, so one start serves every perturbed forward
+        start = enc.forward_start(adj, g.features, params, [2, 7] if planned else None)
         base = [params.w_in] + [lp.w0 for lp in params.layers]
 
         def loss():
-            stack = enc.encoder_forward(adj, g.features, params, plan=plan, frozen=start)
-            return self._loss(stack, 31)
+            return self._loss(enc.encoder_forward(start), 31)
 
         grads = nc.backward(loss())
         fds = finite_diff(lambda: loss().item(), base)
@@ -585,26 +624,23 @@ class TestAggregatedInput:
 
     def test_ax_is_the_aggregated_features(self):
         g, adj, params = self._setup(2, 5, seed=32)
-        plan = enc.forward_plan(adj, [0, 3], 2)
-        start = enc.forward_start(adj, g.features, params, plan)
-        rows = plan.rows[1] if plan.rows[1] is not None else np.arange(g.num_nodes)
-        want = adj.densify()[rows] @ g.features.data
+        start = enc.forward_start(adj, g.features, params, [0, 3])
+        rows = start.plan.rows[1]
+        rows = np.arange(g.num_nodes) if rows is None else rows
+        want = densify(adj)[rows] @ g.features.data
         np.testing.assert_allclose(start.ax.data, want, rtol=1e-13, atol=1e-15)
         assert not start.ax.requires_grad
 
     def test_contracts(self):
         g, adj, params = self._setup(2, 5, seed=33)
-        start = enc.forward_start(adj, g.features, params)
-        frozen = enc.own_base(params, trainable=False)
+        # the A X start folds W_in into layer 0, which then carries no factors
         for mode in ("full", "edge_subset"):
             pos = enc.edge_subset_positions(adj, [0, 1]) if mode == "edge_subset" else None
-            adapted = enc.attach_glora(frozen, mode, 2, np.random.default_rng(0),
+            adapted = enc.attach_glora(params, mode, 2, np.random.default_rng(0),
                                        num_nodes=g.num_nodes, edge_positions=pos)
-            with pytest.raises(ContractError, match="layer 0 without GLoRA"):
-                enc.encoder_forward(adj, g.features, adapted, frozen=start)
-        plan = enc.forward_plan(adj, [0], 2)
-        with pytest.raises(DimensionError, match="frozen input has 12 rows"):
-            enc.encoder_forward(adj, g.features, params, plan=plan, frozen=start)
+            for ids in (None, [0]):
+                with pytest.raises(ContractError, match="layer 0 without GLoRA"):
+                    enc.forward_start(adj, g.features, adapted, ids)
 
 
 class TestPartitionAndCount:
@@ -680,11 +716,11 @@ class TestCheckpoint:
 
     def test_roundtrip_forward_close(self, tmp_path):
         g, adj, cfg, params, _ = small_setup(seed=14)
-        before = enc.encoder_forward(adj, g.features, params)
+        before = forward(adj, g.features, enc.own_base(params, trainable=False))
         path = tmp_path / "m.dagp"
         enc.checkpoint_save(params, cfg, path)
         loaded, _ = enc.checkpoint_load(path)
-        after = enc.encoder_forward(adj, g.features, loaded)
+        after = forward(adj, g.features, loaded)
         # 32-bit storage keeps the forward within 1e-6
         gap = max(np.abs(a.data - b.data).max()
                   for a, b in zip(before, after))

@@ -23,6 +23,7 @@ from hopprompt.pretrain import PretrainConfig
 from hopprompt.prompt import PromptTuneConfig, run_prompt_tune
 
 from tests._oracles import (
+    densify,
     full_rows_plan,
     glora_param_count,
     prompt_param_count,
@@ -145,6 +146,18 @@ class TestExperimentConfig:
                         batch_size=1, patience=None, tau=1, workers=1)
         assert cfg.shots == 3 and cfg.tau == 1 and cfg.patience is None
         assert quick_cfg(shots=None, train_fraction=0.5).train_fraction == 0.5
+
+    @pytest.mark.parametrize("untrained", [dict(mode="prototype"), dict(epochs=0)])
+    def test_train_loss_grid_needs_runs_that_train(self, untrained):
+        # such runs record no loss, and an argmin over NaN means picks the
+        # first point whatever the grid holds
+        grid = hn.GridSpec(alpha=[0.1, 0.9])
+        with pytest.raises(ConfigError, match="selection train_loss needs runs that train"):
+            quick_cfg(grid=grid, selection="train_loss", **untrained)
+        # a one-point grid has nothing to choose, and test_acc selection reads
+        # accuracies
+        assert quick_cfg(selection="train_loss", **untrained).grid.alpha == [0.5]
+        assert quick_cfg(grid=grid, **untrained).selection == "test_acc"
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError, match="workers"):
@@ -494,6 +507,8 @@ class TestBaselinesOnReceptiveField:
     def test_equals_full_forward_oracle(self, monkeypatch, synth_h10, ckpt_h10, kind):
         split = gs.kshot_split(synth_h10, 5, seed=2)
         ours = self._run(kind, synth_h10, ckpt_h10, split)
+        # fine-tuning plans through `forward_start`, the scratch GCN itself
+        monkeypatch.setattr(enc, "forward_plan", full_rows_plan)
         monkeypatch.setattr(baselines, "forward_plan", full_rows_plan)
         oracle = self._run(kind, synth_h10, ckpt_h10, split)
         assert ours.test_accuracy == oracle.test_accuracy
@@ -511,7 +526,7 @@ class TestBaselinesOnReceptiveField:
         f, c = synth_h10.num_features, synth_h10.num_classes
         w1 = np.sqrt(2.0 / (f + 32)) * rng.standard_normal((f, 32))
         w2 = np.sqrt(2.0 / (32 + c)) * rng.standard_normal((32, c))
-        a = gs.normalize_adjacency(synth_h10).densify()
+        a = densify(gs.normalize_adjacency(synth_h10))
         h1 = np.maximum(a @ (synth_h10.features.data @ w1), 0.0)
         z = (a @ h1 @ w2)[split.train_ids]
         z = z - z.max(axis=1, keepdims=True)
@@ -660,6 +675,21 @@ class TestHeterophilySweep:
         serial = [w for w in caught
                   if issubclass(w.category, UserWarning) and "serial" in str(w.message)]
         assert len(serial) == 1
+
+    def test_every_mode_checked_before_anything_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "run_experiment",
+                            lambda *args, **kwargs: calls.append(1))
+        cfg = quick_cfg(shots=None, train_fraction=0.5, seeds=[0])
+        with pytest.raises(ConfigError, match="mode 'bogus'"):
+            hn.run_heterophily_sweep("datasets/web-tiny", [0.3, 0.5], cfg,
+                                     modes=("dagprompt", "bogus"))
+        trained = quick_cfg(shots=None, train_fraction=0.5, seeds=[0],
+                            grid=hn.GridSpec(alpha=[0.1, 0.9]), selection="train_loss")
+        with pytest.raises(ConfigError, match="train_loss needs runs that train"):
+            hn.run_heterophily_sweep("datasets/web-tiny", [0.3], trained,
+                                     modes=("dagprompt", "prototype"))
+        assert calls == []
 
     def test_infeasible_target_skipped(self):
         cfg = quick_cfg(shots=None, train_fraction=0.5, seeds=[0],

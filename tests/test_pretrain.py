@@ -238,7 +238,7 @@ class TestPretrainLoss:
         trips = pt.build_triplets(g, 1, seed=7)
 
         def forward():
-            stack = enc.encoder_forward(adj, g.features, params)
+            stack = enc.encoder_forward(enc.forward_start(adj, g.features, params))
             return pt.pretrain_loss(stack, adj, trips, tau=0.5)
 
         grads = nc.backward(forward())
@@ -276,7 +276,8 @@ def _embeddings(name):
     cfg = enc.EncoderConfig(layers=2, dims=[g.num_features, 16, 16])
     params = enc.init_encoder(cfg, np.random.default_rng(3))
     adj = gs.normalize_adjacency(g)
-    return g, nc.spmm(adj, enc.encoder_forward(adj, g.features, params)[-1]).data
+    stack = enc.encoder_forward(enc.forward_start(adj, g.features, params))
+    return g, nc.spmm(adj, stack[-1]).data
 
 
 @st.composite
@@ -518,7 +519,7 @@ class TestRunPretrain:
         pcfg = pt.PretrainConfig(epochs=40, batch_size=256, lr=1e-2, seed=1)
         params, _losses = pt.run_pretrain(g, cfg, pcfg)
         adj = gs.normalize_adjacency(g)
-        stack = enc.encoder_forward(adj, g.features, params)
+        stack = enc.encoder_forward(enc.forward_start(adj, g.features, params))
         s = nc.spmm(adj, stack[-1]).data
         s = s / np.linalg.norm(s, axis=1, keepdims=True)
         rng = np.random.default_rng(2)

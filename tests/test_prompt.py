@@ -11,9 +11,7 @@ from hopprompt import graphstore as gs
 from hopprompt import numcore as nc
 from hopprompt.errors import (
     CheckpointError,
-    DegenerateRowError,
     DimensionError,
-    DivergenceError,
     NumericError,
     ParameterError,
     SplitError,
@@ -25,6 +23,7 @@ from tests._oracles import (
     ClassPromptSet,
     anchor_arrays,
     assert_grads_close,
+    densify,
     finite_diff,
     full_rows_plan,
     guarded_scores,
@@ -38,10 +37,22 @@ from tests.conftest import encoder_config
 
 
 def small_node_setup(seed=0, n=14, h=None):
+    """A graph and a random frozen encoder, as stage two runs it."""
     g = gs.random_labeled_graph(n, 2 * n, 2, 5, seed=seed)
     cfg = enc.EncoderConfig(layers=2, dims=[5, 6, 6])
-    params = enc.init_encoder(cfg, np.random.default_rng(seed))
+    params = enc.own_base(enc.init_encoder(cfg, np.random.default_rng(seed)),
+                          trainable=False)
     return g, cfg, params
+
+
+def forward(adj, x, params, ids=None):
+    return enc.encoder_forward(enc.forward_start(adj, x, params, ids))
+
+
+def tokens_of(graphs, params):
+    """`graph_tokens` of the batch of `graphs`, started as stage two starts it."""
+    batch = gs.graph_batch(graphs)
+    return pr.graph_tokens(batch, enc.forward_start(batch.adj, batch.features, params))
 
 
 class TestInitGamma:
@@ -88,10 +99,9 @@ class TestTokens:
     def test_node_tokens_match_full_graph_rows(self):
         g, cfg, params = small_node_setup(seed=1)
         adj = gs.normalize_adjacency(g)
-        stack = enc.encoder_forward(adj, g.features, params)
+        stack = forward(adj, g.features, params)
         for v in [0, 3, 9]:
-            plan = enc.forward_plan(adj, [v], cfg.layers)
-            tok = enc.encoder_forward(adj, g.features, params, plan=plan)
+            tok = forward(adj, g.features, params, [v])
             assert len(tok) == cfg.layers + 1
             for l, t in enumerate(tok):
                 np.testing.assert_allclose(t.data[0], stack[l].data[v], atol=1e-10)
@@ -105,10 +115,10 @@ class TestTokens:
             num_classes=2,
         )
         cfg = enc.EncoderConfig(layers=1, dims=[2, 4])
-        params = enc.init_encoder(cfg, np.random.default_rng(2))
+        params = enc.own_base(enc.init_encoder(cfg, np.random.default_rng(2)),
+                              trainable=False)
         adj = gs.normalize_adjacency(g)
-        plan = enc.forward_plan(adj, [2], cfg.layers)
-        tok = enc.encoder_forward(adj, g.features, params, plan=plan)
+        tok = forward(adj, g.features, params, [2])
         # the isolated node's normalized adjacency row is its self-loop, 1.0
         h0 = g.features.data[2:3] @ params.w_in.data
         np.testing.assert_allclose(tok[0].data, h0, atol=1e-12)
@@ -119,8 +129,8 @@ class TestTokens:
         g, cfg, params = small_node_setup(seed=3)
         item, _ = gs.ego_network(g, 0, 2)
         adj = gs.normalize_adjacency(item)
-        stack = enc.encoder_forward(adj, item.features, params)
-        tokens = pr.graph_tokens(gs.graph_batch([item]), params)
+        stack = forward(adj, item.features, params)
+        tokens = tokens_of([item], params)
         for l, t in enumerate(tokens):
             assert t.shape == (1, stack[l].cols)
             np.testing.assert_allclose(t.data[0], stack[l].data.mean(axis=0), atol=1e-12)
@@ -130,10 +140,11 @@ class TestTokens:
                      features=nc.Tensor([[0.3, -0.7]]), labels=None,
                      num_classes=2, graph_label=1)
         cfg = enc.EncoderConfig(layers=1, dims=[2, 3])
-        params = enc.init_encoder(cfg, np.random.default_rng(4))
-        tokens = pr.graph_tokens(gs.graph_batch([g]), params)
+        params = enc.own_base(enc.init_encoder(cfg, np.random.default_rng(4)),
+                              trainable=False)
+        tokens = tokens_of([g], params)
         adj = gs.normalize_adjacency(g)
-        stack = enc.encoder_forward(adj, g.features, params)
+        stack = forward(adj, g.features, params)
         for l, t in enumerate(tokens):
             np.testing.assert_allclose(t.data, stack[l].data, atol=1e-15)
 
@@ -143,9 +154,10 @@ class TestTokens:
             num_nodes=3, edges=gs.canonical_edges([(0, 1), (1, 2)], 3),
             features=nc.Tensor(feats), labels=None, num_classes=2, graph_label=0)
         cfg = enc.EncoderConfig(layers=1, dims=[2, 3])
-        params = enc.init_encoder(cfg, np.random.default_rng(5))
-        a = pr.graph_tokens(gs.graph_batch([mk()]), params)
-        b = pr.graph_tokens(gs.graph_batch([mk(), mk()]), params)
+        params = enc.own_base(enc.init_encoder(cfg, np.random.default_rng(5)),
+                              trainable=False)
+        a = tokens_of([mk()], params)
+        b = tokens_of([mk(), mk()], params)
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.data[0], tb.data[0])
             np.testing.assert_array_equal(tb.data[0], tb.data[1])
@@ -178,11 +190,11 @@ def _fixture_items(name):
 
 
 def _adapted_encoder(feature_dim, seed):
-    """A random encoder with nonzero projection adapters attached."""
+    """A random frozen encoder with nonzero projection adapters attached."""
     rng = np.random.default_rng(seed)
     cfg = enc.EncoderConfig(layers=2, dims=[feature_dim, 6, 6])
-    params = enc.attach_glora(enc.init_encoder(cfg, rng), "full", 2, rng,
-                              adjacency_adaptation=False)
+    base = enc.own_base(enc.init_encoder(cfg, rng), trainable=False)
+    params = enc.attach_glora(base, "full", 2, rng, adjacency_adaptation=False)
     for lp in params.layers:
         lp.q.data = 0.3 * rng.standard_normal(lp.q.shape)
     return params, cfg
@@ -204,7 +216,7 @@ class TestGraphBatch:
             np.concatenate([a.col_indices + o for a, o in zip(own, offsets)]))
         np.testing.assert_array_equal(
             batch.features.data, np.concatenate([g.features.data for g in graphs]))
-        pool = batch.pool.densify()
+        pool = densify(batch.pool)
         assert pool.shape == (len(graphs), offsets[-1])
         for b, g in enumerate(graphs):
             want = np.zeros(offsets[-1])
@@ -213,7 +225,7 @@ class TestGraphBatch:
 
     @staticmethod
     def _assert_tokens_match_oracle(graphs, params, cfg):
-        tokens = pr.graph_tokens(gs.graph_batch(graphs), params)
+        tokens = tokens_of(graphs, params)
         assert len(tokens) == cfg.layers + 1
         for b, g in enumerate(graphs):
             for l, ref in enumerate(reference_graph_tokens(g, params)):
@@ -245,11 +257,12 @@ class TestGraphBatch:
         batch = gs.graph_batch(graphs)
         offsets = [nc.Tensor(rng.standard_normal((3, cfg.hidden_dim)))
                    for _ in range(cfg.layers + 1)]
-        wrt = [params.layers[0].w0, params.layers[1].w0]
-        wrt += [t for lp in params.layers for t in (lp.p, lp.q)]
+        # the base is frozen: stage two trains the adapters alone
+        wrt = [t for lp in params.layers for t in (lp.p, lp.q)]
+        start = enc.forward_start(batch.adj, batch.features, params)
 
         def loss():
-            tokens = pr.graph_tokens(batch, params)
+            tokens = pr.graph_tokens(batch, start)
             return nc.prompt_nll(tokens, np.array([0, 1, 2, 1]), offsets, tau=0.5)
 
         grads = nc.backward(loss())
@@ -303,11 +316,11 @@ class TestClassPrompts:
         adj = gs.normalize_adjacency(g)
         ids = np.array([0, 1, 2, 3])
         y = np.array([0, 0, 1, 1])
-        stack = enc.encoder_forward(adj, g.features, params)
+        stack = forward(adj, g.features, params)
         mats = [h.data[ids] for h in stack]
         before = pr.anchors_from_matrices(mats, y, 2)[1].copy()
         params.layers[0].w0.data = params.layers[0].w0.data * 1.5
-        stack = enc.encoder_forward(adj, g.features, params)
+        stack = forward(adj, g.features, params)
         mats = [h.data[ids] for h in stack]
         after = pr.anchors_from_matrices(mats, y, 2)[1]
         assert np.abs(before - after).max() > 1e-6
@@ -503,7 +516,7 @@ def _adapted_layers(seed, n=9):
         lp.qa.data = 0.3 * rng.standard_normal(lp.qa.shape)
         factors += [lp.p, lp.q, lp.pa, lp.qa]
     adj = gs.normalize_adjacency(g)
-    return (lambda: enc.encoder_forward(adj, g.features, params)), factors
+    return (lambda: forward(adj, g.features, params)), factors
 
 
 def _offsets(rng, layers, width=5, classes=3):
@@ -585,18 +598,57 @@ class TestPromptNll:
         with pytest.raises(SplitError, match="class 2"):
             nc.prompt_nll([nc.Tensor(np.ones((2, 2)))], np.array([0, 1]), thetas, 0.5)
 
-    def test_zero_norm_row_raises(self):
+    def _guarded_loss(self, mat, theta, tau=0.5):
+        """The summed NLL of `mat`'s rows, scored as the evaluation scores
+        them (`guarded_scores`), against class means plus `theta`."""
+        prompts = pr.anchors_from_matrices([mat], self.Y, 3)[0] + theta
+        z = guarded_scores(mat, prompts) / tau
+        z = z - z.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        return -logp[np.arange(self.Y.size), self.Y].sum()
+
+    def test_zero_norm_row_scores_zero(self):
         mat = np.random.default_rng(10).standard_normal((9, 5))
         mat[4] = 0.0
         thetas = _offsets(np.random.default_rng(11), 1)
-        with pytest.raises(DegenerateRowError, match="prompt_nll: layer 0 item row 4"):
-            nc.prompt_nll([nc.Tensor(mat)], self.Y, thetas, 0.5)
+        rows = nc.Tensor(mat, requires_grad=True)
+        loss = nc.prompt_nll([rows], self.Y, thetas, 0.5)
+        # the row scores 0 against every prompt, as in the evaluation
+        want = self._guarded_loss(mat, thetas[0].data)
+        assert abs(loss.item() - want) <= 1e-13 * want
+        grads = nc.backward(loss)
+        # nothing flows through its cosines: its gradient is its share of its
+        # class's mean, the prompt's gradient over the class's item count
+        share = grads.get(thetas[0])[self.Y[4]] / np.sum(self.Y == self.Y[4])
+        assert grads.get(rows)[4].tobytes() == share.tobytes()
+        # elsewhere the loss is smooth, and the tape's gradient its slope
+        def perturbed():
+            return nc.prompt_nll([nc.Tensor(mat)], self.Y, thetas, 0.5).item()
 
-    def test_zero_norm_prompt_raises(self):
+        fd = finite_diff(perturbed, thetas)[0]
+        assert_grads_close(grads.get(thetas[0]), fd, label="offsets")
+        live = np.ones(mat.shape, dtype=bool)
+        live[4] = False
+        step = 1e-5
+        for i, j in zip(*np.nonzero(live)):
+            bumped = [mat.copy(), mat.copy()]
+            bumped[0][i, j] += step
+            bumped[1][i, j] -= step
+            up, down = (nc.prompt_nll([nc.Tensor(m)], self.Y, thetas, 0.5).item()
+                        for m in bumped)
+            assert_grads_close(grads.get(rows)[i, j], (up - down) / (2 * step),
+                               label=f"row {i}")
+
+    def test_zero_norm_prompt_scores_zero(self):
         mat = np.random.default_rng(12).standard_normal((9, 5))
-        thetas = [nc.Tensor(-pr.anchors_from_matrices([mat], self.Y, 3)[0])]
-        with pytest.raises(DegenerateRowError, match="prompt_nll: layer 0 prompt row 0"):
-            nc.prompt_nll([nc.Tensor(mat)], self.Y, thetas, 0.5)
+        anchors = pr.anchors_from_matrices([mat], self.Y, 3)[0]
+        thetas = _offsets(np.random.default_rng(13), 1)
+        thetas[0].data[0] = -anchors[0]  # class 0's prompt is zero
+        loss = nc.prompt_nll([nc.Tensor(mat, requires_grad=True)], self.Y, thetas, 0.5)
+        want = self._guarded_loss(mat, thetas[0].data)
+        assert abs(loss.item() - want) <= 1e-13 * want
+        grads = nc.backward(loss).get(thetas[0])
+        assert not np.any(grads[0]) and np.all(np.abs(grads[1:]) > 0)
 
     def test_non_finite_output_names_the_op(self):
         mat = nc.Tensor(np.random.default_rng(13).standard_normal((9, 5)))
@@ -770,13 +822,13 @@ class TestFrozenForwardHoist:
                                             epochs):
         items, split, path = tiny_graph_task
         rows = []
-        real = enc._input_map
+        real = pr.forward_start
 
-        def counted(x, params, plan):
+        def counted(adj, x, params, ids=None):
             rows.append(x.rows)
-            return real(x, params, plan)
+            return real(adj, x, params, ids)
 
-        monkeypatch.setattr(enc, "_input_map", counted)
+        monkeypatch.setattr(pr, "forward_start", counted)
         tcfg = pr.PromptTuneConfig(epochs=epochs, patience=None, seed=0, lr=1e-3,
                                    glora_mode="full")
         pr.run_prompt_tune(path, items, split, tcfg)
@@ -794,8 +846,9 @@ class TestFrozenForwardHoist:
                                    last_layer_only=ablation == "last_layer_only")
         ours_params, ours = pr.run_prompt_tune(path, items, split, tcfg)
         real = pr.graph_tokens
-        monkeypatch.setattr(pr, "graph_tokens",
-                            lambda batch, params, frozen=None: real(batch, params))
+        # every call starts its forward afresh
+        monkeypatch.setattr(pr, "graph_tokens", lambda batch, start: real(
+            batch, enc.forward_start(batch.adj, batch.features, start.params)))
         per_epoch_params, per_epoch = pr.run_prompt_tune(path, items, split, tcfg)
         assert ours.train_losses == per_epoch.train_losses
         assert ours.best_epoch == per_epoch.best_epoch
@@ -861,7 +914,7 @@ class TestReceptiveFieldTraining:
                                    last_layer_only=ablation == "last_layer_only",
                                    fixed_gamma=ablation == "fixed_gamma")
         ours_params, ours = pr.run_prompt_tune(ckpt_h10, synth_h10, split, tcfg)
-        monkeypatch.setattr(pr, "forward_plan", full_rows_plan)
+        monkeypatch.setattr(enc, "forward_plan", full_rows_plan)
         oracle_params, oracle = pr.run_prompt_tune(ckpt_h10, synth_h10, split, tcfg)
         np.testing.assert_array_equal(ours.predictions, oracle.predictions)
         assert ours.test_accuracy == oracle.test_accuracy
@@ -939,10 +992,11 @@ class TestFullGloraEpochProducts:
         assert ((n, d), (d, d), True) in layers
 
 
-class TestDegenerateRowWrapped:
-    def test_collapsed_training_row_raises_divergence(self):
+class TestCollapsedTrainingRow:
+    def test_scores_zero_in_training_and_evaluation(self):
         # node 0 is isolated with zero features, so every layer's row of it
-        # is zero and its cosine score is undefined
+        # is zero: training scores it 0 against every prompt, as the
+        # evaluation does, and the tune runs to its end
         feats = np.random.default_rng(0).standard_normal((6, 3))
         feats[0] = 0.0
         g = gs.Graph(num_nodes=6, edges=gs.canonical_edges([(1, 2), (2, 3), (3, 4), (4, 5)], 6),
@@ -952,18 +1006,31 @@ class TestDegenerateRowWrapped:
                              shots=2, seed=0)
         cfg = enc.EncoderConfig(layers=2, dims=[3, 4, 4])
         params = enc.init_encoder(cfg, np.random.default_rng(1))
-        tcfg = pr.PromptTuneConfig(epochs=5, seed=0, lr=2e-3, glora_mode="full")
-        with pytest.raises(DivergenceError) as info:
-            pr.run_prompt_tune((params, cfg), g, split, tcfg)
-        assert info.value.epoch == 0
-        assert info.value.lr == 2e-3
-        assert isinstance(info.value.__cause__, DegenerateRowError)
+        tcfg = pr.PromptTuneConfig(epochs=5, seed=0, lr=2e-3, glora_mode="full",
+                                   patience=None)
+        _params, result = pr.run_prompt_tune((params, cfg), g, split, tcfg)
+        assert len(result.train_losses) == 5
+        # the first epoch's loss is the guarded scores' (the fresh adapters
+        # leave the frozen forward as it is)
+        adj = gs.normalize_adjacency(g)
+        stack = forward(adj, g.features, enc.own_base(params, trainable=False))
+        y = g.labels[split.train_ids]
+        want = 0.0
+        for h in stack:
+            rows = h.data[split.train_ids]
+            assert not np.any(rows[0])
+            scores = guarded_scores(rows, anchor_arrays([rows], np.arange(4), y, 2)[0])
+            assert not np.any(scores[0])
+            z = scores / tcfg.tau
+            z = z - z.max(axis=1, keepdims=True)
+            want -= (z - np.log(np.exp(z).sum(axis=1, keepdims=True)))[np.arange(4), y].sum()
+        assert abs(result.train_losses[0] - want) <= 1e-12 * want
 
 
 class TestZeroNormTestRow:
-    """Evaluation scores a zero-norm row 0 against every class, where
-    training raises (TestDegenerateRowWrapped): a collapsed test item still
-    gets a prediction."""
+    """Evaluation scores a zero-norm row 0 against every class, as training
+    does (TestCollapsedTrainingRow): a collapsed test item still gets a
+    prediction."""
 
     @pytest.mark.parametrize("mode", ["off", "edge_subset", "full"])
     def test_isolated_zero_feature_test_item_is_predicted(self, mode):
@@ -1016,7 +1083,7 @@ def _prototype_oracle(ckpt, g, split, alpha):
     """Frozen-encoder prototype classifier computed with plain numpy."""
     params, cfg = enc.checkpoint_load(ckpt)
     adj = gs.normalize_adjacency(g)
-    stack = enc.encoder_forward(adj, g.features, params)
+    stack = forward(adj, g.features, params)
     gamma = pr.init_gamma(alpha, cfg.layers).data[0]
     y_train = g.labels[split.train_ids]
     correct = 0

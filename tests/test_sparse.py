@@ -9,6 +9,7 @@ from hopprompt.errors import ContractError, DimensionError, StructuralError
 
 from tests._oracles import (
     assert_grads_close,
+    densify,
     finite_diff,
     override_spmm,
     random_csr,
@@ -39,7 +40,7 @@ class TestSparseMatrix:
         rng = np.random.default_rng(0)
         offs, cols, vals, dense = random_csr(rng, 6, 5, density=0.3)
         s = nc.SparseMatrix((6, 5), offs, cols, vals)
-        np.testing.assert_array_equal(s.densify(), dense)
+        np.testing.assert_array_equal(densify(s), dense)
 
     @pytest.mark.parametrize("bad", [
         dict(row_offsets=[0, 1], col_indices=[0], values=[1.0]),        # offsets too short
@@ -55,11 +56,11 @@ class TestSparseMatrix:
     def test_submatrix(self):
         s = path3_adjacency()
         sub, source = s.slice([0, 1], [0, 1])
-        np.testing.assert_array_equal(sub.densify(), [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(densify(sub), [[0, 1], [1, 0]])
         np.testing.assert_array_equal(source, [0, 1])
         # rectangular, rows in any order: rows 2, 0 by columns 0, 1
         block, source = s.slice([2, 0], [0, 1])
-        np.testing.assert_array_equal(block.densify(), [[0, 1], [0, 1]])
+        np.testing.assert_array_equal(densify(block), [[0, 1], [0, 1]])
         np.testing.assert_array_equal(source, [3, 0])
 
     def test_entry_rows_are_read_only(self):
@@ -104,7 +105,7 @@ class TestConstructorProperties:
         vals = np.random.default_rng(seed).standard_normal(idx.size)
         s = nc.SparseMatrix(shape, offs, idx, vals)
         ref = scipy_sparse.csr_matrix((vals, idx, offs), shape=shape).toarray()
-        np.testing.assert_array_equal(s.densify(), ref)
+        np.testing.assert_array_equal(densify(s), ref)
 
 
 class TestSpmm:
@@ -116,7 +117,7 @@ class TestSpmm:
     def test_path_graph_indicator(self):
         onehot = nc.Tensor([[0.0], [1.0], [0.0]])
         out = nc.spmm(path3_adjacency(), onehot)
-        expected = path3_adjacency().densify() @ onehot.data
+        expected = densify(path3_adjacency()) @ onehot.data
         np.testing.assert_array_equal(out.data, expected)
         np.testing.assert_array_equal(out.data, [[1.0], [0.0], [1.0]])
 
@@ -197,12 +198,12 @@ class TestSpmmStoredTranspose:
             want = s._csr.T @ g
             assert dd.shape == (s.shape[1], width)
             assert dd.tobytes() == want.tobytes()
-            np.testing.assert_allclose(dd, s.densify().T @ g, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(dd, densify(s).T @ g, rtol=1e-12, atol=1e-12)
 
     def test_transpose_is_built_with_the_matrix(self):
         s = path3_adjacency()
         assert s._csr_t.shape == (3, 3)
-        assert np.array_equal(s._csr_t.toarray(), s.densify().T)
+        assert np.array_equal(s._csr_t.toarray(), densify(s).T)
 
     @pytest.mark.parametrize("slotted", [False, True])
     def test_values_override_multiplies_by_its_own_transpose(self, slotted):
@@ -406,8 +407,8 @@ class TestEdgeUpdate:
             x = rng.standard_normal((block.shape[1], 2))
             e = np.zeros(block.nnz)
             e[slots] = w[edges, 0]
-            dense = nc.SparseMatrix(block.shape, block.row_offsets, block.col_indices,
-                                    e).densify()
+            dense = densify(nc.SparseMatrix(block.shape, block.row_offsets,
+                                                 block.col_indices, e))
             out = nc.edge_update(nc.Tensor(np.zeros((block.shape[0], 2))), pattern,
                                  nc.Tensor(w), nc.Tensor(x))
             np.testing.assert_allclose(out.data, dense @ x, rtol=0, atol=1e-15,
@@ -432,7 +433,7 @@ class TestSlice:
         _rng, s, dense, rows, cols = self._block(seed)
         block, source = s.slice(rows, cols)
         assert block.shape == (7, 6)
-        np.testing.assert_array_equal(block.densify(), dense[rows][:, cols])
+        np.testing.assert_array_equal(densify(block), dense[rows][:, cols])
         np.testing.assert_array_equal(block.values, s.values[source])
         np.testing.assert_array_equal(rows[block.nnz_rows()], s.nnz_rows()[source])
         np.testing.assert_array_equal(cols[block.col_indices], s.col_indices[source])
