@@ -28,14 +28,12 @@ EXIT_NUMERIC = 4
 _GLORA_FLAGS = {"full": "full", "edges": "edge_subset", "off": "off"}
 
 
-def _exit_code_for(exc: Exception) -> int:
+def _exit_code_for(exc: err.HopPromptError) -> int:
     if isinstance(exc, (err.InfeasibleError, err.SplitError)):
         return EXIT_INFEASIBLE
     if isinstance(exc, (err.NumericError, err.DegenerateRowError)):
         return EXIT_NUMERIC
-    if isinstance(exc, err.HopPromptError):
-        return EXIT_CONFIG
-    raise exc
+    return EXIT_CONFIG
 
 
 def handles_errors(fn):

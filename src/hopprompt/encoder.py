@@ -3,7 +3,7 @@
 Each layer computes (A_hat + PA QA^T) H W with W = W0 + P Q^T; the base
 weights W0 (and the input linear map) are learned during pre-training and
 frozen afterwards, while the low-rank factors are the stage-two trainables:
-`EncoderConfig` describes the former, `attach_glora` adds the latter.
+`EncoderParams.base()` lists the former, `.adapters()` the latter.
 Adaptation factors are zero-initialized on one side so a freshly attached
 adapter reproduces the frozen encoder exactly. Every layer carrying P and Q
 is one `numcore.lowrank_layer` node that never forms W0 + P Q^T: a projected
@@ -95,7 +95,8 @@ class EncoderConfig:
 
     @classmethod
     def from_json(cls, blob: str | bytes) -> "EncoderConfig":
-        # older checkpoints' blobs also carry a stage-two mode and rank
+        # a version-2 blob holds `layers` and `dims` alone; version-1 files
+        # are refused before their blob is read
         try:
             raw = json.loads(blob)
             return cls(layers=int(raw["layers"]), dims=list(raw["dims"]))
@@ -126,17 +127,27 @@ class EncoderParams:
     # (u,v) and (v,u) slots that share one trainable weight (edge_subset mode)
     edge_positions: np.ndarray | None = field(default=None, repr=False)
 
+    def base(self) -> list[Tensor]:
+        """The input map and each layer's W0, in checkpoint order: what
+        pre-training trains and what a checkpoint holds."""
+        return [self.w_in] + [lp.w0 for lp in self.layers]
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+    def adapters(self) -> list[Tensor]:
+        """Every layer's stage-two factors, in layer order."""
+        return [t for lp in self.layers for t in lp.adapters()]
+
+
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+    """A trainable (fan_in, fan_out) Glorot-normal draw from `rng`."""
     std = np.sqrt(2.0 / (fan_in + fan_out))
     return Tensor(std * rng.standard_normal((fan_in, fan_out)), requires_grad=True)
 
 
 def init_encoder(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
     """Fresh pre-training parameters: input map plus one W0 per layer."""
-    w_in = _glorot(rng, cfg.feature_dim, cfg.hidden_dim)
+    w_in = glorot(rng, cfg.feature_dim, cfg.hidden_dim)
     layers = [
-        LayerParams(w0=_glorot(rng, cfg.hidden_dim, cfg.dims[l]))
+        LayerParams(w0=glorot(rng, cfg.hidden_dim, cfg.dims[l]))
         for l in range(1, cfg.layers + 1)
     ]
     return EncoderParams(w_in=w_in, layers=layers)
@@ -325,15 +336,15 @@ def forward_start(adj: SparseMatrix, x: Tensor, params: EncoderParams,
     n = adj.shape[0]
     if adj.shape[1] != n:
         raise DimensionError(f"adjacency must be square, got {adj.shape}")
-    if x.rows != n or x.cols != params.w_in.rows:
+    f = params.w_in.rows
+    if x.rows != n or x.cols != f:
         raise DimensionError(
-            f"features must be ({n}, {params.w_in.rows}), got {x.shape}"
-        )
+            f"features must be ({n}, {f}), got {x.shape}; the input map takes {f}")
     layers = params.layers
     plan = forward_plan(adj, ids, len(layers), edge_positions=params.edge_positions,
                         dense=any(_full_glora(lp) for lp in layers))
     x = x if plan.rows[0] is None else gather_rows(x, plan.rows[0])
-    if params.w_in.requires_grad or any(lp.w0.requires_grad for lp in layers):
+    if any(t.requires_grad for t in params.base()):
         if layers[0].adapters():
             raise ContractError("an A X start needs a layer 0 without GLoRA factors")
         return ForwardStart(params, plan, ax=spmm(plan.adjs[0], x))
@@ -385,24 +396,6 @@ def encoder_forward(start: ForwardStart) -> list[Tensor | None]:
             for h, pick in zip(stack, plan.picks)]
 
 
-def partition_params(params: EncoderParams, stage: str):
-    """Split encoder parameters into (trainable, frozen) for a stage."""
-    if stage not in ("pretrain", "prompt"):
-        raise ParameterError(f"stage must be 'pretrain' or 'prompt', got {stage!r}")
-    base = [params.w_in] + [lp.w0 for lp in params.layers]
-    adapters = [t for lp in params.layers for t in lp.adapters()]
-    if stage == "pretrain":
-        if adapters:
-            raise ContractError("GLoRA factors must not exist during pre-training")
-        return base, []
-    return adapters, base
-
-
-def count_trainable(params: EncoderParams, stage: str) -> int:
-    trainable, _frozen = partition_params(params, stage)
-    return int(sum(t.data.size for t in trainable))
-
-
 # ---------------------------------------------------------------------------
 # checkpoint container: magic "DAGP", u32 version, length-prefixed config
 # JSON, then one (name_len, name, ndim, dims..., float32 payload) record per
@@ -413,7 +406,8 @@ def count_trainable(params: EncoderParams, stage: str) -> int:
 def _records(params: EncoderParams):
     """(name, float32 array) of each base weight, in checkpoint order: the
     storage precision both a checkpoint and `as_stored` keep."""
-    partition_params(params, "pretrain")  # a checkpoint holds no adapters
+    if params.adapters():
+        raise ContractError("a checkpoint holds no GLoRA factors")
     yield "w_in", params.w_in.data.astype("<f4")
     for i, lp in enumerate(params.layers):
         yield f"layer{i}.w0", lp.w0.data.astype("<f4")

@@ -48,6 +48,8 @@ def _read_meta(path: Path) -> dict:
         if type(meta[key]) is not int or meta[key] < 0:
             raise DatasetError(
                 f"{meta_path}: {key} must be a non-negative integer, got {meta[key]!r}")
+    if meta["task"] == "node" and meta["num_nodes"] < 1:
+        raise DatasetError(f"{meta_path}: a node task needs num_nodes >= 1, got 0")
     return meta
 
 
@@ -84,6 +86,9 @@ def _read_features(path: Path, num_nodes: int, num_features: int) -> np.ndarray:
     feat_path = path / "features.csv"
     if not feat_path.is_file():
         raise DatasetError(f"{feat_path}: missing")
+    with feat_path.open() as fh:  # np.loadtxt warns on a file without data
+        if not any(line.split("#", 1)[0].strip() for line in fh):
+            raise DatasetError(f"{feat_path}: 0 rows but meta num_nodes={num_nodes}")
     try:
         feats = np.loadtxt(feat_path, delimiter=",", ndmin=2)
     except ValueError as e:

@@ -11,16 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..encoder import (
-    EncoderConfig,
     encoder_forward,
     forward_plan,
     forward_start,
+    glorot,
     own_base,
 )
 from ..errors import ConfigError
 from ..graphstore import Graph, SplitSpec, normalize_adjacency
 from ..numcore import (
-    Tensor,
     fit,
     gather_rows,
     matmul,
@@ -66,15 +65,8 @@ def train_scratch_gcn(g: Graph, split: SplitSpec, hidden: int, lr: float,
         raise ConfigError("scratch GCN needs labels")
     rng = np.random.default_rng(seed)
     adj = normalize_adjacency(g)
-    f, c = g.num_features, g.num_classes
-
-    def glorot(fan_in, fan_out):
-        std = np.sqrt(2.0 / (fan_in + fan_out))
-        return Tensor(std * rng.standard_normal((fan_in, fan_out)),
-                      requires_grad=True)
-
-    w1 = glorot(f, hidden)
-    w2 = glorot(hidden, c)
+    w1 = glorot(rng, g.num_features, hidden)
+    w2 = glorot(rng, hidden, g.num_classes)
 
     def logits_over(ids):
         plan = forward_plan(adj, ids, 2)
@@ -92,25 +84,19 @@ def train_scratch_gcn(g: Graph, split: SplitSpec, hidden: int, lr: float,
                           trainable_count=w1.data.size + w2.data.size)
 
 
-def train_finetune_lp(checkpoint_params, cfg: EncoderConfig, g: Graph,
-                      split: SplitSpec, lr: float, weight_decay: float,
-                      epochs: int, seed: int,
+def train_finetune_lp(checkpoint_params, g: Graph, split: SplitSpec,
+                      lr: float, weight_decay: float, epochs: int, seed: int,
                       patience: int | None = 50) -> BaselineResult:
     """Full fine-tuning of the pre-trained encoder plus a linear head; the
-    checkpoint's tensors are never written."""
+    checkpoint's tensors are never written. A dataset whose feature width
+    differs from the input map's fails with DimensionError before any step."""
     if g.labels is None:
         raise ConfigError("fine-tuning needs labels")
-    if g.num_features != cfg.feature_dim:
-        raise ConfigError(
-            f"dataset has {g.num_features} features, checkpoint expects {cfg.feature_dim}"
-        )
     rng = np.random.default_rng(seed)
     adj = normalize_adjacency(g)
     params = own_base(checkpoint_params, trainable=True)
-    std = np.sqrt(2.0 / (cfg.hidden_dim + g.num_classes))
-    head = Tensor(std * rng.standard_normal((cfg.hidden_dim, g.num_classes)),
-                  requires_grad=True)
-    trainables = [params.w_in] + [lp.w0 for lp in params.layers] + [head]
+    head = glorot(rng, params.w_in.cols, g.num_classes)
+    trainables = params.base() + [head]
 
     def logits_over(ids):
         start = forward_start(adj, g.features, params, ids)

@@ -90,12 +90,11 @@ def _single_run(cfg: ExperimentConfig, data, cache: CheckpointCache,
             params = init_encoder(enc_cfg, np.random.default_rng(seed))
         else:
             t0 = time.perf_counter()
-            params, enc_cfg, _losses = cache.get_or_pretrain(
+            params, _cfg, _losses = cache.get_or_pretrain(
                 source[0], enc_cfg, _pretrain_cfg(cfg, point, seed),
                 digest=source[1])
             out["pretrain_sec"] = time.perf_counter() - t0
-            out["pretrain_params"] = params.w_in.data.size + sum(
-                lp.w0.data.size for lp in params.layers)
+            out["pretrain_params"] = sum(t.data.size for t in params.base())
 
     train_kw = dict(lr=float(point["lr"]), weight_decay=float(point["weight_decay"]),
                     epochs=cfg.epochs, seed=seed, patience=cfg.patience)
@@ -105,10 +104,10 @@ def _single_run(cfg: ExperimentConfig, data, cache: CheckpointCache,
                                 **train_kw)
         downstream = res.trainable_count
     elif mode == "finetune_lp":
-        res = train_finetune_lp(params, enc_cfg, data, split, **train_kw)
+        res = train_finetune_lp(params, data, split, **train_kw)
         downstream = res.trainable_count
     else:
-        _tuned, res = run_prompt_tune((params, enc_cfg), data, split,
+        _tuned, res = run_prompt_tune(params, data, split,
                                       _tune_cfg(cfg, point, seed))
         downstream = res.trainable_encoder + res.trainable_prompt
     out.update(tune_sec=time.perf_counter() - t0,

@@ -26,7 +26,6 @@ from .encoder import (
     encoder_forward,
     forward_start,
     init_encoder,
-    partition_params,
 )
 from .errors import ParameterError, PretrainInfeasibleError
 from .graphstore import Graph, GraphSet, disjoint_union, normalize_adjacency
@@ -139,15 +138,11 @@ def run_pretrain(data: Graph | GraphSet, cfg: EncoderConfig, pcfg: PretrainConfi
     out_path is set, a checkpoint plus `<out>.losses.csv` are written.
     """
     g = disjoint_union(data.graphs) if isinstance(data, GraphSet) else data
-    if g.num_features != cfg.feature_dim:
-        raise ParameterError(
-            f"dataset has {g.num_features} features, config expects {cfg.feature_dim}"
-        )
     rng = np.random.default_rng(pcfg.seed)
     params = init_encoder(cfg, rng)
     adj = normalize_adjacency(g)
-    trainable, _ = partition_params(params, "pretrain")
-    # every step's first layer starts from A X, planned and built once per run
+    # every step's first layer starts from A X, planned and built once per
+    # run; a dataset of another feature width fails here, before any step
     start = forward_start(adj, g.features, params)
 
     def steps(epoch):
@@ -159,7 +154,7 @@ def run_pretrain(data: Graph | GraphSet, cfg: EncoderConfig, pcfg: PretrainConfi
             yield pretrain_loss(encoder_forward(start), adj, batch, pcfg.tau), len(batch)
 
     epoch_losses, _best_epoch = fit(
-        steps, trainable, lr=pcfg.lr, weight_decay=pcfg.weight_decay,
+        steps, params.base(), lr=pcfg.lr, weight_decay=pcfg.weight_decay,
         epochs=pcfg.epochs, patience=None, what="pre-training")
     losses = list(enumerate(epoch_losses))
 

@@ -31,14 +31,12 @@ from .encoder import (
     ForwardStart,
     attach_glora,
     checkpoint_load,
-    count_trainable,
     edge_subset_positions,
     encoder_forward,
     forward_start,
     own_base,
-    partition_params,
 )
-from .errors import CheckpointError, ParameterError
+from .errors import ParameterError
 from .graphstore import (
     Graph,
     GraphBatch,
@@ -126,25 +124,20 @@ class TuneResult:
     predictions: np.ndarray = field(repr=False, default=None)
 
 
-def _load_encoder(checkpoint, feature_dim: int) -> EncoderParams:
+def _load_encoder(checkpoint) -> EncoderParams:
     if isinstance(checkpoint, (str, Path)):
-        params, cfg = checkpoint_load(checkpoint)
-    else:
-        params, cfg = checkpoint
-    if cfg.feature_dim != feature_dim:
-        raise CheckpointError(
-            f"checkpoint expects {cfg.feature_dim} features, dataset has {feature_dim}"
-        )
-    return own_base(params, trainable=False)
+        checkpoint, _cfg = checkpoint_load(checkpoint)
+    return own_base(checkpoint, trainable=False)
 
 
 def run_prompt_tune(checkpoint, data: Graph | GraphSet, split: SplitSpec,
                     tcfg: PromptTuneConfig) -> tuple[EncoderParams, TuneResult]:
     """Jointly tune adapters, prompt offsets, and hop coefficients.
 
-    `checkpoint` is a path or an in-memory (params, config) pair; base encoder
-    weights are frozen either way, and the pair's tensors are never written.
-    Deterministic for a fixed (seed, split).
+    `checkpoint` is a path or an `EncoderParams`, whose base weights stay
+    frozen and whose tensors are never written; a dataset of another feature
+    width fails with DimensionError before any step. Deterministic for a
+    fixed (seed, split).
     """
     if isinstance(data, GraphSet):
         return _tune_graph_task(checkpoint, data, split, tcfg)
@@ -171,7 +164,7 @@ def _once_if_frozen(forward, encoder_trainables):
 def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConfig):
     if g.labels is None:
         raise ParameterError("node tuning needs labels")
-    params = _load_encoder(checkpoint, g.num_features)
+    params = _load_encoder(checkpoint)
     adj = normalize_adjacency(g)
     positions = (edge_subset_positions(adj, split.train_ids)
                  if tcfg.glora_mode == "edge_subset" else None)
@@ -189,7 +182,7 @@ def _tune_node_task(checkpoint, g: Graph, split: SplitSpec, tcfg: PromptTuneConf
 
 def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
                      tcfg: PromptTuneConfig):
-    params = _load_encoder(checkpoint, items.num_features)
+    params = _load_encoder(checkpoint)
     # per-item graphs vary in size, so adjacency-side adaptation is disabled
     params = attach_glora(params, tcfg.glora_mode, tcfg.rank,
                           np.random.default_rng(tcfg.seed),
@@ -223,7 +216,7 @@ def _fit_prompts(params, tcfg, split, labels, num_classes, forward, evaluate):
     else:
         gamma = init_gamma(tcfg.alpha, len(params.layers))
 
-    encoder_trainables, _frozen = partition_params(params, "prompt")
+    encoder_trainables = params.adapters()
     prompt_trainables = _prompt_trainables(theta, gamma, tcfg, num_layers)
     y_train = labels[split.train_ids]
     scored = [num_layers - 1] if tcfg.last_layer_only else range(num_layers)
@@ -252,7 +245,7 @@ def _fit_prompts(params, tcfg, split, labels, num_classes, forward, evaluate):
         test_accuracy=accuracy,
         train_losses=train_losses,
         best_epoch=best_epoch,
-        trainable_encoder=count_trainable(params, "prompt"),
+        trainable_encoder=int(sum(t.data.size for t in encoder_trainables)),
         trainable_prompt=int(sum(t.data.size for t in prompt_trainables)),
         predictions=preds,
     )

@@ -49,7 +49,7 @@ package itself does not run; the tests build losses, poolings and the
 oracle chains from them. `resigned` and `version_one` rewrite a
 checkpoint's bytes as `checkpoint_save` would sign them and as the
 version-1 format held them. `glora_param_count` is the closed form of the
-adapter size that `encoder.count_trainable` enumerates. `recorded_op_names`
+adapter size that `EncoderParams.adapters()` enumerates. `recorded_op_names`
 lists the tape ops `numcore` records, which the guards that check every op
 read.
 """
@@ -72,7 +72,6 @@ from hopprompt.encoder import (
     forward_plan,
     forward_start,
     init_encoder,
-    partition_params,
 )
 from hopprompt.errors import (
     ContractError,
@@ -480,7 +479,7 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
     and one per item for the evaluation; returns (predictions, losses,
     best epoch). With a patience the best epoch's weights are evaluated,
     without one the last epoch's."""
-    params = pr._load_encoder(checkpoint, items.graphs[0].num_features)
+    params = pr._load_encoder(checkpoint)
     if tcfg.glora_mode != "off":
         params = attach_glora(params, tcfg.glora_mode, tcfg.rank,
                               np.random.default_rng(tcfg.seed),
@@ -493,8 +492,7 @@ def reference_graph_tune(checkpoint, items, split, tcfg):
         gamma = Tensor(np.ones((1, layers)))
     else:
         gamma = pr.init_gamma(tcfg.alpha, layers - 1)
-    encoder_trainables, _frozen = partition_params(params, "prompt")
-    trainables = encoder_trainables + pr._prompt_trainables(theta, gamma, tcfg, layers)
+    trainables = params.adapters() + pr._prompt_trainables(theta, gamma, tcfg, layers)
     state = AdamState.for_params(trainables, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     y_train = items.labels[split.train_ids]
     layer_ids = [layers - 1] if tcfg.last_layer_only else None
@@ -584,7 +582,7 @@ def reference_pretrain(data, cfg, pcfg):
     rng = np.random.default_rng(pcfg.seed)
     params = init_encoder(cfg, rng)
     adj = normalize_adjacency(g)
-    trainable, _ = partition_params(params, "pretrain")
+    trainable = params.base()
     state = AdamState.for_params(trainable, lr=pcfg.lr, weight_decay=pcfg.weight_decay)
     losses = []
     for epoch in range(pcfg.epochs):

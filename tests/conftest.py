@@ -3,7 +3,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import settings
 

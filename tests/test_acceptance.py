@@ -398,11 +398,11 @@ def test_criterion_10_parameter_economy(syn_h10):
     pos = enc.edge_subset_positions(adj, split.train_ids)
     adapted = enc.attach_glora(params, "edge_subset", 8, rng, edge_positions=pos)
 
-    encoder_count = enc.count_trainable(adapted, "prompt")
+    encoder_count = sum(t.data.size for t in adapted.adapters())
     # the prompt count is the one an edge-subset tune on the same params and
     # split reports
     _params, tuned = pr.run_prompt_tune(
-        (params, cfg), syn_h10, split,
+        params, syn_h10, split,
         pr.PromptTuneConfig(glora_mode="edge_subset", rank=8, epochs=1))
     prompt_count = tuned.trainable_prompt
     closed_encoder = glora_param_count(cfg, "edge_subset", 8, num_selected_edges=len(pos))

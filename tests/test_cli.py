@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hopprompt.encoder as enc
 from hopprompt import graphstore as gs
 from hopprompt import harness as hn
 from hopprompt.cli import main
@@ -112,6 +114,17 @@ def test_pretrain_then_tune(runner, tmp_path):
     saved = json.loads(report.read_text())
     assert 0.0 <= saved["test_accuracy"] <= 1.0
     assert saved["glora"] == "edges"
+
+
+def test_tune_feature_width_mismatch_exit_code(runner, tmp_path):
+    # web-tiny has 16 features; the checkpoint's input map takes 7
+    model = tmp_path / "model.dagp"
+    cfg = enc.EncoderConfig(layers=1, dims=[7, 8])
+    enc.checkpoint_save(enc.init_encoder(cfg, np.random.default_rng(0)), cfg, model)
+    result = runner.invoke(main, ["tune", "--model", str(model), "--data",
+                                  "datasets/web-tiny", "--epochs", "2"])
+    assert result.exit_code == 2
+    assert "features must be (40, 7), got (40, 16)" in result.output
 
 
 def test_tune_split_without_test_items_exit_code(runner, tmp_path):

@@ -188,7 +188,7 @@ class TestForward:
         for a, b in zip(ours, oracle):
             assert_close(a.data, b.data)
         got, want = nc.backward(loss_of(ours)), nc.backward(loss_of(oracle))
-        for t in enc.partition_params(params, "prompt")[0]:
+        for t in params.adapters():
             assert_close(got.get(t), want.get(t))
         assert np.any(got.get(params.layers[0].edge_weights) != 0)
 
@@ -299,7 +299,7 @@ class TestForwardPlan:
         params = enc.attach_glora(enc.own_base(params, trainable=False), mode, 2, rng,
                                   num_nodes=g.num_nodes, edge_positions=pos)
         # every factor nonzero, as after some training
-        for t in enc.partition_params(params, "prompt")[0]:
+        for t in params.adapters():
             t.data = rng.standard_normal(t.shape)
         return cfg, params
 
@@ -323,7 +323,7 @@ class TestForwardPlan:
         g, ids, seed = case
         adj = gs.normalize_adjacency(g)
         cfg, params = self._adapted(g, adj, ids, mode, seed)
-        trainables = [t for group in enc.partition_params(params, "prompt") for t in group]
+        trainables = params.adapters() + params.base()
         full = forward(adj, g.features, params)
         want = nc.backward(self._loss([None if h is None else nc.gather_rows(h, ids)
                                         for h in full], seed))
@@ -446,7 +446,7 @@ class TestFactoredFullGlora:
         params = enc.attach_glora(base, mode, 2, rng, num_nodes=g.num_nodes,
                                   edge_positions=pos)
         # every factor nonzero, as after some training
-        for t in enc.partition_params(params, "prompt")[0]:
+        for t in params.adapters():
             t.data = rng.standard_normal(t.shape)
         return cfg, params
 
@@ -456,7 +456,7 @@ class TestFactoredFullGlora:
         g, ids, seed = case
         adj = gs.normalize_adjacency(g)
         cfg, params = self._adapted(g, seed)
-        adapters = enc.partition_params(params, "prompt")[0]
+        adapters = params.adapters()
         for rows in (None, ids):
             start = enc.forward_start(adj, g.features, params, rows)
             ours = enc.encoder_forward(start)
@@ -486,7 +486,7 @@ class TestFactoredFullGlora:
             fresh = start if hoisted else enc.forward_start(adj, g.features, params, ids)
             return TestForwardPlan._loss(enc.encoder_forward(fresh), 13)
 
-        adapters = enc.partition_params(params, "prompt")[0]
+        adapters = params.adapters()
         assert len(adapters) == 4 * cfg.layers  # P, Q, PA, QA of each layer
         grads = nc.backward(loss())
         fds = finite_diff(lambda: loss().item(), adapters)
@@ -521,7 +521,7 @@ class TestFactoredFullGlora:
         for rows in (None, ids):
             start = enc.forward_start(adj, g.features, params, rows)
             assert start.ax is None and start.h0 is not None
-            for t in enc.partition_params(params, "prompt")[0]:
+            for t in params.adapters():
                 t.data = t.data + 0.1 * rng.standard_normal(t.shape)
             want = forward(adj, g.features, params, rows)
             got = enc.encoder_forward(start)
@@ -643,17 +643,42 @@ class TestAggregatedInput:
                     enc.forward_start(adj, g.features, adapted, ids)
 
 
+def size(tensors):
+    return sum(t.data.size for t in tensors)
+
+
 class TestPartitionAndCount:
+    """`EncoderParams.base()` and `.adapters()` split the encoder's tensors
+    into what pre-training trains and what stage two trains."""
+
     def test_pretrain_partition(self):
         _, _, cfg, params, _ = small_setup(seed=8, f=5, d=8, layers=2)
-        trainable, frozen = enc.partition_params(params, "pretrain")
-        assert len(trainable) == 3 and not frozen
-        assert enc.count_trainable(params, "pretrain") == 5 * 8 + 8 * 8 + 8 * 8
+        assert params.base() == [params.w_in] + [lp.w0 for lp in params.layers]
+        assert params.adapters() == []
+        assert size(params.base()) == 5 * 8 + 8 * 8 + 8 * 8
+
+    @pytest.mark.parametrize("mode", enc.GLORA_MODES)
+    def test_order_in_every_mode(self, mode):
+        g, adj, cfg, params, rng = small_setup(seed=13, n=8)
+        for adjacency in (True, False):
+            pos = enc.edge_subset_positions(adj, [0, 1]) if mode == "edge_subset" else None
+            adapted = enc.attach_glora(params, mode, 2, rng, num_nodes=g.num_nodes,
+                                       edge_positions=pos,
+                                       adjacency_adaptation=adjacency)
+            # checkpoint order, the same tensors the parameters were given
+            assert adapted.base() == params.base()
+            want = [t for lp in adapted.layers
+                    for t in (lp.p, lp.q, lp.pa, lp.qa, lp.edge_weights)
+                    if t is not None]
+            assert adapted.adapters() == want
+            per_layer = {"off": 0, "full": 2 + 2 * adjacency,
+                         "edge_subset": 2 + adjacency}[mode]
+            assert len(want) == per_layer * cfg.layers
 
     def test_prompt_partition_freezes_base(self):
         g, _, cfg, params, rng = small_setup(seed=9)
         adapted = enc.attach_glora(params, "full", 3, rng, num_nodes=g.num_nodes)
-        trainable, frozen = enc.partition_params(adapted, "prompt")
+        trainable, frozen = adapted.adapters(), adapted.base()
         assert params.w_in in frozen
         assert all(lp.w0 in frozen for lp in adapted.layers)
         assert not set(map(id, trainable)) & set(map(id, frozen))
@@ -664,16 +689,16 @@ class TestPartitionAndCount:
         state = rng.bit_generator.state
         assert enc.attach_glora(params, "off", 0, rng) is params
         assert rng.bit_generator.state == state
-        assert enc.count_trainable(params, "prompt") == 0
+        assert params.adapters() == []
 
     def test_glora_factors_at_pretrain_rejected(self, tmp_path):
         g, _, cfg, params, rng = small_setup(seed=10)
         adapted = enc.attach_glora(params, "full", 3, rng, num_nodes=g.num_nodes)
-        with pytest.raises(ContractError):
-            enc.partition_params(adapted, "pretrain")
         # a checkpoint holds the base weights only
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="a checkpoint holds no GLoRA factors"):
             enc.checkpoint_save(adapted, cfg, tmp_path / "m.dagp")
+        with pytest.raises(ContractError, match="a checkpoint holds no GLoRA factors"):
+            enc.as_stored(adapted)
         assert not any(tmp_path.iterdir())
 
     def test_projection_only_counts(self):
@@ -682,11 +707,11 @@ class TestPartitionAndCount:
         rng = np.random.default_rng(0)
         params = enc.init_encoder(cfg, rng)
         adapted = enc.attach_glora(params, "full", 8, rng, adjacency_adaptation=False)
-        assert enc.count_trainable(adapted, "prompt") == 2048
+        assert size(adapted.adapters()) == 2048
         cfg2 = enc.EncoderConfig(layers=2, dims=[128, 128, 128])
         params2 = enc.init_encoder(cfg2, rng)
         adapted2 = enc.attach_glora(params2, "full", 8, rng, adjacency_adaptation=False)
-        assert enc.count_trainable(adapted2, "prompt") == 4096
+        assert size(adapted2.adapters()) == 4096
 
     def test_closed_form_matches_enumeration(self):
         g, adj, _, _, rng = small_setup(seed=11, n=10)
@@ -701,7 +726,7 @@ class TestPartitionAndCount:
             else:
                 adapted = enc.attach_glora(params, mode, 3, rng, **kwargs)
                 closed = glora_param_count(cfg, mode, 3, **kwargs)
-            assert enc.count_trainable(adapted, "prompt") == closed
+            assert size(adapted.adapters()) == closed
 
 
 class TestCheckpoint:

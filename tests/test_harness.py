@@ -13,6 +13,7 @@ from hopprompt import numcore as nc
 from hopprompt.errors import (
     ConfigError,
     DegenerateRowError,
+    DimensionError,
     DivergenceError,
     TransferInfeasibleError,
 )
@@ -448,11 +449,46 @@ class TestFinetuneBaseline:
 
         monkeypatch.setattr(baselines, "fit", fit)
         split = gs.kshot_split(tiny_data, 2, seed=0)
-        hn.train_finetune_lp(params, cfg, tiny_data, split, lr=1e-3,
+        hn.train_finetune_lp(params, tiny_data, split, lr=1e-3,
                              weight_decay=0.0, epochs=10, seed=0)
         # trainables are [w_in, W0 per layer, head]
         moved = [np.abs(a - t.data).max() for a, t in zip(before, trained[1:-1])]
         assert len(moved) == cfg.layers and all(m > 0 for m in moved)
+
+
+class TestFeatureWidthMismatch:
+    """The input map's width is checked in one place, `forward_start`: each
+    task refuses a dataset of another width before its first step."""
+
+    @pytest.mark.parametrize("task", ["pretrain", "node_tune", "graph_tune",
+                                      "finetune_lp"])
+    def test_refused_before_training(self, monkeypatch, tmp_path, task):
+        import hopprompt.pretrain as pt
+        import hopprompt.prompt as pr
+        calls = []
+        for module in (pt, pr, baselines):
+            monkeypatch.setattr(module, "fit", lambda *a, **k: calls.append(a))
+        g = gs.random_labeled_graph(12, 24, 2, 4, seed=10)
+        items = gs.build_graph_task(g, hops=1)
+        cfg = enc.EncoderConfig(layers=2, dims=[7, 8, 8])
+        params = enc.init_encoder(cfg, np.random.default_rng(0))
+        model = tmp_path / "m.dagp"
+        enc.checkpoint_save(params, cfg, model)
+        tcfg = PromptTuneConfig(epochs=1)
+        run = {
+            "pretrain": lambda: pt.run_pretrain(g, cfg, PretrainConfig(epochs=1)),
+            "node_tune": lambda: run_prompt_tune(model, g, gs.kshot_split(g, 1, 0),
+                                                 tcfg),
+            "graph_tune": lambda: run_prompt_tune(params, items,
+                                                  gs.kshot_split(items, 1, 0), tcfg),
+            "finetune_lp": lambda: hn.train_finetune_lp(
+                params, g, gs.kshot_split(g, 1, 0), lr=1e-2, weight_decay=0.0,
+                epochs=1, seed=0),
+        }[task]
+        with pytest.raises(DimensionError, match=r"features must be \(\d+, 7\), got "
+                           r"\(\d+, 4\); the input map takes 7"):
+            run()
+        assert calls == []
 
 
 class TestCheckpointNeverWritten:
@@ -478,10 +514,10 @@ class TestCheckpointNeverWritten:
         pretrained = self._state(params)
 
         tunes = [] if is_graph else [lambda: hn.train_finetune_lp(
-            params, cfg, data, split, lr=1e-2, weight_decay=0.0, epochs=5, seed=0)]
+            params, data, split, lr=1e-2, weight_decay=0.0, epochs=5, seed=0)]
         for mode in ("off", "full", "edge_subset"):
             tcfg = PromptTuneConfig(glora_mode=mode, lr=1e-2, epochs=5, seed=0)
-            tunes.append(lambda tcfg=tcfg: run_prompt_tune((params, cfg), data,
+            tunes.append(lambda tcfg=tcfg: run_prompt_tune(params, data,
                                                            split, tcfg))
         for tune in tunes:
             tune()
@@ -499,8 +535,8 @@ class TestBaselinesOnReceptiveField:
         if kind == "scratch_gcn":
             return hn.train_scratch_gcn(g, split, hidden=32, lr=1e-2, weight_decay=0.0,
                                         epochs=40, seed=1, patience=5)
-        params, cfg = enc.checkpoint_load(ckpt)
-        return hn.train_finetune_lp(params, cfg, g, split, lr=1e-2, weight_decay=0.0,
+        params, _cfg = enc.checkpoint_load(ckpt)
+        return hn.train_finetune_lp(params, g, split, lr=1e-2, weight_decay=0.0,
                                     epochs=40, seed=1, patience=5)
 
     @pytest.mark.parametrize("kind", ["finetune_lp", "scratch_gcn"])
@@ -642,7 +678,7 @@ class TestAblationAndTransfer:
                 lr=point["lr"], weight_decay=point["weight_decay"], tau=cfg.tau,
                 epochs=cfg.epochs, seed=seed, patience=cfg.patience)
             params = enc.init_encoder(enc_cfg, np.random.default_rng(seed))
-            _tuned, res = run_prompt_tune((params, enc_cfg), dst,
+            _tuned, res = run_prompt_tune(params, dst,
                                           gs.kshot_split(dst, cfg.shots, seed), tcfg)
             accs.append(res.test_accuracy)
             counts.append(res.trainable_encoder + res.trainable_prompt)

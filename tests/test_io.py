@@ -145,6 +145,29 @@ def test_feature_row_count_mismatch(tmp_path):
         gs.load_dataset(d)
 
 
+@pytest.mark.filterwarnings("error::UserWarning")  # np.loadtxt's "no data"
+@pytest.mark.parametrize("text", ["", "\n \n", "# a comment\n"],
+                         ids=["empty", "blank", "comment"])
+def test_feature_file_without_rows(tmp_path, text):
+    d = _write_valid(tmp_path)
+    (d / "features.csv").write_text(text)
+    with pytest.raises(DatasetError, match="features.csv: 0 rows but meta num_nodes=3"):
+        gs.load_dataset(d)
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@pytest.mark.parametrize("features", ["", "1.0,2.0\n"], ids=["no-rows", "one-row"])
+def test_node_task_needs_a_node(tmp_path, features):
+    d = _write_valid(tmp_path)
+    meta = json.loads((d / "meta.json").read_text())
+    meta["num_nodes"] = 0
+    (d / "meta.json").write_text(json.dumps(meta))
+    for name, text in (("edges.tsv", ""), ("labels.csv", ""), ("features.csv", features)):
+        (d / name).write_text(text)
+    with pytest.raises(DatasetError, match="meta.json: a node task needs num_nodes >= 1"):
+        gs.load_dataset(d)
+
+
 @pytest.mark.parametrize("text, where", [
     ("1.0,2.0\n3.0,x\n5.0,6.0\n", r"features.csv:2: non-numeric feature value 'x'"),
     ("1.0,2.0\n\n3.0,4.0\n5.0\n", r"features.csv:4: 1 values, line 1 has 2"),

@@ -351,12 +351,12 @@ class TestNoWriteIntoParameters:
         for mode in GLORA_MODES:
             tcfg = PromptTuneConfig(glora_mode=mode, rank=2, lr=1e-2, epochs=4,
                                     patience=1, seed=0)
-            run_prompt_tune((params, cfg), web, split, tcfg)
+            run_prompt_tune(params, web, split, tcfg)
         ego_cfg = EncoderConfig(layers=2, dims=[ego.num_features, 8, 8])
         ego_params, _losses = run_pretrain(ego, ego_cfg, pcfg)
-        run_prompt_tune((ego_params, ego_cfg), ego, gs.kshot_split(ego, 2, seed=0),
+        run_prompt_tune(ego_params, ego, gs.kshot_split(ego, 2, seed=0),
                         PromptTuneConfig(rank=2, lr=1e-2, epochs=3, patience=1))
-        train_finetune_lp(params, cfg, web, split, lr=1e-2, weight_decay=1e-4,
+        train_finetune_lp(params, web, split, lr=1e-2, weight_decay=1e-4,
                           epochs=3, seed=0, patience=1)
         train_scratch_gcn(web, split, hidden=8, lr=1e-2, weight_decay=1e-4,
                           epochs=3, seed=0, patience=1)

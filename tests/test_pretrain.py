@@ -548,12 +548,6 @@ class TestRunPretrain:
         for mine, theirs in pairs:
             assert np.array_equal(mine.data, theirs.data)
 
-    def test_feature_width_mismatch(self):
-        g = gs.random_labeled_graph(10, 20, 2, 4, seed=10)
-        cfg = enc.EncoderConfig(layers=1, dims=[7, 8])
-        with pytest.raises(ParameterError):
-            pt.run_pretrain(g, cfg, pt.PretrainConfig(epochs=1))
-
     def test_zero_feature_component_is_a_divergence(self):
         # two triangles, the second with all-zero features: its embeddings
         # are zero rows, which no cosine can score

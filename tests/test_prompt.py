@@ -10,7 +10,6 @@ import hopprompt.prompt as pr
 from hopprompt import graphstore as gs
 from hopprompt import numcore as nc
 from hopprompt.errors import (
-    CheckpointError,
     DimensionError,
     NumericError,
     ParameterError,
@@ -725,12 +724,6 @@ class TestRunPromptTune:
         for a, b in zip(params.layers, reloaded.layers):
             assert a.w0.data.tobytes() == b.w0.data.tobytes()
 
-    def test_incompatible_checkpoint(self, ckpt_h90):
-        g = gs.random_labeled_graph(10, 20, 2, 9, seed=11)
-        split = gs.kshot_split(g, 1, seed=0)
-        with pytest.raises(CheckpointError):
-            pr.run_prompt_tune(ckpt_h90, g, split, pr.PromptTuneConfig(epochs=1))
-
     def test_prediction_scale_invariance(self):
         rng = np.random.default_rng(12)
         data = [rng.standard_normal((6, 5)) for _ in range(3)]
@@ -853,7 +846,7 @@ class TestFrozenForwardHoist:
         assert ours.train_losses == per_epoch.train_losses
         assert ours.best_epoch == per_epoch.best_epoch
         assert ours.predictions.tobytes() == per_epoch.predictions.tobytes()
-        adapters = [enc.partition_params(p, "prompt")[0]
+        adapters = [p.adapters()
                     for p in (ours_params, per_epoch_params)]
         for a, b in zip(*adapters):
             assert a.data.tobytes() == b.data.tobytes()
@@ -922,7 +915,7 @@ class TestReceptiveFieldTraining:
         assert len(ours.train_losses) == len(oracle.train_losses)
         np.testing.assert_allclose(ours.train_losses, oracle.train_losses,
                                    rtol=1e-12, atol=0)
-        adapters = [enc.partition_params(p, "prompt")[0]
+        adapters = [p.adapters()
                     for p in (ours_params, oracle_params)]
         for a, b in zip(*adapters):
             np.testing.assert_allclose(a.data, b.data, rtol=1e-9, atol=1e-12)
@@ -1008,7 +1001,7 @@ class TestCollapsedTrainingRow:
         params = enc.init_encoder(cfg, np.random.default_rng(1))
         tcfg = pr.PromptTuneConfig(epochs=5, seed=0, lr=2e-3, glora_mode="full",
                                    patience=None)
-        _params, result = pr.run_prompt_tune((params, cfg), g, split, tcfg)
+        _params, result = pr.run_prompt_tune(params, g, split, tcfg)
         assert len(result.train_losses) == 5
         # the first epoch's loss is the guarded scores' (the fresh adapters
         # leave the frozen forward as it is)
@@ -1046,7 +1039,7 @@ class TestZeroNormTestRow:
         cfg = enc.EncoderConfig(layers=2, dims=[3, 4, 4])
         params = enc.init_encoder(cfg, np.random.default_rng(1))
         tcfg = pr.PromptTuneConfig(epochs=5, seed=0, lr=2e-3, glora_mode=mode)
-        _params, result = pr.run_prompt_tune((params, cfg), g, split, tcfg)
+        _params, result = pr.run_prompt_tune(params, g, split, tcfg)
         assert len(result.train_losses) == 5
         assert result.predictions.shape == (3,)
         assert set(result.predictions.tolist()) <= {0, 1}

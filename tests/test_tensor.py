@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hopprompt import numcore as nc
 from hopprompt.errors import (
-    ContractError,
     DegenerateRowError,
     DimensionError,
     NumericError,

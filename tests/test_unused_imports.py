@@ -1,4 +1,5 @@
-"""No module under src/ imports a name it never uses. A package's
+"""No module under src/, tests/ or scripts/ imports a name it never uses.
+A package's
 `__init__.py` re-exports the names its `__all__` lists, and
 `from __future__ import annotations` binds nothing, so both are exempt."""
 
@@ -7,8 +8,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = sorted(SRC.rglob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+# package modules are named from src/, the others from the repository root
+MODULES = [(p, p.relative_to(SRC)) for p in sorted(SRC.rglob("*.py"))] + [
+    (p, p.relative_to(ROOT)) for d in ("tests", "scripts")
+    for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def _imported(tree):
@@ -42,12 +47,12 @@ def _exported(tree):
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
-def test_every_import_is_used(path):
+@pytest.mark.parametrize("path,label", MODULES, ids=[str(n) for _p, n in MODULES])
+def test_every_import_is_used(path, label):
     tree = ast.parse(path.read_text(), filename=str(path))
     kept = _used(tree) | (_exported(tree) if path.name == "__init__.py" else set())
     unused = [f"line {line}: {name}" for name, line in _imported(tree) if name not in kept]
-    assert not unused, f"{path.relative_to(SRC)} imports names it never uses: {unused}"
+    assert not unused, f"{label} imports names it never uses: {unused}"
 
 
 def test_an_unused_import_is_caught():
