@@ -19,6 +19,10 @@ constants every forward over that plan starts from, and
 `encoder_forward(start)` runs it. While the base is frozen those are H(0) =
 X W_in with layer 0's A_hat H(0) and A_hat H(0) W0 in every mode, and A_hat
 X once a base weight trains, the first layer then being (A_hat X)(W_in W0).
+A graph task's start is given its batch's (B, N) mean pool in place of
+`ids`, and the read-out joins the plan: the layers below the top are read
+out as pool H(l), H(0) once in the start, and the top layer, which has no
+ReLU, runs on the B pooled rows from the block pool A_hat.
 A checkpoint holds the float32 base weights only, as `as_stored` rounds
 them, and ends in the sha256 of its other bytes.
 """
@@ -235,26 +239,38 @@ class ForwardPlan:
     `adjs[l]` aggregates layer l+1, rows `rows[l+1]` by columns `rows[l]`;
     `picks[l]` are the positions of `ids` in `rows[l]` (None: all of them,
     in order); `edge_patterns[l]` places the trainable edge entries lying in
-    `adjs[l]` (None without selected edges).
+    `adjs[l]` (None without selected edges). A pooled plan reads every
+    layer out as `pool` H(l).
     """
 
     rows: list
     adjs: list[SparseMatrix]
     picks: list
     edge_patterns: list[EdgePattern] | None
+    pool: SparseMatrix | None = None
 
 
 def forward_plan(adj: SparseMatrix, ids, layers: int,
                  edge_positions: np.ndarray | None = None,
-                 dense: bool = False) -> ForwardPlan:
+                 dense: bool = False, pool: SparseMatrix | None = None) -> ForwardPlan:
     """Plan a forward that computes rows `ids` of every layer and nothing the
     last layer does not read: R_L is `ids` and R_{l-1} is R_l plus its
     neighbours, the exact (sampling-free) receptive field. `dense` layers
     carry full GLoRA's rank-one term, which reads every row of its input, so
     only the last layer is restricted. `ids=None` plans the full forward.
     `edge_positions` (E, 2) pairs each selected entry with its mirror.
+    A (B, N) `pool` in place of `ids` plans the read-out pool H(l): the
+    layers below the top run on every row, the top layer on the B pooled
+    rows alone from the block pool A, one sparse product. The top layer has
+    no ReLU, so pool (A H W) = ((pool A) H) W.
     """
     n = adj.shape[0]
+    if pool is not None:
+        if ids is not None or dense or edge_positions is not None:
+            raise ContractError("a pooled plan reads every row and takes no "
+                                "adjacency factors")
+        if pool.shape[1] != n:
+            raise DimensionError(f"pool must have {n} columns, got {pool.shape}")
     if ids is None:
         rows = [None] * (layers + 1)
     else:
@@ -302,17 +318,21 @@ def forward_plan(adj: SparseMatrix, ids, layers: int,
         picks = rows
     else:
         picks = [ids if r is None else np.searchsorted(r, ids) for r in rows]
-    return ForwardPlan(rows=rows, adjs=adjs, picks=picks, edge_patterns=patterns)
+    if pool is not None:
+        adjs[-1] = pool @ adj
+    return ForwardPlan(rows=rows, adjs=adjs, picks=picks, edge_patterns=patterns,
+                       pool=pool)
 
 
 @dataclass(frozen=True)
 class ForwardStart:
     """A forward's parameters, its plan and the constants it starts from, as
     `forward_start` builds them, untracked. With the input map and every W0
-    frozen: `h0` = H(0) = X W_in on the plan's input rows and `first` = the
-    first layer's A H(0), A H(0) W0 and, only when its edge weights train,
-    the H(0) W0 their update of A H(0) W0 reads. With a base weight
-    training: `ax` = A X on the first layer's rows alone."""
+    frozen: `h0` = H(0) = X W_in on the plan's input rows (pool H(0) for a
+    pooled plan) and `first` = the first layer's A H(0), A H(0) W0 and, only
+    when its edge weights train, the H(0) W0 their update of A H(0) W0
+    reads. With a base weight training: `ax` = A X on the first layer's rows
+    alone."""
 
     params: EncoderParams
     plan: ForwardPlan
@@ -326,13 +346,14 @@ def _full_glora(lp: LayerParams) -> bool:
 
 
 def forward_start(adj: SparseMatrix, x: Tensor, params: EncoderParams,
-                  ids=None) -> ForwardStart:
-    """Plan a forward of `params` over rows `ids` (None: every row) and build
-    the constants it starts from. The plan takes its trainable edges from
-    `params.edge_positions` and, when a layer carries full GLoRA, keeps every
-    row below the top. While the input map and every W0 stay frozen the
-    constants are H(0) and the first layer's frozen products; once a base
-    weight trains they are A X, and the first layer runs as (A X)(W_in W0)."""
+                  ids=None, pool: SparseMatrix | None = None) -> ForwardStart:
+    """Plan a forward of `params` over rows `ids` (None: every row), or the
+    (B, N) `pool`'s pooled rows, and build the constants it starts from.
+    The plan takes its trainable edges from `params.edge_positions` and, when
+    a layer carries full GLoRA, keeps every row below the top. While the
+    input map and every W0 stay frozen the constants are H(0) and the first
+    layer's frozen products; once a base weight trains they are A X, and the
+    first layer runs as (A X)(W_in W0)."""
     n = adj.shape[0]
     if adj.shape[1] != n:
         raise DimensionError(f"adjacency must be square, got {adj.shape}")
@@ -342,7 +363,7 @@ def forward_start(adj: SparseMatrix, x: Tensor, params: EncoderParams,
             f"features must be ({n}, {f}), got {x.shape}; the input map takes {f}")
     layers = params.layers
     plan = forward_plan(adj, ids, len(layers), edge_positions=params.edge_positions,
-                        dense=any(_full_glora(lp) for lp in layers))
+                        dense=any(_full_glora(lp) for lp in layers), pool=pool)
     x = x if plan.rows[0] is None else gather_rows(x, plan.rows[0])
     if any(t.requires_grad for t in params.base()):
         if layers[0].adapters():
@@ -351,7 +372,10 @@ def forward_start(adj: SparseMatrix, x: Tensor, params: EncoderParams,
     h0, w0 = matmul(x, params.w_in), layers[0].w0
     agg = spmm(plan.adjs[0], h0)
     hw = None if layers[0].edge_weights is None else matmul(h0, w0)
-    return ForwardStart(params, plan, h0=h0, first=(agg, matmul(agg, w0), hw))
+    first = (agg, matmul(agg, w0), hw)
+    if pool is not None:
+        h0 = spmm(pool, h0)
+    return ForwardStart(params, plan, h0=h0, first=first)
 
 
 def encoder_forward(start: ForwardStart) -> list[Tensor | None]:
@@ -359,9 +383,9 @@ def encoder_forward(start: ForwardStart) -> list[Tensor | None]:
     layers only.
 
     Returns the per-layer embeddings H(0..L) of the rows `forward_start` was
-    given, each layer computed on its planned rows only. H(0) is the input
-    map's output; from an A X start it is not formed and its place holds
-    None.
+    given (pooled, from a pooled start), each layer computed on its planned
+    rows only. H(0) is the input map's output; from an A X start it is not
+    formed and its place holds None.
     """
     params, plan, ax = start.params, start.plan, start.ax
     stack = [start.h0]
@@ -392,6 +416,9 @@ def encoder_forward(start: ForwardStart) -> list[Tensor | None]:
         if l < len(params.layers) - 1:
             h = relu(h)
         stack.append(h)
+    if plan.pool is not None:
+        # the start read H(0) out and the top layer ran on the pooled rows
+        return [stack[0], *(spmm(plan.pool, h) for h in stack[1:-1]), stack[-1]]
     return [h if h is None or pick is None else gather_rows(h, pick)
             for h, pick in zip(stack, plan.picks)]
 

@@ -332,7 +332,14 @@ def disjoint_union(graphs: list[Graph]) -> Graph:
         raise StructuralError("disjoint_union of nothing")
     offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
     edges = [g.edges + offsets[i] for i, g in enumerate(graphs) if g.num_edges]
-    feats = np.concatenate([g.features.data for g in graphs])
+    try:
+        feats = np.concatenate([g.features.data for g in graphs])
+    except ValueError:
+        # the features are 2-D, so only their widths can differ
+        width = graphs[0].num_features
+        i = next(i for i, g in enumerate(graphs) if g.num_features != width)
+        raise StructuralError(
+            f"graph {i} feature width {graphs[i].num_features} != {width}") from None
     labels = None
     if all(g.labels is not None for g in graphs):
         labels = np.concatenate([g.labels for g in graphs])

@@ -50,6 +50,9 @@ def _read_meta(path: Path) -> dict:
                 f"{meta_path}: {key} must be a non-negative integer, got {meta[key]!r}")
     if meta["task"] == "node" and meta["num_nodes"] < 1:
         raise DatasetError(f"{meta_path}: a node task needs num_nodes >= 1, got 0")
+    if meta["num_features"] < 1:
+        # no features file could hold rows of zero values: a blank line is skipped
+        raise DatasetError(f"{meta_path}: num_features must be >= 1, got 0")
     return meta
 
 

@@ -117,6 +117,16 @@ class SparseMatrix:
                              self.values[source])
         return block, source
 
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        """The sparse product self @ other, a constant off the tape; entries
+        that sum to zero are dropped."""
+        if self.shape[1] != other.shape[0]:
+            raise DimensionError(f"sparse product: inner dims differ, "
+                                 f"{self.shape} x {other.shape}")
+        prod = self._csr @ other._csr
+        prod.sort_indices()
+        return SparseMatrix(prod.shape, prod.indptr, prod.indices, prod.data)
+
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 

@@ -13,8 +13,10 @@ Prediction is the argmax of the cosines summed over layers with hop
 coefficients gamma; a zero-norm row or prompt scores 0 in training and
 evaluation alike. Each task trains from one `encoder.forward_start` per
 call, a node task on its training rows' receptive field, and evaluates from
-a second start over every row. GLoRA's mode and rank are set by
-`PromptTuneConfig` alone.
+a second start over every row; a graph task's starts are given the batch's
+mean pool, so its forward (`graph_tokens`) reads every layer out pooled and
+runs the top layer on the pooled rows alone. GLoRA's mode and rank are set
+by `PromptTuneConfig` alone.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .encoder import (
 from .errors import ParameterError
 from .graphstore import (
     Graph,
-    GraphBatch,
     GraphSet,
     SplitSpec,
     graph_batch,
@@ -51,7 +52,6 @@ from .numcore import (
     fit,
     prompt_cosines,
     prompt_nll,
-    spmm,
 )
 
 
@@ -67,11 +67,11 @@ def init_gamma(alpha: float, num_layers: int) -> Tensor:
     return Tensor(np.array([values]), requires_grad=True)
 
 
-def graph_tokens(batch: GraphBatch, start: ForwardStart) -> list[Tensor]:
-    """One forward over the batch's disjoint union from `start`, a
-    `forward_start` over it, then each graph's mean row per layer: one
-    (B, d) tensor per layer."""
-    return [spmm(batch.pool, h) for h in encoder_forward(start)]
+def graph_tokens(start: ForwardStart) -> list[Tensor]:
+    """Each graph's mean row per layer, one (B, d) tensor per layer: the
+    forward from `start`, a `forward_start` over a batch's disjoint union
+    given the batch's pool."""
+    return encoder_forward(start)
 
 
 def anchors_from_matrices(mats: list[np.ndarray], y: np.ndarray,
@@ -188,15 +188,18 @@ def _tune_graph_task(checkpoint, items: GraphSet, split: SplitSpec,
                           np.random.default_rng(tcfg.seed),
                           adjacency_adaptation=False)
     train_batch = graph_batch([items.graphs[int(i)] for i in split.train_ids])
-    # every epoch's forward starts from the training batch's X W_in
-    start = forward_start(train_batch.adj, train_batch.features, params)
+    # every epoch's forward starts from the training batch's X W_in and
+    # reads each layer out pooled
+    start = forward_start(train_batch.adj, train_batch.features, params,
+                          pool=train_batch.pool)
 
     def evaluate():
         every = graph_batch(items.graphs)
-        return graph_tokens(every, forward_start(every.adj, every.features, params))
+        return graph_tokens(forward_start(every.adj, every.features, params,
+                                          pool=every.pool))
 
     return _fit_prompts(params, tcfg, split, items.labels, items.num_classes,
-                        lambda: graph_tokens(train_batch, start), evaluate)
+                        lambda: graph_tokens(start), evaluate)
 
 
 def _fit_prompts(params, tcfg, split, labels, num_classes, forward, evaluate):

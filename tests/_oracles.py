@@ -6,8 +6,10 @@ independent check of them. The triplet oracle is the per-node sampling loop
 that the array sampler in `pretrain.build_triplets` must reproduce draw for
 draw; the edge-subset and CSR-row oracles are the loops that
 `encoder.edge_subset_positions` and `SparseMatrix` must agree with exactly.
-The graph-task oracles run one forward per item and `mean_rows` pooling,
-which the batched disjoint-union forward in `prompt.graph_tokens` replaces.
+The graph-task oracles run one forward per item and `mean_rows` pooling
+after it, which the batched disjoint-union forward in `prompt.graph_tokens`
+replaces: its pooled start reads each layer out inside the forward and runs
+the top layer on the pooled rows, pool A H, alone.
 `reference_pretrain` is stage one's own mini-batch Adam loop, which
 `run_pretrain` replaces with the shared `numcore.fit`; it runs each step's
 forward as `h0_first_forward`, X W_in first, where every forward of a
@@ -23,7 +25,8 @@ derivatives, is the third, independent reading of that gradient.
 replaces with one pass over all entries; both training-loop oracles step
 through it. `full_rows_plan` is the full-forward training path that
 node-task training on the training rows' receptive field replaces: every
-layer runs on every row and the planned rows are gathered from the result.
+layer runs on every row and the planned rows are gathered from the result
+(a pooled plan it leaves as planned).
 `override_spmm` is the trainable-edge product that `numcore.edge_update`
 replaces: it rebuilds the adjacency with the edge weights written into their
 entries, where the op adds their k-entry update to the frozen product.
@@ -600,9 +603,12 @@ def reference_pretrain(data, cfg, pcfg):
     return params, losses
 
 
-def full_rows_plan(adj, ids, layers, edge_positions=None, dense=False):
+def full_rows_plan(adj, ids, layers, edge_positions=None, dense=False, pool=None):
     """A drop-in for `forward_plan` that restricts nothing: every layer runs
-    on all rows, and rows `ids` are gathered from each."""
+    on all rows, and rows `ids` are gathered from each. A pooled plan is
+    planned as `forward_plan` plans it."""
+    if pool is not None:
+        return forward_plan(adj, ids, layers, edge_positions, dense, pool)
     plan = forward_plan(adj, None, layers, edge_positions)
     if ids is None:
         return plan

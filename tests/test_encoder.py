@@ -643,6 +643,71 @@ class TestAggregatedInput:
                     enc.forward_start(adj, g.features, adapted, ids)
 
 
+class TestPooledForward:
+    """A start given a (B, N) pool reads every layer out pooled: pool H(0)
+    once in the start, pool H(l) for the interior layers, and the top layer
+    computed on the B pooled rows from its block pool A. That reassociates
+    the pooled sums of the full forward, so the two agree to rounding."""
+
+    @staticmethod
+    def _setup(layers, seed, base="frozen"):
+        graphs = [gs.random_labeled_graph(n, n - 1, 2, 4, seed=seed + n)
+                  for n in (5, 3, 6)]
+        graphs.append(gs.Graph(num_nodes=1, edges=np.zeros((0, 2), dtype=np.int64),
+                               features=nc.Tensor([[0.5, -1.0, 0.25, 2.0]]),
+                               labels=None, num_classes=2))
+        batch = gs.graph_batch(graphs)
+        rng = np.random.default_rng(seed)
+        cfg = enc.EncoderConfig(layers=layers, dims=[4] + [6] * layers)
+        params = enc.init_encoder(cfg, rng)
+        if base == "frozen":
+            params = enc.attach_glora(enc.own_base(params, trainable=False), "full",
+                                      2, rng, adjacency_adaptation=False)
+            for lp in params.layers:
+                lp.q.data = 0.3 * rng.standard_normal(lp.q.shape)
+        return batch, params
+
+    @pytest.mark.parametrize("base", ["frozen", "training"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_equals_the_pooled_full_forward(self, layers, base):
+        batch, params = self._setup(layers, seed=40 + layers, base=base)
+        start = enc.forward_start(batch.adj, batch.features, params, pool=batch.pool)
+        assert start.plan.adjs[-1].shape == (4, batch.adj.shape[1])
+        pool = densify(batch.pool)
+        want = forward(batch.adj, batch.features, params)
+        ours = enc.encoder_forward(start)
+        assert len(ours) == layers + 1
+        for l, (a, b) in enumerate(zip(ours, want)):
+            if b is None:
+                assert a is None and base == "training"
+                continue
+            assert a.shape == (4, 6), l
+            np.testing.assert_allclose(a.data, pool @ b.data, rtol=1e-13, atol=1e-14)
+
+    def test_pool_a_is_one_sparse_product(self):
+        batch, params = self._setup(2, seed=45)
+        plan = enc.forward_start(batch.adj, batch.features, params,
+                                 pool=batch.pool).plan
+        assert plan.pool is batch.pool and plan.adjs[0] is batch.adj
+        np.testing.assert_allclose(densify(plan.adjs[1]),
+                                   densify(batch.pool) @ densify(batch.adj),
+                                   rtol=1e-15, atol=0)
+
+    def test_contracts(self):
+        batch, params = self._setup(2, seed=46)
+        adj, pool = batch.adj, batch.pool
+        with pytest.raises(ContractError, match="pooled plan"):
+            enc.forward_plan(adj, [0], 2, pool=pool)
+        with pytest.raises(ContractError, match="pooled plan"):
+            enc.forward_plan(adj, None, 2, dense=True, pool=pool)
+        with pytest.raises(ContractError, match="pooled plan"):
+            enc.forward_plan(adj, None, 2, edge_positions=enc.edge_subset_positions(
+                adj, [0]), pool=pool)
+        with pytest.raises(DimensionError, match="pool must have"):
+            enc.forward_plan(adj, None, 2, pool=gs.graph_batch(
+                [gs.random_labeled_graph(3, 2, 2, 4, seed=0)]).pool)
+
+
 def size(tensors):
     return sum(t.data.size for t in tensors)
 

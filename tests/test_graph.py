@@ -246,6 +246,18 @@ class TestBuildGraphTask:
 
 
 class TestDisjointUnion:
+    @pytest.mark.parametrize("order,first", [("aawa", 2), ("awwa", 1), ("aw", 1)])
+    def test_feature_widths_must_agree(self, order, first):
+        # named as GraphSet names it, not numpy's bare ValueError
+        a = make_graph(3, [(0, 1)], labels=[0, 1, 0])
+        w = make_graph(2, [(0, 1)], labels=[1, 1], feature_dim=a.num_features + 1)
+        graphs = [{"a": a, "w": w}[c] for c in order]
+        want = rf"graph {first} feature width {a.num_features + 1} != {a.num_features}"
+        with pytest.raises(StructuralError, match=want):
+            gs.disjoint_union(graphs)
+        with pytest.raises(StructuralError, match=want):
+            gs.graph_batch(graphs)
+
     def test_counts_and_offsets(self):
         a = make_graph(3, [(0, 1)], labels=[0, 1, 0])
         b = make_graph(2, [(0, 1)], labels=[1, 1])

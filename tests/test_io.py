@@ -228,6 +228,26 @@ def test_meta_count_must_be_a_json_integer(tmp_path, value):
         gs.load_dataset(d)
 
 
+@pytest.mark.parametrize("task", ["node", "graph"])
+def test_meta_zero_features_refused_before_any_data_file(tmp_path, task):
+    # three nodes, each a features line without values, which is skipped as
+    # blank: the width is named, not the row count
+    d = tmp_path / "ds"
+    d.mkdir()
+    (d / "meta.json").write_text(json.dumps({
+        "name": "zero", "num_nodes": 3, "num_features": 0, "num_classes": 2,
+        "task": task}))
+    with pytest.raises(DatasetError, match="num_features must be >= 1, got 0"):
+        gs.load_dataset(d)  # no data file exists yet
+    (d / "edges.tsv").write_text("0\t1\n1\t2\n")
+    (d / "features.csv").write_text("\n\n\n")
+    (d / "labels.csv").write_text("0\n1\n0\n")
+    (d / "graphs.jsonl").write_text(json.dumps(
+        {"edges": [[0, 1], [1, 2]], "features": [[], [], []], "label": 0}) + "\n")
+    with pytest.raises(DatasetError, match="num_features must be >= 1, got 0"):
+        gs.load_dataset(d)
+
+
 @pytest.mark.parametrize("value", [[1, 2], "x", 7, None],
                          ids=["list", "string", "number", "null"])
 def test_meta_must_be_a_json_object(tmp_path, value):

@@ -16,6 +16,7 @@ from hopprompt.errors import (
     SplitError,
     StructuralError,
 )
+from hopprompt.numcore import sparse as sparse_ops
 from hopprompt.numcore import tensor as tensor_ops
 
 from tests._oracles import (
@@ -51,7 +52,8 @@ def forward(adj, x, params, ids=None):
 def tokens_of(graphs, params):
     """`graph_tokens` of the batch of `graphs`, started as stage two starts it."""
     batch = gs.graph_batch(graphs)
-    return pr.graph_tokens(batch, enc.forward_start(batch.adj, batch.features, params))
+    return pr.graph_tokens(enc.forward_start(batch.adj, batch.features, params,
+                                             pool=batch.pool))
 
 
 class TestInitGamma:
@@ -188,10 +190,10 @@ def _fixture_items(name):
     return gs.build_graph_task(data, hops=1).graphs
 
 
-def _adapted_encoder(feature_dim, seed):
+def _adapted_encoder(feature_dim, seed, layers=2):
     """A random frozen encoder with nonzero projection adapters attached."""
     rng = np.random.default_rng(seed)
-    cfg = enc.EncoderConfig(layers=2, dims=[feature_dim, 6, 6])
+    cfg = enc.EncoderConfig(layers=layers, dims=[feature_dim] + [6] * layers)
     base = enc.own_base(enc.init_encoder(cfg, rng), trainable=False)
     params = enc.attach_glora(base, "full", 2, rng, adjacency_adaptation=False)
     for lp in params.layers:
@@ -250,23 +252,61 @@ class TestGraphBatch:
             gs.graph_batch([])
 
     def test_pooled_forward_gradients(self):
+        # P and Q reach the loss through the pooled top layer; in a 1-layer
+        # encoder that top is layer 0, built from the start's constants
         rng = np.random.default_rng(14)
         graphs = _fixture_items("web-tiny")[:4]
-        params, cfg = _adapted_encoder(graphs[0].num_features, seed=1)
         batch = gs.graph_batch(graphs)
-        offsets = [nc.Tensor(rng.standard_normal((3, cfg.hidden_dim)))
-                   for _ in range(cfg.layers + 1)]
-        # the base is frozen: stage two trains the adapters alone
-        wrt = [t for lp in params.layers for t in (lp.p, lp.q)]
-        start = enc.forward_start(batch.adj, batch.features, params)
+        for layers in (1, 2):
+            params, cfg = _adapted_encoder(graphs[0].num_features, seed=1, layers=layers)
+            offsets = [nc.Tensor(rng.standard_normal((3, cfg.hidden_dim)))
+                       for _ in range(cfg.layers + 1)]
+            # the base is frozen: stage two trains the adapters alone
+            wrt = [t for lp in params.layers for t in (lp.p, lp.q)]
+            start = enc.forward_start(batch.adj, batch.features, params, pool=batch.pool)
 
-        def loss():
-            tokens = pr.graph_tokens(batch, start)
-            return nc.prompt_nll(tokens, np.array([0, 1, 2, 1]), offsets, tau=0.5)
+            def loss():
+                tokens = pr.graph_tokens(start)
+                return nc.prompt_nll(tokens, np.array([0, 1, 2, 1]), offsets, tau=0.5)
 
-        grads = nc.backward(loss())
-        for t, fd in zip(wrt, finite_diff(lambda: loss().item(), wrt)):
-            assert_grads_close(grads.get(t), fd, label=str(t.shape))
+            grads = nc.backward(loss())
+            for t, fd in zip(wrt, finite_diff(lambda: loss().item(), wrt)):
+                assert_grads_close(grads.get(t), fd, label=f"{layers} layers, {t.shape}")
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_epoch_tape_keeps_the_top_layer_pooled(self, monkeypatch, layers):
+        # of a tune's epoch, only the interior layers' products and ReLUs
+        # hold more rows than the batch has items: the top layer, its
+        # aggregation and every read-out run on the B pooled rows
+        items = gs.build_graph_task(
+            gs.random_labeled_graph(30, 90, 3, 6, seed=21, class_sep=1.5), hops=1)
+        split = gs.kshot_split(items, 2, seed=0)
+        cfg = enc.EncoderConfig(layers=layers, dims=[6] + [8] * layers)
+        params = enc.init_encoder(cfg, np.random.default_rng(0))
+        epoch_ops, in_fit, real_fit = [], [False], pr.fit
+        for module in (tensor_ops, sparse_ops):
+            def spy(op, data, *args, _real=module._record):
+                if in_fit[0]:
+                    epoch_ops.append((op, data.shape[0]))
+                return _real(op, data, *args)
+
+            monkeypatch.setattr(module, "_record", spy)
+
+        def fit(*args, **kwargs):
+            in_fit[0] = True
+            try:
+                return real_fit(*args, **kwargs)
+            finally:
+                in_fit[0] = False
+
+        monkeypatch.setattr(pr, "fit", fit)
+        tcfg = pr.PromptTuneConfig(epochs=1, patience=None, seed=0, glora_mode="full")
+        pr.run_prompt_tune(params, items, split, tcfg)
+        b = len(split.train_ids)
+        assert epoch_ops[-1] == ("prompt_nll", 1)
+        assert [op for op, rows in epoch_ops if rows > b] == \
+            ["lowrank_layer", "relu"] * (layers - 1)
+        assert [op for op, rows in epoch_ops if rows == b].count("lowrank_layer") == 1
 
 
 def zero_offsets(anchors):
@@ -817,9 +857,9 @@ class TestFrozenForwardHoist:
         rows = []
         real = pr.forward_start
 
-        def counted(adj, x, params, ids=None):
+        def counted(adj, x, params, ids=None, pool=None):
             rows.append(x.rows)
-            return real(adj, x, params, ids)
+            return real(adj, x, params, ids, pool)
 
         monkeypatch.setattr(pr, "forward_start", counted)
         tcfg = pr.PromptTuneConfig(epochs=epochs, patience=None, seed=0, lr=1e-3,
@@ -838,10 +878,20 @@ class TestFrozenForwardHoist:
                                    glora_mode="full", weight_decay=5e-6,
                                    last_layer_only=ablation == "last_layer_only")
         ours_params, ours = pr.run_prompt_tune(path, items, split, tcfg)
-        real = pr.graph_tokens
+        real_tokens, real_start, made = pr.graph_tokens, pr.forward_start, {}
+
+        def recorded_start(*args, **kwargs):
+            start = real_start(*args, **kwargs)
+            made[id(start)] = (args, kwargs)
+            return start
+
+        def fresh_tokens(start):
+            args, kwargs = made[id(start)]
+            return real_tokens(real_start(*args, **kwargs))
+
         # every call starts its forward afresh
-        monkeypatch.setattr(pr, "graph_tokens", lambda batch, start: real(
-            batch, enc.forward_start(batch.adj, batch.features, start.params)))
+        monkeypatch.setattr(pr, "forward_start", recorded_start)
+        monkeypatch.setattr(pr, "graph_tokens", fresh_tokens)
         per_epoch_params, per_epoch = pr.run_prompt_tune(path, items, split, tcfg)
         assert ours.train_losses == per_epoch.train_losses
         assert ours.best_epoch == per_epoch.best_epoch

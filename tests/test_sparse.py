@@ -415,6 +415,27 @@ class TestEdgeUpdate:
                                        err_msg=name)
 
 
+class TestSparseProduct:
+    """`a @ b` of two SparseMatrix is their canonical sparse product."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dense_product(self, seed):
+        rng = np.random.default_rng(seed)
+        offs, cidx, vals, left = random_csr(rng, 4, 9, density=0.4)
+        a = nc.SparseMatrix((4, 9), offs, cidx, vals)
+        offs, cidx, vals, right = random_csr(rng, 9, 7, density=0.4)
+        b = nc.SparseMatrix((9, 7), offs, cidx, vals)
+        prod = a @ b
+        assert prod.shape == (4, 7)
+        np.testing.assert_allclose(densify(prod), left @ right, rtol=1e-13, atol=1e-15)
+        # only nonzero sums are stored
+        assert np.count_nonzero(prod.values) == prod.nnz
+
+    def test_inner_dims_checked(self):
+        with pytest.raises(DimensionError, match="inner dims differ"):
+            sparse_identity(3) @ sparse_identity(4)
+
+
 class TestSlice:
     """`slice(rows, cols)` is the dense block at those rows and columns, and
     the products over it differentiate like any other spmm."""
